@@ -22,11 +22,11 @@
 //!    are lost; the robustness metrics quantify each fate.
 
 use quasaq_bench::Table;
-use quasaq_sim::{SimDuration, SimTime};
+use quasaq_sim::SimTime;
 use quasaq_store::{plan_migrations, Placement, QosSampler, ReplicationPlanner};
 use quasaq_workload::{
-    run_throughput_on, run_throughput_scenarios, CostKind, QopMix, SystemKind, Testbed,
-    TestbedConfig, ThroughputConfig,
+    run_throughput_on, run_throughput_scenarios, CostKind, SystemKind, Testbed, TestbedConfig,
+    ThroughputConfig,
 };
 
 fn main() {
@@ -43,21 +43,12 @@ fn migration_loop() {
     let cfg = ThroughputConfig {
         testbed: TestbedConfig { placement: Placement::RoundRobin, ..TestbedConfig::default() },
         horizon: SimTime::from_secs(600),
-        sample_step: SimDuration::from_secs(10),
         seed: 31,
         video_skew: 1.2,
         // Local-only planning makes placement bind (cross-site delivery
         // would otherwise mask the layout).
         local_plans_only: true,
-        admission: None,
-        faults: None,
-        arrival_period: None,
-        domain_workers: 0,
-        qop_mix: QopMix::Uniform,
-        arrival_burst: 1,
-        plan_cache: false,
-        links: None,
-        adaptation: None,
+        ..ThroughputConfig::fig6()
     };
     let mut testbed = Testbed::build(cfg.testbed.clone());
 
@@ -94,23 +85,8 @@ fn migration_loop() {
 
 fn configurable_optimizer() {
     println!("=== Extension 2: configurable optimizer (E = G/C with utility gain) ===\n");
-    let cfg = ThroughputConfig {
-        testbed: TestbedConfig::default(),
-        horizon: SimTime::from_secs(800),
-        sample_step: SimDuration::from_secs(10),
-        seed: 33,
-        video_skew: 0.0,
-        local_plans_only: false,
-        admission: None,
-        faults: None,
-        arrival_period: None,
-        domain_workers: 0,
-        qop_mix: QopMix::Uniform,
-        arrival_burst: 1,
-        plan_cache: false,
-        links: None,
-        adaptation: None,
-    };
+    let cfg =
+        ThroughputConfig { horizon: SimTime::from_secs(800), seed: 33, ..ThroughputConfig::fig6() };
     let mut t = Table::new(&[
         "optimizer",
         "admitted",

@@ -15,12 +15,13 @@
 //! committed full-mode artifact.
 //!
 //! Two further modes drive the declarative scenario DSL (`quasaq-scenario`):
-//! `--scenario <file> [--shards N]` executes one TOML scenario serially and
-//! sharded, asserts byte-identical reports, and prints harness-shaped JSON
-//! rows; `--gallery [--shards N]` runs every `scenarios/*.toml` against its
-//! committed golden (the CI regression gate). Speedup is bounded by the machine: on a single core the
-//! runner degrades to the serial loop (speedup ~1.0), which the artifact
-//! records via the `cores` field rather than pretending otherwise.
+//! `--scenario <file>` executes one TOML scenario serially and on the
+//! scenario-parallel runner, asserts byte-identical reports, and prints
+//! harness-shaped JSON rows; `--gallery` runs every `scenarios/*.toml` both
+//! ways against its committed golden (the CI regression gate). Speedup is
+//! bounded by the machine: on a single core the runner degrades to the
+//! serial loop (speedup ~1.0), which the artifact records via the `cores`
+//! field rather than pretending otherwise.
 //!
 //! Two modes drive the served control plane (`quasaq-shell`):
 //! `--serve [--addr A] [--threads N] [--seed S]` runs a shell until killed;
@@ -111,15 +112,11 @@ fn suites(quick: bool) -> Vec<Suite> {
 }
 
 /// One cluster size of the scaling study: a Spread-placement testbed with
-/// load proportional to the cluster, run once with serial domain stepping
-/// and once on a [`quasaq_workload::DomainPool`].
+/// load proportional to the cluster.
 struct ScaleTiming {
     servers: u32,
     videos: usize,
-    workers: usize,
-    serial_ms: f64,
-    sharded_ms: f64,
-    bit_identical: bool,
+    ms: f64,
 }
 
 fn scale_cases(quick: bool) -> Vec<(u32, usize)> {
@@ -129,11 +126,23 @@ fn scale_cases(quick: bool) -> Vec<(u32, usize)> {
     sizes.iter().map(|&s| (s, s as usize * 100)).collect()
 }
 
+/// Samples per timed run: cheap rungs get more, since their runs are so
+/// short that a single scheduler hiccup shifts a ratio by several percent.
+fn reps_for(servers: u32) -> usize {
+    if servers <= 3 {
+        20
+    } else if servers <= 30 {
+        5
+    } else {
+        3
+    }
+}
+
 /// Interleaved best-of-`reps` timing of two deterministic runs. A
 /// single-shot timing on a shared box jitters by ~10%, which swamps the
-/// few-percent serial-vs-sharded deltas the scale rows exist to measure;
-/// alternating the sides inside one sampling loop makes clock drift hit
-/// both equally, and best-of-N converges on each side's undisturbed cost.
+/// few-percent deltas the comparison rows exist to measure; alternating
+/// the sides inside one sampling loop makes clock drift hit both equally,
+/// and best-of-N converges on each side's undisturbed cost.
 #[allow(clippy::type_complexity)]
 fn timed_pair<R>(
     reps: usize,
@@ -192,15 +201,8 @@ fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedT
     };
     let cached_cfg = ThroughputConfig { plan_cache: true, ..uncached_cfg.clone() };
     let _ = Testbed::shared(uncached_cfg.testbed.clone());
-    let reps = if servers <= 3 {
-        20
-    } else if servers <= 30 {
-        5
-    } else {
-        3
-    };
     let ((uncached_ms, uncached), (cached_ms, cached)) = timed_pair(
-        reps,
+        reps_for(servers),
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &uncached_cfg),
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &cached_cfg),
     );
@@ -218,7 +220,7 @@ fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedT
 /// three ways — steady (fixed links), degraded (a sampled Markov capacity
 /// process with the QoP ladder frozen), and adaptive (same process with
 /// the congestion-driven renegotiation loop and admission brownout on) —
-/// with the adaptive run checked bit-identical serial vs sharded and its
+/// with the adaptive run checked to replay bit-identically and its
 /// degradation counters recorded.
 struct StochasticTiming {
     servers: u32,
@@ -267,25 +269,18 @@ fn run_stochastic(servers: u32, videos: usize, quick: bool) -> StochasticTiming 
     };
     let adaptive_cfg =
         ThroughputConfig { adaptation: Some(AdaptationConfig::default()), ..degraded_cfg.clone() };
-    let adaptive_sharded = ThroughputConfig { domain_workers: 4, ..adaptive_cfg.clone() };
     let _ = Testbed::shared(steady_cfg.testbed.clone());
-    let reps = if servers <= 3 {
-        20
-    } else if servers <= 30 {
-        5
-    } else {
-        3
-    };
+    let reps = reps_for(servers);
     let kind = SystemKind::Quasaq(CostKind::Lrb);
     let ((steady_ms, _steady), (degraded_ms, degraded)) = timed_pair(
         reps,
         || run_throughput(kind, &steady_cfg),
         || run_throughput(kind, &degraded_cfg),
     );
-    let ((adaptive_ms, adaptive), (_, sharded)) = timed_pair(
+    let ((adaptive_ms, adaptive), (_, replay)) = timed_pair(
         reps,
         || run_throughput(kind, &adaptive_cfg),
-        || run_throughput(kind, &adaptive_sharded),
+        || run_throughput(kind, &adaptive_cfg),
     );
     StochasticTiming {
         servers,
@@ -293,64 +288,34 @@ fn run_stochastic(servers: u32, videos: usize, quick: bool) -> StochasticTiming 
         steady_ms,
         degraded_ms,
         adaptive_ms,
-        bit_identical: adaptive == sharded,
+        bit_identical: adaptive == replay,
         degraded_violation_s: degraded.faults.as_ref().map_or(0.0, |f| f.qos_violation_secs),
         adaptive_violation_s: adaptive.faults.as_ref().map_or(0.0, |f| f.qos_violation_secs),
         degradation: adaptive.degradation.clone().unwrap_or_default(),
     }
 }
 
-fn run_scale(
-    servers: u32,
-    videos: usize,
-    worker_counts: &[usize],
-    quick: bool,
-) -> Vec<ScaleTiming> {
+fn run_scale(servers: u32, videos: usize, quick: bool) -> ScaleTiming {
     let horizon = SimTime::from_secs(if quick { 30 } else { 120 });
     // Scale arrival rate with the cluster so every rung runs near the same
     // per-server load (the paper's 1 q/s targets three servers).
     let period_us = (3_000_000 / servers as u64).max(1);
-    let serial_cfg = ThroughputConfig {
-        testbed: quasaq_workload::TestbedConfig::scale(servers, videos),
+    let cfg = ThroughputConfig {
+        testbed: TestbedConfig::scale(servers, videos),
         horizon,
-        arrival_period: Some(quasaq_sim::SimDuration::from_micros(period_us)),
+        arrival_period: Some(SimDuration::from_micros(period_us)),
         ..ThroughputConfig::fig6()
     };
-    // Warm the shared-testbed cache so neither side pays catalog
-    // generation inside its timed region.
-    let _ = Testbed::shared(serial_cfg.testbed.clone());
-
-    // Cheap rungs get more samples — their runs are so short that a single
-    // scheduler hiccup shifts the ratio by several percent.
-    let reps = if servers <= 3 {
-        20
-    } else if servers <= 30 {
-        5
-    } else {
-        3
-    };
-    // Each worker count gets its own serial measurement, interleaved with
-    // its sharded one, so every row's ratio compares samples taken under
-    // the same machine conditions.
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let sharded_cfg = ThroughputConfig { domain_workers: workers, ..serial_cfg.clone() };
-            let ((serial_ms, serial), (sharded_ms, sharded)) = timed_pair(
-                reps,
-                || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &serial_cfg),
-                || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &sharded_cfg),
-            );
-            ScaleTiming {
-                servers,
-                videos,
-                workers,
-                serial_ms,
-                sharded_ms,
-                bit_identical: serial == sharded,
-            }
-        })
-        .collect()
+    // Warm the shared-testbed cache so the timed region never pays
+    // catalog generation.
+    let _ = Testbed::shared(cfg.testbed.clone());
+    let mut ms = f64::INFINITY;
+    for _ in 0..reps_for(servers) {
+        let t = Instant::now();
+        let _ = run_throughput(SystemKind::Quasaq(CostKind::Lrb), &cfg);
+        ms = ms.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    ScaleTiming { servers, videos, ms }
 }
 
 fn run_suite(suite: &Suite) -> Timing {
@@ -380,21 +345,21 @@ fn run_suite(suite: &Suite) -> Timing {
     }
 }
 
-/// `--scenario <file>` mode: execute one TOML scenario serially and
-/// sharded, assert the rendered reports are byte-identical, and print
-/// rows in the harness JSON shape (one per run stage) so scenario
-/// timings graft onto the `BENCH_throughput.json` schema.
-fn run_scenario_mode(file: &str, shards: usize) {
+/// `--scenario <file>` mode: execute one TOML scenario serially and on the
+/// scenario-parallel runner, assert the rendered reports are
+/// byte-identical, and print rows in the harness JSON shape (one per run
+/// stage) so scenario timings graft onto the `BENCH_throughput.json`
+/// schema.
+fn run_scenario_mode(file: &str) {
     use quasaq_scenario::{run_file, ExecMode};
     let path = std::path::Path::new(file);
     let t0 = Instant::now();
     let serial = run_file(path, ExecMode::Serial).unwrap_or_else(|e| panic!("{file}: {e}"));
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let sharded =
-        run_file(path, ExecMode::Sharded(shards)).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let identical = serial.render() == sharded.render();
+    let parallel = run_file(path, ExecMode::Parallel).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let identical = serial.render() == parallel.render();
     print!("{}", serial.render());
     println!("  \"harnesses\": [");
     let rows = serial.runs.len();
@@ -405,21 +370,22 @@ fn run_scenario_mode(file: &str, shards: usize) {
             serial.name,
             run.stage,
             serial_ms,
-            sharded_ms,
-            serial_ms / sharded_ms.max(1e-9),
+            parallel_ms,
+            serial_ms / parallel_ms.max(1e-9),
             identical,
             if i + 1 < rows { "," } else { "" }
         );
     }
     println!("  ],");
     println!("  \"fingerprint\": \"{:016x}\"", serial.fingerprint());
-    assert!(identical, "{file}: sharded({shards}) report diverged from serial");
+    assert!(identical, "{file}: parallel report diverged from serial");
 }
 
 /// `--gallery` mode: the CI smoke gate over every committed scenario.
-/// Each gallery entry runs serially and sharded(2); both renderings must
-/// be byte-identical to each other and to the committed golden.
-fn run_gallery_mode(shards: usize) {
+/// Each gallery entry runs serially and on the scenario-parallel runner;
+/// both renderings must be byte-identical to each other and to the
+/// committed golden.
+fn run_gallery_mode() {
     use quasaq_scenario::{run_file, ExecMode};
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let dir = root.join("scenarios");
@@ -436,14 +402,10 @@ fn run_gallery_mode(shards: usize) {
         let serial = run_file(path, ExecMode::Serial).unwrap_or_else(|e| panic!("{name}: {e}"));
         let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let sharded =
-            run_file(path, ExecMode::Sharded(shards)).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let parallel = run_file(path, ExecMode::Parallel).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
         let rendered = serial.render();
-        assert!(
-            rendered == sharded.render(),
-            "{name}: sharded({shards}) report diverged from serial"
-        );
+        assert!(rendered == parallel.render(), "{name}: parallel report diverged from serial");
         let golden = dir.join("golden").join(&name).with_extension("golden");
         let expected = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{name}: missing golden {}: {e}", golden.display()));
@@ -454,12 +416,12 @@ fn run_gallery_mode(shards: usize) {
             golden.display()
         );
         println!(
-            "  {name}: serial {serial_ms:>8.1} ms | sharded({shards}) {sharded_ms:>8.1} ms | \
+            "  {name}: serial {serial_ms:>8.1} ms | parallel {parallel_ms:>8.1} ms | \
              fp {:016x} | golden OK",
             serial.fingerprint()
         );
     }
-    println!("gallery OK: {} scenarios bit-identical serial vs sharded({shards})", files.len());
+    println!("gallery OK: {} scenarios bit-identical serial vs parallel", files.len());
 }
 
 /// One `--load` measurement row: the loopback replay at a given shell
@@ -623,12 +585,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--shards takes a lane count"))
-        .unwrap_or(2);
     if args.iter().any(|a| a == "--serve") {
         run_serve_mode(&args);
     }
@@ -638,28 +594,20 @@ fn main() {
     }
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
         let file = args.get(i + 1).expect("--scenario takes a TOML file path");
-        run_scenario_mode(file, shards);
+        run_scenario_mode(file);
         return;
     }
     if args.iter().any(|a| a == "--gallery") {
         println!("gallery mode: scenario DSL golden suite ({cores} core(s))");
-        run_gallery_mode(shards);
+        run_gallery_mode();
         return;
     }
 
     if smoke {
-        // CI determinism smoke: the 3-server quick scale case, serial vs
-        // 2-lane sharded, asserting bit-identity. Seconds, not minutes.
-        println!("smoke mode: 3-server scale determinism check ({cores} core(s))");
-        for s in run_scale(3, 300, &[2], true) {
-            println!(
-                "  serial {:>9.1} ms | sharded({}) {:>9.1} ms | bit-identical: {}",
-                s.serial_ms, s.workers, s.sharded_ms, s.bit_identical
-            );
-            assert!(s.bit_identical, "sharded scale run diverged from serial");
-        }
-        // Cached-admission smoke: the same quick rung with flash-crowd
-        // bursts, full enumeration vs the memoized plan cache.
+        // CI smoke on the 3-server quick rung. Seconds, not minutes.
+        // Cached admission: flash-crowd bursts, full enumeration vs the
+        // memoized plan cache, asserting bit-identity.
+        println!("smoke mode: 3-server cached-admission and brownout checks ({cores} core(s))");
         let c = run_cached(3, 300, 4, true);
         println!(
             "  uncached {:>9.1} ms | cached {:>9.1} ms | bit-identical: {}",
@@ -667,8 +615,8 @@ fn main() {
         );
         assert!(c.bit_identical, "cached admission diverged from full enumeration");
         // Stochastic-link brownout smoke: crush every link to 5% mid-run.
-        // The plain system must detect congestion, start shedding arrivals
-        // by QoP class, and stay bit-identical serial vs sharded.
+        // The plain system must detect congestion and start shedding
+        // arrivals by QoP class.
         let horizon = SimTime::from_secs(30);
         let crush = LinkPlan {
             changes: ServerId::first_n(3)
@@ -683,13 +631,10 @@ fn main() {
             adaptation: Some(AdaptationConfig::default()),
             ..ThroughputConfig::fig6()
         };
-        let serial = run_throughput(SystemKind::Vdbms, &cfg);
-        let sharded =
-            run_throughput(SystemKind::Vdbms, &ThroughputConfig { domain_workers: 2, ..cfg });
-        assert!(serial == sharded, "brownout run diverged serial vs sharded");
-        let dm = serial.degradation.as_ref().expect("adaptation enabled");
+        let r = run_throughput(SystemKind::Vdbms, &cfg);
+        let dm = r.degradation.as_ref().expect("adaptation enabled");
         println!(
-            "  brownout: {} congestion event(s), {} degraded, {} rejected | bit-identical: true",
+            "  brownout: {} congestion event(s), {} degraded, {} rejected",
             dm.congestion_events, dm.brownout_degraded, dm.brownout_rejected
         );
         assert!(dm.congestion_events > 0, "crushed links must congest: {dm:?}");
@@ -723,22 +668,13 @@ fn main() {
         timings.push(t);
     }
 
-    // The within-run scaling study: same run, serial domain stepping vs a
-    // persistent DomainPool, at growing cluster sizes.
+    // The scaling study: one QuaSAQ/LRB run at growing cluster sizes.
     let mut scale = Vec::new();
     for (servers, videos) in scale_cases(quick) {
         println!("running scale {servers}-server / {videos}-video ...");
-        for s in run_scale(servers, videos, &[2, 4], quick) {
-            println!(
-                "  serial {:>9.1} ms | sharded({}) {:>9.1} ms | speedup {:.2}x | bit-identical: {}",
-                s.serial_ms,
-                s.workers,
-                s.sharded_ms,
-                s.serial_ms / s.sharded_ms.max(1e-9),
-                s.bit_identical
-            );
-            scale.push(s);
-        }
+        let s = run_scale(servers, videos, quick);
+        println!("  {:>9.1} ms", s.ms);
+        scale.push(s);
     }
 
     // The plan-cache study: the same Zipf-skewed run with full enumeration
@@ -799,7 +735,6 @@ fn main() {
     }
 
     let all_identical = timings.iter().all(|t| t.bit_identical)
-        && scale.iter().all(|s| s.bit_identical)
         && cached.iter().chain(&bulk).all(|c| c.bit_identical)
         && stochastic.iter().all(|s| s.bit_identical);
     let total_serial: f64 = timings.iter().map(|t| t.serial_ms).sum();
@@ -852,20 +787,14 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    // The within-run domain-sharding scaling section.
+    // The scaling section: one run's wall time per cluster size.
     json.push_str("  \"scale\": [\n");
     for (i, s) in scale.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"servers\": {}, \"videos\": {}, \"domain_workers\": {}, \
-             \"serial_ms\": {:.3}, \"sharded_ms\": {:.3}, \"speedup\": {:.3}, \
-             \"bit_identical\": {}}}{}\n",
+            "    {{\"servers\": {}, \"videos\": {}, \"ms\": {:.3}}}{}\n",
             s.servers,
             s.videos,
-            s.workers,
-            s.serial_ms,
-            s.sharded_ms,
-            s.serial_ms / s.sharded_ms.max(1e-9),
-            s.bit_identical,
+            s.ms,
             if i + 1 < scale.len() { "," } else { "" }
         ));
     }

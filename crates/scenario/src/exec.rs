@@ -18,11 +18,11 @@
 //! run's fragments into its closure, so the executor rejects it.
 //!
 //! Execution itself delegates to the repo's determinism spine:
-//! [`ExecMode::Serial`] steps every system in a plain loop with domain
-//! parallelism off; [`ExecMode::Sharded`] fans systems across the
-//! scenario-parallel runner with `n` domain lanes each. The rendered
-//! report contains no timing, host, or shard information, so the two
-//! modes must produce byte-identical reports — the gallery's CI gate.
+//! [`ExecMode::Serial`] runs every system in a plain loop;
+//! [`ExecMode::Parallel`] fans systems across the scenario-parallel
+//! runner. The rendered report contains no timing, host, or thread
+//! information, so the two modes must produce byte-identical reports —
+//! the gallery's CI gate.
 
 use crate::dag::{closure_in_order, resolve_order};
 use crate::fingerprint::{hash_result, Fnv64};
@@ -38,19 +38,14 @@ use quasaq_workload::{
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// How run stages are stepped.
+/// How a run stage's systems are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Respect each scenario's own `domain_workers`; systems fan out on
-    /// the scenario-parallel runner. The `--scenario` bench default.
-    Scripted,
-    /// One system at a time on the calling thread, domain parallelism
-    /// off. The golden reference.
+    /// One system at a time on the calling thread. The golden reference.
     Serial,
-    /// Systems on the scenario-parallel runner, each run stepping its
-    /// server domains on this many lanes. Must match [`ExecMode::Serial`]
-    /// byte-for-byte.
-    Sharded(usize),
+    /// Systems fan out on the scenario-parallel runner. Must match
+    /// [`ExecMode::Serial`] byte-for-byte.
+    Parallel,
 }
 
 /// One executed run stage.
@@ -87,7 +82,7 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// The canonical text form: stage order, labels, per-result
     /// fingerprints, counters, and sink lines — and nothing
-    /// time-of-day-, host-, or shard-dependent, so serial and sharded
+    /// time-of-day-, host-, or thread-dependent, so serial and parallel
     /// executions of the same scenario render identically.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -274,9 +269,6 @@ fn apply_workload(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), Scenari
     }
     if let Some(b) = v.opt_bool("plan_cache")? {
         cfg.plan_cache = b;
-    }
-    if let Some(w) = v.opt_usize("domain_workers")? {
-        cfg.domain_workers = w;
     }
     if let Some((table, path)) = v.opt_table("admission")? {
         let av = View::new(table, &path);
@@ -701,12 +693,7 @@ pub fn execute(spec: &ScenarioSpec, mode: ExecMode) -> Result<ScenarioReport, Sc
                 if systems.is_empty() {
                     return Err(schema_err(format!("{path}.systems"), "needs at least one system"));
                 }
-                let mut cfg = compose_run_config(spec, &graph, &order, name)?;
-                match mode {
-                    ExecMode::Scripted => {}
-                    ExecMode::Serial => cfg.domain_workers = 0,
-                    ExecMode::Sharded(n) => cfg.domain_workers = n,
-                }
+                let cfg = compose_run_config(spec, &graph, &order, name)?;
                 let kinds = systems
                     .iter()
                     .map(|s| parse_system(s, &format!("{path}.systems")))
@@ -714,7 +701,7 @@ pub fn execute(spec: &ScenarioSpec, mode: ExecMode) -> Result<ScenarioReport, Sc
                 let horizon = cfg.horizon;
                 let results = match mode {
                     ExecMode::Serial => kinds.iter().map(|k| run_throughput(*k, &cfg)).collect(),
-                    ExecMode::Scripted | ExecMode::Sharded(_) => {
+                    ExecMode::Parallel => {
                         let jobs: Vec<(SystemKind, ThroughputConfig)> =
                             kinds.iter().map(|k| (*k, cfg.clone())).collect();
                         run_throughput_scenarios(&jobs)
@@ -814,10 +801,10 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
     }
 
     #[test]
-    fn serial_and_sharded_render_identically() {
+    fn serial_and_parallel_render_identically() {
         let serial = run_str(SMOKE, ExecMode::Serial).unwrap().render();
-        let sharded = run_str(SMOKE, ExecMode::Sharded(2)).unwrap().render();
-        assert_eq!(serial, sharded, "scenario reports must be mode-independent");
+        let parallel = run_str(SMOKE, ExecMode::Parallel).unwrap().render();
+        assert_eq!(serial, parallel, "scenario reports must be mode-independent");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! counter, every sampled series point, every queue/fault/adaptation
 //! metric — into one 64-bit FNV-1a digest. Floats are hashed by their
 //! IEEE-754 bit pattern, so the fingerprint changes iff any measurement
-//! changes in any bit: exactly the sensitivity the serial-vs-sharded
+//! changes in any bit: exactly the sensitivity the serial-vs-parallel
 //! determinism gate needs. `AccessStats` (which video landed on which
 //! server) is deliberately excluded: it is derived bookkeeping for the
 //! migration extension, fully determined by the admission decisions the

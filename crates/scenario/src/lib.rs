@@ -18,8 +18,8 @@
 //!   (`stage.load.qop_mix: expected a number, found string`); unknown
 //!   keys are rejected, so typos cannot silently run a default.
 //! * [`exec`] — stage adapters onto [`quasaq_workload::ThroughputConfig`]
-//!   and deterministic execution on the scenario-parallel runner, serial
-//!   or sharded, rendering a byte-stable report.
+//!   and deterministic execution, serial or on the scenario-parallel
+//!   runner, rendering a byte-stable report.
 //! * [`fingerprint`] — FNV-1a 64 digests over full results; what the
 //!   golden gallery under `scenarios/` pins in CI.
 

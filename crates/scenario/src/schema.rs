@@ -230,7 +230,7 @@ pub enum StageKind {
     /// Deployment shape: servers, catalog, placement, capacities.
     Topology,
     /// Traffic and driver knobs: horizon, arrivals, bursts, QoP mix,
-    /// admission front end, plan cache, domain sharding.
+    /// admission front end, plan cache.
     Workload,
     /// An outage schedule (`sim::fault`).
     Faults,
@@ -311,7 +311,6 @@ impl StageKind {
                 "qop_mix",
                 "local_plans_only",
                 "plan_cache",
-                "domain_workers",
                 "admission",
             ],
             StageKind::Faults => &["kind", "needs", "windows", "model", "seed"],

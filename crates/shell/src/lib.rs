@@ -212,12 +212,15 @@ fn to_command(req: Request, server_of: &HashMap<SessionId, ServerId>) -> Option<
 /// the effect frame back. Returns on EOF, I/O error, protocol error, or
 /// shutdown. The read timeout is what lets `Shell::shutdown` drain an
 /// acceptor that is mid-connection: the read wakes periodically so the
-/// stop flag gets checked even while a client sits idle.
+/// stop flag gets checked even while a client sits idle. Nagle is off:
+/// each reply is one small frame, and holding it back for the peer's
+/// delayed ACK would stall a pipelining client by a full ACK timer.
 fn serve_connection(
     mut conn: TcpStream,
     tx: &mpsc::Sender<BrainMsg>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
+    conn.set_nodelay(true)?;
     conn.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
     let mut fb = FrameBuffer::new();
     let mut buf = [0u8; 16 * 1024];

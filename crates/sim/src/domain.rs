@@ -2,71 +2,25 @@
 //!
 //! Every engine above this crate (the fluid session engine and the
 //! frame-level stream engine in `quasaq-stream`, the throughput driver in
-//! `quasaq-workload`) shards naturally by server: each server owns its
-//! outbound link, its in-flight transfers, and its reaction to faults.
-//! This module captures that shape once so the engines stop re-implementing
-//! it:
-//!
-//! * [`LinkDomain`] — one server's outbound link plus its transfer
-//!   registry, with the fault reactions (capacity changes on degradation,
-//!   the deterministic cut on a crash) implemented here instead of
-//!   separately per engine.
-//! * [`DomainStepper`] — the strategy for stepping a set of independent
-//!   domains to a common instant: [`SerialStepper`] runs them on the
-//!   calling thread; `quasaq-workload` provides a persistent worker pool
-//!   that steps them concurrently. A domain only ever touches its own
-//!   state during a step, so any stepper yields bit-identical results to
-//!   the serial one. The cross-domain merge that consumes the buffered
-//!   completions is always serial and ordered by [`ServerId`], which
-//!   preserves the exact `(time, seq)` event order of the pre-sharding
-//!   engines.
+//! `quasaq-workload`) is organised by server: each server owns its
+//! outbound link, its in-flight transfers, and its reaction to faults —
+//! the unit QuaSAQ reserves resources on. [`LinkDomain`] captures that
+//! shape once so the engines stop re-implementing it: one server's
+//! outbound link plus its transfer registry, with the fault reactions
+//! (capacity changes on degradation, the deterministic cut on a crash)
+//! implemented here instead of separately per engine. Engines step their
+//! domains in one serial pass ordered by [`ServerId`], which fixes the
+//! `(time, seq)` event order every result depends on.
 
 use crate::link::{SharePolicy, SharedLink, XferDone};
 use crate::time::SimTime;
 use crate::topology::ServerId;
 use crate::{FlowId, XferId};
-use std::cell::UnsafeCell;
-
-/// Strategy for stepping `n` independent per-server domains.
-///
-/// # Safety
-///
-/// Callers hand implementations a closure that mutates disjoint state
-/// selected by index (see [`step_domains`]). An implementation must invoke
-/// `f(i)` **exactly once** for every `i < n` before `for_each` returns,
-/// and must never invoke the same index twice — not even sequentially.
-/// Callers rely on exactly-once delivery for the memory safety of the
-/// underlying exclusive access.
-pub unsafe trait DomainStepper {
-    /// Invokes `f(i)` exactly once per `i` in `0..n`, possibly
-    /// concurrently from several threads, returning only after every
-    /// invocation has completed.
-    fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync));
-}
-
-/// Steps domains one after another on the calling thread — the legacy
-/// execution order, and the reference every parallel stepper must match
-/// bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialStepper;
-
-// SAFETY: the loop below visits every index in 0..n exactly once.
-unsafe impl DomainStepper for SerialStepper {
-    fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n {
-            f(i);
-        }
-    }
-}
 
 /// One server's outbound link and its in-flight transfer registry.
 ///
 /// `T` is the engine-specific tag attached to each transfer (a session id
 /// for the fluid engine, a `(session, frame)` pair for the frame engine).
-/// The domain buffers link completions during [`step_to`]
-/// (`LinkDomain::step_to`) so a concurrent stepping phase never touches
-/// engine-global state; the engine consumes them afterwards, in
-/// `ServerId` order, via [`take_pending`](LinkDomain::take_pending).
 pub struct LinkDomain<T> {
     server: ServerId,
     link: SharedLink,
@@ -75,13 +29,12 @@ pub struct LinkDomain<T> {
     /// lookup instead of a hash probe on the completion hot path.
     xfers: Vec<Option<(FlowId, T)>>,
     in_flight: usize,
-    pending: Vec<XferDone>,
 }
 
 impl<T> LinkDomain<T> {
     /// Wraps an existing link as a domain for `server`.
     pub fn new(server: ServerId, link: SharedLink) -> Self {
-        LinkDomain { server, link, xfers: Vec::new(), in_flight: 0, pending: Vec::new() }
+        LinkDomain { server, link, xfers: Vec::new(), in_flight: 0 }
     }
 
     /// Builds the domain with a fresh link under the given policy.
@@ -159,39 +112,17 @@ impl<T> LinkDomain<T> {
         self.link.next_event()
     }
 
-    /// Advances the link to `t`, buffering its completions locally. This
-    /// is the only operation a [`DomainStepper`] runs concurrently; it
-    /// touches nothing outside this domain.
-    pub fn step_to(&mut self, t: SimTime) {
+    /// Advances the link to `t`, appending its completions onto `out` in
+    /// the order the link produced them.
+    pub fn step_to(&mut self, t: SimTime, out: &mut Vec<XferDone>) {
         self.link.advance_to(t);
-        self.link.drain_completions_into(&mut self.pending);
+        self.link.drain_completions_into(out);
     }
 
-    /// Removes and returns the completions buffered by [`step_to`]
-    /// (`LinkDomain::step_to`), in the order the link produced them.
-    pub fn take_pending(&mut self) -> Vec<XferDone> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Number of completions buffered by [`step_to`](LinkDomain::step_to)
-    /// and not yet consumed — the merge phase's cheap skip-clean-domain
-    /// check.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Appends the buffered completions onto `out`, keeping the internal
-    /// buffer's capacity — the allocation-free alternative to
-    /// [`take_pending`](LinkDomain::take_pending) for batched merge loops.
-    pub fn drain_pending_into(&mut self, out: &mut Vec<XferDone>) {
-        out.append(&mut self.pending);
-    }
-
-    /// True when completions are waiting — buffered here or still inside
-    /// the link (e.g. produced by a `send` or capacity change that
-    /// advanced the link internally).
+    /// True when completions are waiting inside the link (e.g. produced by
+    /// a `send` or capacity change that advanced the link internally).
     pub fn has_buffered(&self) -> bool {
-        !self.pending.is_empty() || self.link.pending_completions() > 0
+        self.link.pending_completions() > 0
     }
 
     /// Shared fault reaction: applies a capacity change to this server's
@@ -244,58 +175,9 @@ impl<T: Copy + Ord> LinkDomain<T> {
     }
 }
 
-/// `UnsafeCell` wrapper granting `Sync` for the disjoint-index access in
-/// [`step_domains`]. Safe because each index is handed to exactly one
-/// `f(i)` invocation (the [`DomainStepper`] contract).
-#[repr(transparent)]
-struct DomainCell<T>(UnsafeCell<LinkDomain<T>>);
-
-// SAFETY: access is partitioned by index — see `step_domains`.
-unsafe impl<T: Send> Sync for DomainCell<T> {}
-
-/// Steps every domain to `t` using `stepper`.
-///
-/// The per-domain work ([`LinkDomain::step_to`]) only touches that
-/// domain's own link and buffer, so concurrent stepping performs exactly
-/// the same per-link operation sequence as a serial loop — results are
-/// bit-identical regardless of the stepper. Completions stay buffered per
-/// domain for the caller's ordered merge.
-pub fn step_domains<T: Send>(
-    stepper: &dyn DomainStepper,
-    domains: &mut [LinkDomain<T>],
-    t: SimTime,
-) {
-    let n = domains.len();
-    // SAFETY: `DomainCell` is `repr(transparent)` over
-    // `UnsafeCell<LinkDomain<T>>`, which is `repr(transparent)` over
-    // `LinkDomain<T>`, so the cast preserves layout; the exclusive borrow
-    // of `domains` is held for the whole call.
-    let cells: &[DomainCell<T>] =
-        unsafe { std::slice::from_raw_parts(domains.as_mut_ptr().cast::<DomainCell<T>>(), n) };
-    stepper.for_each(n, &|i| {
-        // SAFETY: the `DomainStepper` contract delivers each index exactly
-        // once, so this is the only reference to domain `i` during the
-        // call.
-        let domain = unsafe { &mut *cells[i].0.get() };
-        domain.step_to(t);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serial_stepper_visits_every_index_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        SerialStepper.for_each(5, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
-        }
-    }
 
     #[test]
     fn cluster_is_sorted_by_server() {
@@ -309,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn step_buffers_completions_for_the_merge() {
+    fn step_hands_completions_to_the_caller() {
         let mut d: LinkDomain<u32> =
             LinkDomain::with_policy(ServerId(0), SharePolicy::Reserved, 100_000);
         let flow = d.link_mut().open_flow(SimTime::ZERO, Some(100_000)).unwrap();
@@ -317,9 +199,8 @@ mod tests {
         d.register(xfer, flow, 7);
         assert_eq!(d.in_flight(), 1);
         let t = d.next_event().expect("transfer in flight");
-        d.step_to(t);
-        assert!(d.has_buffered());
-        let done = d.take_pending();
+        let mut done = Vec::new();
+        d.step_to(t, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(d.resolve(done[0].xfer), Some(7));
         assert!(!d.has_buffered());
@@ -361,35 +242,10 @@ mod tests {
         d.set_capacity(SimTime::ZERO, 50_000);
         d.set_capacity(SimTime::from_secs(1), 100_000);
         let t = d.next_event().expect("still draining");
-        d.step_to(t);
-        let done = d.take_pending();
+        let mut done = Vec::new();
+        d.step_to(t, &mut done);
         assert_eq!(done.len(), 1);
         // 50 KB in the degraded second, the rest at full rate: 1.5 s.
         assert!((done[0].at.as_secs_f64() - 1.5).abs() < 1e-3, "{}", done[0].at);
-    }
-
-    #[test]
-    fn step_domains_matches_manual_loop() {
-        let build = || {
-            let mut domains: Vec<LinkDomain<u32>> =
-                LinkDomain::cluster(ServerId::first_n(4), SharePolicy::FairShare, 100_000);
-            for (i, d) in domains.iter_mut().enumerate() {
-                let flow = d.link_mut().open_flow(SimTime::ZERO, Some(60_000)).unwrap();
-                let xfer = d.link_mut().send(SimTime::ZERO, flow, 30_000 * (i as u64 + 1)).unwrap();
-                d.register(xfer, flow, i as u32);
-            }
-            domains
-        };
-        let t = SimTime::from_secs(1);
-        let mut serial = build();
-        for d in serial.iter_mut() {
-            d.step_to(t);
-        }
-        let mut stepped = build();
-        step_domains(&SerialStepper, &mut stepped, t);
-        for (a, b) in serial.iter_mut().zip(stepped.iter_mut()) {
-            assert_eq!(a.take_pending(), b.take_pending());
-            assert_eq!(a.link().backlog_bytes(), b.link().backlog_bytes());
-        }
     }
 }

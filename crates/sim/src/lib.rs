@@ -44,7 +44,7 @@ pub use cpu::{
     Completion, CpuError, CpuScheduler, Dsrt, DsrtConfig, JobId, ReservationError, TaskId,
     TimeSharing,
 };
-pub use domain::{step_domains, DomainStepper, LinkDomain, SerialStepper};
+pub use domain::LinkDomain;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultModel, FaultPlan, FaultSpec};
 pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone, XferId};
 pub use linkdyn::{LinkInjector, LinkModel, LinkPlan, LinkSpec};

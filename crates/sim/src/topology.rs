@@ -15,8 +15,9 @@ impl ServerId {
     }
 
     /// Builds one per-server domain for each of the ids `0..n`, in id
-    /// order — the topology-level constructor for sharded engines (each
-    /// domain owns one server's resource state; see [`crate::domain`]).
+    /// order — the topology-level constructor for per-server engines
+    /// (each domain owns one server's resource state; see
+    /// [`crate::domain`]).
     pub fn domains<D>(n: u32, build: impl FnMut(ServerId) -> D) -> Vec<D> {
         Self::first_n(n).map(build).collect()
     }

@@ -2,37 +2,12 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::link::SharePolicy;
 use quasaq_sim::queue::reference::ReferenceQueue;
-use quasaq_sim::{
-    step_domains, DomainStepper, EventQueue, LinkDomain, OnlineStats, Rng, SerialStepper, ServerId,
-    SharedLink, SimDuration, SimTime,
-};
+use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime};
 
 #[path = "support/old_link.rs"]
 mod old_link;
 use old_link::OracleLink;
-
-/// A deliberately adversarial stepper: spawns one scoped thread per chunk
-/// so domain steps genuinely interleave across threads.
-struct ChunkStepper(usize);
-
-// SAFETY: the chunks partition 0..n, so every index is passed to `f`
-// exactly once.
-unsafe impl DomainStepper for ChunkStepper {
-    fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        let indices: Vec<usize> = (0..n).collect();
-        std::thread::scope(|scope| {
-            for chunk in indices.chunks(self.0.max(1)) {
-                scope.spawn(move || {
-                    for &i in chunk {
-                        f(i);
-                    }
-                });
-            }
-        });
-    }
-}
 
 /// Drives a scheduler until idle, returning completions.
 fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::Completion> {
@@ -261,57 +236,6 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var));
-    }
-
-    /// Sharded stepping is bitwise identical to serial: the same random
-    /// transfer mix stepped per-domain on real threads produces the same
-    /// completion stream (tags, instants) and the same link state as
-    /// [`SerialStepper`], event for event.
-    #[test]
-    fn domain_parallel_stepping_matches_serial(
-        n_servers in 1usize..7,
-        chunk in 1usize..4,
-        transfers in proptest::collection::vec((0usize..7, 1u64..200_000), 1..40),
-    ) {
-        let build = || {
-            let mut domains: Vec<LinkDomain<usize>> = LinkDomain::cluster(
-                ServerId::first_n(n_servers as u32),
-                SharePolicy::FairShare,
-                1_000_000,
-            );
-            for (tag, &(s, bytes)) in transfers.iter().enumerate() {
-                let d = &mut domains[s % n_servers];
-                let flow = d.link_mut().open_flow(SimTime::ZERO, None).unwrap();
-                let xfer = d.link_mut().send(SimTime::ZERO, flow, bytes).unwrap();
-                d.register(xfer, flow, tag);
-            }
-            domains
-        };
-        let (mut serial, mut sharded) = (build(), build());
-        let stepper = ChunkStepper(chunk);
-        let mut done_serial = 0usize;
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            prop_assert!(guard < 10_000, "domains failed to converge");
-            let next = serial.iter().filter_map(LinkDomain::next_event).min();
-            prop_assert_eq!(next, sharded.iter().filter_map(LinkDomain::next_event).min());
-            let Some(t) = next else { break };
-            step_domains(&SerialStepper, &mut serial, t);
-            step_domains(&stepper, &mut sharded, t);
-            for (a, b) in serial.iter_mut().zip(sharded.iter_mut()) {
-                let da: Vec<_> = a.take_pending().into_iter().map(|d| (d.xfer, d.at)).collect();
-                let db: Vec<_> = b.take_pending().into_iter().map(|d| (d.xfer, d.at)).collect();
-                prop_assert_eq!(&da, &db, "completion streams diverged");
-                for &(x, _) in &da {
-                    prop_assert_eq!(a.resolve(x), b.resolve(x));
-                }
-                done_serial += da.len();
-                prop_assert_eq!(a.in_flight(), b.in_flight());
-                prop_assert_eq!(a.link().reserved_bps(), b.link().reserved_bps());
-            }
-        }
-        prop_assert_eq!(done_serial, transfers.len(), "every transfer completes once");
     }
 
     /// Forked RNG streams are reproducible and uniform draws stay in

@@ -365,8 +365,8 @@ impl StreamEngine {
         let slot = self.node_slot(server).expect("wake for known node");
         let node = &mut self.nodes[slot];
         node.link_wake = None;
-        node.domain.step_to(now);
-        let completions = node.domain.take_pending();
+        let mut completions = Vec::new();
+        node.domain.step_to(now, &mut completions);
         let mut finished: Vec<(SessionId, SimTime)> = Vec::new();
         for c in completions {
             let Some((sid, idx)) = node.domain.resolve(c.xfer) else { continue };

@@ -14,21 +14,16 @@
 //!   but squeezed when the link oversubscribes, so "it took much longer
 //!   time to finish each job" — the plain-VDBMS signature of Fig 6.
 //!
-//! The engine is sharded into one [`LinkDomain`] per server. Advancing
-//! time is two-phase: phase A steps every domain to the target instant
-//! (link recomputation and completion buffering stay strictly inside the
-//! domain, so a [`DomainStepper`] may run domains concurrently); phase B
-//! merges the buffered completions serially in `ServerId` order, which
-//! reproduces the exact event order of the pre-sharding engine — results
-//! are bit-for-bit identical under any stepper.
+//! The engine keeps one [`LinkDomain`] per server. Advancing time is one
+//! pass over the domains in `ServerId` order: each domain steps its link
+//! to the target instant and its completions are merged on the spot, which
+//! fixes the `(time, seq)` event order every result depends on.
 //!
 //! The engine is passive (`next_event`/`advance_to`/`drain_completions`)
 //! so the experiment driver owns the master event loop.
 
 use quasaq_sim::link::{LinkError, SharePolicy, SharedLink, XferDone};
-use quasaq_sim::{
-    step_domains, DomainStepper, FlowId, LinkDomain, SerialStepper, ServerId, SimDuration, SimTime,
-};
+use quasaq_sim::{FlowId, LinkDomain, ServerId, SimDuration, SimTime};
 
 /// Identifies a fluid session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,7 +110,7 @@ const NO_DOMAIN: u32 = u32::MAX;
 
 /// Byte-level session engine over per-server link domains.
 pub struct FluidEngine {
-    /// Sorted by `ServerId`; the phase-B merge walks this order.
+    /// Sorted by `ServerId`; every advance walks this order.
     domains: Vec<LinkDomain<FluidSessionId>>,
     /// Dense `ServerId.0` → index into `domains` (`NO_DOMAIN` for gaps).
     index: Vec<u32>,
@@ -123,7 +118,7 @@ pub struct FluidEngine {
     /// Open (not-`done`) session count, maintained on every transition.
     active: usize,
     completions: Vec<FluidDone>,
-    /// Reused buffer for the phase-B merge (keeps the per-advance merge
+    /// Reused completion buffer (keeps the per-advance merge
     /// allocation-free).
     merge_scratch: Vec<XferDone>,
     /// Per-link congestion detection, off unless enabled.
@@ -231,27 +226,13 @@ impl FluidEngine {
         self.domains.iter().filter_map(|d| d.next_event()).min()
     }
 
-    /// Advances every link to `t` serially, collecting completions.
+    /// Advances every link to `t`, one domain at a time in `ServerId`
+    /// order, collecting completions.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.advance_domains(t, &SerialStepper);
-    }
-
-    /// Advances every link domain to `t` using `stepper` (phase A, safe to
-    /// run concurrently), then merges the buffered completions serially in
-    /// `ServerId` order (phase B) — bit-identical to [`advance_to`]
-    /// (`FluidEngine::advance_to`) under any stepper.
-    pub fn advance_domains(&mut self, t: SimTime, stepper: &dyn DomainStepper) {
-        step_domains(stepper, &mut self.domains, t);
-        // Phase B: one serial pass over the domains, consuming each one's
-        // completion buffer as a batch (clean domains are skipped outright)
-        // into a reused scratch vector.
         let mut batch = std::mem::take(&mut self.merge_scratch);
         for domain in self.domains.iter_mut() {
-            if domain.pending_len() == 0 {
-                continue;
-            }
             batch.clear();
-            domain.drain_pending_into(&mut batch);
+            domain.step_to(t, &mut batch);
             let server = domain.server();
             for done in &batch {
                 if let Some(id) = domain.resolve(done.xfer) {
@@ -697,46 +678,5 @@ mod tests {
         eng.cancel_session(SimTime::from_secs(1), c);
         assert_eq!(eng.sessions_on(ServerId(1)), vec![a]);
         assert_eq!(eng.session_backlog(c), 0.0);
-    }
-
-    #[test]
-    fn parallel_stepper_is_bit_identical_to_serial() {
-        struct ThreadedStepper;
-        // SAFETY: chunked scoped threads — each index in 0..n is claimed by
-        // exactly one thread, exactly once.
-        unsafe impl DomainStepper for ThreadedStepper {
-            fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-                std::thread::scope(|scope| {
-                    for chunk_start in (0..n).step_by(2) {
-                        scope.spawn(move || {
-                            for i in chunk_start..(chunk_start + 2).min(n) {
-                                f(i);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        let build = || {
-            let mut eng = FluidEngine::new(ServerId::first_n(5), SharePolicy::FairShare, 100_000);
-            for i in 0..20u64 {
-                let server = ServerId((i % 5) as u32);
-                eng.add_session(SimTime::ZERO, server, 10_000 + 7_000 * i, 50_000).unwrap();
-            }
-            eng
-        };
-        let mut serial = build();
-        let mut parallel = build();
-        loop {
-            let next = serial.next_event();
-            assert_eq!(next, parallel.next_event());
-            let Some(t) = next else { break };
-            serial.advance_to(t);
-            parallel.advance_domains(t, &ThreadedStepper);
-            assert_eq!(serial.drain_completions(), parallel.drain_completions());
-        }
-        assert_eq!(serial.active_sessions(), 0);
-        assert_eq!(parallel.active_sessions(), 0);
     }
 }

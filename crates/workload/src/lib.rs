@@ -30,7 +30,7 @@ pub use admission::{
     Waiting,
 };
 pub use fig5::{run_fig5, Contention, Fig5Config, Fig5System};
-pub use parallel::{parallel_map, run_throughput_scenarios, worker_count, DomainPool};
+pub use parallel::{parallel_map, run_throughput_scenarios, worker_count};
 pub use testbed::{CostKind, Testbed, TestbedConfig};
 pub use throughput::{
     arrival_stream, build_core, run_throughput, run_throughput_on, AdaptationConfig,

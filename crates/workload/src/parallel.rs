@@ -14,10 +14,10 @@
 //! [`parallel_map`] directly.
 
 use crate::throughput::{run_throughput, SystemKind, ThroughputConfig, ThroughputResult};
-use quasaq_sim::DomainStepper;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads a fan-out over `items` scenarios will use:
 /// `min(available cores, items)`, at least 1.
@@ -36,8 +36,10 @@ pub fn worker_count(items: usize) -> usize {
 /// exactly how the experiment drivers are built (per-run seeded RNGs); the
 /// result vector is then a pure function of `items` alone.
 ///
-/// Panics in `f` propagate: the scope joins all workers and re-raises, so
-/// a failing scenario fails the whole sweep rather than vanishing.
+/// Panics in `f` propagate with their original payload: each worker
+/// catches its items' panics, the scope joins, and the panic of the
+/// lowest-index failing item is re-raised — the same panic a serial loop
+/// would hit first, whichever thread got there first.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -48,22 +50,27 @@ where
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    type Slot<R> = Mutex<Option<std::thread::Result<R>>>;
+    let slots: Vec<Slot<R>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let result = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item)));
+                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
             });
         }
     });
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner().expect("result slot poisoned").expect("every index was visited")
+            match slot.into_inner().expect("result slot poisoned").expect("every index was visited")
+            {
+                Ok(result) => result,
+                Err(payload) => resume_unwind(payload),
+            }
         })
         .collect()
 }
@@ -77,208 +84,11 @@ pub fn run_throughput_scenarios(
     parallel_map(scenarios, |_, (system, cfg)| run_throughput(*system, cfg))
 }
 
-/// A closure reference with its lifetime erased so it can sit in the
-/// pool's shared job slot. Only dereferenced while the publishing
-/// `for_each` call is still on the stack (see the claim protocol below).
-type ErasedJob = &'static (dyn Fn(usize) + Sync);
-
-struct JobSlot {
-    /// Monotonic job counter; bumping it publishes a new job.
-    generation: u64,
-    /// Item count of the current job.
-    items: usize,
-    /// The current job's closure (`None` until the first job).
-    job: Option<ErasedJob>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    slot: Mutex<JobSlot>,
-    posted: Condvar,
-    /// Packed `(generation & 0xffff_ffff) << 32 | next_index`, claimed via
-    /// compare-exchange. Tagging the cursor with the generation closes the
-    /// ABA race where a worker that dozed through a generation change
-    /// would otherwise `fetch_add` itself an index of the *next* job.
-    cursor: AtomicU64,
-    /// Indices of the current job not yet finished running.
-    pending: AtomicUsize,
-    /// Set when any index's closure panicked.
-    panicked: AtomicBool,
-}
-
-const GEN_MASK: u64 = 0xffff_ffff;
-
-fn pack(generation: u64, index: usize) -> u64 {
-    ((generation & GEN_MASK) << 32) | index as u64
-}
-
-/// Claims and runs indices of job `generation` until the cursor leaves the
-/// generation or the job is exhausted.
-fn run_claims(shared: &PoolShared, generation: u64, items: usize, job: ErasedJob) {
-    loop {
-        let cur = shared.cursor.load(Ordering::Acquire);
-        if cur >> 32 != generation & GEN_MASK {
-            return; // a newer job took over — this one is fully claimed
-        }
-        let index = (cur & GEN_MASK) as usize;
-        if index >= items {
-            return;
-        }
-        if shared
-            .cursor
-            .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(index)));
-        if outcome.is_err() {
-            shared.panicked.store(true, Ordering::Release);
-        }
-        shared.pending.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// A persistent worker pool stepping independent per-server domains.
-///
-/// [`parallel_map`] spawns scoped threads per call, which is fine for
-/// scenario fan-out (a handful of multi-second runs) but far too slow for
-/// domain stepping: the throughput driver advances domains at **every
-/// event** of the simulation — hundreds of thousands of calls per run —
-/// so the pool keeps its workers parked on a condvar and republishes a
-/// shared job slot instead of spawning.
-///
-/// Determinism: the pool only distributes *which thread* steps each
-/// domain; a domain step touches nothing outside its own domain, so any
-/// interleaving yields bit-identical state (see `sim::domain`).
-pub struct DomainPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl DomainPool {
-    /// A pool with `workers` total lanes of parallelism, the calling
-    /// thread included — `DomainPool::new(4)` spawns three helper threads
-    /// and the publishing thread works alongside them.
-    ///
-    /// Lanes are capped at the machine's available parallelism: helper
-    /// threads beyond the core count cannot speed anything up, but their
-    /// per-event wake/claim traffic still costs (the driver calls
-    /// [`DomainStepper::for_each`] at every simulation event). On a
-    /// single-core box the pool therefore spawns nothing and steps
-    /// domains inline — output is bit-identical at every lane count, so
-    /// the cap changes timing only.
-    pub fn new(workers: usize) -> Self {
-        let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
-        Self::with_lanes(workers.min(cores))
-    }
-
-    /// A pool with exactly `workers` lanes, uncapped — the threaded
-    /// publish/claim machinery must stay testable on single-core boxes.
-    pub(crate) fn with_lanes(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            slot: Mutex::new(JobSlot { generation: 0, items: 0, job: None, shutdown: false }),
-            posted: Condvar::new(),
-            cursor: AtomicU64::new(pack(0, 0)),
-            pending: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
-        });
-        let workers = (1..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut seen = 0u64;
-                    loop {
-                        let (generation, items, job) = {
-                            let mut slot = shared.slot.lock().expect("domain pool slot poisoned");
-                            loop {
-                                if slot.shutdown {
-                                    return;
-                                }
-                                if slot.generation > seen {
-                                    break;
-                                }
-                                slot = shared.posted.wait(slot).expect("domain pool slot poisoned");
-                            }
-                            seen = slot.generation;
-                            (slot.generation, slot.items, slot.job.expect("job published"))
-                        };
-                        run_claims(&shared, generation, items, job);
-                    }
-                })
-            })
-            .collect();
-        DomainPool { shared, workers }
-    }
-
-    /// Total lanes of parallelism (helper threads + the calling thread).
-    pub fn workers(&self) -> usize {
-        self.workers.len() + 1
-    }
-}
-
-// SAFETY: every index in 0..n is claimed by exactly one thread via the
-// generation-tagged compare-exchange in `run_claims`, and `for_each` does
-// not return until `pending` — decremented once per finished index — hits
-// zero, so the erased closure never outlives the call.
-unsafe impl DomainStepper for DomainPool {
-    fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        if self.workers.is_empty() {
-            // No helper threads (single-core cap): step inline with zero
-            // publish/claim overhead. Exactly-once trivially holds.
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        // SAFETY: the erased reference is only dereferenced before
-        // `pending` reaches zero, i.e. strictly within this call.
-        let job: ErasedJob = unsafe { std::mem::transmute(f) };
-        let generation;
-        {
-            let mut slot = self.shared.slot.lock().expect("domain pool slot poisoned");
-            slot.generation += 1;
-            generation = slot.generation;
-            slot.items = n;
-            slot.job = Some(job);
-            self.shared.pending.store(n, Ordering::Release);
-            self.shared.cursor.store(pack(generation, 0), Ordering::Release);
-        }
-        self.shared.posted.notify_all();
-        run_claims(&self.shared, generation, n, job);
-        // Spin out the stragglers: at this point every index is claimed,
-        // so the wait is bounded by one in-flight domain step.
-        while self.shared.pending.load(Ordering::Acquire) != 0 {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        if self.shared.panicked.swap(false, Ordering::AcqRel) {
-            panic!("domain step panicked on a pool worker");
-        }
-    }
-}
-
-impl Drop for DomainPool {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock().expect("domain pool slot poisoned");
-            slot.shutdown = true;
-        }
-        self.shared.posted.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::{CostKind, TestbedConfig};
-    use quasaq_sim::{SimDuration, SimTime};
+    use crate::testbed::CostKind;
+    use quasaq_sim::SimTime;
 
     #[test]
     fn parallel_map_preserves_input_order() {
@@ -312,71 +122,15 @@ mod tests {
         });
     }
 
-    #[test]
-    fn domain_pool_visits_every_index_exactly_once() {
-        // Force 4 lanes regardless of the box's core count: this test is
-        // about the cross-thread claims machinery, not the sizing policy.
-        let pool = DomainPool::with_lanes(4);
-        assert_eq!(pool.workers(), 4);
-        // Many small jobs through one pool: the generation-tagged cursor
-        // must never skip or double-run an index across job boundaries.
-        for items in [1usize, 2, 3, 17, 64] {
-            for _ in 0..25 {
-                let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-                pool.for_each(items, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                for (i, h) in hits.iter().enumerate() {
-                    assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} of {items}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn domain_pool_single_lane_and_empty_jobs() {
-        let pool = DomainPool::new(1);
-        assert_eq!(pool.workers(), 1);
-        pool.for_each(0, &|_| panic!("no indices, no calls"));
-        let hits = AtomicUsize::new(0);
-        pool.for_each(5, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "domain step panicked")]
-    fn domain_pool_propagates_worker_panics() {
-        let pool = DomainPool::with_lanes(2);
-        pool.for_each(8, &|i| {
-            if i == 3 {
-                panic!("boom");
-            }
-        });
-    }
-
     /// The tentpole determinism regression: the parallel runner's output is
     /// bit-identical (full `ThroughputResult` equality, floats included) to
     /// a serial loop over the same scenario list.
     #[test]
     fn parallel_scenarios_bit_identical_to_serial() {
         let cfg = ThroughputConfig {
-            testbed: TestbedConfig::default(),
             horizon: SimTime::from_secs(120),
-            sample_step: SimDuration::from_secs(10),
             seed: 23,
-            video_skew: 0.0,
-            qop_mix: crate::traffic::QopMix::Uniform,
-            local_plans_only: false,
-            admission: None,
-            faults: None,
-            arrival_period: None,
-            arrival_burst: 1,
-            plan_cache: false,
-            domain_workers: 0,
-            links: None,
-            adaptation: None,
+            ..ThroughputConfig::fig6()
         };
         let scenarios: Vec<(SystemKind, ThroughputConfig)> = vec![
             (SystemKind::Vdbms, cfg.clone()),
@@ -397,21 +151,10 @@ mod tests {
     #[test]
     fn queued_scenarios_bit_identical_to_serial() {
         let cfg = ThroughputConfig {
-            testbed: TestbedConfig::default(),
             horizon: SimTime::from_secs(120),
-            sample_step: SimDuration::from_secs(10),
             seed: 29,
-            video_skew: 0.0,
-            qop_mix: crate::traffic::QopMix::Uniform,
-            local_plans_only: false,
             admission: Some(crate::admission::AdmissionConfig::default()),
-            faults: None,
-            arrival_period: None,
-            arrival_burst: 1,
-            plan_cache: false,
-            domain_workers: 0,
-            links: None,
-            adaptation: None,
+            ..ThroughputConfig::fig6()
         };
         let scenarios: Vec<(SystemKind, ThroughputConfig)> = vec![
             (SystemKind::Vdbms, cfg.clone()),

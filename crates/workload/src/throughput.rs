@@ -19,7 +19,6 @@
 //! for draw.
 
 use crate::admission::{AdmissionConfig, QueueMetrics};
-use crate::parallel::DomainPool;
 use crate::testbed::{CostKind, Testbed, TestbedConfig};
 use crate::traffic::{generate_queries, qop_class, GeneratedQuery, QopMix, TrafficConfig};
 use quasaq_core::{PlanExecutor, PlanRequest, QopSecurity};
@@ -30,7 +29,7 @@ use quasaq_service::{
 use quasaq_sim::link::SharePolicy;
 use quasaq_sim::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, LevelTracker, LinkInjector, LinkPlan,
-    OnlineStats, RateCounter, Series, ServerId, SimDuration, SimTime,
+    LinkSpec, OnlineStats, RateCounter, Series, ServerId, SimDuration, SimTime,
 };
 use quasaq_store::{AccessStats, MetadataEngine};
 use quasaq_stream::{CongestionConfig, CongestionEdge, FluidEngine, FluidSessionId};
@@ -104,11 +103,9 @@ pub struct ThroughputConfig {
     /// live — so this is purely a constant-factor switch; the differential
     /// proptests hold it to that.
     pub plan_cache: bool,
-    /// Within-run parallelism: step independent server domains on this
-    /// many lanes (a [`crate::parallel::DomainPool`], including the
-    /// calling thread). `0` or `1` keeps the serial legacy stepping. The
-    /// cross-domain merge is serial either way, so results are
-    /// bit-identical at every setting.
+    /// Ignored: every run steps its server domains in one serial pass.
+    /// Kept only so existing benchmark harnesses that set or check it
+    /// still build; nothing in the driver reads it.
     pub domain_workers: usize,
     /// Stochastic link dynamics: a per-server capacity set-point timeline
     /// (sampled Markov/fading/diurnal trajectories or explicit
@@ -435,14 +432,7 @@ pub fn run_throughput_on(
 ) -> ThroughputResult {
     let queries = arrival_stream(testbed, cfg);
     let core = build_core(testbed, system, cfg);
-
-    let adapt = cfg.adaptation.clone();
-    let adapt_on = adapt.is_some();
-    let faults_on = cfg.faults.is_some();
-    // Per-session request context is needed by both the crash-failover
-    // path and the adaptation loop.
-    let track_ctx = faults_on || adapt_on;
-    let queue_on = cfg.admission.is_some();
+    let adapt = cfg.adaptation.as_ref();
 
     // The control plane makes every decision this driver used to make
     // inline, consuming the identical RNG stream in the identical order.
@@ -451,607 +441,85 @@ pub fn run_throughput_on(
         PlaneConfig {
             seed: cfg.seed ^ 0x9e37_79b9,
             admission: cfg.admission.clone(),
-            adaptation: adapt.as_ref().map(|a| AdaptPolicy {
+            adaptation: adapt.map(|a| AdaptPolicy {
                 upgrade_period: a.upgrade_period,
                 max_downshifts_per_event: a.max_downshifts_per_event,
             }),
-            track_ctx,
+            // Per-session request context is needed by both the
+            // crash-failover path and the adaptation loop.
+            track_ctx: cfg.faults.is_some() || adapt.is_some(),
         },
     );
-    let engine = &testbed.engine;
-    // One scratch vector for every command's effects.
-    let mut effects: Vec<Effect> = Vec::new();
+    let mut dp = DataPlane::new(testbed, cfg);
+    let mut ctl = Control { plane: &mut plane, engine: &testbed.engine, effects: Vec::new() };
 
-    // All systems pace sessions at their stream rate on fair-share links;
-    // reservation-based systems enforce admission in the QoS API, so the
-    // link never oversubscribes for them.
-    let mut fluid =
-        FluidEngine::new(testbed.servers(), SharePolicy::FairShare, cfg.testbed.link_capacity_bps);
-
-    // Within-run parallelism: phase A of every advance (per-domain fluid
-    // stepping) runs on the pool; the merge stays serial, so the event
-    // order — and every downstream float — is identical to a serial run.
-    let pool = (cfg.domain_workers > 1).then(|| DomainPool::new(cfg.domain_workers));
-    macro_rules! advance_fluid {
-        ($t:expr) => {
-            match &pool {
-                Some(p) => fluid.advance_domains($t, p),
-                None => fluid.advance_to($t),
-            }
-        };
-    }
-
-    let patience = cfg.admission.as_ref().map(|a| a.patience);
-    // Mid-stream give-up deadlines, ordered for the event loop plus a
-    // reverse index for completion-time removal. Both stay empty when the
-    // front end is disabled, so the legacy event sequence is untouched.
-    let mut deadlines: BTreeSet<(SimTime, FluidSessionId)> = BTreeSet::new();
-    let mut deadline_of: PerSession<SimTime> = PerSession::new();
-
-    // Fault injection. The timeline is empty when `cfg.faults` is `None`,
-    // so the legacy event sequence — and every RNG draw — is untouched.
-    // The testbed itself is immutable and shared across runs; all fault
-    // state (who is down, which reservations died, the degraded
-    // capacities inside this run's own fluid engine) lives here or in the
-    // plane.
+    // Fault windows and link set-points replay as (time, seq)-ordered
+    // timelines. Both are empty when their config is `None`, so the legacy
+    // event sequence — and every RNG draw — is untouched.
     let fault_plan = cfg.faults.clone().unwrap_or_default();
     let mut injector = FaultInjector::new(&fault_plan);
-    let mut fm = FaultMetrics::default();
-    // Overlapping windows compose: crashes nest by depth, capacity
-    // factors multiply (in stable order, so the float product is a pure
-    // function of the plan).
-    let mut crash_depth: HashMap<ServerId, u32> = HashMap::new();
-    let mut link_factors: HashMap<ServerId, Vec<f64>> = HashMap::new();
-    let mut disk_factors: HashMap<ServerId, Vec<f64>> = HashMap::new();
-    let mut impaired: BTreeSet<ServerId> = BTreeSet::new();
-    let mut violation_t = SimTime::ZERO;
-
-    // Stochastic link dynamics: a (time, seq)-ordered set-point timeline,
-    // one dynamic factor per server composed into the same effective
-    // capacity the fault windows feed. Empty when `cfg.links` is `None`,
-    // so the legacy event sequence is untouched.
     let link_plan = cfg.links.clone().unwrap_or_default();
     let mut link_injector = LinkInjector::new(&link_plan);
-    let links_on = cfg.links.is_some();
-    let mut dyn_factors: HashMap<ServerId, f64> = HashMap::new();
-    // QoS-violation exposure is accounted whenever anything can degrade
-    // capacity mid-run.
-    let watch_capacity = faults_on || links_on;
-
-    // The congestion-adaptation loop.
-    if let Some(a) = &adapt {
-        fluid.enable_congestion(a.congestion);
-    }
-    let mut dm = DegradationMetrics::default();
-    let mut congested_t = SimTime::ZERO;
-    let num_servers = cfg.testbed.servers as usize;
-
-    let mut map = SessionMap::new();
-    let mut outstanding = LevelTracker::new();
-    let mut completions = RateCounter::new(SimDuration::from_secs(60));
-    let mut rejects = Series::new();
-    let mut rejected = 0u64;
-    let mut admitted = 0u64;
-    let mut completed = 0u64;
-    let mut access = AccessStats::new();
-    let mut utility_sum = 0.0f64;
-    let mut utility_n = 0u64;
+    let queue_on = cfg.admission.is_some();
 
     let mut qi = 0usize;
     loop {
+        let due = |at: Option<SimTime>| at.filter(|&t| t <= cfg.horizon);
         let tq = queries.get(qi).map(|q| q.at);
-        let tf = fluid.next_event().filter(|&t| t <= cfg.horizon);
-        let tr = plane.next_ready().filter(|&t| t <= cfg.horizon);
-        let ta = deadlines.iter().next().map(|&(t, _)| t).filter(|&t| t <= cfg.horizon);
-        let tx = injector.next_at().filter(|&t| t <= cfg.horizon);
-        let tl = link_injector.next_at().filter(|&t| t <= cfg.horizon);
-        let tc = fluid.congestion_next_at().filter(|&t| t <= cfg.horizon);
-        let Some(t) = [tq, tf, tr, ta, tx, tl, tc].into_iter().flatten().min() else { break };
+        let sources = [
+            tq,
+            due(dp.fluid.next_event()),
+            due(ctl.plane.next_ready()),
+            due(dp.next_deadline()),
+            due(injector.next_at()),
+            due(link_injector.next_at()),
+            due(dp.fluid.congestion_next_at()),
+        ];
+        let Some(t) = sources.into_iter().flatten().min() else { break };
         if t > cfg.horizon {
             break;
         }
-        // The active set only changes at processed instants, so the
-        // violation exposure over [violation_t, t] is exact.
-        if watch_capacity && t > violation_t {
-            for &s in &impaired {
-                fm.qos_violation_secs +=
-                    fluid.active_on(s) as f64 * (t - violation_t).as_secs_f64();
-            }
-            violation_t = t;
-        }
-        // Same argument for congestion exposure: the congested set only
-        // flips inside `poll_congestion`, which runs at processed
-        // instants.
-        if adapt_on && t > congested_t {
-            dm.congested_secs += fluid.congested_servers() as f64 * (t - congested_t).as_secs_f64();
-            congested_t = t;
-        }
-        advance_fluid!(t);
-        handle_done(
-            fluid.drain_completions(),
-            engine,
-            &mut plane,
-            &mut map,
-            &mut effects,
-            &mut outstanding,
-            &mut completions,
-            &mut completed,
-            &mut deadlines,
-            &mut deadline_of,
-        );
-        // Mid-stream patience: cancel sessions that overran their nominal
-        // duration by more than the patience window. Completions at the
-        // same instant were drained first, so finishing exactly on the
+        // Completions first, then patience: finishing exactly on the
         // deadline counts as done.
-        while let Some(&(dt, sid)) = deadlines.iter().next() {
-            if dt > t {
-                break;
-            }
-            deadlines.remove(&(dt, sid));
-            deadline_of.remove(sid);
-            fluid.cancel_session(t, sid);
-            outstanding.adjust(t, -1);
-            let session = map.unbind(sid).expect("deadline sessions are bound");
-            effects.clear();
-            plane.handle_into(
-                engine,
-                Command::Teardown { session, abandoned: true, now: t },
-                &mut effects,
-            );
-        }
-        // Fault edges due now fire after completions and patience (a
-        // session finishing at the crash instant made it) and before
-        // retries and the new arrival (which must see the post-crash
-        // world).
+        dp.advance(t, &mut ctl);
+        dp.expire_deadlines(t, &mut ctl);
+        // Fault edges fire after completions and patience (a session
+        // finishing at the crash instant made it) and before link
+        // set-points (a set-point and a fault window at one instant
+        // compose in plan order), retries, and arrivals, which must all
+        // see the post-fault world.
         while let Some(ev) = injector.pop_due(t) {
-            match ev {
-                FaultEvent::Begin(spec) => match spec.kind {
-                    FaultKind::ServerCrash => {
-                        let depth = crash_depth.entry(spec.server).or_insert(0);
-                        *depth += 1;
-                        if *depth > 1 {
-                            continue;
-                        }
-                        // Bar the dead server from admission and
-                        // bulk-release its reservations so new admissions
-                        // route around it...
-                        plane.handle_into(
-                            engine,
-                            Command::ServerDown { server: spec.server },
-                            &mut effects,
-                        );
-                        // ...then displace its in-flight sessions and let
-                        // the plane try to fail each one over.
-                        for (sid, remaining) in fluid.fail_server(t, spec.server) {
-                            outstanding.adjust(t, -1);
-                            fm.interrupted += 1;
-                            if let Some(dl) = deadline_of.remove(sid) {
-                                deadlines.remove(&(dl, sid));
-                            }
-                            let session = map.unbind(sid).expect("live sessions are bound");
-                            effects.clear();
-                            plane.handle_into(
-                                engine,
-                                Command::Displace { session, remaining, now: t },
-                                &mut effects,
-                            );
-                            for e in effects.drain(..) {
-                                match e {
-                                    Effect::Admitted(adm) => {
-                                        fm.failed_over += 1;
-                                        if let Degraded::Failover { steps } = adm.degraded {
-                                            if steps > 0 {
-                                                fm.failover_degraded += 1;
-                                            }
-                                        }
-                                        fm.recovery.push(0.0);
-                                        outstanding.adjust(t, 1);
-                                        access.record(adm.video, adm.server);
-                                        if let Some(u) = adm.utility {
-                                            utility_sum += u;
-                                            utility_n += 1;
-                                        }
-                                        start_stream(
-                                            &mut fluid,
-                                            &mut map,
-                                            &mut deadlines,
-                                            &mut deadline_of,
-                                            patience,
-                                            t,
-                                            &adm,
-                                        );
-                                    }
-                                    Effect::Requeued => fm.requeued += 1,
-                                    Effect::Dropped => fm.dropped += 1,
-                                    other => unreachable!("displace produced {other:?}"),
-                                }
-                            }
-                        }
-                    }
-                    FaultKind::LinkDegradation { factor } => {
-                        link_factors.entry(spec.server).or_default().push(factor);
-                        apply_capacity(
-                            &mut fluid,
-                            &mut impaired,
-                            &link_factors,
-                            &disk_factors,
-                            &dyn_factors,
-                            &cfg.testbed,
-                            t,
-                            spec.server,
-                        );
-                    }
-                    FaultKind::DiskSlowdown { factor } => {
-                        disk_factors.entry(spec.server).or_default().push(factor);
-                        apply_capacity(
-                            &mut fluid,
-                            &mut impaired,
-                            &link_factors,
-                            &disk_factors,
-                            &dyn_factors,
-                            &cfg.testbed,
-                            t,
-                            spec.server,
-                        );
-                    }
-                },
-                FaultEvent::End(spec) => match spec.kind {
-                    FaultKind::ServerCrash => {
-                        let depth = crash_depth.get_mut(&spec.server).expect("crash began");
-                        *depth -= 1;
-                        if *depth == 0 {
-                            plane.handle_into(
-                                engine,
-                                Command::ServerUp { server: spec.server },
-                                &mut effects,
-                            );
-                        }
-                    }
-                    FaultKind::LinkDegradation { factor } => {
-                        remove_factor(&mut link_factors, spec.server, factor);
-                        apply_capacity(
-                            &mut fluid,
-                            &mut impaired,
-                            &link_factors,
-                            &disk_factors,
-                            &dyn_factors,
-                            &cfg.testbed,
-                            t,
-                            spec.server,
-                        );
-                    }
-                    FaultKind::DiskSlowdown { factor } => {
-                        remove_factor(&mut disk_factors, spec.server, factor);
-                        apply_capacity(
-                            &mut fluid,
-                            &mut impaired,
-                            &link_factors,
-                            &disk_factors,
-                            &dyn_factors,
-                            &cfg.testbed,
-                            t,
-                            spec.server,
-                        );
-                    }
-                },
-            }
+            dp.fault(t, ev, &mut ctl);
         }
-        // Link set-points due now land after fault edges (a set-point and
-        // a fault window at one instant compose in plan order) and before
-        // retries and arrivals, which must see the re-rated world. Unlike
-        // fault windows, set-points also move the admission view: the
-        // reservation systems should plan against the capacity the
-        // network actually has.
         while let Some(spec) = link_injector.pop_due(t) {
-            dyn_factors.insert(spec.server, spec.factor);
-            let net = apply_capacity(
-                &mut fluid,
-                &mut impaired,
-                &link_factors,
-                &disk_factors,
-                &dyn_factors,
-                &cfg.testbed,
-                t,
-                spec.server,
-            );
-            plane.handle_into(
-                engine,
-                Command::SetNetCapacity { server: spec.server, bps: net },
-                &mut effects,
-            );
+            dp.set_point(t, spec, &mut ctl);
         }
         // Retries due now run before the new arrival: they have waited
         // longer.
         if queue_on {
-            effects.clear();
-            plane.handle_into(engine, Command::Tick { now: t }, &mut effects);
-            for e in effects.drain(..) {
-                match e {
-                    Effect::Admitted(adm) => {
-                        match adm.origin {
-                            AdmitOrigin::Recovery { interrupted_at } => {
-                                // A displaced session re-serviced from the
-                                // queue was admitted once already: count
-                                // its recovery, not a second admission.
-                                fm.recovered += 1;
-                                fm.recovery.push((t - interrupted_at).as_secs_f64());
-                            }
-                            _ => admitted += 1,
-                        }
-                        outstanding.adjust(t, 1);
-                        access.record(adm.video, adm.server);
-                        if let Some(u) = adm.utility {
-                            utility_sum += u;
-                            utility_n += 1;
-                        }
-                        start_stream(
-                            &mut fluid,
-                            &mut map,
-                            &mut deadlines,
-                            &mut deadline_of,
-                            patience,
-                            t,
-                            &adm,
-                        );
-                    }
-                    Effect::Rejected { .. } => {
-                        rejected += 1;
-                        rejects.push(t, rejected as f64);
-                    }
-                    Effect::Dropped => fm.dropped += 1,
-                    other => unreachable!("tick produced {other:?}"),
-                }
-            }
+            ctl.send(&mut dp, t, Command::Tick { now: t });
         }
         if tq == Some(t) {
             // Every query arriving at this exact instant forms one batch (a
             // flash-crowd burst under `arrival_burst > 1`; always a single
-            // query for Poisson arrivals). With the plan cache on, the
-            // bulk-admit path warms the cache for the whole batch first —
-            // requests sorted by cache key, each distinct enumeration done
-            // once — before the queries admit sequentially in arrival
-            // order. Prefetching consumes no RNG and reserves nothing, so
-            // the decisions are bit-identical to cold processing.
+            // query for Poisson arrivals).
             let batch_end = qi + queries[qi..].iter().take_while(|q| q.at == t).count();
-            if batch_end - qi > 1 && plane.wants_prefetch() {
-                let requests: Vec<PlanRequest> = queries[qi..batch_end]
-                    .iter()
-                    .map(|q| PlanRequest {
-                        video: q.video,
-                        qos: q.qos.clone(),
-                        security: QopSecurity::Open,
-                    })
-                    .collect();
-                plane.handle_into(engine, Command::Prefetch { requests }, &mut effects);
-            }
-            // Brownout: once enough of the cluster sits congested, the
-            // front door sheds by service class — Economy requests are
-            // refused outright, richer requests are admitted one ladder
-            // step down or refused, and nothing queues (a browned-out
-            // system must shed load now, not promise it later). The
-            // congested set is frozen for the whole instant (it only
-            // moves in the end-of-instant poll), so every query in a
-            // burst sees the same policy.
-            let brownout_now = adapt.as_ref().is_some_and(|a| {
-                let congested = fluid.congested_servers();
-                congested > 0 && congested as f64 >= a.brownout_ratio * num_servers as f64
-            });
-            while qi < batch_end {
-                let q = &queries[qi];
-                qi += 1;
-                let query = QueuedQuery { video: q.video, qos: q.qos.clone() };
-                effects.clear();
-                plane.handle_into(
-                    engine,
-                    Command::Admit {
-                        query,
-                        class: qop_class(&q.qop),
-                        brownout: brownout_now,
-                        now: t,
-                    },
-                    &mut effects,
-                );
-                for e in effects.drain(..) {
-                    match e {
-                        Effect::Admitted(adm) => {
-                            if adm.degraded == Degraded::Brownout {
-                                dm.brownout_degraded += 1;
-                            }
-                            admitted += 1;
-                            outstanding.adjust(t, 1);
-                            access.record(adm.video, adm.server);
-                            if let Some(u) = adm.utility {
-                                utility_sum += u;
-                                utility_n += 1;
-                            }
-                            start_stream(
-                                &mut fluid,
-                                &mut map,
-                                &mut deadlines,
-                                &mut deadline_of,
-                                patience,
-                                t,
-                                &adm,
-                            );
-                        }
-                        Effect::Rejected { reason, .. } => {
-                            if reason.is_brownout() {
-                                dm.brownout_rejected += 1;
-                            }
-                            rejected += 1;
-                            rejects.push(t, rejected as f64);
-                        }
-                        Effect::Queued => {}
-                        other => unreachable!("admit produced {other:?}"),
-                    }
-                }
-            }
+            dp.admit_batch(t, &queries[qi..batch_end], &mut ctl);
+            qi = batch_end;
         }
-        // End-of-instant congestion poll: demand ratios only move at
-        // processed instants (session adds, completions, cancellations,
-        // re-rates all happen above), so polling here sees every edge
-        // exactly when it happens; the `tc` time source wakes the loop
-        // for pure dwell expiries. Runs after the arrivals so a burst
-        // that congests a server starts its dwell clock at this instant.
-        // Adaptation itself moves demand, so the poll loops until a quiet
-        // round — bounded, because upshifts are rate-limited and
-        // downshifts stop at the ladder floor.
-        if adapt_on {
-            for _ in 0..4 {
-                let events = fluid.poll_congestion(t);
-                if events.is_empty() {
-                    break;
-                }
-                for ev in events {
-                    // The plane decides who to renegotiate and to what;
-                    // this driver reports the candidates (with their
-                    // data-plane backlogs) and mirrors the outcomes into
-                    // the fluid engine.
-                    let candidates: Vec<Candidate> = fluid
-                        .sessions_on(ev.server)
-                        .into_iter()
-                        .filter_map(|sid| {
-                            map.get(sid).map(|session| Candidate {
-                                session,
-                                backlog: fluid.session_backlog(sid),
-                            })
-                        })
-                        .collect();
-                    match ev.edge {
-                        CongestionEdge::Onset => {
-                            dm.congestion_events += 1;
-                            let (_, effective) = effective_capacity(
-                                &link_factors,
-                                &disk_factors,
-                                &dyn_factors,
-                                &cfg.testbed,
-                                ev.server,
-                            );
-                            effects.clear();
-                            plane.handle_into(
-                                engine,
-                                Command::CongestionOnset { server: ev.server, candidates, now: t },
-                                &mut effects,
-                            );
-                            for e in effects.drain(..) {
-                                let Effect::Renegotiated(r) = e else {
-                                    unreachable!("onset produced a non-renegotiation")
-                                };
-                                dm.downshifts += 1;
-                                if r.hunting {
-                                    dm.oscillations += 1;
-                                }
-                                dm.violation_secs_avoided +=
-                                    r.bytes_saved.max(0.0) / effective.max(1) as f64;
-                                apply_renegotiation(
-                                    &mut fluid,
-                                    &mut map,
-                                    &mut deadlines,
-                                    &mut deadline_of,
-                                    patience,
-                                    &mut access,
-                                    t,
-                                    &r,
-                                );
-                            }
-                        }
-                        CongestionEdge::Cleared => {
-                            effects.clear();
-                            plane.handle_into(
-                                engine,
-                                Command::CongestionCleared {
-                                    server: ev.server,
-                                    candidates,
-                                    now: t,
-                                },
-                                &mut effects,
-                            );
-                            for e in effects.drain(..) {
-                                let Effect::Renegotiated(r) = e else {
-                                    unreachable!("cleared produced a non-renegotiation")
-                                };
-                                dm.upshifts += 1;
-                                apply_renegotiation(
-                                    &mut fluid,
-                                    &mut map,
-                                    &mut deadlines,
-                                    &mut deadline_of,
-                                    patience,
-                                    &mut access,
-                                    t,
-                                    &r,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+        if adapt.is_some() {
+            dp.poll_congestion(t, &mut ctl);
         }
     }
-    if watch_capacity && cfg.horizon > violation_t {
-        for &s in &impaired {
-            fm.qos_violation_secs +=
-                fluid.active_on(s) as f64 * (cfg.horizon - violation_t).as_secs_f64();
-        }
-    }
-    if adapt_on && cfg.horizon > congested_t {
-        dm.congested_secs +=
-            fluid.congested_servers() as f64 * (cfg.horizon - congested_t).as_secs_f64();
-    }
-    advance_fluid!(cfg.horizon);
-    handle_done(
-        fluid.drain_completions(),
-        engine,
-        &mut plane,
-        &mut map,
-        &mut effects,
-        &mut outstanding,
-        &mut completions,
-        &mut completed,
-        &mut deadlines,
-        &mut deadline_of,
-    );
+    dp.advance(cfg.horizon, &mut ctl);
     // Whoever is still waiting never got served: fresh queries fold into
     // the rejected count so `admitted + rejected == queries` holds;
     // displaced sessions still waiting are lost to the fault accounting.
     if queue_on {
-        effects.clear();
-        plane.handle_into(engine, Command::Finish, &mut effects);
-        for e in effects.drain(..) {
-            let Effect::Finished { pending, displaced_pending } = e else { continue };
-            if pending > 0 {
-                rejected += pending;
-                rejects.push(cfg.horizon, rejected as f64);
-            }
-            fm.dropped += displaced_pending;
-        }
+        ctl.send(&mut dp, cfg.horizon, Command::Finish);
     }
-
-    let (core, queue_metrics) = plane.into_parts();
-    // Env-gated diagnostic (EXPERIMENTS.md, plan-cache study): end-of-run
-    // cache counters on stderr, leaving the returned result untouched.
-    if std::env::var_os("QUASAQ_CACHE_DEBUG").is_some() {
-        if let SystemCore::Quasaq { manager, .. } = &core {
-            if let Some(s) = manager.plan_cache_stats() {
-                eprintln!("cache stats: {s:?}");
-            }
-        }
-    }
-    ThroughputResult {
-        label: system.label(),
-        outstanding: outstanding.sample(cfg.sample_step, cfg.horizon),
-        completions_per_min: completions,
-        rejects,
-        queries: queries.len() as u64,
-        admitted,
-        rejected,
-        completed,
-        access,
-        mean_utility: (utility_n > 0).then(|| utility_sum / utility_n as f64),
-        queue: queue_metrics,
-        faults: watch_capacity.then_some(fm),
-        degradation: adapt_on.then_some(dm),
-    }
+    let (_, queue) = plane.into_parts();
+    dp.into_result(system.label(), queries.len() as u64, queue)
 }
 
 /// The exact query stream a config drives: the paper's Poisson process
@@ -1100,146 +568,474 @@ pub fn build_core(testbed: &Testbed, system: SystemKind, cfg: &ThroughputConfig)
     }
 }
 
-/// A server's composed capacity right now: the fault windows' factors
-/// multiplied with the link plan's dynamic set-point. Returns
-/// `(net, effective)` — the network side alone (what the admission view
-/// tracks on the links path) and `min(net, disk)` (what the fluid link
-/// carries; a slow disk starves the link). Both floored at 1 byte/s so
-/// in-flight transfers keep draining. The dynamic factor multiplies last
-/// (and defaults to exactly 1.0), so fault-only runs compute the same
-/// float product they always did.
-fn effective_capacity(
-    link_factors: &HashMap<ServerId, Vec<f64>>,
-    disk_factors: &HashMap<ServerId, Vec<f64>>,
-    dyn_factors: &HashMap<ServerId, f64>,
-    testbed: &TestbedConfig,
-    server: ServerId,
-) -> (f64, u64) {
-    let product =
-        |m: &HashMap<ServerId, Vec<f64>>| m.get(&server).map_or(1.0, |v| v.iter().product::<f64>());
-    let net = testbed.link_capacity_bps as f64
-        * product(link_factors)
-        * dyn_factors.get(&server).copied().unwrap_or(1.0);
-    let disk = testbed.disk_bps * product(disk_factors);
-    (net.max(1.0), (net.min(disk).max(1.0)) as u64)
+/// The control plane as the driver talks to it: the plane, the catalog
+/// it plans against, and one reused scratch vector for every command's
+/// effects.
+struct Control<'a> {
+    plane: &'a mut ControlPlane,
+    engine: &'a MetadataEngine,
+    effects: Vec<Effect>,
 }
 
-/// Re-applies a server's effective capacity after its fault factors or
-/// dynamic set-point changed, and tracks QoS-violation exposure via the
-/// impaired set. Returns the network-side capacity for the admission
-/// view.
-#[allow(clippy::too_many_arguments)]
-fn apply_capacity(
-    fluid: &mut FluidEngine,
-    impaired: &mut BTreeSet<ServerId>,
-    link_factors: &HashMap<ServerId, Vec<f64>>,
-    disk_factors: &HashMap<ServerId, Vec<f64>>,
-    dyn_factors: &HashMap<ServerId, f64>,
-    testbed: &TestbedConfig,
-    now: SimTime,
-    server: ServerId,
-) -> f64 {
-    let (net, effective) =
-        effective_capacity(link_factors, disk_factors, dyn_factors, testbed, server);
-    fluid.set_link_capacity(now, server, effective);
-    if effective < testbed.link_capacity_bps {
-        impaired.insert(server);
-    } else {
-        impaired.remove(&server);
-    }
-    net
-}
-
-/// Drops one ended fault window's factor (the first matching entry, so
-/// overlapping identical windows compose and unwind deterministically).
-fn remove_factor(factors: &mut HashMap<ServerId, Vec<f64>>, server: ServerId, factor: f64) {
-    let v = factors.get_mut(&server).expect("fault window began");
-    let i = v.iter().position(|&f| f == factor).expect("factor recorded at begin");
-    v.remove(i);
-}
-
-/// Mirrors an admission into the data plane: starts the fluid stream,
-/// binds the ids, and arms the patience deadline. Under the fair-share
-/// policy the link always accepts a new session (it stretches instead of
-/// refusing), so this cannot fail.
-fn start_stream(
-    fluid: &mut FluidEngine,
-    map: &mut SessionMap,
-    deadlines: &mut BTreeSet<(SimTime, FluidSessionId)>,
-    deadline_of: &mut PerSession<SimTime>,
-    patience: Option<SimDuration>,
-    now: SimTime,
-    adm: &Admission,
-) {
-    let sid =
-        fluid.add_session(now, adm.server, adm.bytes, adm.rate_bps).expect("fair-share admits");
-    map.bind(sid, adm.session);
-    if let Some(p) = patience {
-        let dl = now + adm.nominal + p;
-        deadlines.insert((dl, sid));
-        deadline_of.insert(sid, dl);
-    }
-}
-
-/// Mirrors a renegotiation into the data plane: replaces the fluid
-/// session with the remaining bytes at the new rate and rebinds every
-/// per-session table to the new id (cancel + re-add allocates fresh).
-#[allow(clippy::too_many_arguments)]
-fn apply_renegotiation(
-    fluid: &mut FluidEngine,
-    map: &mut SessionMap,
-    deadlines: &mut BTreeSet<(SimTime, FluidSessionId)>,
-    deadline_of: &mut PerSession<SimTime>,
-    patience: Option<SimDuration>,
-    access: &mut AccessStats,
-    now: SimTime,
-    r: &Renegotiation,
-) {
-    let old = map.take_fluid(r.session).expect("renegotiated sessions are live");
-    fluid.cancel_session(now, old);
-    fluid.forget_session(old);
-    let new_sid = fluid.add_session(now, r.server, r.bytes, r.rate_bps).expect("fair-share admits");
-    map.bind(new_sid, r.session);
-    if let Some(dl) = deadline_of.remove(old) {
-        deadlines.remove(&(dl, old));
-    }
-    if let Some(p) = patience {
-        let dl = now + r.nominal + p;
-        deadlines.insert((dl, new_sid));
-        deadline_of.insert(new_sid, dl);
-    }
-    access.record(r.video, r.server);
-}
-
-/// Completion sweep: retire each finished stream from the side tables and
-/// tear its control-plane session down (releasing the reservation).
-#[allow(clippy::too_many_arguments)]
-fn handle_done(
-    done: Vec<quasaq_stream::FluidDone>,
-    engine: &MetadataEngine,
-    plane: &mut ControlPlane,
-    map: &mut SessionMap,
-    effects: &mut Vec<Effect>,
-    outstanding: &mut LevelTracker,
-    completions: &mut RateCounter,
-    completed: &mut u64,
-    deadlines: &mut BTreeSet<(SimTime, FluidSessionId)>,
-    deadline_of: &mut PerSession<SimTime>,
-) {
-    for d in done {
-        outstanding.adjust(d.at, -1);
-        completions.record(d.at);
-        *completed += 1;
-        if let Some(dl) = deadline_of.remove(d.id) {
-            deadlines.remove(&(dl, d.id));
+impl Control<'_> {
+    /// Applies one command and mirrors every effect it produced into the
+    /// data plane at instant `t`.
+    fn send(&mut self, dp: &mut DataPlane, t: SimTime, cmd: Command) {
+        self.effects.clear();
+        self.plane.handle_into(self.engine, cmd, &mut self.effects);
+        for e in &self.effects {
+            dp.mirror(t, e);
         }
-        let session = map.unbind(d.id).expect("completed sessions are bound");
-        effects.clear();
-        plane.handle_into(
-            engine,
-            Command::Teardown { session, abandoned: false, now: d.at },
-            effects,
+    }
+}
+
+/// Everything the driver owns besides the control plane: the fluid
+/// engine and its session bindings, the patience deadlines, the fault and
+/// link capacity factors, and the experiment accounting.
+struct DataPlane<'a> {
+    cfg: &'a ThroughputConfig,
+    fluid: FluidEngine,
+    map: SessionMap,
+    patience: Option<SimDuration>,
+    /// Mid-stream give-up deadlines, ordered for the event loop, plus a
+    /// reverse index for completion-time removal. Both stay empty when
+    /// the front end is disabled, so the legacy event sequence is
+    /// untouched.
+    deadlines: BTreeSet<(SimTime, FluidSessionId)>,
+    deadline_of: PerSession<SimTime>,
+    /// Overlapping fault windows compose: crashes nest by depth, capacity
+    /// factors multiply (in stable order, so the float product is a pure
+    /// function of the plan).
+    crash_depth: HashMap<ServerId, u32>,
+    link_factors: HashMap<ServerId, Vec<f64>>,
+    disk_factors: HashMap<ServerId, Vec<f64>>,
+    /// One dynamic link-plan factor per server, composed into the same
+    /// effective capacity the fault windows feed.
+    dyn_factors: HashMap<ServerId, f64>,
+    /// Servers whose effective capacity sits below nominal.
+    impaired: BTreeSet<ServerId>,
+    /// QoS-violation exposure is accounted whenever anything can degrade
+    /// capacity mid-run.
+    watch_capacity: bool,
+    violation_t: SimTime,
+    congested_t: SimTime,
+    outstanding: LevelTracker,
+    completions: RateCounter,
+    rejects: Series,
+    admitted: u64,
+    rejected: u64,
+    completed: u64,
+    access: AccessStats,
+    utility_sum: f64,
+    utility_n: u64,
+    fm: FaultMetrics,
+    dm: DegradationMetrics,
+}
+
+impl<'a> DataPlane<'a> {
+    fn new(testbed: &Testbed, cfg: &'a ThroughputConfig) -> Self {
+        // All systems pace sessions at their stream rate on fair-share
+        // links; reservation-based systems enforce admission in the QoS
+        // API, so the link never oversubscribes for them.
+        let mut fluid = FluidEngine::new(
+            testbed.servers(),
+            SharePolicy::FairShare,
+            cfg.testbed.link_capacity_bps,
         );
+        if let Some(a) = &cfg.adaptation {
+            fluid.enable_congestion(a.congestion);
+        }
+        DataPlane {
+            cfg,
+            fluid,
+            map: SessionMap::new(),
+            patience: cfg.admission.as_ref().map(|a| a.patience),
+            deadlines: BTreeSet::new(),
+            deadline_of: PerSession::new(),
+            crash_depth: HashMap::new(),
+            link_factors: HashMap::new(),
+            disk_factors: HashMap::new(),
+            dyn_factors: HashMap::new(),
+            impaired: BTreeSet::new(),
+            watch_capacity: cfg.faults.is_some() || cfg.links.is_some(),
+            violation_t: SimTime::ZERO,
+            congested_t: SimTime::ZERO,
+            outstanding: LevelTracker::new(),
+            completions: RateCounter::new(SimDuration::from_secs(60)),
+            rejects: Series::new(),
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+            access: AccessStats::new(),
+            utility_sum: 0.0,
+            utility_n: 0,
+            fm: FaultMetrics::default(),
+            dm: DegradationMetrics::default(),
+        }
+    }
+
+    /// Mirrors one effect into the data plane and the accounting. The
+    /// effect alone decides what happens — its `AdmitOrigin` and
+    /// `Degraded` say how an admission counts — never the command that
+    /// produced it.
+    fn mirror(&mut self, t: SimTime, effect: &Effect) {
+        match effect {
+            Effect::Admitted(adm) => {
+                match adm.origin {
+                    // Displaced sessions were admitted once already:
+                    // count their re-service, not a second admission.
+                    AdmitOrigin::Failover => {
+                        self.fm.failed_over += 1;
+                        self.fm.recovery.push(0.0);
+                    }
+                    AdmitOrigin::Recovery { interrupted_at } => {
+                        self.fm.recovered += 1;
+                        self.fm.recovery.push((t - interrupted_at).as_secs_f64());
+                    }
+                    AdmitOrigin::Arrival | AdmitOrigin::Retry { .. } => self.admitted += 1,
+                }
+                match adm.degraded {
+                    Degraded::Brownout => self.dm.brownout_degraded += 1,
+                    Degraded::Failover { steps } if steps > 0 => self.fm.failover_degraded += 1,
+                    _ => {}
+                }
+                self.outstanding.adjust(t, 1);
+                self.access.record(adm.video, adm.server);
+                if let Some(u) = adm.utility {
+                    self.utility_sum += u;
+                    self.utility_n += 1;
+                }
+                self.start_stream(t, adm);
+            }
+            Effect::Rejected { reason, .. } => {
+                if reason.is_brownout() {
+                    self.dm.brownout_rejected += 1;
+                }
+                self.rejected += 1;
+                self.rejects.push(t, self.rejected as f64);
+            }
+            Effect::Requeued => self.fm.requeued += 1,
+            Effect::Dropped => self.fm.dropped += 1,
+            Effect::Renegotiated(r) => self.apply_renegotiation(t, r),
+            Effect::Finished { pending, displaced_pending } => {
+                if *pending > 0 {
+                    self.rejected += pending;
+                    self.rejects.push(t, self.rejected as f64);
+                }
+                self.fm.dropped += displaced_pending;
+            }
+            // Nothing to mirror: a parked retry surfaces later from `Tick`,
+            // and a teardown's release already happened in the plane.
+            Effect::Queued | Effect::TornDown { .. } | Effect::Stats(_) | Effect::Error(_) => {}
+        }
+    }
+
+    /// Earliest patience deadline.
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.deadlines.iter().next().map(|&(t, _)| t)
+    }
+
+    /// Accounts exposure up to `t`, advances the fluid engine, and tears
+    /// every finished stream down (releasing its reservation).
+    fn advance(&mut self, t: SimTime, ctl: &mut Control) {
+        // The active and congested sets only change at processed
+        // instants (the congested set flips inside `poll_congestion`), so
+        // both exposures over `[.._t, t]` are exact.
+        if self.watch_capacity && t > self.violation_t {
+            for &s in &self.impaired {
+                self.fm.qos_violation_secs +=
+                    self.fluid.active_on(s) as f64 * (t - self.violation_t).as_secs_f64();
+            }
+            self.violation_t = t;
+        }
+        if self.cfg.adaptation.is_some() && t > self.congested_t {
+            self.dm.congested_secs +=
+                self.fluid.congested_servers() as f64 * (t - self.congested_t).as_secs_f64();
+            self.congested_t = t;
+        }
+        self.fluid.advance_to(t);
+        for d in self.fluid.drain_completions() {
+            self.outstanding.adjust(d.at, -1);
+            self.completions.record(d.at);
+            self.completed += 1;
+            let session = self.retire(d.id).expect("completed sessions are bound");
+            ctl.send(self, d.at, Command::Teardown { session, abandoned: false, now: d.at });
+        }
+    }
+
+    /// Mid-stream patience: cancels sessions that overran their nominal
+    /// duration by more than the patience window.
+    fn expire_deadlines(&mut self, t: SimTime, ctl: &mut Control) {
+        while let Some(&(dt, sid)) = self.deadlines.iter().next() {
+            if dt > t {
+                break;
+            }
+            self.fluid.cancel_session(t, sid);
+            self.outstanding.adjust(t, -1);
+            let session = self.retire(sid).expect("deadline sessions are bound");
+            ctl.send(self, t, Command::Teardown { session, abandoned: true, now: t });
+        }
+    }
+
+    /// Drops a fluid session's deadline and binding, returning the
+    /// control-plane session to tear down or displace.
+    fn retire(&mut self, sid: FluidSessionId) -> Option<SessionId> {
+        if let Some(dl) = self.deadline_of.remove(sid) {
+            self.deadlines.remove(&(dl, sid));
+        }
+        self.map.unbind(sid)
+    }
+
+    /// Applies one fault-window edge.
+    fn fault(&mut self, t: SimTime, ev: FaultEvent, ctl: &mut Control) {
+        let (spec, begin) = match ev {
+            FaultEvent::Begin(spec) => (spec, true),
+            FaultEvent::End(spec) => (spec, false),
+        };
+        let (factors, factor) = match spec.kind {
+            FaultKind::ServerCrash => return self.crash(t, spec.server, begin, ctl),
+            FaultKind::LinkDegradation { factor } => (&mut self.link_factors, factor),
+            FaultKind::DiskSlowdown { factor } => (&mut self.disk_factors, factor),
+        };
+        let v = factors.entry(spec.server).or_default();
+        if begin {
+            v.push(factor);
+        } else {
+            // The first matching entry, so overlapping identical windows
+            // compose and unwind deterministically.
+            let i = v.iter().position(|&f| f == factor).expect("factor recorded at begin");
+            v.remove(i);
+        }
+        self.apply_capacity(t, spec.server);
+    }
+
+    /// A crash window's edge. Nested windows only act at the outermost
+    /// begin and end.
+    fn crash(&mut self, t: SimTime, server: ServerId, begin: bool, ctl: &mut Control) {
+        let depth = self.crash_depth.entry(server).or_insert(0);
+        if !begin {
+            *depth -= 1;
+            if *depth == 0 {
+                ctl.send(self, t, Command::ServerUp { server });
+            }
+            return;
+        }
+        *depth += 1;
+        if *depth > 1 {
+            return;
+        }
+        // Bar the dead server from admission and bulk-release its
+        // reservations so new admissions route around it, then displace
+        // its in-flight sessions and let the plane try to fail each one
+        // over.
+        ctl.send(self, t, Command::ServerDown { server });
+        for (sid, remaining) in self.fluid.fail_server(t, server) {
+            self.outstanding.adjust(t, -1);
+            self.fm.interrupted += 1;
+            let session = self.retire(sid).expect("live sessions are bound");
+            ctl.send(self, t, Command::Displace { session, remaining, now: t });
+        }
+    }
+
+    /// Applies one link set-point. Unlike fault windows, set-points also
+    /// move the admission view: the reservation systems should plan
+    /// against the capacity the network actually has.
+    fn set_point(&mut self, t: SimTime, spec: LinkSpec, ctl: &mut Control) {
+        self.dyn_factors.insert(spec.server, spec.factor);
+        let bps = self.apply_capacity(t, spec.server);
+        ctl.send(self, t, Command::SetNetCapacity { server: spec.server, bps });
+    }
+
+    /// Admits one same-instant arrival batch in arrival order.
+    fn admit_batch(&mut self, t: SimTime, batch: &[GeneratedQuery], ctl: &mut Control) {
+        // With the plan cache on, the bulk-admit path warms the cache for
+        // the whole batch first — requests sorted by cache key, each
+        // distinct enumeration done once. Prefetching consumes no RNG and
+        // reserves nothing, so the decisions are bit-identical to cold
+        // processing.
+        if batch.len() > 1 && ctl.plane.wants_prefetch() {
+            let requests = batch
+                .iter()
+                .map(|q| PlanRequest {
+                    video: q.video,
+                    qos: q.qos.clone(),
+                    security: QopSecurity::Open,
+                })
+                .collect();
+            ctl.send(self, t, Command::Prefetch { requests });
+        }
+        // Brownout: once enough of the cluster sits congested, the front
+        // door sheds by service class — Economy requests are refused
+        // outright, richer requests are admitted one ladder step down or
+        // refused, and nothing queues (a browned-out system must shed
+        // load now, not promise it later). The congested set is frozen
+        // for the whole instant (it only moves in the end-of-instant
+        // poll), so every query in a burst sees the same policy.
+        let brownout = self.cfg.adaptation.as_ref().is_some_and(|a| {
+            let congested = self.fluid.congested_servers();
+            congested > 0 && congested as f64 >= a.brownout_ratio * self.cfg.testbed.servers as f64
+        });
+        for q in batch {
+            let query = QueuedQuery { video: q.video, qos: q.qos.clone() };
+            let class = qop_class(&q.qop);
+            ctl.send(self, t, Command::Admit { query, class, brownout, now: t });
+        }
+    }
+
+    /// End-of-instant congestion poll. Demand ratios only move at
+    /// processed instants (session adds, completions, cancellations,
+    /// re-rates), so polling here sees every edge exactly when it
+    /// happens; the loop's congestion time source wakes it for pure dwell
+    /// expiries. Adaptation itself moves demand, so the poll repeats until
+    /// a quiet round — bounded, because upshifts are rate-limited and
+    /// downshifts stop at the ladder floor.
+    fn poll_congestion(&mut self, t: SimTime, ctl: &mut Control) {
+        for _ in 0..4 {
+            let events = self.fluid.poll_congestion(t);
+            if events.is_empty() {
+                break;
+            }
+            for ev in events {
+                // The plane decides who to renegotiate and to what; the
+                // data plane reports the candidates with their backlogs.
+                let candidates: Vec<Candidate> = self
+                    .fluid
+                    .sessions_on(ev.server)
+                    .into_iter()
+                    .filter_map(|sid| {
+                        self.map.get(sid).map(|session| Candidate {
+                            session,
+                            backlog: self.fluid.session_backlog(sid),
+                        })
+                    })
+                    .collect();
+                let server = ev.server;
+                let cmd = match ev.edge {
+                    CongestionEdge::Onset => {
+                        self.dm.congestion_events += 1;
+                        Command::CongestionOnset { server, candidates, now: t }
+                    }
+                    CongestionEdge::Cleared => {
+                        Command::CongestionCleared { server, candidates, now: t }
+                    }
+                };
+                ctl.send(self, t, cmd);
+            }
+        }
+    }
+
+    /// A server's composed capacity right now: the fault windows' factors
+    /// multiplied with the link plan's dynamic set-point. Returns
+    /// `(net, effective)` — the network side alone (what the admission
+    /// view tracks on the links path) and `min(net, disk)` (what the fluid
+    /// link carries; a slow disk starves the link). Both floored at 1
+    /// byte/s so in-flight transfers keep draining. The dynamic factor
+    /// multiplies last (and defaults to exactly 1.0), so fault-only runs
+    /// compute the same float product they always did.
+    fn effective_capacity(&self, server: ServerId) -> (f64, u64) {
+        let product =
+            |m: &HashMap<ServerId, Vec<f64>>| m.get(&server).map_or(1.0, |v| v.iter().product());
+        let tb = &self.cfg.testbed;
+        let net = tb.link_capacity_bps as f64
+            * product(&self.link_factors)
+            * self.dyn_factors.get(&server).copied().unwrap_or(1.0);
+        let disk = tb.disk_bps * product(&self.disk_factors);
+        (net.max(1.0), (net.min(disk).max(1.0)) as u64)
+    }
+
+    /// Re-applies a server's effective capacity after its fault factors or
+    /// dynamic set-point changed, and tracks QoS-violation exposure via
+    /// the impaired set. Returns the network-side capacity for the
+    /// admission view.
+    fn apply_capacity(&mut self, now: SimTime, server: ServerId) -> f64 {
+        let (net, effective) = self.effective_capacity(server);
+        self.fluid.set_link_capacity(now, server, effective);
+        if effective < self.cfg.testbed.link_capacity_bps {
+            self.impaired.insert(server);
+        } else {
+            self.impaired.remove(&server);
+        }
+        net
+    }
+
+    /// Mirrors an admission into the data plane: starts the fluid stream,
+    /// binds the ids, and arms the patience deadline. Under the fair-share
+    /// policy the link always accepts a new session (it stretches instead
+    /// of refusing), so this cannot fail.
+    fn start_stream(&mut self, now: SimTime, adm: &Admission) {
+        let sid = self
+            .fluid
+            .add_session(now, adm.server, adm.bytes, adm.rate_bps)
+            .expect("fair-share admits");
+        self.bind(now, sid, adm.session, adm.nominal);
+    }
+
+    /// Binds a fresh fluid session to its control-plane session and arms
+    /// its patience deadline.
+    fn bind(
+        &mut self,
+        now: SimTime,
+        sid: FluidSessionId,
+        session: SessionId,
+        nominal: SimDuration,
+    ) {
+        self.map.bind(sid, session);
+        if let Some(p) = self.patience {
+            let dl = now + nominal + p;
+            self.deadlines.insert((dl, sid));
+            self.deadline_of.insert(sid, dl);
+        }
+    }
+
+    /// Mirrors a renegotiation into the data plane: replaces the fluid
+    /// session with the remaining bytes at the new rate and rebinds every
+    /// per-session table to the new id (cancel + re-add allocates fresh).
+    fn apply_renegotiation(&mut self, now: SimTime, r: &Renegotiation) {
+        let old = self.map.take_fluid(r.session).expect("renegotiated sessions are live");
+        if r.downshift {
+            self.dm.downshifts += 1;
+            if r.hunting {
+                self.dm.oscillations += 1;
+            }
+            // The victim streamed from the congested server; the re-rate
+            // took its saved bytes off that server's effective capacity.
+            let (_, effective) = self.effective_capacity(self.fluid.session_server(old));
+            self.dm.violation_secs_avoided += r.bytes_saved.max(0.0) / effective.max(1) as f64;
+        } else {
+            self.dm.upshifts += 1;
+        }
+        self.fluid.cancel_session(now, old);
+        self.fluid.forget_session(old);
+        if let Some(dl) = self.deadline_of.remove(old) {
+            self.deadlines.remove(&(dl, old));
+        }
+        let new_sid =
+            self.fluid.add_session(now, r.server, r.bytes, r.rate_bps).expect("fair-share admits");
+        self.bind(now, new_sid, r.session, r.nominal);
+        self.access.record(r.video, r.server);
+    }
+
+    fn into_result(
+        self,
+        label: String,
+        queries: u64,
+        queue: Option<QueueMetrics>,
+    ) -> ThroughputResult {
+        ThroughputResult {
+            label,
+            outstanding: self.outstanding.sample(self.cfg.sample_step, self.cfg.horizon),
+            completions_per_min: self.completions,
+            rejects: self.rejects,
+            queries,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            completed: self.completed,
+            access: self.access,
+            mean_utility: (self.utility_n > 0).then(|| self.utility_sum / self.utility_n as f64),
+            queue,
+            faults: self.watch_capacity.then_some(self.fm),
+            degradation: self.cfg.adaptation.is_some().then_some(self.dm),
+        }
     }
 }
 
@@ -1248,23 +1044,7 @@ mod tests {
     use super::*;
 
     fn short_cfg() -> ThroughputConfig {
-        ThroughputConfig {
-            testbed: TestbedConfig::default(),
-            horizon: SimTime::from_secs(300),
-            sample_step: SimDuration::from_secs(10),
-            seed: 11,
-            video_skew: 0.0,
-            qop_mix: QopMix::Uniform,
-            local_plans_only: false,
-            admission: None,
-            faults: None,
-            arrival_period: None,
-            arrival_burst: 1,
-            plan_cache: false,
-            domain_workers: 0,
-            links: None,
-            adaptation: None,
-        }
+        ThroughputConfig { horizon: SimTime::from_secs(300), seed: 11, ..ThroughputConfig::fig6() }
     }
 
     #[test]
@@ -1348,34 +1128,6 @@ mod tests {
         let horizon = SimTime::from_micros(7);
         assert_eq!(horizon.halved(), SimTime::from_micros(3));
         assert!((r.stable_outstanding(horizon) - 6.0).abs() < 1e-12);
-    }
-
-    /// The tentpole determinism guarantee: stepping domains on a worker
-    /// pool must reproduce the serial run bit for bit — same series, same
-    /// counts, same floats — across all three systems, including a
-    /// fault-injected run whose crash handling reads mid-step state.
-    #[test]
-    fn domain_parallel_run_is_bit_identical_to_serial() {
-        let serial =
-            ThroughputConfig { admission: Some(AdmissionConfig::default()), ..short_cfg() };
-        let sharded = ThroughputConfig { domain_workers: 4, ..serial.clone() };
-        for system in
-            [SystemKind::Vdbms, SystemKind::VdbmsQosApi, SystemKind::Quasaq(CostKind::Lrb)]
-        {
-            assert_eq!(
-                run_throughput(system, &serial),
-                run_throughput(system, &sharded),
-                "{}",
-                system.label()
-            );
-        }
-        let faulty = ThroughputConfig { seed: 11, ..ThroughputConfig::availability() };
-        let faulty_sharded = ThroughputConfig { domain_workers: 3, ..faulty.clone() };
-        assert_eq!(
-            run_throughput(SystemKind::Quasaq(CostKind::Lrb), &faulty),
-            run_throughput(SystemKind::Quasaq(CostKind::Lrb), &faulty_sharded),
-            "fault-injected run"
-        );
     }
 
     #[test]
@@ -1560,23 +1312,7 @@ mod tests {
         testbed.library.min_duration = SimDuration::from_secs(30);
         testbed.library.max_duration = SimDuration::from_secs(120);
         let horizon = SimTime::from_secs(600);
-        let base = ThroughputConfig {
-            testbed,
-            horizon,
-            sample_step: SimDuration::from_secs(10),
-            seed: 11,
-            video_skew: 0.0,
-            qop_mix: QopMix::Uniform,
-            local_plans_only: false,
-            admission: None,
-            faults: None,
-            arrival_period: None,
-            arrival_burst: 1,
-            plan_cache: false,
-            domain_workers: 0,
-            links: None,
-            adaptation: None,
-        };
+        let base = ThroughputConfig { testbed, horizon, seed: 11, ..ThroughputConfig::fig6() };
         let queued = ThroughputConfig {
             admission: Some(AdmissionConfig {
                 patience: SimDuration::from_secs(60),
@@ -1661,8 +1397,8 @@ mod tests {
 
     /// Link set-points actually move capacity: a crushed server stretches
     /// its fair-share sessions into QoS violation, and the recovery
-    /// set-point ends the exposure. Replay and sharded runs agree bit for
-    /// bit on the stochastic timeline.
+    /// set-point ends the exposure. Replays agree bit for bit on the
+    /// stochastic timeline.
     #[test]
     fn link_set_points_degrade_and_recover_capacity() {
         let cfg = ThroughputConfig { links: Some(crush_server(ServerId(0), 0.3)), ..short_cfg() };
@@ -1671,8 +1407,6 @@ mod tests {
         assert_eq!(f.interrupted, 0, "set-points are not crashes");
         assert!(f.qos_violation_secs > 0.0, "a 70% collapse must stretch sessions");
         assert_eq!(r, run_throughput(SystemKind::Vdbms, &cfg), "replay");
-        let sharded = ThroughputConfig { domain_workers: 4, ..cfg.clone() };
-        assert_eq!(r, run_throughput(SystemKind::Vdbms, &sharded), "sharded");
     }
 
     /// The tentpole end-to-end claim: under a congesting link window the
@@ -1726,11 +1460,10 @@ mod tests {
     }
 
     /// The full stochastic stack — sampled Markov link process, adaptation,
-    /// brownout, admission queue — replays bit-identically and shards
-    /// bit-identically, which is what makes every degradation number in
-    /// the bench suite trustworthy.
+    /// brownout, admission queue — replays bit-identically, which is what
+    /// makes every degradation number in the bench suite trustworthy.
     #[test]
-    fn stochastic_runs_are_bit_identical_serial_vs_sharded() {
+    fn stochastic_runs_replay_bit_identically() {
         let sampled = LinkPlan::sample(
             17,
             ServerId::first_n(3),
@@ -1745,17 +1478,15 @@ mod tests {
             },
         );
         assert!(!sampled.is_empty(), "a 300 s horizon must sample transitions");
-        let serial = ThroughputConfig {
+        let cfg = ThroughputConfig {
             links: Some(sampled),
             adaptation: Some(AdaptationConfig::default()),
             admission: Some(AdmissionConfig::default()),
             ..short_cfg()
         };
-        let sharded = ThroughputConfig { domain_workers: 4, ..serial.clone() };
         for system in [SystemKind::Vdbms, SystemKind::Quasaq(CostKind::Lrb)] {
-            let a = run_throughput(system, &serial);
-            assert_eq!(a, run_throughput(system, &serial), "{} replay", system.label());
-            assert_eq!(a, run_throughput(system, &sharded), "{} sharded", system.label());
+            let a = run_throughput(system, &cfg);
+            assert_eq!(a, run_throughput(system, &cfg), "{} replay", system.label());
         }
     }
 }

@@ -6,8 +6,8 @@
 //! sans-IO `quasaq-service` crate. These tests drive random
 //! traffic/fault/link/adaptation configs through both and require
 //! bit-identical `ThroughputResult`s — every series sample, float, and
-//! counter — serial and sharded. Any divergence means the command/effect
-//! split changed a decision or an RNG draw.
+//! counter. Any divergence means the command/effect split changed a
+//! decision or an RNG draw.
 
 #[path = "support/legacy.rs"]
 mod legacy;
@@ -57,7 +57,7 @@ proptest! {
 
     /// Random crash/restart plans over the queued front end: failover,
     /// requeue, and recovery decisions (and every fault counter) match
-    /// the legacy loop, serial and sharded.
+    /// the legacy loop.
     #[test]
     fn faulted_runs_match_legacy_loop(
         seed in 0u64..1_000,
@@ -66,7 +66,6 @@ proptest! {
         crash_at in 20u64..100,
         outage in 10u64..80,
         queued in any::<bool>(),
-        workers in 0usize..4,
     ) {
         let cfg = ThroughputConfig {
             testbed: TestbedConfig { servers, ..TestbedConfig::default() },
@@ -78,7 +77,6 @@ proptest! {
                 SimTime::from_secs(crash_at),
                 SimTime::from_secs(crash_at + outage),
             )),
-            domain_workers: workers,
             ..ThroughputConfig::fig6()
         };
         for system in [SystemKind::Vdbms, SystemKind::Quasaq(CostKind::Lrb)] {

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use quasaq_sim::{
     FaultKind, FaultPlan, FaultSpec, LinkModel, LinkPlan, ServerId, SimDuration, SimTime,
 };
-use quasaq_store::Placement;
 use quasaq_workload::{
     run_throughput, run_throughput_scenarios, AdaptationConfig, AdmissionConfig, CostKind,
     SystemKind, TestbedConfig, ThroughputConfig,
@@ -72,59 +71,15 @@ proptest! {
         }
     }
 
-    /// The sharding tentpole's contract over *random* deployments: any
-    /// cluster size, placement, skew, admission mode, and fault plan
-    /// stepped on a domain pool is bitwise identical to the serial run.
-    #[test]
-    fn sharded_stepping_is_bit_identical_for_random_configs(
-        seed in 0u64..1_000,
-        servers in 2u32..8,
-        workers in 2usize..6,
-        spread in any::<bool>(),
-        skew in 0.0f64..1.5,
-        queued in any::<bool>(),
-        crash in any::<bool>(),
-        crash_server in 0u32..8,
-        crash_at in 20u64..100,
-    ) {
-        let faults = crash.then(|| {
-            FaultPlan::crash_restart(
-                ServerId(crash_server % servers),
-                SimTime::from_secs(crash_at),
-                SimTime::from_secs(crash_at + 40),
-            )
-        });
-        let serial_cfg = ThroughputConfig {
-            testbed: TestbedConfig {
-                servers,
-                placement: if spread { Placement::Spread { copies: 2 } } else { Placement::Full },
-                ..TestbedConfig::default()
-            },
-            horizon: SimTime::from_secs(120),
-            seed,
-            video_skew: skew,
-            admission: queued.then(AdmissionConfig::default),
-            faults,
-            ..ThroughputConfig::fig6()
-        };
-        let sharded_cfg =
-            ThroughputConfig { domain_workers: workers, ..serial_cfg.clone() };
-        let serial = run_throughput(SystemKind::Quasaq(CostKind::Lrb), &serial_cfg);
-        let sharded = run_throughput(SystemKind::Quasaq(CostKind::Lrb), &sharded_cfg);
-        prop_assert_eq!(serial, sharded);
-    }
-
     /// The plan-cache tentpole's contract: turning the memoized plan
     /// cache (and its bulk-admit prefetch) on changes *nothing* about
     /// admission decisions — every series, float, and fault metric is
-    /// bitwise identical to the uncached run, serial and sharded alike,
-    /// across random cluster sizes, skews, bursts, admission modes, cost
-    /// models, and fault plans.
+    /// bitwise identical to the uncached run across random cluster sizes,
+    /// skews, bursts, admission modes, cost models, and fault plans.
     #[test]
     fn plan_cache_is_bit_identical_to_full_enumeration(
         seed in 0u64..1_000,
         servers in 2u32..8,
-        workers in 2usize..6,
         skew in 0.0f64..1.5,
         burst in 1usize..6,
         queued in any::<bool>(),
@@ -162,26 +117,16 @@ proptest! {
         let uncached = run_throughput(kind, &uncached_cfg);
         let cached = run_throughput(kind, &cached_cfg);
         prop_assert_eq!(&uncached, &cached);
-        let uncached_sharded = run_throughput(
-            kind,
-            &ThroughputConfig { domain_workers: workers, ..uncached_cfg },
-        );
-        let cached_sharded = run_throughput(
-            kind,
-            &ThroughputConfig { domain_workers: workers, ..cached_cfg },
-        );
-        prop_assert_eq!(&uncached_sharded, &cached_sharded);
-        prop_assert_eq!(&uncached, &uncached_sharded);
         prop_assert_eq!(uncached.admitted + uncached.rejected, uncached.queries);
     }
 
     /// The stochastic-link tentpole's contract: a sampled `LinkPlan` (any
     /// of the three capacity processes, random parameters) plus the
-    /// adaptation loop is fully determined by its seed — stepping the same
-    /// run on 0, 2, or 4 domain workers reproduces every series, float,
-    /// and degradation counter bit for bit.
+    /// adaptation loop is fully determined by its seed — replaying the
+    /// same run reproduces every series, float, and degradation counter
+    /// bit for bit, and the accounting balances.
     #[test]
-    fn stochastic_link_runs_are_bit_identical_across_worker_counts(
+    fn stochastic_link_runs_replay_bit_identically(
         seed in 0u64..1_000,
         link_seed in 0u64..1_000,
         servers in 2u32..6,
@@ -212,7 +157,7 @@ proptest! {
             },
         };
         let horizon = SimTime::from_secs(150);
-        let serial_cfg = ThroughputConfig {
+        let cfg = ThroughputConfig {
             testbed: TestbedConfig { servers, ..TestbedConfig::default() },
             horizon,
             seed,
@@ -222,14 +167,10 @@ proptest! {
             ..ThroughputConfig::fig6()
         };
         for system in [SystemKind::Vdbms, SystemKind::Quasaq(CostKind::Lrb)] {
-            let serial = run_throughput(system, &serial_cfg);
-            for workers in [2usize, 4] {
-                let sharded_cfg =
-                    ThroughputConfig { domain_workers: workers, ..serial_cfg.clone() };
-                prop_assert_eq!(&serial, &run_throughput(system, &sharded_cfg));
-            }
-            prop_assert_eq!(serial.admitted + serial.rejected, serial.queries);
-            let dm = serial.degradation.as_ref().expect("adaptation enabled");
+            let first = run_throughput(system, &cfg);
+            prop_assert_eq!(&first, &run_throughput(system, &cfg));
+            prop_assert_eq!(first.admitted + first.rejected, first.queries);
+            let dm = first.degradation.as_ref().expect("adaptation enabled");
             prop_assert!(dm.upshifts <= dm.downshifts);
         }
     }
@@ -237,7 +178,7 @@ proptest! {
     /// The plan cache under mid-run re-rates: every link set-point
     /// invalidates the memoized plans, so a cached run over a stochastic
     /// capacity process must still make exactly the decisions of full
-    /// enumeration — serial and sharded.
+    /// enumeration.
     #[test]
     fn plan_cache_is_bit_identical_under_link_rerates(
         seed in 0u64..1_000,
@@ -279,10 +220,5 @@ proptest! {
         let uncached = run_throughput(kind, &uncached_cfg);
         let cached = run_throughput(kind, &cached_cfg);
         prop_assert_eq!(&uncached, &cached);
-        let cached_sharded = run_throughput(
-            kind,
-            &ThroughputConfig { domain_workers: 3, ..cached_cfg },
-        );
-        prop_assert_eq!(&uncached, &cached_sharded);
     }
 }

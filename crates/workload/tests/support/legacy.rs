@@ -26,7 +26,6 @@ use quasaq_store::AccessStats;
 use quasaq_stream::{CongestionEdge, FluidEngine, FluidSessionId};
 use quasaq_vdbms::{BaselineKind, BaselinePlanner, QueuedQuery};
 use quasaq_workload::admission::{brownout_action, AdmissionQueue, BrownoutAction, Waiting};
-use quasaq_workload::parallel::DomainPool;
 use quasaq_workload::testbed::{Testbed, TestbedConfig};
 use quasaq_workload::traffic::{generate_queries, qop_class, TrafficConfig};
 use quasaq_workload::{
@@ -135,19 +134,6 @@ pub fn legacy_run_throughput_on(
     let mut fluid =
         FluidEngine::new(testbed.servers(), SharePolicy::FairShare, cfg.testbed.link_capacity_bps);
 
-    // Within-run parallelism: phase A of every advance (per-domain fluid
-    // stepping) runs on the pool; the merge stays serial, so the event
-    // order — and every downstream float — is identical to a serial run.
-    let pool = (cfg.domain_workers > 1).then(|| DomainPool::new(cfg.domain_workers));
-    macro_rules! advance_fluid {
-        ($t:expr) => {
-            match &pool {
-                Some(p) => fluid.advance_domains($t, p),
-                None => fluid.advance_to($t),
-            }
-        };
-    }
-
     let mut queue = cfg.admission.clone().map(AdmissionQueue::new);
     let patience = cfg.admission.as_ref().map(|a| a.patience);
     // Mid-stream give-up deadlines, ordered for the event loop plus a
@@ -249,7 +235,7 @@ pub fn legacy_run_throughput_on(
             dm.congested_secs += fluid.congested_servers() as f64 * (t - congested_t).as_secs_f64();
             congested_t = t;
         }
-        advance_fluid!(t);
+        fluid.advance_to(t);
         handle_done(
             fluid.drain_completions(),
             &mut reservations,
@@ -694,7 +680,7 @@ pub fn legacy_run_throughput_on(
         dm.congested_secs +=
             fluid.congested_servers() as f64 * (cfg.horizon - congested_t).as_secs_f64();
     }
-    advance_fluid!(cfg.horizon);
+    fluid.advance_to(cfg.horizon);
     handle_done(
         fluid.drain_completions(),
         &mut reservations,
@@ -718,15 +704,6 @@ pub fn legacy_run_throughput_on(
         fm.dropped += displaced_pending;
     }
 
-    // Env-gated diagnostic (EXPERIMENTS.md, plan-cache study): end-of-run
-    // cache counters on stderr, leaving the returned result untouched.
-    if std::env::var_os("QUASAQ_CACHE_DEBUG").is_some() {
-        if let SystemState::Quasaq { manager, .. } = &state {
-            if let Some(s) = manager.plan_cache_stats() {
-                eprintln!("cache stats: {s:?}");
-            }
-        }
-    }
     ThroughputResult {
         label: system.label(),
         outstanding: outstanding.sample(cfg.sample_step, cfg.horizon),

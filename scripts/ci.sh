@@ -20,14 +20,17 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> perfbench unit tests (the benchmark must keep building against the crate APIs)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism + timing artifact (quick mode; fig6/fig7/queued/availability suites)"
 cargo run --release -p quasaq-bench --bin bench -- --quick
 
-echo "==> sharded-scale + cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
+echo "==> cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
 cargo run --release -p quasaq-bench --bin bench -- --smoke
 
-echo "==> scenario gallery (every scenarios/*.toml: serial + sharded(2), bit-identical, golden match)"
-cargo run --release -p quasaq-bench --bin bench -- --gallery --shards 2
+echo "==> scenario gallery (every scenarios/*.toml: serial + scenario-parallel, bit-identical, golden match)"
+cargo run --release -p quasaq-bench --bin bench -- --gallery
 
 echo "==> service-shell loopback smoke (TCP shell vs in-process driver decision identity, 1/2/4 threads)"
 cargo run --release -p quasaq-bench --bin bench -- --load --quick

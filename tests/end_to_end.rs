@@ -12,7 +12,7 @@ use quasaq::stream::{NodeConfig, StreamEngine};
 use quasaq::vdbms;
 use quasaq::workload::{
     run_fig5, run_throughput, run_throughput_scenarios, Contention, CostKind, Fig5Config,
-    Fig5System, QopMix, SystemKind, Testbed, TestbedConfig, ThroughputConfig,
+    Fig5System, SystemKind, Testbed, TestbedConfig, ThroughputConfig,
 };
 
 fn testbed() -> Testbed {
@@ -135,23 +135,8 @@ fn fig5_shape_holds_at_small_scale() {
 
 #[test]
 fn throughput_ordering_matches_fig6_and_fig7() {
-    let cfg = ThroughputConfig {
-        testbed: TestbedConfig::default(),
-        horizon: SimTime::from_secs(250),
-        sample_step: SimDuration::from_secs(10),
-        seed: 21,
-        video_skew: 0.0,
-        local_plans_only: false,
-        admission: None,
-        faults: None,
-        arrival_period: None,
-        domain_workers: 0,
-        qop_mix: QopMix::Uniform,
-        arrival_burst: 1,
-        plan_cache: false,
-        links: None,
-        adaptation: None,
-    };
+    let cfg =
+        ThroughputConfig { horizon: SimTime::from_secs(250), seed: 21, ..ThroughputConfig::fig6() };
     let h = cfg.horizon;
     // Four independent runs: fan them across cores via the scenario runner
     // (bit-identical to serial calls, collected in scenario order).
@@ -272,19 +257,10 @@ fn migration_extension_improves_skewed_throughput() {
     let cfg = ThroughputConfig {
         testbed: TestbedConfig { placement: Placement::RoundRobin, ..TestbedConfig::default() },
         horizon: SimTime::from_secs(400),
-        sample_step: SimDuration::from_secs(10),
         seed: 31,
         video_skew: 1.2,
         local_plans_only: true,
-        admission: None,
-        faults: None,
-        arrival_period: None,
-        domain_workers: 0,
-        qop_mix: QopMix::Uniform,
-        arrival_burst: 1,
-        plan_cache: false,
-        links: None,
-        adaptation: None,
+        ..ThroughputConfig::fig6()
     };
     let mut tb = Testbed::build(cfg.testbed.clone());
     let before = run_throughput_on(&tb, SystemKind::Quasaq(CostKind::Lrb), &cfg);
@@ -318,23 +294,8 @@ fn migration_extension_improves_skewed_throughput() {
 
 #[test]
 fn utility_optimizer_trades_throughput_for_quality() {
-    let cfg = ThroughputConfig {
-        testbed: TestbedConfig::default(),
-        horizon: SimTime::from_secs(400),
-        sample_step: SimDuration::from_secs(10),
-        seed: 33,
-        video_skew: 0.0,
-        local_plans_only: false,
-        admission: None,
-        faults: None,
-        arrival_period: None,
-        domain_workers: 0,
-        qop_mix: QopMix::Uniform,
-        arrival_burst: 1,
-        plan_cache: false,
-        links: None,
-        adaptation: None,
-    };
+    let cfg =
+        ThroughputConfig { horizon: SimTime::from_secs(400), seed: 33, ..ThroughputConfig::fig6() };
     let scenarios = vec![
         (SystemKind::Quasaq(CostKind::Lrb), cfg.clone()),
         (SystemKind::Quasaq(CostKind::Utility), cfg.clone()),
@@ -353,21 +314,9 @@ fn utility_optimizer_trades_throughput_for_quality() {
 fn whole_pipeline_is_deterministic() {
     let run = || {
         let cfg = ThroughputConfig {
-            testbed: TestbedConfig::default(),
             horizon: SimTime::from_secs(120),
-            sample_step: SimDuration::from_secs(10),
             seed: 77,
-            video_skew: 0.0,
-            local_plans_only: false,
-            admission: None,
-            faults: None,
-            arrival_period: None,
-            domain_workers: 0,
-            qop_mix: QopMix::Uniform,
-            arrival_burst: 1,
-            plan_cache: false,
-            links: None,
-            adaptation: None,
+            ..ThroughputConfig::fig6()
         };
         let r = run_throughput(SystemKind::Quasaq(CostKind::Lrb), &cfg);
         (r.admitted, r.rejected, r.completed, r.outstanding.values().collect::<Vec<_>>())

@@ -1,6 +1,6 @@
 //! The golden gallery: every scenario under `scenarios/` runs at smoke
 //! scale and must render byte-identically to its committed golden, both
-//! serially and sharded. The gallery doubles as the system-level
+//! serially and on the scenario-parallel runner. The gallery doubles as the system-level
 //! regression suite — any change to traffic generation, admission,
 //! streaming, fault/link injection, or adaptation shows up as a
 //! fingerprint diff here before it reaches a figure.
@@ -77,22 +77,22 @@ fn gallery_matches_goldens() {
     );
 }
 
-/// Sharded execution (2 domain lanes, scenario-parallel systems) must
-/// render byte-identically to serial — the determinism gate.
+/// Parallel execution (systems fanned out on the scenario-parallel
+/// runner) must render byte-identically to serial — the determinism gate.
 #[test]
-fn gallery_is_shard_invariant() {
+fn gallery_is_parallel_invariant() {
     for scenario in gallery() {
         let name = scenario.file_name().unwrap().to_string_lossy().into_owned();
         let serial =
             run_file(&scenario, ExecMode::Serial).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sharded =
-            run_file(&scenario, ExecMode::Sharded(2)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let parallel =
+            run_file(&scenario, ExecMode::Parallel).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             serial.render(),
-            sharded.render(),
-            "{name}: serial and sharded(2) reports diverged"
+            parallel.render(),
+            "{name}: serial and parallel reports diverged"
         );
-        assert_eq!(serial.fingerprint(), sharded.fingerprint(), "{name}");
+        assert_eq!(serial.fingerprint(), parallel.fingerprint(), "{name}");
     }
 }
 
