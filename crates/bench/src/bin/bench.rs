@@ -27,9 +27,9 @@
 //! `--serve [--addr A] [--threads N] [--seed S]` runs a shell until killed;
 //! `--load [--quick]` is the service-shell throughput study — it first pins
 //! decision-identity against the in-process driver, then measures wall-clock
-//! admissions/sec through the loopback at 1/2/4 shell threads and splices a
-//! `"service"` section into `BENCH_throughput.json` (skipped in `--quick`,
-//! which is the CI smoke variant).
+//! requests/sec and admissions/sec through the loopback at 1/2/4 shell
+//! threads and splices a `"service"` section into `BENCH_throughput.json`
+//! (skipped in `--quick`, which is the CI smoke variant).
 
 use std::time::Instant;
 
@@ -433,6 +433,7 @@ struct ServiceRow {
     rejected: u64,
     queued: u64,
     wall_ms: f64,
+    requests_per_s: f64,
     admissions_per_s: f64,
 }
 
@@ -460,9 +461,9 @@ fn run_serve_mode(args: &[String]) -> ! {
 ///
 /// First pins the refactor's acceptance claim — a single-connection
 /// loopback replay at a sub-clip horizon is decision-identical to the
-/// in-process driver — then measures wall-clock admissions/sec at
-/// 1/2/4 shell threads and (full mode only) splices the rows into
-/// `BENCH_throughput.json` as a `"service"` section.
+/// in-process driver — then measures wall-clock requests/sec and
+/// admissions/sec at 1/2/4 shell threads and (full mode only) splices the
+/// rows into `BENCH_throughput.json` as a `"service"` section.
 fn run_load_mode(quick: bool) {
     use quasaq_shell::{run_loopback, Shell, ShellConfig};
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -504,11 +505,15 @@ fn run_load_mode(quick: bool) {
         let report = run_loopback(shell.addr(), &cfg, threads).expect("loopback replay");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         shell.shutdown();
-        let admissions_per_s = report.admitted as f64 / (wall_ms / 1e3).max(1e-9);
+        // Every query is one request on the wire, whatever its answer;
+        // admissions count only the ones that got a session.
+        let wall_s = (wall_ms / 1e3).max(1e-9);
+        let requests_per_s = report.queries as f64 / wall_s;
+        let admissions_per_s = report.admitted as f64 / wall_s;
         println!(
             "  {threads} shell thread(s) / {threads} connection(s): {} queries \
              ({} admitted, {} rejected, {} queued) in {wall_ms:.1} ms | \
-             {admissions_per_s:.0} admissions/s",
+             {requests_per_s:.0} requests/s, {admissions_per_s:.0} admissions/s",
             report.queries, report.admitted, report.rejected, report.queued
         );
         rows.push(ServiceRow {
@@ -518,6 +523,7 @@ fn run_load_mode(quick: bool) {
             rejected: report.rejected,
             queued: report.queued,
             wall_ms,
+            requests_per_s,
             admissions_per_s,
         });
     }
@@ -540,7 +546,7 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
         section.push_str(&format!(
             "      {{\"shell_threads\": {}, \"connections\": {}, \"queries\": {}, \
              \"admitted\": {}, \"rejected\": {}, \"queued\": {}, \"wall_ms\": {:.3}, \
-             \"admissions_per_s\": {:.1}}}{}\n",
+             \"requests_per_s\": {:.1}, \"admissions_per_s\": {:.1}}}{}\n",
             r.threads,
             r.threads,
             r.queries,
@@ -548,6 +554,7 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
             r.rejected,
             r.queued,
             r.wall_ms,
+            r.requests_per_s,
             r.admissions_per_s,
             if i + 1 < rows.len() { "," } else { "" }
         ));

@@ -36,6 +36,10 @@ impl CostModel for LrbModel {
         rank_by_score(&scores)
     }
 
+    fn ranks_by_max_fill(&self) -> bool {
+        true
+    }
+
     fn rank_subset(
         &self,
         plans: &[Plan],

@@ -44,6 +44,15 @@ pub trait CostModel: Send {
     /// current resource state in `api`.
     fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize>;
 
+    /// Whether `rank` orders plans by ascending
+    /// [`CompositeQosApi::max_fill_with`] of their resources alone, ties
+    /// by position, drawing no randomness. The Quality Manager then admits
+    /// without building the plan space: it scores every candidate in place
+    /// and builds only the plan it reserves.
+    fn ranks_by_max_fill(&self) -> bool {
+        false
+    }
+
     /// Ranks only the plans named by `subset` (indices into `plans`, in
     /// subset order), returning those same indices most-preferred first.
     ///

@@ -21,12 +21,12 @@
 use crate::plan::Plan;
 use crate::qop::QopSecurity;
 use quasaq_media::{
-    CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, Transcode, VideoFormat,
-    VideoId,
+    CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
+    VideoFormat, VideoId,
 };
-use quasaq_qosapi::CompositeQosApi;
+use quasaq_qosapi::{CompositeQosApi, ResourceKey};
 use quasaq_sim::ServerId;
-use quasaq_store::MetadataEngine;
+use quasaq_store::{MetadataEngine, ObjectRecord};
 
 /// What the Quality Manager plans for: a resolved logical object plus the
 /// query's QoS component.
@@ -70,6 +70,136 @@ impl Default for GeneratorConfig {
     }
 }
 
+/// One server-independent delivery: a replica (A1) with a transcode (A4)
+/// and a frame-dropping strategy (A3), plus the figures that do not
+/// depend on the target site.
+#[derive(Debug, Clone)]
+pub(crate) struct DeliveryOption {
+    /// A1: the replica to retrieve.
+    record: ObjectRecord,
+    /// A3: runtime frame dropping.
+    drop: DropStrategy,
+    /// A4: optional online transcode.
+    transcode: Option<Transcode>,
+    /// The application QoS delivered to the client.
+    delivered: QualitySpec,
+    /// Mean delivered bandwidth in bytes/second.
+    delivered_bps: f64,
+    /// Stream buffer memory in bytes.
+    buffer_bytes: f64,
+    /// CPU share (reservation headroom included) under each of the
+    /// request's ciphers, by position; unused slots are 0.
+    cpu_shares: [f64; CipherAlgo::ALL.len()],
+}
+
+/// One point of the plan space before its plan is built: a delivery
+/// option, a target site, and the position of a cipher among the
+/// request's ciphers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'a> {
+    option: &'a DeliveryOption,
+    target: ServerId,
+    cipher: usize,
+}
+
+impl Candidate<'_> {
+    /// The candidate's resource demand, entry for entry what
+    /// [`Plan::assemble_resources`] puts in its vector.
+    pub(crate) fn demand(&self) -> [(ResourceKey, f64); 5] {
+        let o = self.option;
+        Plan::demand_entries(
+            &o.record,
+            self.target,
+            o.delivered_bps,
+            o.cpu_shares[self.cipher],
+            o.buffer_bytes,
+        )
+    }
+}
+
+/// The delivery options of one request and the fan-out that turns them
+/// into plans: option × target site × cipher. A plan's *enumeration
+/// index* is its position in that fan-out, which is also its position in
+/// [`PlanGenerator::generate_into`]'s output.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DeliveryOptions {
+    options: Vec<DeliveryOption>,
+    ciphers: Vec<CipherAlgo>,
+    sites: Vec<ServerId>,
+    allow_remote: bool,
+}
+
+impl DeliveryOptions {
+    /// A2: the sites `option` can be served from — every site when
+    /// cross-server plans are allowed, else the replica's own.
+    fn targets<'a>(&'a self, option: &'a DeliveryOption) -> &'a [ServerId] {
+        if self.allow_remote {
+            &self.sites
+        } else {
+            std::slice::from_ref(&option.record.object.server)
+        }
+    }
+
+    /// Plans per option: every option has the same number of targets.
+    fn per_option(&self) -> usize {
+        let targets = if self.allow_remote { self.sites.len() } else { 1 };
+        targets * self.ciphers.len()
+    }
+
+    /// The size of the plan space.
+    pub(crate) fn plan_count(&self) -> usize {
+        self.options.len() * self.per_option()
+    }
+
+    /// Visits every candidate with its enumeration index, in enumeration
+    /// order: options outermost, then targets, then ciphers.
+    pub(crate) fn for_each<'a>(&'a self, mut visit: impl FnMut(usize, Candidate<'a>)) {
+        let mut index = 0;
+        for option in &self.options {
+            for &target in self.targets(option) {
+                for cipher in 0..self.ciphers.len() {
+                    visit(index, Candidate { option, target, cipher });
+                    index += 1;
+                }
+            }
+        }
+    }
+
+    /// The candidate at enumeration `index` (< [`plan_count`](Self::plan_count)).
+    pub(crate) fn candidate(&self, index: usize) -> Candidate<'_> {
+        let per_option = self.per_option();
+        let option = &self.options[index / per_option];
+        let within = index % per_option;
+        let ciphers = self.ciphers.len();
+        Candidate {
+            option,
+            target: self.targets(option)[within / ciphers],
+            cipher: within % ciphers,
+        }
+    }
+
+    /// Builds a candidate's plan.
+    pub(crate) fn plan(&self, c: Candidate<'_>) -> Plan {
+        let o = c.option;
+        Plan {
+            object: o.record.clone(),
+            target_server: c.target,
+            drop: o.drop,
+            transcode: o.transcode,
+            cipher: self.ciphers[c.cipher],
+            delivered: o.delivered,
+            delivered_bps: o.delivered_bps,
+            resources: Plan::assemble_resources(
+                &o.record,
+                c.target,
+                o.delivered_bps,
+                o.cpu_shares[c.cipher],
+                o.buffer_bytes,
+            ),
+        }
+    }
+}
+
 /// The Plan Generator.
 #[derive(Debug, Clone)]
 pub struct PlanGenerator {
@@ -99,6 +229,8 @@ impl PlanGenerator {
     /// The buffer-reuse entry point for per-query hot paths: a caller that
     /// plans many queries hands the same `Vec` back in each time and pays
     /// for plan-space allocation only until the high-water mark is reached.
+    /// The plans are the request's delivery options (replica × transcode ×
+    /// drop) fanned out over target sites and then ciphers.
     pub fn generate_into(
         &self,
         engine: &MetadataEngine,
@@ -106,28 +238,46 @@ impl PlanGenerator {
         out: &mut Vec<Plan>,
     ) {
         out.clear();
+        let mut options = DeliveryOptions::default();
+        self.options_into(engine, request, &mut options);
+        out.reserve(options.plan_count());
+        options.for_each(|_, c| out.push(options.plan(c)));
+    }
+
+    /// Enumerates the server-independent half of the plan space for
+    /// `request` into `out` (its buffers are reused): every replica (A1) ×
+    /// transcode (A4) × frame-dropping strategy (A3) that passes the static
+    /// QoS rules, with the target sites (A2) and ciphers (A5) it fans out
+    /// over. This is the generator's one enumeration loop; full plans are
+    /// the fan-out of its options.
+    pub(crate) fn options_into(
+        &self,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+        out: &mut DeliveryOptions,
+    ) {
+        out.options.clear();
+        out.ciphers.clear();
+        out.sites.clear();
+        out.allow_remote = self.cfg.allow_remote;
         let Some(meta) = engine.video(request.video) else { return };
         let gop = &meta.gop;
-        let servers: Vec<ServerId> = engine.sites().collect();
+        out.sites.extend(engine.sites());
 
         // A5: encryption — depends only on the request, so build it once
         // for all replicas.
-        let ciphers: Vec<CipherAlgo> = CipherAlgo::ALL
-            .into_iter()
-            .filter(|c| request.security.accepts(*c))
-            .filter(|c| {
+        out.ciphers.extend(
+            CipherAlgo::ALL.into_iter().filter(|c| request.security.accepts(*c)).filter(|c| {
                 // Performance pitfall: encrypting an open stream is pure
                 // waste.
                 !self.cfg.prune_wasteful
                     || request.security != QopSecurity::Open
                     || !c.is_encrypting()
-            })
-            .collect();
+            }),
+        );
 
-        // A4 scratch buffer, reused across replicas; likewise the
-        // per-cipher CPU shares hoisted out of the target-site fan-out.
+        // A4 scratch buffer, reused across replicas.
         let mut deliveries: Vec<Option<Transcode>> = Vec::new();
-        let mut cpu_shares: Vec<f64> = Vec::new();
 
         for record in engine.replicas(request.video) {
             let spec = record.object.spec;
@@ -161,10 +311,6 @@ impl PlanGenerator {
                 }
             }
 
-            // A2: target sites.
-            let local = [record.object.server];
-            let targets: &[ServerId] = if self.cfg.allow_remote { &servers } else { &local };
-
             // A3: frame dropping.
             let drops: &[DropStrategy] =
                 if self.cfg.allow_drop { &DropStrategy::ALL } else { &[DropStrategy::None] };
@@ -175,9 +321,15 @@ impl PlanGenerator {
                     None => spec,
                 };
                 for &drop in drops {
+                    let effective_fps = drop.effective_fps(base.frame_rate.fps(), gop);
+                    // A delivery must carry frames. A range whose floor is
+                    // 0 fps lets the transcoder aim at 0 fps, which no
+                    // `FrameRate` represents: skip it, so such a request is
+                    // rejected for want of a plan instead of panicking.
+                    let rate = (effective_fps > 0.0).then(|| FrameRate::from_fps(effective_fps));
+                    let Some(rate) = rate.filter(|r| r.millifps() > 0) else { continue };
                     // Static QoS rule: dropping must keep the delivered
                     // frame rate within range.
-                    let effective_fps = drop.effective_fps(base.frame_rate.fps(), gop);
                     if FrameRate::from_fps(effective_fps.max(0.001)) < request.qos.min_frame_rate {
                         continue;
                     }
@@ -192,43 +344,28 @@ impl PlanGenerator {
                         transcode.as_ref(),
                         drop,
                     );
-                    let buffer_bytes = self.cfg.cost.buffer_bytes(delivered_bps);
-                    cpu_shares.clear();
-                    for &cipher in &ciphers {
-                        cpu_shares.push(
-                            self.cfg.cost.session_cpu_share(
-                                stored_rate,
-                                stored_fps,
-                                gop,
-                                transcode.as_ref(),
-                                drop,
-                                cipher,
-                            ) * self.cfg.cost.reservation_headroom,
-                        );
+                    let mut cpu_shares = [0.0; CipherAlgo::ALL.len()];
+                    for (share, &cipher) in cpu_shares.iter_mut().zip(&out.ciphers) {
+                        *share = self.cfg.cost.session_cpu_share(
+                            stored_rate,
+                            stored_fps,
+                            gop,
+                            transcode.as_ref(),
+                            drop,
+                            cipher,
+                        ) * self.cfg.cost.reservation_headroom;
                     }
                     let mut delivered = base;
-                    delivered.frame_rate = FrameRate::from_fps(effective_fps);
-                    for &target_server in targets {
-                        for (&cipher, &cpu_share) in ciphers.iter().zip(&cpu_shares) {
-                            let resources = Plan::assemble_resources(
-                                record,
-                                target_server,
-                                delivered_bps,
-                                cpu_share,
-                                buffer_bytes,
-                            );
-                            out.push(Plan {
-                                object: record.clone(),
-                                target_server,
-                                drop,
-                                transcode: *transcode,
-                                cipher,
-                                delivered,
-                                delivered_bps,
-                                resources,
-                            });
-                        }
-                    }
+                    delivered.frame_rate = rate;
+                    out.options.push(DeliveryOption {
+                        record: record.clone(),
+                        drop,
+                        transcode: *transcode,
+                        delivered,
+                        delivered_bps,
+                        buffer_bytes: self.cfg.cost.buffer_bytes(delivered_bps),
+                        cpu_shares,
+                    });
                 }
             }
         }
@@ -247,9 +384,7 @@ impl PlanGenerator {
 
     /// The single-plan predicate behind [`retain_feasible`](Self::retain_feasible).
     pub fn is_feasible(plan: &Plan, api: &CompositeQosApi) -> bool {
-        plan.resources
-            .iter()
-            .all(|(key, demand)| api.capacity(key).is_some_and(|c| demand <= c + 1e-9))
+        api.project(&plan.resources).fits_capacity
     }
 
     /// The unpruned combinatorial bound `O(d^n)` for a request: replicas ×

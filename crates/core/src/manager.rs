@@ -11,11 +11,11 @@
 //! renegotiated.
 
 use crate::cost::CostModel;
-use crate::generator::{PlanGenerator, PlanRequest};
+use crate::generator::{DeliveryOptions, PlanGenerator, PlanRequest};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, ReservationId};
+use quasaq_qosapi::{CompositeQosApi, Levels, ReservationId};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
 use std::collections::{HashMap, HashSet};
@@ -69,7 +69,8 @@ pub struct PlanningStats {
     pub generated: usize,
     /// Plans surviving the instant feasibility drop.
     pub feasible: usize,
-    /// Admission attempts before success (0 when rejected).
+    /// Reservation attempts: up to and including the success, or every
+    /// feasible plan when admission fails (0 when no plan is feasible).
     pub attempts: usize,
 }
 
@@ -101,6 +102,12 @@ pub struct QualityManager {
     /// every time showed up in profiles. Holds no state between calls
     /// beyond its allocation.
     plan_buf: Vec<Plan>,
+    /// Recycled buffers of the lazy LRB path: the request's delivery
+    /// options, the bucket levels it scores against, and the
+    /// `(score, enumeration index)` of every feasible candidate.
+    options: DeliveryOptions,
+    levels: Levels,
+    scored: Vec<(f64, usize)>,
     /// Memoized enumeration results (`None` = caching off, the default).
     /// Cached and uncached admission are bit-identical — the cache holds
     /// only the pure enumeration output plus a feasibility snapshot, and
@@ -125,6 +132,9 @@ impl QualityManager {
             cost_model,
             last_stats: PlanningStats::default(),
             plan_buf: Vec::new(),
+            options: DeliveryOptions::default(),
+            levels: Levels::default(),
+            scored: Vec::new(),
             plan_cache: None,
             cache_epoch: 0,
         }
@@ -207,6 +217,9 @@ impl QualityManager {
         request: &PlanRequest,
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
+        if self.cost_model.ranks_by_max_fill() {
+            return self.process_lazy(engine, request);
+        }
         // Reuse the plan buffer across queries (field-disjoint borrows keep
         // the generator, buffer, and API usable together).
         self.generator.generate_into(engine, request, &mut self.plan_buf);
@@ -230,6 +243,64 @@ impl QualityManager {
             }
         }
         self.last_stats.attempts = order.len();
+        Err(Rejection::AdmissionFailed)
+    }
+
+    /// Uncached admission for a model that ranks by LRB cost alone, without
+    /// building the plan space. Every candidate (delivery option × target
+    /// × cipher) is scored in place against one snapshot of the bucket
+    /// levels, with the arithmetic of
+    /// [`PlanGenerator::retain_feasible`] and
+    /// [`CompositeQosApi::max_fill_with`]. The minimum by `(score,
+    /// enumeration index)` — the full path's first plan in rank order —
+    /// is built and reserved. Only when that fails are the rest sorted and
+    /// walked, each checked against the snapshot (a failed reservation
+    /// changes nothing) before its plan is built. Decisions and
+    /// [`PlanningStats`] equal the full pipeline's.
+    fn process_lazy(
+        &mut self,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+    ) -> Result<AdmittedPlan, Rejection> {
+        self.generator.options_into(engine, request, &mut self.options);
+        let generated = self.options.plan_count();
+        self.last_stats = PlanningStats { generated, feasible: 0, attempts: 0 };
+        if generated == 0 {
+            return Err(Rejection::NoFeasiblePlan);
+        }
+        self.api.levels_into(&mut self.levels);
+        let (levels, scored) = (&self.levels, &mut self.scored);
+        scored.clear();
+        self.options.for_each(|index, c| {
+            let projection = levels.project(&c.demand());
+            if projection.fits_capacity {
+                scored.push((projection.max_fill, index));
+            }
+        });
+        self.last_stats.feasible = scored.len();
+        let by_rank = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let Some(best) = scored.iter().copied().min_by(by_rank) else {
+            return Err(Rejection::NoFeasiblePlan);
+        };
+        self.last_stats.attempts = 1;
+        let plan = self.options.plan(self.options.candidate(best.1));
+        if let Ok(reservation) = self.api.reserve(&plan.resources) {
+            return Ok(AdmittedPlan { plan, reservation });
+        }
+        scored.sort_unstable_by(by_rank);
+        // `scored[0]` is `best`, already attempted.
+        for (attempt, &(_, index)) in scored.iter().enumerate().skip(1) {
+            let c = self.options.candidate(index);
+            if !self.levels.admits(&c.demand()) {
+                continue;
+            }
+            let plan = self.options.plan(c);
+            if let Ok(reservation) = self.api.reserve(&plan.resources) {
+                self.last_stats.attempts = attempt + 1;
+                return Ok(AdmittedPlan { plan, reservation });
+            }
+        }
+        self.last_stats.attempts = scored.len();
         Err(Rejection::AdmissionFailed)
     }
 

@@ -110,21 +110,39 @@ impl Plan {
         cpu_share: f64,
         buffer_bytes: f64,
     ) -> ResourceVector {
+        ResourceVector::from_distinct(&Plan::demand_entries(
+            object,
+            target_server,
+            delivered_bps,
+            cpu_share,
+            buffer_bytes,
+        ))
+    }
+
+    /// The entries of [`assemble_resources`](Self::assemble_resources)'s
+    /// vector, unsorted and without building it. The keys are distinct; a
+    /// local plan's transfer entry is zero, which the vector drops.
+    pub(crate) fn demand_entries(
+        object: &ObjectRecord,
+        target_server: ServerId,
+        delivered_bps: f64,
+        cpu_share: f64,
+        buffer_bytes: f64,
+    ) -> [(ResourceKey, f64); 5] {
         let stored_rate = object.object.rate_bps as f64;
-        let mut v = ResourceVector::with_capacity(5);
         let source = object.object.server;
-        // The source site reads the replica from disk.
-        v.add(ResourceKey::new(source, ResourceKind::DiskBandwidth), stored_rate);
-        if source != target_server {
-            // Inter-server transfer consumes the source's outbound link at
-            // the stored rate; the target receives and re-serves.
-            v.add(ResourceKey::new(source, ResourceKind::NetBandwidth), stored_rate);
-        }
-        // The target site runs the pipeline and streams to the client.
-        v.add(ResourceKey::new(target_server, ResourceKind::Cpu), cpu_share.min(1.0));
-        v.add(ResourceKey::new(target_server, ResourceKind::NetBandwidth), delivered_bps);
-        v.add(ResourceKey::new(target_server, ResourceKind::Memory), buffer_bytes);
-        v
+        // Inter-server transfer consumes the source's outbound link at the
+        // stored rate; the target receives and re-serves.
+        let transfer = if source != target_server { stored_rate } else { 0.0 };
+        [
+            // The source site reads the replica from disk.
+            (ResourceKey::new(source, ResourceKind::DiskBandwidth), stored_rate),
+            (ResourceKey::new(source, ResourceKind::NetBandwidth), transfer),
+            // The target site runs the pipeline and streams to the client.
+            (ResourceKey::new(target_server, ResourceKind::Cpu), cpu_share.min(1.0)),
+            (ResourceKey::new(target_server, ResourceKind::NetBandwidth), delivered_bps),
+            (ResourceKey::new(target_server, ResourceKind::Memory), buffer_bytes),
+        ]
     }
 }
 

@@ -14,7 +14,7 @@
 //! bucket iteration stays in global `(server, kind)` order, so the
 //! sharded layout is observationally identical to a flat bucket map.
 
-use crate::manager::{BucketFull, LeaseId, ResourceManager};
+use crate::manager::{BucketFull, BucketLevel, LeaseId, Projection, ResourceManager};
 use crate::resource::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 
@@ -220,6 +220,24 @@ impl CompositeQosApi {
         self.manager(key).map(|m| m.used())
     }
 
+    /// A bucket's usage and capacity (`None` when unmanaged).
+    fn level(&self, key: ResourceKey) -> Option<BucketLevel> {
+        self.manager(key).map(ResourceManager::level)
+    }
+
+    /// Snapshots every bucket's usage and capacity into `out` (its
+    /// allocation is reused). Until the next reserve, release or
+    /// structural change, the snapshot projects and admits demands exactly
+    /// as the live API does.
+    pub fn levels_into(&self, out: &mut Levels) {
+        out.by_server.clear();
+        out.by_server.extend(
+            self.domains
+                .iter()
+                .map(|d| d.managers.each_ref().map(|m| m.as_ref().map(|m| m.level()))),
+        );
+    }
+
     /// Number of outstanding composite reservations. O(1): counted, not
     /// scanned.
     pub fn reservation_count(&self) -> usize {
@@ -245,14 +263,13 @@ impl CompositeQosApi {
     /// were admitted, `max_i (U_i + r_i) / R_i`. Values above 1.0 mean the
     /// demand does not fit. Unknown buckets project to infinity.
     pub fn max_fill_with(&self, demand: &ResourceVector) -> f64 {
-        let mut max = 0.0f64;
-        for (key, amount) in demand.iter() {
-            match self.manager(key) {
-                Some(m) => max = max.max(m.fill_with(amount)),
-                None => return f64::INFINITY,
-            }
-        }
-        max
+        self.project(demand).max_fill
+    }
+
+    /// `demand`'s [`Projection`] onto the live buckets: its LRB cost and
+    /// whether it fits every bucket's total capacity.
+    pub fn project(&self, demand: &ResourceVector) -> Projection {
+        demand.iter().fold(Projection::EMPTY, |p, (key, amount)| p.with(self.level(key), amount))
     }
 
     /// Reserves `demand` atomically.
@@ -402,6 +419,37 @@ impl CompositeQosApi {
                 Err(e)
             }
         }
+    }
+}
+
+/// Every bucket's usage and capacity at one instant, laid out like the API's
+/// domains, from [`CompositeQosApi::levels_into`].
+#[derive(Debug, Clone, Default)]
+pub struct Levels {
+    by_server: Vec<[Option<BucketLevel>; ResourceKind::ALL.len()]>,
+}
+
+impl Levels {
+    /// A bucket's level at the snapshot (`None` when unmanaged).
+    #[inline]
+    fn level(&self, key: ResourceKey) -> Option<BucketLevel> {
+        self.by_server.get(key.server.0 as usize)?[key.kind as usize]
+    }
+
+    /// Folds `entries` into a [`Projection`], exactly as
+    /// [`CompositeQosApi::project`] folds a vector holding the same
+    /// non-zero entries.
+    pub fn project(&self, entries: &[(ResourceKey, f64)]) -> Projection {
+        entries.iter().fold(Projection::EMPTY, |p, &(key, amount)| p.with(self.level(key), amount))
+    }
+
+    /// Whether a reservation of `entries` would be admitted at the
+    /// snapshot — [`CompositeQosApi::admits`] on a vector holding the same
+    /// non-zero entries.
+    pub fn admits(&self, entries: &[(ResourceKey, f64)]) -> bool {
+        entries.iter().all(|&(key, amount)| {
+            amount == 0.0 || self.level(key).is_some_and(|l| l.can_reserve(amount))
+        })
     }
 }
 

@@ -19,6 +19,6 @@ pub mod composite;
 pub mod manager;
 pub mod resource;
 
-pub use composite::{AdmissionError, CompositeQosApi, ReservationId};
-pub use manager::{BucketFull, LeaseId, ResourceManager};
+pub use composite::{AdmissionError, CompositeQosApi, Levels, ReservationId};
+pub use manager::{BucketFull, LeaseId, Projection, ResourceManager};
 pub use resource::{ResourceKey, ResourceKind, ResourceVector};

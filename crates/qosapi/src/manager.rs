@@ -36,6 +36,85 @@ impl std::fmt::Display for BucketFull {
 
 impl std::error::Error for BucketFull {}
 
+/// Slack allowed on capacity comparisons, absorbing the rounding of summed
+/// reservations.
+const CAPACITY_TOLERANCE: f64 = 1e-9;
+
+/// One bucket's usage and capacity at an instant: all that the LRB
+/// projection, the capacity cut and the admission test read. A
+/// [`ResourceManager`] answers those questions through its level, so an
+/// admission that scores many demands against one unchanged state can
+/// snapshot the levels once and get bit-identical answers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BucketLevel {
+    used: f64,
+    capacity: f64,
+}
+
+impl BucketLevel {
+    /// Fill level if `amount` more were reserved (may exceed 1.0, which
+    /// admission rejects).
+    fn fill_with(self, amount: f64) -> f64 {
+        (self.used + amount) / self.capacity
+    }
+
+    /// Amount still reservable.
+    fn available(self) -> f64 {
+        (self.capacity - self.used).max(0.0)
+    }
+
+    /// Whether `amount` can be reserved now. Malformed demands (negative,
+    /// NaN, infinite) never can.
+    pub(crate) fn can_reserve(self, amount: f64) -> bool {
+        amount >= 0.0 && amount.is_finite() && amount <= self.available() + CAPACITY_TOLERANCE
+    }
+
+    /// Whether `amount` fits the bucket's total capacity, whatever the
+    /// usage — the plan generator's instant feasibility cut.
+    fn within_capacity(self, amount: f64) -> bool {
+        amount <= self.capacity + CAPACITY_TOLERANCE
+    }
+}
+
+/// A demand's projection onto the buckets: the LRB cost of Eq. (1),
+/// `max_i (U_i + r_i) / R_i`, and whether every entry fits its bucket's
+/// total capacity. Built by folding in the demand's entries one by one,
+/// the same fold whether the levels are live
+/// ([`CompositeQosApi::project`](crate::CompositeQosApi::project), behind
+/// `max_fill_with`) or a snapshot scoring demands that were never built
+/// ([`Levels::project`](crate::Levels::project)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Projection {
+    /// The largest projected bucket fill (infinite when a bucket is
+    /// missing).
+    pub max_fill: f64,
+    /// Every entry fits its bucket's capacity (false when a bucket is
+    /// missing).
+    pub fits_capacity: bool,
+}
+
+impl Projection {
+    /// The projection of the empty demand.
+    pub(crate) const EMPTY: Projection = Projection { max_fill: 0.0, fits_capacity: true };
+
+    /// Folds in one demand entry against its bucket's level (`None` when
+    /// the bucket is unmanaged). A zero amount changes nothing, just as a
+    /// [`ResourceVector`](crate::ResourceVector) never holds one.
+    #[inline]
+    pub(crate) fn with(self, level: Option<BucketLevel>, amount: f64) -> Projection {
+        if amount == 0.0 {
+            return self;
+        }
+        match level {
+            Some(l) => Projection {
+                max_fill: self.max_fill.max(l.fill_with(amount)),
+                fits_capacity: self.fits_capacity && l.within_capacity(amount),
+            },
+            None => Projection { max_fill: f64::INFINITY, fits_capacity: false },
+        }
+    }
+}
+
 /// Tracks capacity and reservations for one resource bucket.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
@@ -68,9 +147,14 @@ impl ResourceManager {
         self.used
     }
 
+    /// Usage and capacity as one copyable value.
+    pub(crate) fn level(&self) -> BucketLevel {
+        BucketLevel { used: self.used, capacity: self.capacity }
+    }
+
     /// Amount still reservable.
     pub fn available(&self) -> f64 {
-        (self.capacity - self.used).max(0.0)
+        self.level().available()
     }
 
     /// Fraction of capacity in use — the bucket's fill level in the LRB
@@ -82,7 +166,7 @@ impl ResourceManager {
     /// Fill level if `amount` more were reserved (may exceed 1.0, which
     /// admission rejects).
     pub fn fill_with(&self, amount: f64) -> f64 {
-        (self.used + amount) / self.capacity
+        self.level().fill_with(amount)
     }
 
     /// Number of outstanding leases.
@@ -95,7 +179,7 @@ impl ResourceManager {
     /// from plan resource vectors, so garbage must bounce as a rejection
     /// rather than corrupt `used`.
     pub fn can_reserve(&self, amount: f64) -> bool {
-        amount >= 0.0 && amount.is_finite() && amount <= self.available() + 1e-9
+        self.level().can_reserve(amount)
     }
 
     /// Reserves `amount`, returning a lease. Malformed (negative/non-finite)

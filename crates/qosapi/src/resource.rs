@@ -122,6 +122,22 @@ impl ResourceVector {
         self
     }
 
+    /// Builds a vector from entries whose keys are all distinct, dropping
+    /// zero amounts: the same vector as `add`ing them one by one, built
+    /// with one sort instead of an insertion per entry.
+    pub fn from_distinct(entries: &[(ResourceKey, f64)]) -> Self {
+        let mut v = ResourceVector::with_capacity(entries.len());
+        for &(key, amount) in entries {
+            assert!(amount >= 0.0 && amount.is_finite(), "resource amounts must be non-negative");
+            if amount > 0.0 {
+                v.entries.push((key, amount));
+            }
+        }
+        v.entries.sort_unstable_by_key(|&(k, _)| k);
+        assert!(v.entries.windows(2).all(|w| w[0].0 != w[1].0), "duplicate resource keys");
+        v
+    }
+
     /// Builder-style `set`.
     pub fn with(mut self, key: ResourceKey, amount: f64) -> Self {
         self.set(key, amount);
@@ -221,6 +237,30 @@ mod tests {
         assert!(v.is_empty());
         v.add(key(0, ResourceKind::Memory), 0.0);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn from_distinct_matches_adding_one_by_one() {
+        let entries = [
+            (key(2, ResourceKind::DiskBandwidth), 7.0),
+            (key(2, ResourceKind::NetBandwidth), 0.0),
+            (key(0, ResourceKind::Cpu), 0.25),
+            (key(0, ResourceKind::NetBandwidth), 3.5),
+            (key(1, ResourceKind::Memory), 9.0),
+        ];
+        let mut added = ResourceVector::new();
+        for &(k, amount) in &entries {
+            added.add(k, amount);
+        }
+        assert_eq!(ResourceVector::from_distinct(&entries), added);
+        assert_eq!(added.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate resource keys")]
+    fn from_distinct_refuses_duplicate_keys() {
+        let k = key(0, ResourceKind::Cpu);
+        ResourceVector::from_distinct(&[(k, 0.1), (k, 0.2)]);
     }
 
     #[test]

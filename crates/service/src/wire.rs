@@ -472,8 +472,8 @@ fn take_query(c: &mut Cursor<'_>) -> Result<QueuedQuery, WireError> {
         return Err(WireError::Malformed("color depth"));
     }
     let min_color = ColorDepth::from_bits(bits);
-    let min_frame_rate = FrameRate::from_millifps(c.u32()?);
-    let max_frame_rate = FrameRate::from_millifps(c.u32()?);
+    let min_frame_rate = take_frame_rate(c)?;
+    let max_frame_rate = take_frame_rate(c)?;
     let formats = match c.u8()? {
         0xff => None,
         n => {
@@ -499,6 +499,15 @@ fn take_query(c: &mut Cursor<'_>) -> Result<QueuedQuery, WireError> {
             formats,
         },
     })
+}
+
+/// A frame rate in milli-fps; zero is malformed, since a stream at 0 fps
+/// carries no frames and the planner cannot represent one.
+fn take_frame_rate(c: &mut Cursor<'_>) -> Result<FrameRate, WireError> {
+    match c.u32()? {
+        0 => Err(WireError::Malformed("frame rate")),
+        millifps => Ok(FrameRate::from_millifps(millifps)),
+    }
 }
 
 fn take_resolution(c: &mut Cursor<'_>) -> Result<Resolution, WireError> {

@@ -159,6 +159,28 @@ fn every_truncated_prefix_is_an_error_or_a_value() {
     assert!(decode_effects(&effects_frame()[4..]).is_ok());
 }
 
+/// An admit whose frame-rate range has a zero bound is refused at decode:
+/// 0 fps is no stream, and the planner cannot represent it. Before the
+/// decoder checked, such a frame reached the control plane and panicked
+/// plan generation.
+#[test]
+fn zero_frame_rates_are_malformed() {
+    for (min, max) in [(0, 30_000), (0, 0), (5_000, 0)] {
+        let mut q = query();
+        q.qos.min_frame_rate = FrameRate::from_millifps(min);
+        q.qos.max_frame_rate = FrameRate::from_millifps(max);
+        let mut frame = Vec::new();
+        let admit =
+            Request::Admit { query: q, class: QopClass::Economy, now: SimTime::from_micros(5) };
+        encode_request(&admit, &mut frame);
+        assert_eq!(
+            decode_request(&frame[4..]),
+            Err(WireError::Malformed("frame rate")),
+            "{min}..{max} milli-fps"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
