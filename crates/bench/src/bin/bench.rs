@@ -587,8 +587,36 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
     println!("wrote service section into {path}");
 }
 
+/// The command line, printed with any argument error.
+const USAGE: &str = "usage: bench [--quick] [--smoke] [--gallery] [--scenario <file>] \
+                     [--load [--quick]] [--serve [--addr A] [--threads N] [--seed S]]";
+
+/// Exits with status 2 and the usage line unless every argument is a
+/// known flag and every flag that takes a value has one, so a typo never
+/// falls through to the full suite (which rewrites the artifact).
+fn check_args(args: &[String]) {
+    const SWITCHES: [&str; 5] = ["--quick", "--smoke", "--gallery", "--load", "--serve"];
+    const VALUED: [&str; 4] = ["--scenario", "--addr", "--threads", "--seed"];
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let error = if SWITCHES.contains(&arg.as_str()) {
+            continue;
+        } else if VALUED.contains(&arg.as_str()) {
+            match rest.next() {
+                Some(_) => continue,
+                None => format!("{arg} takes a value"),
+            }
+        } else {
+            format!("unknown argument {arg}")
+        };
+        eprintln!("bench: {error}\n{USAGE}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -600,8 +628,7 @@ fn main() {
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        let file = args.get(i + 1).expect("--scenario takes a TOML file path");
-        run_scenario_mode(file);
+        run_scenario_mode(&args[i + 1]);
         return;
     }
     if args.iter().any(|a| a == "--gallery") {

@@ -108,20 +108,6 @@ impl<G: Gain> CostModel for EfficiencyModel<G> {
         idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
         idx
     }
-
-    fn rank_subset(
-        &self,
-        plans: &[Plan],
-        subset: &[usize],
-        api: &CompositeQosApi,
-        _rng: &mut Rng,
-    ) -> Vec<usize> {
-        let scores: Vec<f64> = subset.iter().map(|&i| self.efficiency(&plans[i], api)).collect();
-        let mut idx: Vec<usize> = (0..subset.len()).collect();
-        // Descending, ties by subset position — matching the compacted list.
-        idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        idx.into_iter().map(|j| subset[j]).collect()
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! of all the buckets distribute evenly … we should prevent any single
 //! bucket from growing faster than the others."
 
-use super::{rank_by_score, rank_subset_by_score, CostModel};
+use super::{rank_by_score, CostModel};
 use crate::plan::Plan;
 use quasaq_qosapi::CompositeQosApi;
 use quasaq_sim::Rng;
@@ -38,17 +38,6 @@ impl CostModel for LrbModel {
 
     fn ranks_by_max_fill(&self) -> bool {
         true
-    }
-
-    fn rank_subset(
-        &self,
-        plans: &[Plan],
-        subset: &[usize],
-        api: &CompositeQosApi,
-        _rng: &mut Rng,
-    ) -> Vec<usize> {
-        let scores: Vec<f64> = subset.iter().map(|&i| self.cost(&plans[i], api)).collect();
-        rank_subset_by_score(subset, &scores)
     }
 }
 

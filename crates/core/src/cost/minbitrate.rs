@@ -4,7 +4,7 @@
 //! "static cost estimate" strawman the paper argues against, included for
 //! the cost-model ablation.
 
-use super::{rank_by_score, rank_subset_by_score, CostModel};
+use super::{rank_by_score, CostModel};
 use crate::plan::Plan;
 use quasaq_qosapi::CompositeQosApi;
 use quasaq_sim::Rng;
@@ -21,17 +21,6 @@ impl CostModel for MinBitrateModel {
     fn rank(&self, plans: &[Plan], _api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
         let scores: Vec<f64> = plans.iter().map(|p| p.delivered_bps).collect();
         rank_by_score(&scores)
-    }
-
-    fn rank_subset(
-        &self,
-        plans: &[Plan],
-        subset: &[usize],
-        _api: &CompositeQosApi,
-        _rng: &mut Rng,
-    ) -> Vec<usize> {
-        let scores: Vec<f64> = subset.iter().map(|&i| plans[i].delivered_bps).collect();
-        rank_subset_by_score(subset, &scores)
     }
 }
 

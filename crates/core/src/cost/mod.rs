@@ -52,27 +52,6 @@ pub trait CostModel: Send {
     fn ranks_by_max_fill(&self) -> bool {
         false
     }
-
-    /// Ranks only the plans named by `subset` (indices into `plans`, in
-    /// subset order), returning those same indices most-preferred first.
-    ///
-    /// Contract — this is what makes cached admission bit-identical to
-    /// uncached: the result, and every RNG draw made along the way, must
-    /// equal `rank` run on the compacted list `subset.map(|i| plans[i])`
-    /// with each returned position mapped back through `subset`. Positional
-    /// tie-breaks therefore break ties by *subset position*, exactly as the
-    /// compacted list would. The default implementation does literally
-    /// that (clone + delegate); models override it to skip the clone.
-    fn rank_subset(
-        &self,
-        plans: &[Plan],
-        subset: &[usize],
-        api: &CompositeQosApi,
-        rng: &mut Rng,
-    ) -> Vec<usize> {
-        let compact: Vec<Plan> = subset.iter().map(|&i| plans[i].clone()).collect();
-        self.rank(&compact, api, rng).into_iter().map(|j| subset[j]).collect()
-    }
 }
 
 /// Ranks indices ascending by a score (stable on ties), a helper shared
@@ -81,14 +60,6 @@ pub(crate) fn rank_by_score(scores: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
     idx
-}
-
-/// Subset flavor of [`rank_by_score`]: `scores[j]` scores plan
-/// `subset[j]`; ties break by subset position, matching what ranking the
-/// compacted plan list would produce.
-pub(crate) fn rank_subset_by_score(subset: &[usize], scores: &[f64]) -> Vec<usize> {
-    debug_assert_eq!(subset.len(), scores.len());
-    rank_by_score(scores).into_iter().map(|j| subset[j]).collect()
 }
 
 #[cfg(test)]
@@ -154,46 +125,5 @@ mod tests {
     fn rank_by_score_is_stable_ascending() {
         let order = rank_by_score(&[3.0, 1.0, 2.0, 1.0]);
         assert_eq!(order, vec![1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn rank_subset_matches_compacted_rank_for_every_model() {
-        use super::testutil::plan_on;
-        use crate::qop::QosWeights;
-        use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
-        use quasaq_sim::{Rng, ServerId};
-
-        let mut api =
-            CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20e6, 512e6);
-        // Uneven load so state-aware models have real preferences.
-        api.reserve(
-            &ResourceVector::new()
-                .with(ResourceKey::new(ServerId(1), ResourceKind::NetBandwidth), 2_000_000.0),
-        )
-        .unwrap();
-        let plans: Vec<Plan> =
-            (0..9).map(|i| plan_on(i % 3, 7_000 + 40_000 * (i as u64 % 4))).collect();
-        let models: Vec<Box<dyn CostModel>> = vec![
-            Box::new(LrbModel),
-            Box::new(RandomModel),
-            Box::new(MinBitrateModel),
-            Box::new(WeightedSumModel::default()),
-            Box::new(EfficiencyModel::new(ThroughputGain)),
-            Box::new(EfficiencyModel::new(UtilityGain { weights: QosWeights::default() })),
-        ];
-        for subset in [vec![0, 2, 4, 5, 8], vec![3], vec![], (0..plans.len()).collect()] {
-            let compact: Vec<Plan> = subset.iter().map(|&i| plans[i].clone()).collect();
-            for model in &models {
-                // Identical seeds: the subset path must draw the same
-                // stream as ranking the compacted list.
-                let mut rng_a = Rng::new(42);
-                let mut rng_b = Rng::new(42);
-                let via_subset = model.rank_subset(&plans, &subset, &api, &mut rng_a);
-                let via_compact: Vec<usize> =
-                    model.rank(&compact, &api, &mut rng_b).into_iter().map(|j| subset[j]).collect();
-                assert_eq!(via_subset, via_compact, "model {}", model.name());
-                assert_eq!(rng_a.below(1 << 30), rng_b.below(1 << 30), "RNG streams diverged");
-            }
-        }
     }
 }

@@ -25,20 +25,6 @@ impl CostModel for RandomModel {
         rng.shuffle(&mut idx);
         idx
     }
-
-    fn rank_subset(
-        &self,
-        _plans: &[Plan],
-        subset: &[usize],
-        _api: &CompositeQosApi,
-        rng: &mut Rng,
-    ) -> Vec<usize> {
-        // Shuffling subset *positions* draws exactly what shuffling the
-        // compacted list would — same length, same RNG stream.
-        let mut idx: Vec<usize> = (0..subset.len()).collect();
-        rng.shuffle(&mut idx);
-        idx.into_iter().map(|j| subset[j]).collect()
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! LRB isolates the value of the max-bucket ("prevent any single bucket
 //! from growing faster than the others") formulation.
 
-use super::{rank_by_score, rank_subset_by_score, CostModel};
+use super::{rank_by_score, CostModel};
 use crate::plan::Plan;
 use quasaq_qosapi::{CompositeQosApi, ResourceKind};
 use quasaq_sim::Rng;
@@ -62,17 +62,6 @@ impl CostModel for WeightedSumModel {
     fn rank(&self, plans: &[Plan], api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
         let scores: Vec<f64> = plans.iter().map(|p| self.cost(p, api)).collect();
         rank_by_score(&scores)
-    }
-
-    fn rank_subset(
-        &self,
-        plans: &[Plan],
-        subset: &[usize],
-        api: &CompositeQosApi,
-        _rng: &mut Rng,
-    ) -> Vec<usize> {
-        let scores: Vec<f64> = subset.iter().map(|&i| self.cost(&plans[i], api)).collect();
-        rank_subset_by_score(subset, &scores)
     }
 }
 

@@ -178,6 +178,14 @@ impl DeliveryOptions {
         }
     }
 
+    /// Fans every option out into its plans, in enumeration order, into
+    /// `out` (cleared first).
+    pub(crate) fn plans_into(&self, out: &mut Vec<Plan>) {
+        out.clear();
+        out.reserve(self.plan_count());
+        self.for_each(|_, c| out.push(self.plan(c)));
+    }
+
     /// Builds a candidate's plan.
     pub(crate) fn plan(&self, c: Candidate<'_>) -> Plan {
         let o = c.option;
@@ -237,11 +245,9 @@ impl PlanGenerator {
         request: &PlanRequest,
         out: &mut Vec<Plan>,
     ) {
-        out.clear();
         let mut options = DeliveryOptions::default();
         self.options_into(engine, request, &mut options);
-        out.reserve(options.plan_count());
-        options.for_each(|_, c| out.push(options.plan(c)));
+        options.plans_into(out);
     }
 
     /// Enumerates the server-independent half of the plan space for
@@ -375,16 +381,11 @@ impl PlanGenerator {
     /// *total* capacity — "some of the plans can be immediately dropped
     /// by the Plan Generator if their costs are intolerably high". In
     /// place, so the plan buffer's allocation stays alive for reuse
-    /// across queries. The cut depends only on bucket *capacities* (never
-    /// current usage), which is what lets plan caches snapshot its result
-    /// per structural [state epoch](CompositeQosApi::state_epoch).
+    /// across queries. The cut reads the live bucket *capacities* (never
+    /// current usage), so it runs on every admission: a re-rated link
+    /// changes it at once.
     pub fn retain_feasible(&self, plans: &mut Vec<Plan>, api: &CompositeQosApi) {
-        plans.retain(|p| Self::is_feasible(p, api));
-    }
-
-    /// The single-plan predicate behind [`retain_feasible`](Self::retain_feasible).
-    pub fn is_feasible(plan: &Plan, api: &CompositeQosApi) -> bool {
-        api.project(&plan.resources).fits_capacity
+        plans.retain(|p| api.project(&p.resources).fits_capacity);
     }
 
     /// The unpruned combinatorial bound `O(d^n)` for a request: replicas ×

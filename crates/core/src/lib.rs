@@ -29,7 +29,7 @@ pub mod executor;
 pub mod generator;
 pub mod manager;
 pub mod plan;
-pub mod plancache;
+mod plancache;
 pub mod qop;
 
 pub use cost::{
@@ -40,7 +40,7 @@ pub use executor::PlanExecutor;
 pub use generator::{satisfies_ordered_disjoint_sets, GeneratorConfig, PlanGenerator, PlanRequest};
 pub use manager::{AdmittedPlan, PlanningStats, QualityManager, Rejection, SecondChance};
 pub use plan::Plan;
-pub use plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
+pub use plancache::PlanCacheStats;
 pub use qop::{
     QopColor, QopMotion, QopRequest, QopResolution, QopSecurity, QosWeights, UserProfile,
 };

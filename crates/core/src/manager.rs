@@ -18,7 +18,7 @@ use crate::qop::UserProfile;
 use quasaq_qosapi::{CompositeQosApi, Levels, ReservationId};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A plan that passed admission and holds its reservation.
@@ -102,20 +102,18 @@ pub struct QualityManager {
     /// every time showed up in profiles. Holds no state between calls
     /// beyond its allocation.
     plan_buf: Vec<Plan>,
-    /// Recycled buffers of the lazy LRB path: the request's delivery
-    /// options, the bucket levels it scores against, and the
-    /// `(score, enumeration index)` of every feasible candidate.
+    /// Recycled buffers: the request's delivery options (when the plan
+    /// cache does not supply them), and for the lazy LRB path the bucket
+    /// levels it scores against and the `(score, enumeration index)` of
+    /// every feasible candidate.
     options: DeliveryOptions,
     levels: Levels,
     scored: Vec<(f64, usize)>,
-    /// Memoized enumeration results (`None` = caching off, the default).
-    /// Cached and uncached admission are bit-identical — the cache holds
-    /// only the pure enumeration output plus a feasibility snapshot, and
-    /// ranking/reservation always run live.
+    /// Memoized delivery options (`None` = caching off, the default).
+    /// Only enumeration is memoized — feasibility, ranking and reservation
+    /// run live on every admission — so cached and uncached admission are
+    /// bit-identical.
     plan_cache: Option<PlanCache>,
-    /// Manager-side cache epoch: part of every [`PlanCacheKey`], bumped by
-    /// renegotiation and [`invalidate_plan_cache`](Self::invalidate_plan_cache).
-    cache_epoch: u64,
 }
 
 impl QualityManager {
@@ -136,7 +134,6 @@ impl QualityManager {
             levels: Levels::default(),
             scored: Vec::new(),
             plan_cache: None,
-            cache_epoch: 0,
         }
     }
 
@@ -157,24 +154,13 @@ impl QualityManager {
         self.plan_cache.as_ref().map(PlanCache::stats)
     }
 
-    /// Explicit invalidation hook: drops every cached entry and bumps the
-    /// manager-side epoch so in-flight keys stop matching. Call after
-    /// mutating planning inputs behind the manager's back (e.g. editing
-    /// the metadata engine without a server failure/restore hook).
+    /// Explicit invalidation hook: drops every cached entry. Call after
+    /// editing the metadata engine behind the manager's back (anything
+    /// but a server failure or restart, which invalidate on their own) —
+    /// the engine is the only planning input the cache memoizes.
     pub fn invalidate_plan_cache(&mut self) {
-        self.cache_epoch += 1;
         if let Some(cache) = &mut self.plan_cache {
             cache.invalidate_all();
-        }
-    }
-
-    fn cache_key(&self, request: &PlanRequest) -> PlanCacheKey {
-        PlanCacheKey {
-            video: request.video,
-            qos: request.qos.clone(),
-            security: request.security,
-            api_epoch: self.api.state_epoch(),
-            mgr_epoch: self.cache_epoch,
         }
     }
 
@@ -194,35 +180,72 @@ impl QualityManager {
         self.last_stats
     }
 
-    /// Generates, ranks, and admits a plan for `request`.
+    /// Generates, ranks, and admits a plan for `request`: the request's
+    /// delivery options come from the plan cache or a fresh enumeration,
+    /// and the rest of the pipeline is the same either way.
     pub fn process(
         &mut self,
         engine: &MetadataEngine,
         request: &PlanRequest,
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
-        if self.plan_cache.is_some() {
-            return self.process_cached(engine, request, rng);
+        if let Some(options) = self.cached_options(engine, request) {
+            return self.admit(&options, rng);
         }
-        self.process_uncached(engine, request, rng)
+        let mut options = std::mem::take(&mut self.options);
+        self.generator.options_into(engine, request, &mut options);
+        let outcome = self.admit(&options, rng);
+        self.options = options;
+        outcome
     }
 
-    /// The plain (uncached) admission pipeline. Also serves as the
-    /// doorkeeper's bypass lane when caching is on: a first-touch miss
-    /// runs here so one-hit-wonder keys cost exactly what caching-off
-    /// costs — no entry allocation, no eviction pressure.
-    fn process_uncached(
+    /// The plan cache's delivery options for `request`: a hit, or a fresh
+    /// enumeration stored because the doorkeeper admits the key on its
+    /// second miss. `None` when caching is off or on a key's first miss —
+    /// one-hit wonders (the Zipf tail) enumerate into the recycled buffer
+    /// and cost exactly what caching-off costs.
+    fn cached_options(
         &mut self,
         engine: &MetadataEngine,
         request: &PlanRequest,
+    ) -> Option<Arc<DeliveryOptions>> {
+        let cache = self.plan_cache.as_mut()?;
+        let key = PlanCacheKey::of(request);
+        if let Some(options) = cache.lookup(&key) {
+            return Some(options);
+        }
+        if !cache.should_store(&key) {
+            return None;
+        }
+        let options = Self::enumerate(&self.generator, engine, request);
+        cache.insert(key, Arc::clone(&options));
+        Some(options)
+    }
+
+    /// A fresh enumeration of `request`'s options, for a cache entry.
+    fn enumerate(
+        generator: &PlanGenerator,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+    ) -> Arc<DeliveryOptions> {
+        let mut options = DeliveryOptions::default();
+        generator.options_into(engine, request, &mut options);
+        Arc::new(options)
+    }
+
+    /// Admits a plan from `options` against the live resource state. A
+    /// model that ranks by LRB cost alone takes the lazy path; every other
+    /// model fans the options out into plans, cuts the infeasible ones,
+    /// ranks the rest, and walks that order through admission control.
+    fn admit(
+        &mut self,
+        options: &DeliveryOptions,
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
         if self.cost_model.ranks_by_max_fill() {
-            return self.process_lazy(engine, request);
+            return self.admit_lazy(options);
         }
-        // Reuse the plan buffer across queries (field-disjoint borrows keep
-        // the generator, buffer, and API usable together).
-        self.generator.generate_into(engine, request, &mut self.plan_buf);
+        options.plans_into(&mut self.plan_buf);
         self.last_stats.generated = self.plan_buf.len();
         if self.plan_buf.is_empty() {
             self.last_stats.feasible = 0;
@@ -246,7 +269,7 @@ impl QualityManager {
         Err(Rejection::AdmissionFailed)
     }
 
-    /// Uncached admission for a model that ranks by LRB cost alone, without
+    /// Admission for a model that ranks by LRB cost alone, without
     /// building the plan space. Every candidate (delivery option × target
     /// × cipher) is scored in place against one snapshot of the bucket
     /// levels, with the arithmetic of
@@ -257,13 +280,8 @@ impl QualityManager {
     /// walked, each checked against the snapshot (a failed reservation
     /// changes nothing) before its plan is built. Decisions and
     /// [`PlanningStats`] equal the full pipeline's.
-    fn process_lazy(
-        &mut self,
-        engine: &MetadataEngine,
-        request: &PlanRequest,
-    ) -> Result<AdmittedPlan, Rejection> {
-        self.generator.options_into(engine, request, &mut self.options);
-        let generated = self.options.plan_count();
+    fn admit_lazy(&mut self, options: &DeliveryOptions) -> Result<AdmittedPlan, Rejection> {
+        let generated = options.plan_count();
         self.last_stats = PlanningStats { generated, feasible: 0, attempts: 0 };
         if generated == 0 {
             return Err(Rejection::NoFeasiblePlan);
@@ -271,7 +289,7 @@ impl QualityManager {
         self.api.levels_into(&mut self.levels);
         let (levels, scored) = (&self.levels, &mut self.scored);
         scored.clear();
-        self.options.for_each(|index, c| {
+        options.for_each(|index, c| {
             let projection = levels.project(&c.demand());
             if projection.fits_capacity {
                 scored.push((projection.max_fill, index));
@@ -283,18 +301,18 @@ impl QualityManager {
             return Err(Rejection::NoFeasiblePlan);
         };
         self.last_stats.attempts = 1;
-        let plan = self.options.plan(self.options.candidate(best.1));
+        let plan = options.plan(options.candidate(best.1));
         if let Ok(reservation) = self.api.reserve(&plan.resources) {
             return Ok(AdmittedPlan { plan, reservation });
         }
         scored.sort_unstable_by(by_rank);
         // `scored[0]` is `best`, already attempted.
         for (attempt, &(_, index)) in scored.iter().enumerate().skip(1) {
-            let c = self.options.candidate(index);
+            let c = options.candidate(index);
             if !self.levels.admits(&c.demand()) {
                 continue;
             }
-            let plan = self.options.plan(c);
+            let plan = options.plan(c);
             if let Ok(reservation) = self.api.reserve(&plan.resources) {
                 self.last_stats.attempts = attempt + 1;
                 return Ok(AdmittedPlan { plan, reservation });
@@ -304,140 +322,29 @@ impl QualityManager {
         Err(Rejection::AdmissionFailed)
     }
 
-    /// The cached admission path. Memoizes only the *pure* enumeration
-    /// (plus a capacity-feasibility snapshot); feasibility, ranking, and
-    /// reservation run live every time, so the decision — plan, order,
-    /// RNG draws, stats — is bit-identical to the uncached
-    /// [`process`](Self::process).
-    fn process_cached(
-        &mut self,
-        engine: &MetadataEngine,
-        request: &PlanRequest,
-        rng: &mut Rng,
-    ) -> Result<AdmittedPlan, Rejection> {
-        let key = self.cache_key(request);
-        let cached = self.plan_cache.as_mut().expect("caching on").lookup(&key);
-        let (plans, live) = match cached {
-            Some((plans, snapshot, fingerprint)) => {
-                // Cheap revalidation: O(buckets), not O(plans). Every
-                // supported capacity mutation bumps the epoch in the key,
-                // so a matching fingerprint proves the snapshot equals
-                // what `retain_feasible` would compute right now.
-                if fingerprint == self.api.capacity_fingerprint() {
-                    (plans, snapshot)
-                } else {
-                    // A capacity change slipped past the epoch hooks
-                    // (e.g. an un-hooked engine edit). Never trust the
-                    // entry — drop it and re-enumerate.
-                    self.plan_cache.as_mut().expect("caching on").note_revalidation_failure(&key);
-                    self.enumerate_and_insert(engine, request, key)
-                }
-            }
-            None => {
-                // Doorkeeper: only a key's second miss earns a slot. The
-                // Zipf tail is full of keys seen exactly once — storing
-                // them just evicts warm entries and pays an
-                // allocate-then-free cycle of ~10³ plans for nothing.
-                // First touches take the plain pipeline instead (same
-                // decisions, cost identical to caching-off).
-                if !self.plan_cache.as_mut().expect("caching on").should_store(&key) {
-                    return self.process_uncached(engine, request, rng);
-                }
-                self.enumerate_and_insert(engine, request, key)
-            }
-        };
-        self.last_stats.generated = plans.len();
-        if plans.is_empty() {
-            self.last_stats.feasible = 0;
-            self.last_stats.attempts = 0;
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        self.last_stats.feasible = live.len();
-        if live.is_empty() {
-            self.last_stats.attempts = 0;
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        let order = self.cost_model.rank_subset(&plans, &live, &self.api, rng);
-        for (attempt, &i) in order.iter().enumerate() {
-            if let Ok(reservation) = self.api.reserve(&plans[i].resources) {
-                self.last_stats.attempts = attempt + 1;
-                return Ok(AdmittedPlan { plan: plans[i].clone(), reservation });
-            }
-        }
-        self.last_stats.attempts = order.len();
-        Err(Rejection::AdmissionFailed)
-    }
-
-    /// Indices of `plans` passing the capacity-feasibility cut right now —
-    /// the subset [`PlanGenerator::retain_feasible`] would keep, by index.
-    fn live_feasible(plans: &[Plan], api: &CompositeQosApi) -> Vec<usize> {
-        plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| PlanGenerator::is_feasible(p, api))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Full enumeration for `request`, stored under `key` with its live
-    /// feasibility snapshot. Pure: consumes no RNG, touches no
-    /// reservations.
-    fn enumerate_and_insert(
-        &mut self,
-        engine: &MetadataEngine,
-        request: &PlanRequest,
-        key: PlanCacheKey,
-    ) -> (Arc<Vec<Plan>>, Arc<Vec<usize>>) {
-        // Pre-size from the previous enumeration: plan counts are nearly
-        // constant across requests on one testbed, and growth reallocs of
-        // a few hundred `Plan`s showed up in the miss-path profile.
-        let mut out = Vec::with_capacity(self.last_stats.generated.max(32));
-        self.generator.generate_into(engine, request, &mut out);
-        let plans = Arc::new(out);
-        let live = Arc::new(Self::live_feasible(&plans, &self.api));
-        self.plan_cache.as_mut().expect("caching on").insert(
-            key,
-            Arc::clone(&plans),
-            Arc::clone(&live),
-            self.api.capacity_fingerprint(),
-        );
-        (plans, live)
-    }
-
     /// The bulk-admit enumeration pass: warms the plan cache for a batch
     /// of arrivals (the flash-crowd case). Requests are sorted by video —
-    /// metadata-engine locality — and deduplicated by cache key; each
-    /// absent key that repeats within the batch is enumerated exactly
-    /// once (batch singletons defer to the per-request doorkeeper).
-    /// Consumes no RNG and makes no reservations, so `prefetch_plans`
-    /// followed by sequential
-    /// [`process`](Self::process) calls in arrival order is bit-identical
-    /// to processing the batch cold. No-op when caching is off.
+    /// metadata-engine locality — and each absent key that repeats within
+    /// the batch is enumerated once (batch singletons defer to the
+    /// per-request doorkeeper, so a flash crowd of one-hit wonders cannot
+    /// flush the warm set). Consumes no RNG and makes no reservations, so
+    /// `prefetch_plans` followed by sequential [`process`](Self::process)
+    /// calls in arrival order is bit-identical to processing the batch
+    /// cold. No-op when caching is off.
     pub fn prefetch_plans(&mut self, engine: &MetadataEngine, requests: &[PlanRequest]) {
-        if self.plan_cache.is_none() {
-            return;
-        }
+        let Some(cache) = &mut self.plan_cache else { return };
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| requests[i].video);
-        // Batch multiplicity decides storage: a key appearing twice in
-        // the batch pays for its entry within the batch itself. Batch
-        // singletons are left to the per-request doorkeeper (see
-        // `process_cached`), so a flash crowd of one-hit wonders cannot
-        // flush the warm set.
         let mut count: HashMap<PlanCacheKey, u32> = HashMap::new();
         for req in requests {
-            *count.entry(self.cache_key(req)).or_insert(0) += 1;
+            *count.entry(PlanCacheKey::of(req)).or_insert(0) += 1;
         }
-        let mut done: HashSet<PlanCacheKey> = HashSet::new();
         for i in order {
-            let key = self.cache_key(&requests[i]);
-            if count[&key] < 2
-                || self.plan_cache.as_ref().expect("caching on").contains(&key)
-                || !done.insert(key.clone())
-            {
+            let key = PlanCacheKey::of(&requests[i]);
+            if count[&key] < 2 || cache.contains(&key) {
                 continue;
             }
-            let _ = self.enumerate_and_insert(engine, &requests[i], key);
+            cache.insert(key, Self::enumerate(&self.generator, engine, &requests[i]));
         }
     }
 
@@ -496,9 +403,8 @@ impl QualityManager {
     /// renegotiation decisions in case of resource failure".
     pub fn handle_server_failure(&mut self, server: quasaq_sim::ServerId) -> Vec<ReservationId> {
         let cancelled = self.api.fail_server(server);
-        // Cache invalidation: the API epoch already moved, and the caller
-        // is about to drop the server from the metadata engine too (which
-        // the epoch cannot see) — clear everything.
+        // The caller is about to drop the server from the metadata
+        // engine, which changes every request's delivery options.
         self.invalidate_plan_cache();
         cancelled
     }
@@ -515,15 +421,11 @@ impl QualityManager {
         restored
     }
 
-    /// Re-rates one resource bucket (link degradation / recovery faults),
-    /// routing through the composite API's epoch bump and invalidating
-    /// cached plans. Returns `false` for unmanaged buckets.
+    /// Re-rates one resource bucket (link degradation / recovery faults).
+    /// Cached delivery options stay valid: feasibility and cost are read
+    /// live on every admission. Returns `false` for unmanaged buckets.
     pub fn set_capacity(&mut self, key: quasaq_qosapi::ResourceKey, capacity: f64) -> bool {
-        let changed = self.api.set_capacity(key, capacity);
-        if changed {
-            self.invalidate_plan_cache();
-        }
-        changed
+        self.api.set_capacity(key, capacity)
     }
 
     /// Renegotiates a running session to a new QoS range (user action
@@ -551,14 +453,7 @@ impl QualityManager {
             if let Ok(new_id) =
                 self.api.renegotiate(admitted.reservation, &self.plan_buf[i].resources)
             {
-                let plan = self.plan_buf[i].clone();
-                // Conservative invalidation on successful renegotiation
-                // (the ISSUE's explicit-hook contract). Strictly the swap
-                // only moves *usage*, which cached feasibility cannot see
-                // — but renegotiations are rare (failover, user action)
-                // and clearing keeps the staleness argument trivial.
-                self.invalidate_plan_cache();
-                return Ok(AdmittedPlan { plan, reservation: new_id });
+                return Ok(AdmittedPlan { plan: self.plan_buf[i].clone(), reservation: new_id });
             }
         }
         Err(Rejection::AdmissionFailed)
@@ -568,9 +463,12 @@ impl QualityManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{LrbModel, RandomModel};
+    use crate::cost::{
+        EfficiencyModel, LrbModel, MinBitrateModel, RandomModel, ThroughputGain, UtilityGain,
+        WeightedSumModel,
+    };
     use crate::generator::GeneratorConfig;
-    use crate::qop::{QopRequest, QopSecurity};
+    use crate::qop::{QopRequest, QopSecurity, QosWeights};
     use quasaq_media::{Library, LibraryConfig, VideoId};
     use quasaq_qosapi::{ResourceKey, ResourceKind};
     use quasaq_sim::ServerId;
@@ -928,84 +826,118 @@ mod tests {
         assert!(stats.hits > 0, "the repetitive request mix must hit: {stats:?}");
     }
 
-    #[test]
-    fn cached_admission_is_bit_identical_to_uncached_lrb() {
-        assert_cached_matches_uncached(|| Box::new(LrbModel), 11);
-    }
+    /// Every cost model, by name; the lazy LRB path and the full
+    /// fan-out → cut → rank → walk path both run cached and uncached.
+    const MODELS: [fn() -> Box<dyn CostModel>; 6] = [
+        || Box::new(LrbModel),
+        || Box::new(RandomModel),
+        || Box::new(MinBitrateModel),
+        || Box::new(WeightedSumModel::default()),
+        || Box::new(EfficiencyModel::new(ThroughputGain)),
+        || Box::new(EfficiencyModel::new(UtilityGain { weights: QosWeights::default() })),
+    ];
 
     #[test]
-    fn cached_admission_is_bit_identical_to_uncached_random() {
-        // RandomModel consumes RNG during ranking, so this additionally
-        // proves rank_subset draws exactly what rank would.
-        assert_cached_matches_uncached(|| Box::new(RandomModel), 12);
-    }
-
-    #[test]
-    fn corrupted_fingerprint_falls_back_to_full_enumeration() {
-        let e = engine();
-        let mut cold = manager();
-        let mut warm = manager();
-        warm.set_plan_caching(true);
-        let mut rng_c = Rng::new(13);
-        let mut rng_w = Rng::new(13);
-        let req = request(3);
-        // Two rounds: the doorkeeper stores only on the second miss.
-        for _ in 0..2 {
-            let a = cold.process(&e, &req, &mut rng_c).unwrap();
-            let b = warm.process(&e, &req, &mut rng_w).unwrap();
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    fn cached_admission_is_bit_identical_to_uncached_for_every_model() {
+        // RandomModel consumes RNG during ranking, so its run also proves a
+        // hit replays the exact draw sequence of a full enumeration.
+        for (seed, make_model) in (11..).zip(MODELS) {
+            assert_cached_matches_uncached(make_model, seed);
         }
-        // Sabotage the fingerprint (simulates a capacity change that bypassed
-        // every epoch hook): the next hit must detect the mismatch, drop
-        // the entry, and fall back to full enumeration — still
-        // bit-identical to the uncached manager.
-        let key = warm.cache_key(&req);
-        assert!(warm.plan_cache.as_mut().unwrap().corrupt_fingerprint(&key));
-        let a2 = cold.process(&e, &req, &mut rng_c);
-        let b2 = warm.process(&e, &req, &mut rng_w);
-        assert_eq!(format!("{a2:?}"), format!("{b2:?}"));
-        assert_eq!(cold.last_stats(), warm.last_stats());
-        let stats = warm.plan_cache_stats().unwrap();
-        assert_eq!(stats.revalidation_failures, 1);
-        // The re-enumerated entry is trustworthy again.
-        let a3 = cold.process(&e, &req, &mut rng_c);
-        let b3 = warm.process(&e, &req, &mut rng_w);
-        assert_eq!(format!("{a3:?}"), format!("{b3:?}"));
-        assert_eq!(warm.plan_cache_stats().unwrap().revalidation_failures, 1);
+    }
+
+    type Side = (QualityManager, Rng);
+
+    /// Repeats `request(0)` on a cache-off and a cache-on manager: the
+    /// cached side must hit and decide exactly as the other.
+    fn repeat_hits_and_matches(
+        e: &MetadataEngine,
+        cold: &mut Side,
+        warm: &mut Side,
+    ) -> [AdmittedPlan; 2] {
+        let name = cold.0.cost_model_name();
+        let hits = warm.0.plan_cache_stats().unwrap().hits;
+        let a = cold.0.process(e, &request(0), &mut cold.1);
+        let b = warm.0.process(e, &request(0), &mut warm.1);
+        assert_eq!(warm.0.plan_cache_stats().unwrap().hits, hits + 1, "{name}: not a hit");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name}: outcome diverged");
+        assert_eq!(cold.0.last_stats(), warm.0.last_stats(), "{name}: stats diverged");
+        assert_eq!(cold.1.below(1 << 30), warm.1.below(1 << 30), "{name}: RNG diverged");
+        [a.unwrap(), b.unwrap()]
+    }
+
+    /// Cached options hold nothing capacity- or usage-derived, so neither
+    /// a re-rate nor a renegotiation clears them: the next repeat of a
+    /// request hits, and still decides exactly as a cache-off manager.
+    #[test]
+    fn rerating_and_renegotiation_keep_cached_options() {
+        let e = engine();
+        let profile = UserProfile::new("u");
+        let up = PlanRequest {
+            video: VideoId(0),
+            qos: profile.translate(&QopRequest::diagnostic()),
+            security: QopSecurity::Open,
+        };
+        let key = ResourceKey::new(ServerId(0), ResourceKind::NetBandwidth);
+        for (seed, make_model) in (30..).zip(MODELS) {
+            let side = |caching: bool| {
+                let mut m = QualityManager::new(
+                    CompositeQosApi::homogeneous_cluster(
+                        ServerId::first_n(3),
+                        3_200_000.0,
+                        20_000_000.0,
+                        512e6,
+                    ),
+                    PlanGenerator::new(GeneratorConfig::default()),
+                    make_model(),
+                );
+                m.set_plan_caching(caching);
+                (m, Rng::new(seed))
+            };
+            let (mut cold, mut warm) = (side(false), side(true));
+            // Two misses: the doorkeeper stores the key on the second.
+            for side in [&mut cold, &mut warm] {
+                for _ in 0..2 {
+                    side.0.process(&e, &request(0), &mut side.1).unwrap();
+                }
+            }
+            let [a, b] = repeat_hits_and_matches(&e, &mut cold, &mut warm);
+            assert!(cold.0.set_capacity(key, 1_000_000.0));
+            assert!(warm.0.set_capacity(key, 1_000_000.0));
+            repeat_hits_and_matches(&e, &mut cold, &mut warm);
+            let ra = cold.0.renegotiate(&e, &a, &up, &mut cold.1);
+            let rb = warm.0.renegotiate(&e, &b, &up, &mut warm.1);
+            assert_eq!(format!("{ra:?}"), format!("{rb:?}"), "renegotiation diverged");
+            assert!(ra.is_ok(), "{}: renegotiation must succeed", cold.0.cost_model_name());
+            repeat_hits_and_matches(&e, &mut cold, &mut warm);
+            assert_eq!(warm.0.plan_cache_stats().unwrap().invalidations, 0);
+        }
     }
 
     #[test]
-    fn fault_and_capacity_hooks_invalidate_the_cache() {
+    fn fault_hooks_invalidate_the_cache() {
         let e = engine();
         let mut m = manager();
         m.set_plan_caching(true);
         let mut rng = Rng::new(14);
-        // Each warm-up processes twice: the doorkeeper stores on the
-        // second miss of a key.
-        let _ = m.process(&e, &request(0), &mut rng);
-        let _ = m.process(&e, &request(0), &mut rng);
-        assert!(!m.plan_cache.as_ref().unwrap().is_empty());
-        let epoch0 = m.cache_epoch;
+        let mut warm_up = |m: &mut QualityManager| {
+            // The doorkeeper stores a key on its second miss.
+            let _ = m.process(&e, &request(0), &mut rng);
+            let _ = m.process(&e, &request(0), &mut rng);
+            assert_eq!(m.plan_cache.as_ref().unwrap().len(), 1);
+        };
+        warm_up(&mut m);
         m.handle_server_failure(ServerId(2));
-        assert!(m.plan_cache.as_ref().unwrap().is_empty(), "failure must clear the cache");
+        assert_eq!(m.plan_cache.as_ref().unwrap().len(), 0, "failure must clear the cache");
         assert_eq!(m.plan_cache_stats().unwrap().invalidations, 1);
-        assert!(m.cache_epoch > epoch0);
-        let _ = m.process(&e, &request(0), &mut rng);
-        let _ = m.process(&e, &request(0), &mut rng);
+        warm_up(&mut m);
         assert!(m.handle_server_restart(ServerId(2)), "restart of a down server restores");
-        assert!(m.plan_cache.as_ref().unwrap().is_empty(), "restore must clear the cache");
+        assert_eq!(m.plan_cache.as_ref().unwrap().len(), 0, "restore must clear the cache");
         // Restarting a live server is a no-op and must NOT invalidate.
-        let _ = m.process(&e, &request(0), &mut rng);
-        let _ = m.process(&e, &request(0), &mut rng);
+        warm_up(&mut m);
         assert!(!m.handle_server_restart(ServerId(2)));
-        assert!(!m.plan_cache.as_ref().unwrap().is_empty());
-        // Re-rating a managed bucket invalidates; an unknown bucket doesn't.
-        assert!(m.set_capacity(ResourceKey::new(ServerId(0), ResourceKind::NetBandwidth), 1e6));
-        assert!(m.plan_cache.as_ref().unwrap().is_empty());
-        let _ = m.process(&e, &request(0), &mut rng);
-        let _ = m.process(&e, &request(0), &mut rng);
-        assert!(!m.set_capacity(ResourceKey::new(ServerId(9), ResourceKind::NetBandwidth), 1e6));
-        assert!(!m.plan_cache.as_ref().unwrap().is_empty());
+        assert_eq!(m.plan_cache.as_ref().unwrap().len(), 1);
+        assert_eq!(m.plan_cache_stats().unwrap().invalidations, 2);
     }
 
     #[test]

@@ -1,206 +1,139 @@
-//! `core::plancache` — memoized plan enumeration for admission control.
+//! `core::plancache` — memoized delivery options for admission control.
 //!
-//! Admission re-enumerates and re-costs the full QoP plan space on every
-//! request, yet the workload is heavily repetitive: a bounded video
-//! catalog, a handful of QoP ladder rungs, and resource state that drifts
-//! slowly relative to the query rate. The cache memoizes the *pure* part
-//! of the admission pipeline — [`PlanGenerator::generate_into`], a
-//! function of the metadata engine and the request only — keyed by
-//! `(video, QoS range, security)` plus two coarse resource-state epochs,
-//! and snapshots the capacity-level feasibility cut (plus a capacity
-//! fingerprint) taken at insert time.
+//! The plan space splits into a static half and a live half. The static
+//! half is a request's delivery options — every replica × transcode ×
+//! frame-drop that passes the static QoS rules, with the sites and
+//! ciphers it fans out over. [`PlanGenerator::options_into`] computes it
+//! from the metadata engine and the request alone. The live half is
+//! everything read from bucket state: the capacity-feasibility cut, cost
+//! ranking and reservation ("the costs under current system status …
+//! [must] be factored into the choice of an acceptable plan", §3.4).
 //!
-//! What is deliberately NOT cached: cost ranking and reservation. Both
-//! depend on live bucket *usage*, so the Quality Manager recomputes them
-//! on every admission via [`CostModel::rank_subset`]. That split is what
-//! makes cached and uncached admission decisions bit-identical — same
-//! plans, same order, same RNG stream — which the differential proptests
-//! enforce.
+//! The cache memoizes the static half only, keyed by `(video, QoS range,
+//! security)`. The Quality Manager runs the live half on every admission
+//! exactly as it does with caching off, so cached and uncached admission
+//! make the same decisions — same plans, same order, same RNG stream — by
+//! construction. Nothing capacity-derived is stored, so capacity
+//! re-rating, reservations and renegotiation leave entries valid. Entries
+//! go stale only when the metadata engine changes: on server failure and
+//! restart, and through the manager's explicit invalidation hook, the
+//! manager drops every entry.
 //!
 //! Admission into the cache is gated by a TinyLFU-style **doorkeeper**:
 //! a missed key earns a slot only on its *second* miss. Under a
 //! Zipf-skewed catalog the long tail is full of keys seen exactly once;
-//! storing those evicts warm entries and pays an allocate-then-free cycle
-//! of ~10³ plans for zero future hits, which at the 100-server scale
-//! erased the cache's entire win. One-hit wonders instead run the plain
-//! uncached pipeline (so they cost exactly what caching-off costs), and
-//! only keys with demonstrated re-use are stored. This is purely an
-//! economics decision — cache contents affect speed, never decisions —
-//! so bit-identity is untouched.
+//! storing those evicts warm entries for zero future hits. One-hit
+//! wonders instead enumerate into the manager's recycled buffer, and only
+//! keys with demonstrated re-use are stored. Cache contents affect speed,
+//! never decisions.
 //!
-//! Staleness is handled in two layers:
-//! * **Epoch keying** — [`CompositeQosApi::state_epoch`] changes on every
-//!   structural event (register / fail / restore / re-rate) and the
-//!   manager-side epoch changes on renegotiation and explicit
-//!   invalidation, so stale entries simply stop matching.
-//! * **Revalidation** — on every hit the live
-//!   [`CompositeQosApi::capacity_fingerprint`] is compared to the one
-//!   stored with the entry. Every supported capacity mutation bumps the
-//!   epoch (making the key unreachable), so within one key the
-//!   fingerprint is provably constant — a mismatch means capacities
-//!   changed behind the API's back (the congestion-feedback lesson:
-//!   never trust a cached plan blindly), and the entry is dropped in
-//!   favor of full enumeration. The check is O(buckets), not O(plans).
-//!
-//! [`PlanGenerator::generate_into`]: crate::generator::PlanGenerator::generate_into
-//! [`CostModel::rank_subset`]: crate::cost::CostModel::rank_subset
-//! [`CompositeQosApi::state_epoch`]: quasaq_qosapi::CompositeQosApi::state_epoch
-//! [`CompositeQosApi::capacity_fingerprint`]: quasaq_qosapi::CompositeQosApi::capacity_fingerprint
+//! [`PlanGenerator::options_into`]: crate::generator::PlanGenerator::options_into
 
-use crate::plan::Plan;
+use crate::generator::{DeliveryOptions, PlanRequest};
 use crate::qop::QopSecurity;
 use quasaq_media::{QosRange, VideoId};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Default bound on cached entries (distinct request/epoch combinations).
-pub const DEFAULT_MAX_ENTRIES: usize = 1024;
-/// Default bound on total cached plans across all entries: at ~1200 plans
-/// per request on the 100-server testbeds this caps the cache at roughly
-/// 200 entries (≈75 MB at ~300 B/plan) — enough to hold the hot head of
-/// a Zipf-skewed catalog, which is where hit rates pay for miss overhead.
-/// Small testbeds (tens of plans per request) are entry-bound instead.
-pub const DEFAULT_MAX_PLANS: usize = 250_000;
+/// Default bound on cached entries (distinct requests).
+const DEFAULT_MAX_ENTRIES: usize = 1024;
 /// Doorkeeper capacity: first-miss key hashes remembered to tell second
 /// touches from one-hit wonders. Cleared wholesale when full — a cheap
 /// generational reset, like TinyLFU's periodic halving.
 const DOORKEEPER_CAPACITY: usize = 8192;
 
-/// A successful lookup: the enumerated plan list, the insert-time
-/// feasibility snapshot (indices into the plan list), and the capacity
-/// fingerprint the entry was stored under.
-pub type CachedPlans = (Arc<Vec<Plan>>, Arc<Vec<usize>>, u64);
-
-/// The memoization key: the full admission request plus the two coarse
-/// resource-state bucket epochs. Reserve/release churn does not move
-/// either epoch — that coarseness is the point — so repeated requests hit
-/// while structural changes (failures, restores, re-ratings,
-/// renegotiations) make old entries unreachable immediately.
+/// The memoization key: everything of the admission request that
+/// enumeration reads.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanCacheKey {
-    /// Requested logical video.
-    pub video: VideoId,
-    /// Requested application-QoS range (the QoP ladder rung).
-    pub qos: QosRange,
-    /// Requested security level (chooses the cipher activity set).
-    pub security: QopSecurity,
-    /// [`CompositeQosApi::state_epoch`] at lookup time.
-    ///
-    /// [`CompositeQosApi::state_epoch`]: quasaq_qosapi::CompositeQosApi::state_epoch
-    pub api_epoch: u64,
-    /// Manager-side epoch: bumped by renegotiation and explicit
-    /// invalidation.
-    pub mgr_epoch: u64,
+pub(crate) struct PlanCacheKey {
+    video: VideoId,
+    qos: QosRange,
+    security: QopSecurity,
+}
+
+impl PlanCacheKey {
+    /// The key of `request`.
+    pub(crate) fn of(request: &PlanRequest) -> Self {
+        PlanCacheKey { video: request.video, qos: request.qos.clone(), security: request.security }
+    }
 }
 
 /// Counters for cache behaviour (reported by benches and asserted by
 /// tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups that found a usable entry.
+    /// Lookups that found an entry.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Hits whose capacity fingerprint no longer matched live state; the
-    /// entry was dropped and enumeration re-ran.
-    pub revalidation_failures: u64,
-    /// Entries evicted to respect the size bounds.
+    /// Entries evicted to respect the entry bound.
     pub evictions: u64,
     /// Entries dropped by explicit invalidation.
     pub invalidations: u64,
     /// First-touch misses the doorkeeper declined to store (the request
-    /// ran the plain uncached pipeline instead).
+    /// enumerated into the manager's recycled buffer instead).
     pub doorkeeper_bypasses: u64,
 }
 
 struct Entry {
-    /// The full (unfiltered) enumeration output for the key's request.
-    plans: Arc<Vec<Plan>>,
-    /// Indices into `plans` that passed the capacity-feasibility cut when
-    /// the entry was stored.
-    feasible: Arc<Vec<usize>>,
-    /// The API's capacity fingerprint when the entry was stored — the
-    /// revalidation baseline.
-    fingerprint: u64,
+    options: Arc<DeliveryOptions>,
     /// LRU recency: the cache-wide tick at last touch. Ticks are unique,
     /// so min-tick eviction is deterministic.
     tick: u64,
 }
 
-/// An LRU cache of enumerated plan lists with feasibility snapshots.
-pub struct PlanCache {
+/// An LRU cache of enumerated delivery options.
+pub(crate) struct PlanCache {
     entries: HashMap<PlanCacheKey, Entry>,
     /// Doorkeeper: hashes of keys that have missed exactly once.
     seen_misses: HashSet<u64>,
     max_entries: usize,
-    max_plans: usize,
-    stored_plans: usize,
     tick: u64,
     stats: PlanCacheStats,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlanCache {
-    /// Creates a cache with the default bounds.
-    pub fn new() -> Self {
-        Self::with_limits(DEFAULT_MAX_ENTRIES, DEFAULT_MAX_PLANS)
+    /// Creates a cache with the default entry bound.
+    pub(crate) fn new() -> Self {
+        Self::with_limits(DEFAULT_MAX_ENTRIES)
     }
 
-    /// Creates a cache bounded by entry count and by total stored plans
-    /// (whichever bites first).
-    pub fn with_limits(max_entries: usize, max_plans: usize) -> Self {
+    /// Creates a cache holding at most `max_entries` entries.
+    pub(crate) fn with_limits(max_entries: usize) -> Self {
         PlanCache {
             entries: HashMap::new(),
             seen_misses: HashSet::new(),
             max_entries: max_entries.max(1),
-            max_plans: max_plans.max(1),
-            stored_plans: 0,
             tick: 0,
             stats: PlanCacheStats::default(),
         }
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total plans held across all entries.
-    pub fn stored_plans(&self) -> usize {
-        self.stored_plans
-    }
-
     /// Behaviour counters since construction.
-    pub fn stats(&self) -> PlanCacheStats {
+    pub(crate) fn stats(&self) -> PlanCacheStats {
         self.stats
     }
 
     /// Whether `key` is currently cached (no recency touch, no counters).
-    pub fn contains(&self, key: &PlanCacheKey) -> bool {
+    pub(crate) fn contains(&self, key: &PlanCacheKey) -> bool {
         self.entries.contains_key(key)
     }
 
-    /// Looks `key` up, touching its recency. Returns the enumerated plan
-    /// list, the feasibility snapshot, and the capacity fingerprint taken
-    /// when the entry was stored.
-    pub fn lookup(&mut self, key: &PlanCacheKey) -> Option<CachedPlans> {
+    /// Looks `key` up, touching its recency.
+    pub(crate) fn lookup(&mut self, key: &PlanCacheKey) -> Option<Arc<DeliveryOptions>> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.tick = self.tick;
                 self.stats.hits += 1;
-                Some((Arc::clone(&entry.plans), Arc::clone(&entry.feasible), entry.fingerprint))
+                Some(Arc::clone(&entry.options))
             }
             None => {
                 self.stats.misses += 1;
@@ -211,12 +144,9 @@ impl PlanCache {
 
     /// The admission doorkeeper, consulted after a miss: returns whether
     /// the missed `key` deserves a cache slot. The first miss records the
-    /// key's hash and answers `false` (caller should run the plain
-    /// uncached pipeline — no allocation, no eviction pressure); a repeat
-    /// miss answers `true` (demonstrated re-use — enumerate and store).
-    /// Bypassing the cache never changes admission decisions, only where
-    /// the enumeration cost is paid.
-    pub fn should_store(&mut self, key: &PlanCacheKey) -> bool {
+    /// key's hash and answers `false`; a repeat miss answers `true`
+    /// (demonstrated re-use — enumerate and store).
+    pub(crate) fn should_store(&mut self, key: &PlanCacheKey) -> bool {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         let hash = h.finish();
@@ -231,192 +161,103 @@ impl PlanCache {
         false
     }
 
-    /// Stores an enumeration result and its feasibility snapshot,
-    /// evicting least-recently-used entries as needed. Empty plan lists
-    /// are cached too — statically infeasible requests repeat just as
-    /// often as satisfiable ones.
-    pub fn insert(
-        &mut self,
-        key: PlanCacheKey,
-        plans: Arc<Vec<Plan>>,
-        feasible: Arc<Vec<usize>>,
-        fingerprint: u64,
-    ) {
+    /// Stores a request's delivery options, evicting the least recently
+    /// used entry when full. Empty option lists are cached too —
+    /// statically infeasible requests repeat just as often as satisfiable
+    /// ones.
+    pub(crate) fn insert(&mut self, key: PlanCacheKey, options: Arc<DeliveryOptions>) {
         self.tick += 1;
-        if let Some(old) = self.entries.remove(&key) {
-            self.stored_plans -= old.plans.len();
-        }
-        self.stored_plans += plans.len();
-        self.entries.insert(key, Entry { plans, feasible, fingerprint, tick: self.tick });
-        while self.entries.len() > self.max_entries
-            || (self.stored_plans > self.max_plans && self.entries.len() > 1)
-        {
-            self.evict_lru();
-        }
-    }
-
-    /// Drops `key` after a failed revalidation, counting it.
-    pub fn note_revalidation_failure(&mut self, key: &PlanCacheKey) {
-        self.stats.revalidation_failures += 1;
-        if let Some(old) = self.entries.remove(key) {
-            self.stored_plans -= old.plans.len();
+        self.entries.insert(key, Entry { options, tick: self.tick });
+        if self.entries.len() > self.max_entries {
+            // Ticks are unique, so the minimum is a deterministic victim
+            // even though HashMap iteration order is not.
+            let victim = self.entries.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k.clone());
+            if let Some(key) = victim {
+                self.entries.remove(&key);
+                self.stats.evictions += 1;
+            }
         }
     }
 
-    /// Drops every entry (explicit invalidation hook: server failure,
-    /// restore, capacity change, renegotiation). Epoch keying already
-    /// makes stale entries unreachable; this additionally frees their
-    /// memory immediately.
-    pub fn invalidate_all(&mut self) {
+    /// Drops every entry and every remembered first miss, leaving the
+    /// cache as a fresh one apart from its counters.
+    pub(crate) fn invalidate_all(&mut self) {
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
-        self.stored_plans = 0;
-        // The epoch bump that accompanies invalidation re-hashes every
-        // key, so remembered first-misses can never match again — drop
-        // them rather than letting dead hashes age out generationally.
         self.seen_misses.clear();
-    }
-
-    fn evict_lru(&mut self) {
-        // Ticks are unique, so the minimum is a deterministic victim even
-        // though HashMap iteration order is not.
-        let victim = self.entries.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k.clone());
-        if let Some(key) = victim {
-            if let Some(old) = self.entries.remove(&key) {
-                self.stored_plans -= old.plans.len();
-            }
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Test hook: flip the stored capacity fingerprint of `key` so the
-    /// next hit fails revalidation (simulates a capacity mutation that
-    /// bypassed the epoch hooks). Returns whether the key was present.
-    #[cfg(test)]
-    pub(crate) fn corrupt_fingerprint(&mut self, key: &PlanCacheKey) -> bool {
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.fingerprint = !entry.fingerprint;
-                true
-            }
-            None => false,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::testutil::plan_on;
 
-    fn key(video: u32, api_epoch: u64, mgr_epoch: u64) -> PlanCacheKey {
-        PlanCacheKey {
-            video: VideoId(video),
-            qos: QosRange::any(),
-            security: QopSecurity::Open,
-            api_epoch,
-            mgr_epoch,
-        }
+    fn key(video: u32) -> PlanCacheKey {
+        PlanCacheKey { video: VideoId(video), qos: QosRange::any(), security: QopSecurity::Open }
     }
 
-    fn plans(n: usize) -> Arc<Vec<Plan>> {
-        Arc::new((0..n).map(|i| plan_on(i as u32 % 3, 48_000)).collect())
+    fn options() -> Arc<DeliveryOptions> {
+        Arc::new(DeliveryOptions::default())
     }
 
     #[test]
     fn hit_miss_and_recency() {
         let mut c = PlanCache::new();
-        assert!(c.lookup(&key(0, 0, 0)).is_none());
-        c.insert(key(0, 0, 0), plans(4), Arc::new(vec![0, 1, 2, 3]), 7);
-        let (p, f, fp) = c.lookup(&key(0, 0, 0)).expect("hit");
-        assert_eq!(fp, 7);
-        assert_eq!(p.len(), 4);
-        assert_eq!(*f, vec![0, 1, 2, 3]);
+        assert!(c.lookup(&key(0)).is_none());
+        let stored = options();
+        c.insert(key(0), Arc::clone(&stored));
+        let hit = c.lookup(&key(0)).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit shares the stored options");
         assert_eq!(c.stats(), PlanCacheStats { hits: 1, misses: 1, ..Default::default() });
-        assert_eq!(c.stored_plans(), 4);
     }
 
     #[test]
-    fn epochs_partition_the_key_space() {
+    fn every_request_field_is_part_of_the_key() {
         let mut c = PlanCache::new();
-        c.insert(key(0, 0, 0), plans(2), Arc::new(vec![0, 1]), 7);
-        // Same request, new API epoch (e.g. a server failed): miss.
-        assert!(c.lookup(&key(0, 1, 0)).is_none());
-        // Same request, new manager epoch (renegotiation): miss.
-        assert!(c.lookup(&key(0, 0, 1)).is_none());
-        // Original epochs still hit.
-        assert!(c.lookup(&key(0, 0, 0)).is_some());
+        c.insert(key(0), options());
+        assert!(c.lookup(&key(1)).is_none());
+        let mut secure = key(0);
+        secure.security = QopSecurity::Confidential;
+        assert!(c.lookup(&secure).is_none());
+        let mut narrow = key(0);
+        narrow.qos.max_frame_rate = quasaq_media::FrameRate::LOW;
+        assert!(c.lookup(&narrow).is_none());
+        assert!(c.lookup(&key(0)).is_some());
     }
 
     #[test]
     fn entry_bound_evicts_least_recently_used() {
-        let mut c = PlanCache::with_limits(2, 1_000_000);
-        c.insert(key(0, 0, 0), plans(1), Arc::new(vec![0]), 7);
-        c.insert(key(1, 0, 0), plans(1), Arc::new(vec![0]), 7);
+        let mut c = PlanCache::with_limits(2);
+        c.insert(key(0), options());
+        c.insert(key(1), options());
         // Touch key 0 so key 1 is the LRU victim.
-        assert!(c.lookup(&key(0, 0, 0)).is_some());
-        c.insert(key(2, 0, 0), plans(1), Arc::new(vec![0]), 7);
+        assert!(c.lookup(&key(0)).is_some());
+        c.insert(key(2), options());
         assert_eq!(c.len(), 2);
-        assert!(c.contains(&key(0, 0, 0)));
-        assert!(!c.contains(&key(1, 0, 0)));
-        assert!(c.contains(&key(2, 0, 0)));
+        assert!(c.contains(&key(0)));
+        assert!(!c.contains(&key(1)));
+        assert!(c.contains(&key(2)));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
-    fn plan_budget_bounds_total_memory() {
-        let mut c = PlanCache::with_limits(100, 10);
-        for v in 0..5 {
-            c.insert(key(v, 0, 0), plans(4), Arc::new(vec![]), 7);
-        }
-        assert!(c.stored_plans() <= 10, "stored {} plans", c.stored_plans());
-        assert!(!c.is_empty(), "budget eviction must keep the newest entry");
-        assert!(c.contains(&key(4, 0, 0)));
-    }
-
-    #[test]
-    fn oversized_single_entry_is_kept() {
-        // One entry larger than the whole budget still caches (evicting it
-        // would just re-miss forever); the bound only bites with >1 entry.
-        let mut c = PlanCache::with_limits(100, 10);
-        c.insert(key(0, 0, 0), plans(50), Arc::new(vec![]), 7);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stored_plans(), 50);
-        c.insert(key(1, 0, 0), plans(2), Arc::new(vec![]), 7);
-        // The giant is older — it goes first once a second entry arrives.
-        assert!(!c.contains(&key(0, 0, 0)));
-        assert!(c.contains(&key(1, 0, 0)));
-    }
-
-    #[test]
-    fn reinsert_replaces_and_keeps_plan_accounting() {
+    fn reinsert_replaces_the_entry() {
         let mut c = PlanCache::new();
-        c.insert(key(0, 0, 0), plans(4), Arc::new(vec![0]), 7);
-        c.insert(key(0, 0, 0), plans(2), Arc::new(vec![1]), 7);
+        c.insert(key(0), options());
+        let newer = options();
+        c.insert(key(0), Arc::clone(&newer));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.stored_plans(), 2);
-        let (_, f, _) = c.lookup(&key(0, 0, 0)).unwrap();
-        assert_eq!(*f, vec![1]);
-    }
-
-    #[test]
-    fn revalidation_failure_drops_the_entry() {
-        let mut c = PlanCache::new();
-        c.insert(key(0, 0, 0), plans(3), Arc::new(vec![0, 1, 2]), 7);
-        c.note_revalidation_failure(&key(0, 0, 0));
-        assert!(c.is_empty());
-        assert_eq!(c.stored_plans(), 0);
-        assert_eq!(c.stats().revalidation_failures, 1);
+        assert!(Arc::ptr_eq(&c.lookup(&key(0)).unwrap(), &newer));
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn invalidate_all_clears_and_counts() {
         let mut c = PlanCache::new();
-        c.insert(key(0, 0, 0), plans(1), Arc::new(vec![]), 7);
-        c.insert(key(1, 0, 0), plans(1), Arc::new(vec![]), 7);
+        c.insert(key(0), options());
+        c.insert(key(1), options());
         c.invalidate_all();
-        assert!(c.is_empty());
-        assert_eq!(c.stored_plans(), 0);
+        assert_eq!(c.len(), 0);
         assert_eq!(c.stats().invalidations, 2);
     }
 
@@ -424,26 +265,16 @@ mod tests {
     fn doorkeeper_admits_on_second_miss() {
         let mut c = PlanCache::new();
         // First touch: declined (one-hit wonders stay out).
-        assert!(!c.should_store(&key(0, 0, 0)));
+        assert!(!c.should_store(&key(0)));
         // Second touch of the same key: admitted.
-        assert!(c.should_store(&key(0, 0, 0)));
+        assert!(c.should_store(&key(0)));
         // And it stays admitted (the hash is remembered, not consumed).
-        assert!(c.should_store(&key(0, 0, 0)));
-        // Distinct keys each start cold; epochs are part of the identity.
-        assert!(!c.should_store(&key(1, 0, 0)));
-        assert!(!c.should_store(&key(0, 1, 0)));
-        assert_eq!(c.stats().doorkeeper_bypasses, 3);
+        assert!(c.should_store(&key(0)));
+        // Distinct keys each start cold.
+        assert!(!c.should_store(&key(1)));
+        assert_eq!(c.stats().doorkeeper_bypasses, 2);
         // Invalidation forgets remembered first-misses along with entries.
         c.invalidate_all();
-        assert!(!c.should_store(&key(0, 0, 0)));
-    }
-
-    #[test]
-    fn empty_enumerations_are_cached() {
-        let mut c = PlanCache::new();
-        c.insert(key(0, 0, 0), Arc::new(Vec::new()), Arc::new(Vec::new()), 7);
-        let (p, f, _) = c.lookup(&key(0, 0, 0)).expect("negative entry hits");
-        assert!(p.is_empty());
-        assert!(f.is_empty());
+        assert!(!c.should_store(&key(0)));
     }
 }

@@ -80,12 +80,6 @@ pub struct CompositeQosApi {
     reservations: Vec<Option<Reservation>>,
     outstanding: usize,
     next_id: u64,
-    /// Bumped on every *structural* state change — bucket registration,
-    /// server failure/restore, capacity re-rating — but NOT on
-    /// reserve/release. Plan caches key on this: enumeration and the
-    /// capacity-based feasibility cut depend only on structure, while
-    /// usage-dependent ranking is recomputed live on every admission.
-    state_epoch: u64,
 }
 
 impl CompositeQosApi {
@@ -96,16 +90,7 @@ impl CompositeQosApi {
             reservations: Vec::new(),
             outstanding: 0,
             next_id: 0,
-            state_epoch: 0,
         }
-    }
-
-    /// The structural-state epoch: changes whenever the set of managed
-    /// buckets or any bucket capacity changes (register / fail_server /
-    /// restore_server / set_capacity). Reserve and release do *not* bump
-    /// it — that coarseness is what makes it a useful cache key.
-    pub fn state_epoch(&self) -> u64 {
-        self.state_epoch
     }
 
     /// Builds an API for a homogeneous cluster: one domain per server,
@@ -142,26 +127,17 @@ impl CompositeQosApi {
             self.domains.resize_with(slot + 1, ServerDomain::default);
         }
         self.domains[slot].managers[key.kind as usize] = Some(ResourceManager::new(key, capacity));
-        self.state_epoch += 1;
     }
 
     /// Re-rates a managed bucket to a new capacity (link degradation or
     /// recovery), leaving existing reservations untouched — shrinking below
     /// current usage oversubscribes the bucket, which only blocks new
     /// admissions. Returns `false` (and changes nothing) for unmanaged
-    /// buckets. Bumps the [state epoch](Self::state_epoch), except when the
-    /// new capacity is bit-equal to the current one: a no-op re-rate leaves
-    /// every capacity-derived decision (and the
-    /// [fingerprint](Self::capacity_fingerprint)) unchanged, so
-    /// invalidating plan caches over it would only cost hit rate — stochastic
-    /// link trajectories re-assert the same level routinely.
+    /// buckets.
     pub fn set_capacity(&mut self, key: ResourceKey, capacity: f64) -> bool {
         match self.manager_mut(key) {
             Some(mgr) => {
-                if mgr.capacity().to_bits() != capacity.to_bits() {
-                    mgr.set_capacity(capacity);
-                    self.state_epoch += 1;
-                }
+                mgr.set_capacity(capacity);
                 true
             }
             None => false,
@@ -181,33 +157,6 @@ impl CompositeQosApi {
     /// Capacity of a bucket (`None` when unmanaged).
     pub fn capacity(&self, key: ResourceKey) -> Option<f64> {
         self.manager(key).map(|m| m.capacity())
-    }
-
-    /// A deterministic hash of every managed bucket's identity and
-    /// capacity — usage excluded. O(buckets), allocation-free.
-    ///
-    /// Plan caches compare this on every hit as cheap revalidation: all
-    /// capacity mutations bump the [state epoch](Self::state_epoch), so
-    /// within one epoch the fingerprint is constant, and a mismatch means
-    /// something re-rated a bucket behind the API's back — cached
-    /// feasibility cuts must not be trusted.
-    pub fn capacity_fingerprint(&self) -> u64 {
-        // FNV-1a over (server, kind, capacity bits).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for (s, d) in self.domains.iter().enumerate() {
-            for &k in ResourceKind::ALL.iter() {
-                if let Some(m) = d.managers[k as usize].as_ref() {
-                    mix(s as u64);
-                    mix(k as u64 + 1);
-                    mix(m.capacity().to_bits());
-                }
-            }
-        }
-        h
     }
 
     /// Current fill fraction of a bucket (`None` when unmanaged).
@@ -348,7 +297,6 @@ impl CompositeQosApi {
                         .collect(),
                 );
                 domain.managers = Default::default();
-                self.state_epoch += 1;
             }
         }
         affected
@@ -657,63 +605,6 @@ mod tests {
         // Restoring a healthy (or unknown) server is a no-op.
         assert!(!api.restore_server(ServerId(1)));
         assert!(!api.restore_server(ServerId(9)));
-    }
-
-    #[test]
-    fn state_epoch_tracks_structure_not_usage() {
-        let mut api = cluster();
-        let e0 = api.state_epoch();
-        // Reserve/release churn leaves the epoch alone.
-        let r = api.reserve(&stream_demand(0, 100_000.0, 0.05)).unwrap();
-        api.release(r);
-        assert_eq!(api.state_epoch(), e0);
-        // Failure, restore, re-rating, and registration each bump it.
-        api.fail_server(ServerId(1));
-        let e1 = api.state_epoch();
-        assert!(e1 > e0);
-        assert!(api.restore_server(ServerId(1)));
-        let e2 = api.state_epoch();
-        assert!(e2 > e1);
-        assert!(api.set_capacity(key(0, ResourceKind::NetBandwidth), 1_600_000.0));
-        let e3 = api.state_epoch();
-        assert!(e3 > e2);
-        // Unknown bucket: no-op, no bump.
-        assert!(!api.set_capacity(key(9, ResourceKind::Cpu), 1.0));
-        assert_eq!(api.state_epoch(), e3);
-        // Re-asserting the current capacity is a successful no-op: the
-        // fingerprint could not change, so plan caches keep their entries.
-        assert!(api.set_capacity(key(0, ResourceKind::NetBandwidth), 1_600_000.0));
-        assert_eq!(api.state_epoch(), e3);
-        // Failing an already-failed (empty) domain keeps the epoch too.
-        api.fail_server(ServerId(2));
-        let e4 = api.state_epoch();
-        api.fail_server(ServerId(2));
-        assert_eq!(api.state_epoch(), e4);
-    }
-
-    #[test]
-    fn capacity_fingerprint_tracks_capacities_not_usage() {
-        let mut api = cluster();
-        let f0 = api.capacity_fingerprint();
-        // Reserve/release churn leaves the fingerprint alone — that
-        // coarseness is what lets plan caches trust it per epoch.
-        let r = api.reserve(&stream_demand(0, 100_000.0, 0.05)).unwrap();
-        assert_eq!(api.capacity_fingerprint(), f0);
-        api.release(r);
-        assert_eq!(api.capacity_fingerprint(), f0);
-        // Any capacity mutation moves it...
-        assert!(api.set_capacity(key(0, ResourceKind::NetBandwidth), 1_600_000.0));
-        let f1 = api.capacity_fingerprint();
-        assert_ne!(f1, f0);
-        // ...and it is a pure function of the capacity table: restoring
-        // the original capacity restores the original fingerprint.
-        assert!(api.set_capacity(key(0, ResourceKind::NetBandwidth), 3_200_000.0));
-        assert_eq!(api.capacity_fingerprint(), f0);
-        // Failure removes buckets from the hash; restore brings it back.
-        api.fail_server(ServerId(1));
-        assert_ne!(api.capacity_fingerprint(), f0);
-        assert!(api.restore_server(ServerId(1)));
-        assert_eq!(api.capacity_fingerprint(), f0);
     }
 
     #[test]

@@ -99,9 +99,9 @@ pub struct ThroughputConfig {
     pub arrival_burst: usize,
     /// Memoize plan enumeration in the Quality Manager (QuaSAQ systems
     /// only). Admission decisions are bit-identical either way — the cache
-    /// holds only the pure enumeration output, and ranking/reservation run
-    /// live — so this is purely a constant-factor switch; the differential
-    /// proptests hold it to that.
+    /// holds only each request's delivery options, and feasibility,
+    /// ranking and reservation run live — so this is purely a
+    /// constant-factor switch; the differential proptests hold it to that.
     pub plan_cache: bool,
     /// Ignored: every run steps its server domains in one serial pass.
     /// Kept only so existing benchmark harnesses that set or check it

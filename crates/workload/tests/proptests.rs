@@ -83,7 +83,7 @@ proptest! {
         skew in 0.0f64..1.5,
         burst in 1usize..6,
         queued in any::<bool>(),
-        random_model in any::<bool>(),
+        model_pick in 0usize..5,
         crash in any::<bool>(),
         crash_server in 0u32..8,
         crash_at in 20u64..100,
@@ -106,14 +106,13 @@ proptest! {
             ..ThroughputConfig::fig6()
         };
         let cached_cfg = ThroughputConfig { plan_cache: true, ..uncached_cfg.clone() };
-        // `Random` ranks by consuming the RNG, so equality here proves the
+        // LRB admits lazily; the others fan the options out into plans.
+        // `Random` ranks by consuming the RNG, so equality there proves the
         // cache hit path replays the exact draw sequence of a full
         // enumeration, not just the same plan set.
-        let kind = if random_model {
-            SystemKind::Quasaq(CostKind::Random)
-        } else {
-            SystemKind::Quasaq(CostKind::Lrb)
-        };
+        let kind = SystemKind::Quasaq(
+            [CostKind::Lrb, CostKind::Random, CostKind::MinBitrate, CostKind::WeightedSum, CostKind::Utility][model_pick],
+        );
         let uncached = run_throughput(kind, &uncached_cfg);
         let cached = run_throughput(kind, &cached_cfg);
         prop_assert_eq!(&uncached, &cached);
@@ -175,10 +174,10 @@ proptest! {
         }
     }
 
-    /// The plan cache under mid-run re-rates: every link set-point
-    /// invalidates the memoized plans, so a cached run over a stochastic
-    /// capacity process must still make exactly the decisions of full
-    /// enumeration.
+    /// The plan cache under mid-run re-rates: link set-points leave the
+    /// cached delivery options in place while feasibility and cost follow
+    /// the new capacities, so a cached run over a stochastic capacity
+    /// process must still make exactly the decisions of full enumeration.
     #[test]
     fn plan_cache_is_bit_identical_under_link_rerates(
         seed in 0u64..1_000,
