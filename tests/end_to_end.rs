@@ -7,6 +7,7 @@ use quasaq::core::{
     SecondChance, UserProfile,
 };
 use quasaq::media::VideoId;
+use quasaq::scenario::Fnv64;
 use quasaq::sim::{Rng, ServerId, SimDuration, SimTime};
 use quasaq::stream::{NodeConfig, StreamEngine};
 use quasaq::vdbms;
@@ -131,6 +132,50 @@ fn fig5_shape_holds_at_small_scale() {
     let quasaq_sd = quasaq_high.frame_delay_stats().std_dev();
     assert!(high_sd > 2.0 * low_sd, "VDBMS contention must explode variance");
     assert!(quasaq_sd < high_sd / 2.0, "QuaSAQ must shield the stream");
+}
+
+/// Bit-exact pin of the frame-level engine: every `FrameRecord` of the
+/// monitored Fig 5 stream, in all four system × contention cells, folds
+/// into one FNV-1a digest per cell. Any change to event order, CPU or link
+/// accounting, or frame timing moves at least one digest.
+#[test]
+fn fig5_frame_records_are_pinned() {
+    fn hash_time(h: &mut Fnv64, t: Option<SimTime>) {
+        match t {
+            Some(t) => {
+                h.write(&[1]);
+                h.write_u64(t.as_micros());
+            }
+            None => h.write(&[0]),
+        }
+    }
+    let cfg = Fig5Config { clip: SimDuration::from_secs(10), ..Fig5Config::default() };
+    let cells = [
+        (Fig5System::Vdbms, Contention::Low, 0x3ff0_b197_4837_8597u64),
+        (Fig5System::Vdbms, Contention::High, 0x28f5_e2b4_161f_a03b),
+        (Fig5System::Quasaq, Contention::Low, 0xbfda_c222_203d_a6e4),
+        (Fig5System::Quasaq, Contention::High, 0x2876_f1ce_fe6e_4a14),
+    ];
+    for (system, contention, expected) in cells {
+        let (report, competing) = run_fig5(system, contention, &cfg);
+        let mut h = Fnv64::new();
+        h.write_u64(competing as u64);
+        h.write_u64(report.frames().len() as u64);
+        for f in report.frames() {
+            h.write_u64(f.display_index);
+            h.write_u64(f.gop);
+            h.write_u64(f.due.as_micros());
+            hash_time(&mut h, f.processed);
+            hash_time(&mut h, f.delivered);
+        }
+        assert_eq!(
+            h.finish(),
+            expected,
+            "{} / {}: frame records moved",
+            system.label(),
+            contention.label()
+        );
+    }
 }
 
 #[test]
