@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use quasaq_media::{FrameRate, FrameTrace, GopPattern, TraceParams};
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::queue::reference::ReferenceQueue;
 use quasaq_sim::{EventQueue, SharedLink, SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -27,59 +26,33 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The timing wheel against the retired binary-heap queue on the same
-/// schedule / cancel / pop churn, so a regression in either direction is
-/// visible as a ratio between adjacent rows.
+/// Schedule / cancel / pop churn: four rounds of 1k schedules, a third of
+/// them cancelled, the survivors drained.
 fn bench_event_queue_churn(c: &mut Criterion) {
-    fn churn<Q, I>(
-        mut schedule: impl FnMut(&mut Q, SimTime, u64) -> I,
-        mut cancel: impl FnMut(&mut Q, I),
-        mut pop: impl FnMut(&mut Q) -> bool,
-        q: &mut Q,
-    ) -> u64 {
-        let mut ids = Vec::with_capacity(1_000);
-        let mut n = 0;
-        for round in 0..4u64 {
-            ids.clear();
-            for i in 0..1_000u64 {
-                // Each round's window starts past the previous round's
-                // latest event, so draining never leaves `now` ahead of a
-                // later schedule.
-                let t = SimTime::from_micros(round * 1_000_000 + (i * 2_654_435_761) % 1_000_000);
-                ids.push(schedule(q, t, i));
-            }
-            // Cancel every third event, then drain the survivors.
-            for id in ids.drain(..).step_by(3) {
-                cancel(q, id);
-            }
-            while pop(q) {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    c.bench_function("event_queue_wheel_churn_4x1k", |b| {
+    c.bench_function("event_queue_churn_4x1k", |b| {
         b.iter(|| {
             let mut q: EventQueue<u64> = EventQueue::new();
-            black_box(churn(
-                |q, t, p| q.schedule(t, p),
-                |q, id| q.cancel(id),
-                |q| q.pop().is_some(),
-                &mut q,
-            ))
-        })
-    });
-
-    c.bench_function("event_queue_reference_churn_4x1k", |b| {
-        b.iter(|| {
-            let mut q: ReferenceQueue<u64> = ReferenceQueue::new();
-            black_box(churn(
-                |q, t, p| q.schedule(t, p),
-                |q, id| q.cancel(id),
-                |q| q.pop().is_some(),
-                &mut q,
-            ))
+            let mut ids = Vec::with_capacity(1_000);
+            let mut n = 0;
+            for round in 0..4u64 {
+                ids.clear();
+                for i in 0..1_000u64 {
+                    // Each round's window starts past the previous round's
+                    // latest event, so draining never leaves `now` ahead of
+                    // a later schedule.
+                    let t =
+                        SimTime::from_micros(round * 1_000_000 + (i * 2_654_435_761) % 1_000_000);
+                    ids.push(q.schedule(t, i));
+                }
+                // Cancel every third event, then drain the survivors.
+                for id in ids.drain(..).step_by(3) {
+                    q.cancel(id);
+                }
+                while q.pop().is_some() {
+                    n += 1;
+                }
+            }
+            black_box(n)
         })
     });
 }

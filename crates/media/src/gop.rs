@@ -1,7 +1,7 @@
 //! MPEG Group-of-Pictures structure.
 //!
 //! The paper measures delay variance at both the frame and the GOP level
-//! (Table 2): "some variance [is] inevitable in dealing with Variable
+//! (Table 2): "some variance \[is\] inevitable in dealing with Variable
 //! Bitrate (VBR) media streams such as MPEG video because the frames are of
 //! different sizes and coding schemes (e.g. I, B, P frames in a Group of
 //! Pictures (GOP) in MPEG). Such intrinsic variance can be smoothed out if

@@ -14,7 +14,7 @@
 //!   query-side acceptance ranges ([`QosRange`]).
 //! * [`transcode`] — online transcoding feasibility, output-size and
 //!   CPU-cost model.
-//! * [`drop`] — MPEG-1 frame-dropping strategies (no drop / half B /
+//! * [`drop`](mod@drop) — MPEG-1 frame-dropping strategies (no drop / half B /
 //!   all B / all B and P, per Fig 2).
 //! * [`encrypt`] — encryption algorithm cost/strength model.
 //! * [`library`] — catalog generation matching the paper's database (15

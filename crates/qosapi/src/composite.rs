@@ -6,7 +6,7 @@
 //! provided by the Composite QoS API is QoS-related resource management:
 //! 1. admission control … 2. resource reservation … 3. renegotiation."
 //!
-//! [`CompositeQosApi`] shards its buckets into one [`ServerDomain`] per
+//! [`CompositeQosApi`] shards its buckets into one `ServerDomain` per
 //! server — the server's resource-kind managers plus its failure stash —
 //! and reserves entire [`ResourceVector`]s atomically: either every
 //! bucket admits its share or nothing is reserved. Reservations,

@@ -467,6 +467,14 @@ fn apply_links(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), ScenarioEr
                 ))
             }
         };
+        model.check().map_err(|e| {
+            // Duration fields carry a `_s` suffix in scenario files.
+            let key = match e.field {
+                "dwell" | "coherence" | "period" | "step" => format!("{}_s", e.field),
+                field => field.to_string(),
+            };
+            schema_err(format!("{path}.{key}"), e.message)
+        })?;
         let seed = v.opt_u64("seed")?.unwrap_or(cfg.seed);
         let sampled = LinkPlan::sample(seed, server_ids(cfg.testbed.servers), cfg.horizon, model);
         plan.changes.extend(sampled.changes);
@@ -858,5 +866,66 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
         // Link dynamics mark results with fault metrics (QoS violation
         // exposure tracking); presence proves the plan reached the driver.
         assert!(report.runs[0].results[0].faults.is_some());
+    }
+
+    /// Runs the smoke scenario with a links stage whose model table is
+    /// `model`, and asserts it fails with a schema error at `key`.
+    fn assert_link_model_rejected(model: &str, key: &str) {
+        let doc = format!(
+            "{}\n[stage.w]\nkind = \"links\"\n[stage.w.model]\n{model}\n",
+            SMOKE.replace("needs = [\"load\"]\nsystems", "needs = [\"load\", \"w\"]\nsystems")
+        );
+        match run_str(&doc, ExecMode::Serial) {
+            Err(ScenarioError::Schema { path, .. }) => assert_eq!(path, key),
+            other => panic!("expected a schema error at {key}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn markov_factor_above_one_is_a_schema_error() {
+        assert_link_model_rejected(
+            "kind = \"markov\"\nfactors = [1.5, 0.4, 0.15]\ndwell_s = [8, 5, 4]",
+            "stage.w.model.factors",
+        );
+    }
+
+    #[test]
+    fn markov_non_positive_dwell_is_a_schema_error() {
+        assert_link_model_rejected(
+            "kind = \"markov\"\nfactors = [1, 0.4, 0.15]\ndwell_s = [8, -5, 4]",
+            "stage.w.model.dwell_s",
+        );
+        assert_link_model_rejected(
+            "kind = \"markov\"\nfactors = [1, 0.4, 0.15]\ndwell_s = [8, 5, 0]",
+            "stage.w.model.dwell_s",
+        );
+    }
+
+    #[test]
+    fn fading_mean_out_of_range_is_a_schema_error() {
+        for mean in ["0", "1.2", "-0.5"] {
+            assert_link_model_rejected(
+                &format!("kind = \"fading\"\nmean = {mean}\nspread = 0.1\ncoherence_s = 4"),
+                "stage.w.model.mean",
+            );
+        }
+    }
+
+    #[test]
+    fn negative_fading_spread_is_a_schema_error() {
+        assert_link_model_rejected(
+            "kind = \"fading\"\nmean = 0.8\nspread = -0.1\ncoherence_s = 4",
+            "stage.w.model.spread",
+        );
+    }
+
+    #[test]
+    fn diurnal_trough_out_of_range_is_a_schema_error() {
+        for trough in ["0", "1.5"] {
+            assert_link_model_rejected(
+                &format!("kind = \"diurnal\"\ntrough = {trough}\nperiod_s = 60\nstep_s = 5"),
+                "stage.w.model.trough",
+            );
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! frame is a little-endian `u32` payload length followed by the payload;
 //! the first payload byte is a variant tag. `quasaq-shell` moves the
 //! frames over TCP, and because the codec round-trips the exact
-//! [`Command`]/[`Effect`] values, a decision made over the wire is the
-//! same decision the in-process drivers see.
+//! [`Command`](crate::Command)/[`Effect`] values, a decision made over
+//! the wire is the same decision the in-process drivers see.
 //!
 //! Decoding is total: malformed input yields a typed [`WireError`], never
 //! a panic, since these paths are reachable from an untrusted peer.

@@ -9,7 +9,7 @@
 //! * a [`FaultPlan`] declares outage windows — fixed schedules for tests
 //!   (e.g. "server 1 crashes at t=1000 s and restarts at t=2000 s"),
 //!   or exponentially distributed windows sampled from a [`FaultModel`]
-//!   for experiments (same seeded [`Rng`](crate::rng::Rng) discipline as
+//!   for experiments (same seeded [`Rng`] discipline as
 //!   everything else, so plans replay bit-for-bit),
 //! * a [`FaultInjector`] expands the plan into a `(time, seq)`-ordered
 //!   event timeline the driver merges into its master event loop exactly

@@ -47,7 +47,7 @@ pub use cpu::{
 pub use domain::LinkDomain;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultModel, FaultPlan, FaultSpec};
 pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone, XferId};
-pub use linkdyn::{LinkInjector, LinkModel, LinkPlan, LinkSpec};
+pub use linkdyn::{LinkInjector, LinkModel, LinkModelError, LinkPlan, LinkSpec};
 pub use queue::{EventId, EventQueue};
 pub use rng::Rng;
 pub use stats::{Histogram, LevelTracker, OnlineStats, RateCounter, Series};

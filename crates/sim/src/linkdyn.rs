@@ -12,7 +12,7 @@
 //!   fixed schedules for tests, or trajectories sampled from a
 //!   [`LinkModel`] (Markov-modulated quality states, fading-style
 //!   multiplicative noise, diurnal ramps) under the same seeded
-//!   [`Rng`](crate::rng::Rng) discipline as everything else, so plans
+//!   [`Rng`] discipline as everything else, so plans
 //!   replay bit-for-bit and each server's trajectory is independent of the
 //!   sweep width,
 //! * a [`LinkInjector`] expands the plan into a `(time, seq)`-ordered
@@ -105,13 +105,18 @@ impl LinkPlan {
     /// server forks its own stream from `seed`, so server `k`'s trajectory
     /// is independent of how many servers the sweep covers — and the whole
     /// plan replays bit-for-bit.
+    ///
+    /// # Panics
+    /// Panics if [`LinkModel::check`] rejects `model`.
     pub fn sample(
         seed: u64,
         servers: impl IntoIterator<Item = ServerId>,
         horizon: SimTime,
         model: LinkModel,
     ) -> Self {
-        model.validate();
+        if let Err(e) = model.check() {
+            panic!("invalid link model: {e}");
+        }
         let root = Rng::new(seed ^ 0x001D_FADE_u64);
         let mut changes = Vec::new();
         for server in servers {
@@ -171,28 +176,75 @@ impl LinkPlan {
     }
 }
 
+/// An out-of-range [`LinkModel`] parameter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinkModelError {
+    /// The offending [`LinkModel`] field, e.g. `"factors"` or `"trough"`.
+    pub field: &'static str,
+    /// The range the field violates, with the value found.
+    pub message: String,
+}
+
+impl std::fmt::Display for LinkModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.message)
+    }
+}
+
+impl std::error::Error for LinkModelError {}
+
 impl LinkModel {
-    fn validate(self) {
+    /// Checks every parameter against its documented range.
+    /// [`LinkPlan::sample`] panics on a model this rejects; callers holding
+    /// untrusted input call it first.
+    pub fn check(self) -> Result<(), LinkModelError> {
+        fn ensure(ok: bool, field: &'static str, message: String) -> Result<(), LinkModelError> {
+            if ok {
+                Ok(())
+            } else {
+                Err(LinkModelError { field, message })
+            }
+        }
+        fn positive(d: SimDuration, field: &'static str, what: &str) -> Result<(), LinkModelError> {
+            ensure(!d.is_zero(), field, format!("{what} must be positive, found {d}"))
+        }
         match self {
             LinkModel::Markov { factors, dwell } => {
                 for f in factors {
-                    assert!(f > 0.0 && f <= 1.0, "Markov factors must be in (0, 1]");
+                    ensure(
+                        f > 0.0 && f <= 1.0,
+                        "factors",
+                        format!("Markov factors must be in (0, 1], found {f}"),
+                    )?;
                 }
                 for d in dwell {
-                    assert!(!d.is_zero(), "Markov dwell means must be positive");
+                    positive(d, "dwell", "Markov dwell means")?;
                 }
             }
             LinkModel::Fading { mean, spread, coherence } => {
-                assert!(mean > 0.0 && mean <= 1.0, "fading mean must be in (0, 1]");
-                assert!(spread >= 0.0, "fading spread must be non-negative");
-                assert!(!coherence.is_zero(), "coherence block must be positive");
+                ensure(
+                    mean > 0.0 && mean <= 1.0,
+                    "mean",
+                    format!("fading mean must be in (0, 1], found {mean}"),
+                )?;
+                ensure(
+                    spread >= 0.0 && spread.is_finite(),
+                    "spread",
+                    format!("fading spread must be finite and non-negative, found {spread}"),
+                )?;
+                positive(coherence, "coherence", "coherence block")?;
             }
             LinkModel::Diurnal { trough, period, step } => {
-                assert!(trough > 0.0 && trough <= 1.0, "diurnal trough must be in (0, 1]");
-                assert!(!period.is_zero(), "diurnal period must be positive");
-                assert!(!step.is_zero(), "diurnal step must be positive");
+                ensure(
+                    trough > 0.0 && trough <= 1.0,
+                    "trough",
+                    format!("diurnal trough must be in (0, 1], found {trough}"),
+                )?;
+                positive(period, "period", "diurnal period")?;
+                positive(step, "step", "diurnal step")?;
             }
         }
+        Ok(())
     }
 }
 
@@ -265,6 +317,45 @@ mod tests {
         assert_eq!(narrow.changes, wide_s1);
         assert!(a.changes.iter().all(|s| s.at < horizon));
         assert!(!a.is_empty(), "3000 s of 60 s dwells over 3 servers should transition");
+    }
+
+    #[test]
+    fn check_names_the_out_of_range_field() {
+        let secs = SimDuration::from_secs;
+        assert_eq!(markov().check(), Ok(()));
+        let field = |m: LinkModel| m.check().unwrap_err().field;
+        let LinkModel::Markov { dwell, .. } = markov() else { unreachable!() };
+        assert_eq!(field(LinkModel::Markov { factors: [1.5, 0.5, 0.2], dwell }), "factors");
+        let zero_dwell = [secs(60), SimDuration::ZERO, secs(15)];
+        assert_eq!(
+            field(LinkModel::Markov { factors: [1.0, 0.5, 0.2], dwell: zero_dwell }),
+            "dwell"
+        );
+        assert_eq!(field(LinkModel::Fading { mean: 0.0, spread: 0.1, coherence: secs(1) }), "mean");
+        assert_eq!(
+            field(LinkModel::Fading { mean: 0.8, spread: -0.1, coherence: secs(1) }),
+            "spread"
+        );
+        assert_eq!(
+            field(LinkModel::Diurnal { trough: 1.5, period: secs(60), step: secs(5) }),
+            "trough"
+        );
+        assert_eq!(
+            field(LinkModel::Diurnal { trough: 0.5, period: secs(60), step: SimDuration::ZERO }),
+            "step"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Markov factors must be in (0, 1]")]
+    fn sampling_a_rejected_model_panics() {
+        let LinkModel::Markov { dwell, .. } = markov() else { unreachable!() };
+        LinkPlan::sample(
+            1,
+            [ServerId(0)],
+            SimTime::from_secs(10),
+            LinkModel::Markov { factors: [1.5, 0.5, 0.2], dwell },
+        );
     }
 
     #[test]

@@ -7,39 +7,11 @@
 //! the [`EventId`] returned by [`EventQueue::schedule`]; cancelled entries
 //! are dropped lazily when they surface.
 //!
-//! Internally the queue is a hierarchical timing wheel (11 levels of 64
-//! slots, 6 bits per level, covering the full `u64` microsecond range) with
-//! a per-level occupancy bitmap, plus a small `ready` binary heap that
-//! holds near-horizon entries. Scheduling hashes the event into a slot in
-//! O(1); popping drains the earliest due slot into the `ready` heap, whose
-//! `(time, seq)` ordering restores the exact global tie order. The heap
-//! only ever holds one slot's worth of entries (plus stragglers scheduled
-//! behind the wheel cursor), so its `log` factor is over a handful of
-//! items, not the whole event population — the common schedule/cancel/pop
-//! cycle is O(1) amortized.
-//!
-//! Small populations skip the wheel entirely: while fewer than
-//! [`DEFAULT_HEAP_THRESHOLD`] entries are stored, `schedule` pushes
-//! straight onto the `ready` heap, whose `log` factor at those sizes beats
-//! the wheel's cascade bookkeeping (the wheel used to lose ~22% to the
-//! plain heap on 1k-event churn). This is purely a routing choice — `pop`
-//! and `peek_time` already merge the heap and the wheel by comparing the
-//! ready head against the wheel's next slot deadline, so the fired order
-//! is identical whichever side an entry landed on, and mid-run threshold
-//! crossings need no migration.
-//!
-//! Wheel invariants:
-//! 1. every wheel entry's time is `>= cursor` (entries scheduled behind the
-//!    cursor — possible after `peek_time` cascades ahead of `now` — go
-//!    straight to the `ready` heap instead);
-//! 2. the cursor only advances to slot deadlines that lower-bound every
-//!    remaining wheel entry, so at each level the occupied slots always sit
-//!    at or after the cursor's slot, and the first occupied slot of the
-//!    lowest occupied level is the global wheel minimum.
-//!
-//! The old `BinaryHeap`-based implementation survives as
-//! [`reference::ReferenceQueue`]: it is the behavioral oracle for the
-//! differential proptests and the baseline for the micro-benchmarks.
+//! Internally the queue is one `BinaryHeap` keyed on `(time, seq)`, plus
+//! two sets: `live` (scheduled, neither fired nor cancelled) and
+//! `cancelled` (tombstones not yet reaped). Every caller stores at most a
+//! few dozen entries at once, where a heap's `log` factor is a handful of
+//! comparisons.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -48,20 +20,6 @@ use std::collections::{BinaryHeap, HashSet};
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
-
-/// Below this many stored entries, `schedule` bypasses the wheel and uses
-/// the `ready` heap directly: a couple thousand entries is where the
-/// heap's `log` factor starts losing to the wheel's O(1)-amortized
-/// bookkeeping. Chosen above the 1k-event churn micro-bench population so
-/// small sims never pay the wheel's constant factors.
-pub const DEFAULT_HEAP_THRESHOLD: usize = 2048;
-
-/// Bits per wheel level: 64 slots each.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover all 64 bits of a microsecond timestamp.
-const LEVELS: usize = 11;
 
 struct Entry<E> {
     time: SimTime,
@@ -89,23 +47,9 @@ impl<E> Ord for Entry<E> {
 
 /// A deterministic priority queue of timed events.
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` buckets, flattened; bucket `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<E>>>,
-    /// One occupancy bitmap per level: bit `s` set iff slot `s` is non-empty.
-    occupancy: [u64; LEVELS],
-    /// Wheel read position in microseconds. Always `<=` every wheel entry's
-    /// time; may run ahead of `now` after a `peek_time` cascade.
-    cursor: u64,
-    /// Near-horizon entries in exact `(time, seq)` order: drained slots and
-    /// anything scheduled behind `cursor`.
-    ready: BinaryHeap<Entry<E>>,
-    /// Physical entries stored (wheel + ready), including unreaped
-    /// tombstones.
-    stored: usize,
-    /// Physical entries currently in the wheel (not `ready`): lets the
-    /// pop/peek merge skip the per-level occupancy probe entirely while the
-    /// queue runs in heap mode.
-    in_wheel: usize,
+    /// Every stored entry, earliest `(time, seq)` on top, including
+    /// unreaped tombstones.
+    heap: BinaryHeap<Entry<E>>,
     /// Sequence numbers scheduled but not yet fired or cancelled. Needed so
     /// `cancel` can tell a live event from one that already fired: blindly
     /// tombstoning an already-fired seq would leave it in `cancelled`
@@ -113,9 +57,6 @@ pub struct EventQueue<E> {
     live: HashSet<u64>,
     /// Tombstones for cancelled-but-unreaped entries.
     cancelled: HashSet<u64>,
-    /// Population below which `schedule` routes to the heap instead of the
-    /// wheel (see [`DEFAULT_HEAP_THRESHOLD`]; 0 forces pure-wheel).
-    heap_threshold: usize,
     now: SimTime,
     seq: u64,
 }
@@ -129,37 +70,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue sized for roughly `capacity` outstanding
-    /// events, avoiding rehash/regrow churn in event-dense sim loops.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
-            slots,
-            occupancy: [0; LEVELS],
-            cursor: 0,
-            ready: BinaryHeap::with_capacity(capacity.min(SLOTS)),
-            stored: 0,
-            in_wheel: 0,
-            live: HashSet::with_capacity(capacity),
+            heap: BinaryHeap::new(),
+            live: HashSet::new(),
             cancelled: HashSet::new(),
-            heap_threshold: DEFAULT_HEAP_THRESHOLD,
             now: SimTime::ZERO,
             seq: 0,
         }
-    }
-
-    /// Overrides the population below which scheduling bypasses the wheel.
-    /// `0` forces every entry through the wheel (the differential tests use
-    /// this to pin the structure under test); `usize::MAX` degenerates to a
-    /// plain binary heap. Takes effect for subsequent schedules only —
-    /// already-stored entries stay where they are, which is safe because
-    /// pop/peek merge both sides regardless.
-    pub fn set_heap_threshold(&mut self, threshold: usize) {
-        self.heap_threshold = threshold;
     }
 
     /// Current simulated time: the firing time of the most recently popped
@@ -182,18 +99,7 @@ impl<E> EventQueue<E> {
         let id = self.seq;
         self.seq += 1;
         self.live.insert(id);
-        self.stored += 1;
-        let entry = Entry { time: at, seq: id, payload };
-        let t = at.as_micros();
-        if t < self.cursor || self.stored <= self.heap_threshold {
-            // Two reasons to bypass the wheel: `peek_time` may have cascaded
-            // the cursor past `now`, and entries landing in that gap must
-            // skip it (invariant 1); and below the hybrid threshold the heap
-            // is simply faster than wheel bookkeeping.
-            self.ready.push(entry);
-        } else {
-            self.insert_wheel(entry);
-        }
+        self.heap.push(Entry { time: at, seq: id, payload });
         EventId(id)
     }
 
@@ -213,10 +119,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event, advancing the clock to its firing
     /// time. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            self.pull_due_into_ready();
-            let entry = self.ready.pop()?;
-            self.stored -= 1;
+        while let Some(entry) = self.heap.pop() {
             if self.cancelled.remove(&entry.seq) {
                 continue;
             }
@@ -225,30 +128,24 @@ impl<E> EventQueue<E> {
             self.now = entry.time;
             return Some((entry.time, entry.payload));
         }
+        None
     }
 
     /// The firing time of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            self.pull_due_into_ready();
-            match self.ready.peek() {
-                None => return None,
-                Some(entry) if self.cancelled.contains(&entry.seq) => {
-                    let entry = self.ready.pop().expect("peeked entry");
-                    self.cancelled.remove(&entry.seq);
-                    self.stored -= 1;
-                    // The next ready entry may now trail a wheel slot; loop
-                    // so the wheel gets another chance to feed `ready`.
-                }
-                Some(entry) => return Some(entry.time),
+        while let Some(entry) = self.heap.peek() {
+            if !self.cancelled.remove(&entry.seq) {
+                return Some(entry.time);
             }
+            self.heap.pop();
         }
+        None
     }
 
     /// Number of scheduled (possibly including cancelled-but-unreaped)
     /// entries.
     pub fn len(&self) -> usize {
-        self.stored
+        self.heap.len()
     }
 
     /// Number of live (scheduled, neither fired nor cancelled) events. Unlike
@@ -259,204 +156,7 @@ impl<E> EventQueue<E> {
 
     /// True when no live or stale entries remain.
     pub fn is_empty(&self) -> bool {
-        self.stored == 0
-    }
-
-    /// Places an entry with `time >= cursor` into its wheel bucket: the
-    /// level is the highest 6-bit group in which the time differs from the
-    /// cursor, the slot is the time's value in that group.
-    fn insert_wheel(&mut self, entry: Entry<E>) {
-        let t = entry.time.as_micros();
-        debug_assert!(t >= self.cursor);
-        let masked = t ^ self.cursor;
-        let level = if masked == 0 {
-            0
-        } else {
-            (63 - masked.leading_zeros()) as usize / LEVEL_BITS as usize
-        };
-        let slot = (t >> (level as u32 * LEVEL_BITS)) as usize & (SLOTS - 1);
-        self.slots[level * SLOTS + slot].push(entry);
-        self.occupancy[level] |= 1 << slot;
-        self.in_wheel += 1;
-    }
-
-    /// First occupied wheel bucket `(level, slot, deadline)` in firing
-    /// order, if any. Level ordering is strict (every level-`L` entry fires
-    /// before every level-`L+1` entry, because they share the cursor's
-    /// higher groups), so the lowest occupied level's first slot is the
-    /// wheel's global minimum; its deadline is the slot's start time (the
-    /// exact event time at level 0).
-    fn wheel_next(&self) -> Option<(usize, usize, u64)> {
-        for level in 0..LEVELS {
-            let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
-            }
-            let cursor_slot = (self.cursor >> (level as u32 * LEVEL_BITS)) as usize & (SLOTS - 1);
-            let ahead = occ >> cursor_slot;
-            debug_assert!(ahead != 0, "occupied wheel slot behind cursor");
-            let slot = cursor_slot + ahead.trailing_zeros() as usize;
-            let group_shift = level as u32 * LEVEL_BITS;
-            let span_shift = group_shift + LEVEL_BITS;
-            let high = if span_shift >= 64 { 0 } else { (self.cursor >> span_shift) << span_shift };
-            let deadline = high | ((slot as u64) << group_shift);
-            return Some((level, slot, deadline));
-        }
-        None
-    }
-
-    /// Moves wheel entries into `ready` until the ready head is guaranteed
-    /// to be the global minimum: while the wheel's next deadline does not
-    /// trail the ready head, either cascade (level > 0) or drain the due
-    /// slot (level 0). Ties drain too, so same-time entries meet in the
-    /// heap where `(time, seq)` order decides.
-    fn pull_due_into_ready(&mut self) {
-        while self.in_wheel > 0 {
-            let Some((level, slot, deadline)) = self.wheel_next() else {
-                debug_assert!(false, "in_wheel > 0 but no occupied slot");
-                break;
-            };
-            if let Some(head) = self.ready.peek() {
-                if head.time.as_micros() < deadline {
-                    break;
-                }
-            }
-            let bucket = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-            self.occupancy[level] &= !(1 << slot);
-            self.in_wheel -= bucket.len();
-            if level == 0 {
-                // All entries in a level-0 slot share one exact time.
-                for entry in bucket {
-                    if self.cancelled.remove(&entry.seq) {
-                        self.stored -= 1;
-                    } else {
-                        self.ready.push(entry);
-                    }
-                }
-            } else {
-                // Advancing the cursor to the slot's start strictly lowers
-                // each entry's level on re-insert (its time differs from the
-                // new cursor only below this level's span).
-                self.cursor = deadline;
-                for entry in bucket {
-                    if self.cancelled.remove(&entry.seq) {
-                        self.stored -= 1;
-                    } else {
-                        self.insert_wheel(entry);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The pre-wheel `BinaryHeap` event queue, kept verbatim as a behavioral
-/// oracle: the differential proptests drive it and [`EventQueue`] through
-/// identical schedule/cancel/pop/peek traces and demand event-for-event
-/// equality, and the micro-benchmarks use it as the comparison baseline.
-pub mod reference {
-    use super::Entry;
-    use crate::time::{SimDuration, SimTime};
-    use std::collections::{BinaryHeap, HashSet};
-
-    /// Identifies a scheduled event so it can be cancelled.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct RefEventId(u64);
-
-    /// A deterministic priority queue of timed events (heap-based oracle).
-    pub struct ReferenceQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        live: HashSet<u64>,
-        cancelled: HashSet<u64>,
-        now: SimTime,
-        seq: u64,
-    }
-
-    impl<E> Default for ReferenceQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> ReferenceQueue<E> {
-        /// Creates an empty queue with the clock at zero.
-        pub fn new() -> Self {
-            ReferenceQueue {
-                heap: BinaryHeap::new(),
-                live: HashSet::new(),
-                cancelled: HashSet::new(),
-                now: SimTime::ZERO,
-                seq: 0,
-            }
-        }
-
-        /// Current simulated time.
-        pub fn now(&self) -> SimTime {
-            self.now
-        }
-
-        /// Schedules `payload` to fire at absolute time `at`.
-        pub fn schedule(&mut self, at: SimTime, payload: E) -> RefEventId {
-            assert!(
-                at >= self.now,
-                "cannot schedule event in the past ({at} < now {now})",
-                now = self.now
-            );
-            let id = self.seq;
-            self.seq += 1;
-            self.live.insert(id);
-            self.heap.push(Entry { time: at, seq: id, payload });
-            RefEventId(id)
-        }
-
-        /// Schedules `payload` to fire `after` from now.
-        pub fn schedule_in(&mut self, after: SimDuration, payload: E) -> RefEventId {
-            self.schedule(self.now + after, payload)
-        }
-
-        /// Cancels a previously scheduled event (no-op after fire/cancel).
-        pub fn cancel(&mut self, id: RefEventId) {
-            if self.live.remove(&id.0) {
-                self.cancelled.insert(id.0);
-                self.reap_head();
-            }
-        }
-
-        /// Removes and returns the next event, advancing the clock.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(entry) = self.heap.pop() {
-                if self.cancelled.remove(&entry.seq) {
-                    continue;
-                }
-                self.live.remove(&entry.seq);
-                self.now = entry.time;
-                return Some((entry.time, entry.payload));
-            }
-            None
-        }
-
-        /// The firing time of the next live event without popping it.
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            self.reap_head();
-            self.heap.peek().map(|entry| entry.time)
-        }
-
-        fn reap_head(&mut self) {
-            while let Some(entry) = self.heap.peek() {
-                if self.cancelled.contains(&entry.seq) {
-                    let seq = entry.seq;
-                    self.heap.pop();
-                    self.cancelled.remove(&seq);
-                } else {
-                    break;
-                }
-            }
-        }
-
-        /// Number of live (scheduled, neither fired nor cancelled) events.
-        pub fn live_len(&self) -> usize {
-            self.live.len()
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -527,11 +227,9 @@ mod tests {
 
     #[test]
     fn peek_then_schedule_behind_the_peek_stays_ordered() {
-        // peek_time cascades the wheel cursor toward the next event; a later
-        // schedule between `now` and that event must still fire first.
+        // A schedule between `now` and an already-peeked event must still
+        // fire first.
         let mut q = EventQueue::new();
-        q.set_heap_threshold(0); // pin the wheel path
-
         q.schedule(SimTime::from_micros(62), "pop-me");
         q.schedule(SimTime::from_micros(130), "far");
         assert_eq!(q.pop().map(|(_, e)| e), Some("pop-me"));
@@ -545,10 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn far_horizon_events_cascade_correctly() {
+    fn far_future_events_fire_in_order() {
+        // Times spanning the whole `u64` microsecond range.
         let mut q = EventQueue::new();
-        q.set_heap_threshold(0); // pin the wheel path
-                                 // Spread across many wheel levels, including the top.
         let times = [1u64, 63, 64, 65, 4096, 262144, 1 << 40, u64::MAX / 2, u64::MAX - 1];
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_micros(t), i);
@@ -616,15 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_starts_empty() {
-        let mut q: EventQueue<u8> = EventQueue::with_capacity(64);
-        assert!(q.is_empty());
-        assert_eq!(q.live_len(), 0);
-        q.schedule(SimTime::from_secs(1), 7);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
@@ -643,15 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_threshold_crossing_keeps_global_order() {
-        // Grow well past the hybrid threshold (later entries take the wheel,
-        // early ones sit in the heap), then drain back through it: the merge
-        // must fire everything in exact (time, seq) order throughout.
+    fn colliding_times_fire_in_time_then_insertion_order() {
         let mut q = EventQueue::new();
-        q.set_heap_threshold(8);
         let mut expected: Vec<(u64, u64)> = Vec::new();
         for i in 0..40u64 {
-            // Colliding times so ties straddle the heap/wheel boundary.
+            // 40 events over 23 distinct times, so most times repeat.
             let t = (i * 37) % 23 + 1;
             q.schedule(SimTime::from_micros(t), i);
             expected.push((t, i));
@@ -663,31 +347,26 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_queue_on_interleaved_trace() {
-        // A quick inline differential check; the heavyweight randomized
-        // version lives in tests/proptests.rs.
-        let mut wheel = EventQueue::new();
-        wheel.set_heap_threshold(0); // pin the wheel path
-        let mut heap = reference::ReferenceQueue::new();
+    fn interleaved_trace_with_cancels_fires_survivors_in_order() {
+        // A quick inline check; the randomized version against a linear-scan
+        // model lives in tests/proptests.rs.
+        let mut q = EventQueue::new();
         let times = [5u64, 5, 3, 700, 700, 64, 65, 1_000_000, 12, 13];
-        let mut wheel_ids = Vec::new();
-        let mut heap_ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            wheel_ids.push(wheel.schedule(SimTime::from_micros(t), i));
-            heap_ids.push(heap.schedule(SimTime::from_micros(t), i));
-        }
-        wheel.cancel(wheel_ids[1]);
-        heap.cancel(heap_ids[1]);
-        wheel.cancel(wheel_ids[3]);
-        heap.cancel(heap_ids[3]);
-        loop {
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b);
-            assert_eq!(wheel.now(), heap.now());
-            if a.is_none() {
-                break;
-            }
-        }
+        let ids: Vec<EventId> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| q.schedule(SimTime::from_micros(t), i))
+            .collect();
+        q.cancel(ids[1]);
+        q.cancel(ids[3]);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
+        let got: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_micros(), e))).collect();
+        assert_eq!(
+            got,
+            vec![(3, 2), (5, 0), (12, 8), (13, 9), (64, 5), (65, 6), (700, 4), (1_000_000, 7)]
+        );
+        assert_eq!(q.now(), SimTime::from_micros(1_000_000));
+        assert_eq!(q.cancelled.len(), 0);
     }
 }

@@ -24,8 +24,8 @@ const SKETCH_GROWTH: f64 = 1.07;
 /// log-spaced bucket sketch for quantiles.
 ///
 /// The sketch counts observations in geometric buckets (growth factor
-/// [`SKETCH_GROWTH`] from [`SKETCH_FLOOR`]): integer counts, so merging
-/// is exact and order-independent — quantiles from a sharded run equal
+/// `SKETCH_GROWTH` = 1.07 from `SKETCH_FLOOR` = 1e-9): integer counts, so
+/// merging is exact and order-independent — quantiles from a sharded run equal
 /// the serial run's bit for bit, unlike P²-style estimators whose state
 /// is merge-order-dependent.
 ///
@@ -125,8 +125,8 @@ impl OnlineStats {
     /// The `q`-quantile (q in [0, 1]) from the bucket sketch, `None` when
     /// empty. Nearest-rank over the geometric buckets: the result is the
     /// log-midpoint of the bucket holding the ranked observation, so it
-    /// is within ±√[`SKETCH_GROWTH`] (≈3.5%) of an observed value, and
-    /// exact for observations at or below [`SKETCH_FLOOR`]. Deterministic
+    /// is within ±√`SKETCH_GROWTH` (≈3.5%) of an observed value, and
+    /// exact for observations at or below `SKETCH_FLOOR`. Deterministic
     /// and merge-order-independent (integer bucket counts).
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.n == 0 {

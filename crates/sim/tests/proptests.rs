@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::queue::reference::ReferenceQueue;
 use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime};
 
 #[path = "support/old_link.rs"]
@@ -252,61 +251,66 @@ proptest! {
         }
     }
 
-    /// The timing-wheel event queue is event-for-event identical to the
-    /// reference binary-heap queue under random schedule / cancel / pop /
-    /// peek traces, including `(time, seq)` tie order, tombstoned
-    /// cancellations, and cancels issued after the event already fired.
-    /// The hybrid heap-below-threshold routing is pinned at all three
-    /// regimes: pure wheel (0), crossing mid-trace (16 — these traces grow
-    /// past 16 live events and drain back), and pure heap (the default
-    /// threshold, far above any trace here).
+    /// The event queue is event-for-event identical to a trivially
+    /// correct model under random schedule / cancel / pop / peek traces:
+    /// a `Vec` of live `(time, seq, payload)` entries whose next event is
+    /// found by a linear scan for the minimum `(time, seq)`. Covers tie
+    /// order, tombstoned cancellations, and cancels issued after the event
+    /// already fired or was already cancelled.
     #[test]
-    fn timing_wheel_matches_reference_heap(
-        threshold in proptest::sample::select(
-            vec![0usize, 16, quasaq_sim::queue::DEFAULT_HEAP_THRESHOLD],
-        ),
+    fn event_queue_matches_model(
         ops in proptest::collection::vec((0u8..5, 0u64..200_000, any::<usize>()), 1..400),
     ) {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        wheel.set_heap_threshold(threshold);
-        let mut heap: ReferenceQueue<u32> = ReferenceQueue::new();
-        // Parallel id logs: the k-th schedule produced ids[k] in each
-        // queue. Popped/cancelled ids stay in the log so a later cancel
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut model: Vec<(u64, u64, u32)> = Vec::new();
+        let mut now = 0u64;
+        // The k-th schedule produced ids[k] in the queue and seq k in the
+        // model. Popped/cancelled ids stay in the log so a later cancel
         // exercises the fired-tombstone path.
-        let mut wheel_ids = Vec::new();
-        let mut heap_ids = Vec::new();
+        let mut ids = Vec::new();
+        let model_next = |model: &Vec<(u64, u64, u32)>| {
+            (0..model.len()).min_by_key(|&k| (model[k].0, model[k].1))
+        };
         for (i, &(op, offset, pick)) in ops.iter().enumerate() {
             match op {
-                // Bias towards scheduling (two opcodes) so traces grow.
+                // Bias towards scheduling (two opcodes) so traces grow; the
+                // second lands within 16 µs of now so ties are common.
                 0 | 1 => {
-                    wheel_ids.push(wheel.schedule_in(SimDuration::from_micros(offset), i as u32));
-                    heap_ids.push(heap.schedule_in(SimDuration::from_micros(offset), i as u32));
+                    let offset = if op == 0 { offset } else { offset % 16 };
+                    ids.push(q.schedule_in(SimDuration::from_micros(offset), i as u32));
+                    model.push((now + offset, ids.len() as u64 - 1, i as u32));
                 }
                 2 => {
-                    if !wheel_ids.is_empty() {
-                        let k = pick % wheel_ids.len();
-                        wheel.cancel(wheel_ids[k]);
-                        heap.cancel(heap_ids[k]);
+                    if !ids.is_empty() {
+                        let k = pick % ids.len();
+                        q.cancel(ids[k]);
+                        model.retain(|e| e.1 != k as u64);
                     }
                 }
                 3 => {
-                    prop_assert_eq!(wheel.pop(), heap.pop(), "pop diverged at op {}", i);
+                    let expected = model_next(&model).map(|k| {
+                        let (t, _, payload) = model.remove(k);
+                        now = t;
+                        (SimTime::from_micros(t), payload)
+                    });
+                    prop_assert_eq!(q.pop(), expected, "pop diverged at op {}", i);
+                    prop_assert_eq!(q.now(), SimTime::from_micros(now));
                 }
                 _ => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged at op {}", i);
+                    let expected = model_next(&model).map(|k| SimTime::from_micros(model[k].0));
+                    prop_assert_eq!(q.peek_time(), expected, "peek diverged at op {}", i);
                 }
             }
-            prop_assert_eq!(wheel.live_len(), heap.live_len(), "live_len diverged at op {}", i);
+            prop_assert_eq!(q.live_len(), model.len(), "live_len diverged at op {}", i);
+            prop_assert!(q.len() >= q.live_len());
         }
-        // Drain both to the end: the full tails must agree element-wise.
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(a, b, "tail drain diverged");
-            prop_assert_eq!(wheel.now(), heap.now());
-            if a.is_none() {
-                break;
-            }
+        // Drain to the end: the full tail must match the model's order.
+        model.sort_unstable_by_key(|e| (e.0, e.1));
+        for (t, _, payload) in model {
+            prop_assert_eq!(q.pop(), Some((SimTime::from_micros(t), payload)), "tail drain diverged");
         }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.is_empty());
     }
 
     /// The arena-backed `SharedLink` behaves bit-identically to the old

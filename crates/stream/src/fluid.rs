@@ -208,9 +208,9 @@ impl FluidEngine {
     }
 
     /// Drops a finished or cancelled session's transfer registration so
-    /// `active_on` stops counting it. [`cancel_session`]
-    /// (`FluidEngine::cancel_session`) deliberately leaves the
-    /// registration for the historical availability accounting; the
+    /// `active_on` stops counting it.
+    /// [`cancel_session`](FluidEngine::cancel_session) deliberately leaves
+    /// the registration for the historical availability accounting; the
     /// renegotiation path must *not* inherit that — it replaces the
     /// victim with a new session at once, and counting both would charge
     /// the server a ghost stream forever.

@@ -8,7 +8,7 @@
 //! * [`query`] — the query AST: content predicates plus the optional
 //!   QoS range that makes a query "QoS-aware".
 //! * [`sql`] — a small SQL-ish parser with a `WITH QOS (...)` clause.
-//! * [`search`] — keyword and feature-similarity search over the
+//! * [`search`](mod@search) — keyword and feature-similarity search over the
 //!   metadata engine's content metadata.
 //! * [`baseline`] — replica selection for plain VDBMS (admit everything,
 //!   stream the original best-effort) and VDBMS+QoS-API (reserve, but no
