@@ -12,19 +12,15 @@
 //! module implements it as an extension: any [`Gain`] over delivered
 //! quality composes with the LRB cost into a ranking model.
 
-use super::{CostModel, LrbModel};
+use super::{CostModel, PlanView};
 use crate::plan::Plan;
 use crate::qop::QosWeights;
-use quasaq_media::Resolution;
-use quasaq_qosapi::CompositeQosApi;
-use quasaq_sim::Rng;
+use quasaq_media::{QualitySpec, Resolution};
 
 /// A gain function over a plan's delivered quality.
 pub trait Gain: Send {
-    /// Gain name for reports.
-    fn name(&self) -> &'static str;
-    /// The gain of servicing a query with this plan (> 0).
-    fn gain(&self, plan: &Plan) -> f64;
+    /// The gain of servicing a query at this delivered quality (> 0).
+    fn gain(&self, delivered: &QualitySpec) -> f64;
 }
 
 /// Throughput goal: every serviced query is worth the same, so the model
@@ -33,11 +29,7 @@ pub trait Gain: Send {
 pub struct ThroughputGain;
 
 impl Gain for ThroughputGain {
-    fn name(&self) -> &'static str {
-        "throughput"
-    }
-
-    fn gain(&self, _plan: &Plan) -> f64 {
+    fn gain(&self, _delivered: &QualitySpec) -> f64 {
         1.0
     }
 }
@@ -51,10 +43,16 @@ pub struct UtilityGain {
 }
 
 impl UtilityGain {
-    /// Utility of a delivered quality in `(0, 1]`: a weighted geometric
-    /// mean of each dimension normalized to its full-quality reference.
+    /// Utility of a plan's delivered quality: its [`Gain::gain`].
     pub fn utility(&self, plan: &Plan) -> f64 {
-        let q = &plan.delivered;
+        self.gain(&plan.delivered)
+    }
+}
+
+impl Gain for UtilityGain {
+    /// Utility in `(0, 1]`: a weighted geometric mean of each dimension
+    /// normalized to its full-quality reference.
+    fn gain(&self, q: &QualitySpec) -> f64 {
         let res = (q.resolution.pixels() as f64 / Resolution::FULL.pixels() as f64).min(1.0);
         let fps = (q.frame_rate.fps() / 30.0).min(1.0);
         let color = (q.color.bits() as f64 / 24.0).min(1.0);
@@ -64,16 +62,6 @@ impl UtilityGain {
             * fps.max(1e-6).powf(w.frame_rate)
             * color.max(1e-6).powf(w.color))
         .powf(1.0 / total_w)
-    }
-}
-
-impl Gain for UtilityGain {
-    fn name(&self) -> &'static str {
-        "utility"
-    }
-
-    fn gain(&self, plan: &Plan) -> f64 {
-        self.utility(plan)
     }
 }
 
@@ -88,12 +76,6 @@ impl<G: Gain> EfficiencyModel<G> {
     pub fn new(gain: G) -> Self {
         EfficiencyModel { gain }
     }
-
-    /// The efficiency of one plan.
-    pub fn efficiency(&self, plan: &Plan, api: &CompositeQosApi) -> f64 {
-        let cost = LrbModel.cost(plan, api).max(1e-9);
-        self.gain.gain(plan) / cost
-    }
 }
 
 impl<G: Gain> CostModel for EfficiencyModel<G> {
@@ -101,21 +83,21 @@ impl<G: Gain> CostModel for EfficiencyModel<G> {
         "efficiency"
     }
 
-    fn rank(&self, plans: &[Plan], api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
-        let scores: Vec<f64> = plans.iter().map(|p| self.efficiency(p, api)).collect();
-        let mut idx: Vec<usize> = (0..plans.len()).collect();
-        // Descending: highest efficiency wins.
-        idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        idx
+    /// The efficiency negated, so the highest wins: `total_cmp` orders
+    /// negated values exactly in reverse, ±0 and NaN included.
+    fn score(&self, plan: &PlanView<'_>) -> f64 {
+        -(self.gain.gain(plan.delivered) / plan.max_fill.max(1e-9))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::plan_on;
+    use super::super::LrbModel;
     use super::*;
-    use quasaq_media::{ColorDepth, FrameRate, QualitySpec, Resolution, VideoFormat};
-    use quasaq_sim::ServerId;
+    use quasaq_media::{ColorDepth, FrameRate, VideoFormat};
+    use quasaq_qosapi::CompositeQosApi;
+    use quasaq_sim::{Rng, ServerId};
 
     fn cluster() -> CompositeQosApi {
         CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20e6, 512e6)

@@ -10,43 +10,29 @@
 //! of all the buckets distribute evenly … we should prevent any single
 //! bucket from growing faster than the others."
 
-use super::{rank_by_score, CostModel};
-use crate::plan::Plan;
-use quasaq_qosapi::CompositeQosApi;
-use quasaq_sim::Rng;
+use super::{CostModel, PlanView};
 
 /// The LRB model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LrbModel;
-
-impl LrbModel {
-    /// The LRB cost of one plan under the current usage: Eq. (1).
-    pub fn cost(&self, plan: &Plan, api: &CompositeQosApi) -> f64 {
-        api.max_fill_with(&plan.resources)
-    }
-}
 
 impl CostModel for LrbModel {
     fn name(&self) -> &'static str {
         "lrb"
     }
 
-    fn rank(&self, plans: &[Plan], api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
-        let scores: Vec<f64> = plans.iter().map(|p| self.cost(p, api)).collect();
-        rank_by_score(&scores)
-    }
-
-    fn ranks_by_max_fill(&self) -> bool {
-        true
+    /// The LRB cost under the current usage: Eq. (1).
+    fn score(&self, plan: &PlanView<'_>) -> f64 {
+        plan.max_fill
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::plan_on;
+    use super::super::testutil::{plan_on, score_of};
     use super::*;
-    use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
-    use quasaq_sim::ServerId;
+    use quasaq_qosapi::{CompositeQosApi, ResourceKey, ResourceKind, ResourceVector};
+    use quasaq_sim::{Rng, ServerId};
 
     fn cluster() -> CompositeQosApi {
         CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6)
@@ -67,7 +53,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_matches_eq1_by_hand() {
+    fn score_matches_eq1_by_hand() {
         let mut api = cluster();
         api.reserve(
             &ResourceVector::new().with(
@@ -77,7 +63,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan_on(0, 48_000);
-        let f = LrbModel.cost(&plan, &api);
+        let f = score_of(&LrbModel, &plan, &api);
         // Net bucket: 0.42 + 48000/3.2e6 = 0.435; CPU and others are
         // smaller, so the max is the net bucket.
         let expected = 0.42 + 48_000.0 / 3_200_000.0;

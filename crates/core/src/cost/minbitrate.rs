@@ -4,10 +4,7 @@
 //! "static cost estimate" strawman the paper argues against, included for
 //! the cost-model ablation.
 
-use super::{rank_by_score, CostModel};
-use crate::plan::Plan;
-use quasaq_qosapi::CompositeQosApi;
-use quasaq_sim::Rng;
+use super::{CostModel, PlanView};
 
 /// Ranks plans by delivered bytes/second, ascending.
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,9 +15,8 @@ impl CostModel for MinBitrateModel {
         "min-bitrate"
     }
 
-    fn rank(&self, plans: &[Plan], _api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
-        let scores: Vec<f64> = plans.iter().map(|p| p.delivered_bps).collect();
-        rank_by_score(&scores)
+    fn score(&self, plan: &PlanView<'_>) -> f64 {
+        plan.delivered_bps
     }
 }
 
@@ -28,7 +24,8 @@ impl CostModel for MinBitrateModel {
 mod tests {
     use super::super::testutil::plan_on;
     use super::*;
-    use quasaq_sim::ServerId;
+    use quasaq_qosapi::CompositeQosApi;
+    use quasaq_sim::{Rng, ServerId};
 
     #[test]
     fn orders_by_bandwidth() {

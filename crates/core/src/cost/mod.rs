@@ -32,45 +32,97 @@ pub use random::RandomModel;
 pub use weighted::WeightedSumModel;
 
 use crate::plan::Plan;
-use quasaq_qosapi::CompositeQosApi;
+use quasaq_media::QualitySpec;
+use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey};
 use quasaq_sim::Rng;
+use std::cmp::Ordering;
+
+/// What a cost model reads of one candidate plan, built or not.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanView<'a> {
+    /// Eq. (1): the largest bucket fill if the plan were admitted,
+    /// [`CompositeQosApi::max_fill_with`] of its resources.
+    pub max_fill: f64,
+    /// The application QoS delivered to the client.
+    pub delivered: &'a QualitySpec,
+    /// Mean delivered bandwidth in bytes/second.
+    pub delivered_bps: f64,
+    /// The plan's resource demand: distinct keys in no particular order,
+    /// zero amounts allowed (a resource vector drops them).
+    pub demand: &'a [(ResourceKey, f64)],
+    /// The bucket levels the plan is scored against.
+    pub levels: &'a Levels,
+}
+
+impl<'a> PlanView<'a> {
+    /// The view of a built plan against `levels`.
+    pub(crate) fn of(plan: &'a Plan, levels: &'a Levels) -> Self {
+        let demand = plan.resources.entries();
+        PlanView {
+            max_fill: levels.project(demand).max_fill,
+            delivered: &plan.delivered,
+            delivered_bps: plan.delivered_bps,
+            demand,
+            levels,
+        }
+    }
+}
 
 /// Orders candidate plans for execution.
 pub trait CostModel: Send {
     /// Model name for reports.
     fn name(&self) -> &'static str;
 
+    /// The plan's cost under the levels in the view: lower is better, and
+    /// ties go to the plan enumerated first.
+    fn score(&self, plan: &PlanView<'_>) -> f64;
+
+    /// Runs on the `(score, enumeration index)` entries of the plans to be
+    /// ranked, in enumeration order, before the order is taken. A model
+    /// whose order is a draw shuffles them here and scores each by its
+    /// drawn position; a scoring model draws nothing (the default).
+    fn reorder(&self, _scored: &mut [(f64, usize)], _rng: &mut Rng) {}
+
     /// Returns plan indices, most preferred first, evaluated against the
     /// current resource state in `api`.
-    fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize>;
-
-    /// Whether `rank` orders plans by ascending
-    /// [`CompositeQosApi::max_fill_with`] of their resources alone, ties
-    /// by position, drawing no randomness. The Quality Manager then admits
-    /// without building the plan space: it scores every candidate in place
-    /// and builds only the plan it reserves.
-    fn ranks_by_max_fill(&self) -> bool {
-        false
+    fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {
+        let mut levels = Levels::default();
+        api.levels_into(&mut levels);
+        let mut scored: Vec<(f64, usize)> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| (self.score(&PlanView::of(plan, &levels)), i))
+            .collect();
+        self.reorder(&mut scored, rng);
+        scored.sort_unstable_by(by_rank);
+        scored.into_iter().map(|(_, i)| i).collect()
     }
 }
 
-/// Ranks indices ascending by a score (stable on ties), a helper shared
-/// by the score-based models.
-pub(crate) fn rank_by_score(scores: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-    idx
+/// The rank order of `(score, enumeration index)` entries: ascending
+/// score under [`f64::total_cmp`], ties by index.
+pub(crate) fn by_rank(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use super::{CostModel, PlanView};
     use crate::plan::Plan;
     use quasaq_media::{
         CipherAlgo, ColorDepth, DeliveryCostModel, DropStrategy, FrameRate, GopPattern,
         QualitySpec, Resolution, VideoFormat, VideoId,
     };
+    use quasaq_qosapi::{CompositeQosApi, Levels};
     use quasaq_sim::ServerId;
     use quasaq_store::{ObjectRecord, PhysicalObject, PhysicalOid, QosProfile};
+
+    /// `model`'s score of `plan` against `api`'s current levels.
+    pub fn score_of(model: &dyn CostModel, plan: &Plan, api: &CompositeQosApi) -> f64 {
+        let mut levels = Levels::default();
+        api.levels_into(&mut levels);
+        model.score(&PlanView::of(plan, &levels))
+    }
 
     /// A simple local plan on `server` delivering at `rate_bps`.
     pub fn plan_on(server: u32, rate_bps: u64) -> Plan {
@@ -114,16 +166,5 @@ pub(crate) mod testutil {
             delivered_bps,
             resources,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rank_by_score_is_stable_ascending() {
-        let order = rank_by_score(&[3.0, 1.0, 2.0, 1.0]);
-        assert_eq!(order, vec![1, 3, 2, 0]);
     }
 }

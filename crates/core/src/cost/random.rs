@@ -6,9 +6,7 @@
 //! randomized approach is a frequently-used query optimization strategy
 //! with fair performance."
 
-use super::CostModel;
-use crate::plan::Plan;
-use quasaq_qosapi::CompositeQosApi;
+use super::{CostModel, PlanView};
 use quasaq_sim::Rng;
 
 /// Uniform-random plan choice.
@@ -20,10 +18,17 @@ impl CostModel for RandomModel {
         "random"
     }
 
-    fn rank(&self, plans: &[Plan], _api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..plans.len()).collect();
-        rng.shuffle(&mut idx);
-        idx
+    fn score(&self, _plan: &PlanView<'_>) -> f64 {
+        0.0
+    }
+
+    /// Shuffles the plans and scores each by its drawn position. The
+    /// shuffle swaps by position alone: it draws what shuffling `0..n` draws.
+    fn reorder(&self, scored: &mut [(f64, usize)], rng: &mut Rng) {
+        rng.shuffle(scored);
+        for (position, entry) in scored.iter_mut().enumerate() {
+            entry.0 = position as f64;
+        }
     }
 }
 
@@ -31,6 +36,8 @@ impl CostModel for RandomModel {
 mod tests {
     use super::super::testutil::plan_on;
     use super::*;
+    use crate::plan::Plan;
+    use quasaq_qosapi::CompositeQosApi;
     use quasaq_sim::ServerId;
 
     #[test]

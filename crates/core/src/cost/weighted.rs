@@ -5,10 +5,9 @@
 //! LRB isolates the value of the max-bucket ("prevent any single bucket
 //! from growing faster than the others") formulation.
 
-use super::{rank_by_score, CostModel};
-use crate::plan::Plan;
-use quasaq_qosapi::{CompositeQosApi, ResourceKind};
-use quasaq_sim::Rng;
+use super::{CostModel, PlanView};
+use quasaq_qosapi::{ResourceKey, ResourceKind};
+use quasaq_sim::ServerId;
 
 /// Sum-of-fills cost model.
 #[derive(Debug, Clone, Copy)]
@@ -38,20 +37,6 @@ impl WeightedSumModel {
             ResourceKind::Memory => self.memory,
         }
     }
-
-    /// The weighted-sum cost of a plan.
-    pub fn cost(&self, plan: &Plan, api: &CompositeQosApi) -> f64 {
-        let mut sum = 0.0;
-        for (key, demand) in plan.resources.iter() {
-            match (api.used(key), api.capacity(key)) {
-                (Some(used), Some(cap)) => {
-                    sum += self.weight(key.kind) * (used + demand) / cap;
-                }
-                _ => return f64::INFINITY,
-            }
-        }
-        sum
-    }
 }
 
 impl CostModel for WeightedSumModel {
@@ -59,18 +44,42 @@ impl CostModel for WeightedSumModel {
         "weighted-sum"
     }
 
-    fn rank(&self, plans: &[Plan], api: &CompositeQosApi, _rng: &mut Rng) -> Vec<usize> {
-        let scores: Vec<f64> = plans.iter().map(|p| self.cost(p, api)).collect();
-        rank_by_score(&scores)
+    /// The weighted sum of the bucket fills; infinite when a bucket is
+    /// unmanaged.
+    fn score(&self, plan: &PlanView<'_>) -> f64 {
+        // Float addition is not associative, so the terms go in bucket
+        // order, zero amounts skipped, as a resource vector holds them. A
+        // plan's demand has at most five entries: sort them on the stack.
+        let mut stack = [(ResourceKey::new(ServerId(0), ResourceKind::Cpu), 0.0); 5];
+        let mut heap = Vec::new();
+        let terms = match stack.get_mut(..plan.demand.len()) {
+            Some(terms) => {
+                terms.copy_from_slice(plan.demand);
+                terms
+            }
+            None => {
+                heap.extend_from_slice(plan.demand);
+                &mut heap[..]
+            }
+        };
+        terms.sort_unstable_by_key(|&(key, _)| key);
+        let mut sum = 0.0;
+        for &(key, demand) in terms.iter().filter(|&&(_, demand)| demand != 0.0) {
+            let Some((used, cap)) = plan.levels.used_and_capacity(key) else {
+                return f64::INFINITY;
+            };
+            sum += self.weight(key.kind) * (used + demand) / cap;
+        }
+        sum
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::plan_on;
+    use super::super::testutil::{plan_on, score_of};
     use super::*;
-    use quasaq_qosapi::{ResourceKey, ResourceVector};
-    use quasaq_sim::ServerId;
+    use quasaq_qosapi::{CompositeQosApi, ResourceVector};
+    use quasaq_sim::Rng;
 
     #[test]
     fn prefers_lower_total_load() {
@@ -90,7 +99,35 @@ mod tests {
     fn unknown_bucket_costs_infinity() {
         let api = CompositeQosApi::new();
         let plan = plan_on(0, 48_000);
-        assert_eq!(WeightedSumModel::default().cost(&plan, &api), f64::INFINITY);
+        assert_eq!(score_of(&WeightedSumModel::default(), &plan, &api), f64::INFINITY);
+    }
+
+    #[test]
+    fn score_sums_the_fills_in_bucket_order_at_any_length() {
+        let mut api =
+            CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20e6, 512e6);
+        api.reserve(
+            &ResourceVector::new()
+                .with(ResourceKey::new(ServerId(0), ResourceKind::NetBandwidth), 1_234_567.0)
+                .with(ResourceKey::new(ServerId(2), ResourceKind::Memory), 3e8),
+        )
+        .unwrap();
+        let model = WeightedSumModel { cpu: 0.3, net: 1.7, disk: 0.9, memory: 2.1 };
+        let mut plan = plan_on(0, 48_000);
+        for extra in 0..=2 {
+            if extra > 0 {
+                // Past five entries the terms are sorted off the stack.
+                let key = ResourceKey::new(ServerId(extra), ResourceKind::ALL[extra as usize]);
+                plan.resources.set(key, 0.1 * api.capacity(key).unwrap());
+            }
+            let mut expected = 0.0;
+            for (key, amount) in plan.resources.iter() {
+                let (used, cap) = (api.used(key).unwrap(), api.capacity(key).unwrap());
+                expected += model.weight(key.kind) * (used + amount) / cap;
+            }
+            assert_eq!(score_of(&model, &plan, &api).to_bits(), expected.to_bits());
+        }
+        assert!(plan.resources.len() > 5);
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //! also exposes the unpruned combinatorial bound so the pruning ablation
 //! can report how much the rules save.
 
+use crate::cost::PlanView;
 use crate::plan::Plan;
 use crate::qop::QopSecurity;
 use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
     VideoFormat, VideoId,
 };
-use quasaq_qosapi::{CompositeQosApi, ResourceKey};
+use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey};
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
 
@@ -102,7 +103,7 @@ pub(crate) struct Candidate<'a> {
     cipher: usize,
 }
 
-impl Candidate<'_> {
+impl<'a> Candidate<'a> {
     /// The candidate's resource demand, entry for entry what
     /// [`Plan::assemble_resources`] puts in its vector.
     pub(crate) fn demand(&self) -> [(ResourceKey, f64); 5] {
@@ -114,6 +115,24 @@ impl Candidate<'_> {
             o.cpu_shares[self.cipher],
             o.buffer_bytes,
         )
+    }
+
+    /// What a cost model reads of the candidate: its `demand` with the
+    /// `max_fill` it projects to on `levels`.
+    pub(crate) fn view(
+        self,
+        max_fill: f64,
+        demand: &'a [(ResourceKey, f64)],
+        levels: &'a Levels,
+    ) -> PlanView<'a> {
+        let o = self.option;
+        PlanView {
+            max_fill,
+            delivered: &o.delivered,
+            delivered_bps: o.delivered_bps,
+            demand,
+            levels,
+        }
     }
 }
 
@@ -178,14 +197,6 @@ impl DeliveryOptions {
         }
     }
 
-    /// Fans every option out into its plans, in enumeration order, into
-    /// `out` (cleared first).
-    pub(crate) fn plans_into(&self, out: &mut Vec<Plan>) {
-        out.clear();
-        out.reserve(self.plan_count());
-        self.for_each(|_, c| out.push(self.plan(c)));
-    }
-
     /// Builds a candidate's plan.
     pub(crate) fn plan(&self, c: Candidate<'_>) -> Plan {
         let o = c.option;
@@ -247,7 +258,9 @@ impl PlanGenerator {
     ) {
         let mut options = DeliveryOptions::default();
         self.options_into(engine, request, &mut options);
-        options.plans_into(out);
+        out.clear();
+        out.reserve(options.plan_count());
+        options.for_each(|_, c| out.push(options.plan(c)));
     }
 
     /// Enumerates the server-independent half of the plan space for

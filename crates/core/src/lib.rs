@@ -33,8 +33,8 @@ mod plancache;
 pub mod qop;
 
 pub use cost::{
-    CostModel, EfficiencyModel, Gain, LrbModel, MinBitrateModel, RandomModel, ThroughputGain,
-    UtilityGain, WeightedSumModel,
+    CostModel, EfficiencyModel, Gain, LrbModel, MinBitrateModel, PlanView, RandomModel,
+    ThroughputGain, UtilityGain, WeightedSumModel,
 };
 pub use executor::PlanExecutor;
 pub use generator::{satisfies_ordered_disjoint_sets, GeneratorConfig, PlanGenerator, PlanRequest};

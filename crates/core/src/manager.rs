@@ -10,7 +10,7 @@
 //! offered as the "second chance"; during playback, reservations can be
 //! renegotiated.
 
-use crate::cost::CostModel;
+use crate::cost::{by_rank, CostModel};
 use crate::generator::{DeliveryOptions, PlanGenerator, PlanRequest};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
@@ -97,15 +97,11 @@ pub struct QualityManager {
     generator: PlanGenerator,
     cost_model: Box<dyn CostModel>,
     last_stats: PlanningStats,
-    /// Recycled plan buffer: `process` is called once per query in the
-    /// throughput sims, and regrowing the plan space from a cold `Vec`
-    /// every time showed up in profiles. Holds no state between calls
-    /// beyond its allocation.
-    plan_buf: Vec<Plan>,
-    /// Recycled buffers: the request's delivery options (when the plan
-    /// cache does not supply them), and for the lazy LRB path the bucket
-    /// levels it scores against and the `(score, enumeration index)` of
-    /// every feasible candidate.
+    /// Recycled buffers, holding no state between calls beyond their
+    /// allocations: the request's delivery options (when the plan cache
+    /// does not supply them), the bucket levels candidates are scored
+    /// against, and the `(score, enumeration index)` of every feasible
+    /// candidate.
     options: DeliveryOptions,
     levels: Levels,
     scored: Vec<(f64, usize)>,
@@ -129,7 +125,6 @@ impl QualityManager {
             generator,
             cost_model,
             last_stats: PlanningStats::default(),
-            plan_buf: Vec::new(),
             options: DeliveryOptions::default(),
             levels: Levels::default(),
             scored: Vec::new(),
@@ -189,13 +184,11 @@ impl QualityManager {
         request: &PlanRequest,
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
-        if let Some(options) = self.cached_options(engine, request) {
-            return self.admit(&options, rng);
-        }
-        let mut options = std::mem::take(&mut self.options);
-        self.generator.options_into(engine, request, &mut options);
-        let outcome = self.admit(&options, rng);
-        self.options = options;
+        let (outcome, stats) = match self.cached_options(engine, request) {
+            Some(options) => self.place(&options, None, rng),
+            None => self.place_fresh(engine, request, None, rng),
+        };
+        self.last_stats = stats;
         outcome
     }
 
@@ -233,93 +226,86 @@ impl QualityManager {
         Arc::new(options)
     }
 
-    /// Admits a plan from `options` against the live resource state. A
-    /// model that ranks by LRB cost alone takes the lazy path; every other
-    /// model fans the options out into plans, cuts the infeasible ones,
-    /// ranks the rest, and walks that order through admission control.
-    fn admit(
+    /// [`place`](Self::place) on a fresh enumeration of `request`'s
+    /// options, made in the recycled buffer.
+    fn place_fresh(
         &mut self,
-        options: &DeliveryOptions,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+        held: Option<ReservationId>,
         rng: &mut Rng,
-    ) -> Result<AdmittedPlan, Rejection> {
-        if self.cost_model.ranks_by_max_fill() {
-            return self.admit_lazy(options);
-        }
-        options.plans_into(&mut self.plan_buf);
-        self.last_stats.generated = self.plan_buf.len();
-        if self.plan_buf.is_empty() {
-            self.last_stats.feasible = 0;
-            self.last_stats.attempts = 0;
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        self.generator.retain_feasible(&mut self.plan_buf, &self.api);
-        self.last_stats.feasible = self.plan_buf.len();
-        if self.plan_buf.is_empty() {
-            self.last_stats.attempts = 0;
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        let order = self.cost_model.rank(&self.plan_buf, &self.api, rng);
-        for (attempt, &i) in order.iter().enumerate() {
-            if let Ok(reservation) = self.api.reserve(&self.plan_buf[i].resources) {
-                self.last_stats.attempts = attempt + 1;
-                return Ok(AdmittedPlan { plan: self.plan_buf[i].clone(), reservation });
-            }
-        }
-        self.last_stats.attempts = order.len();
-        Err(Rejection::AdmissionFailed)
+    ) -> (Result<AdmittedPlan, Rejection>, PlanningStats) {
+        let mut options = std::mem::take(&mut self.options);
+        self.generator.options_into(engine, request, &mut options);
+        let placed = self.place(&options, held, rng);
+        self.options = options;
+        placed
     }
 
-    /// Admission for a model that ranks by LRB cost alone, without
-    /// building the plan space. Every candidate (delivery option × target
-    /// × cipher) is scored in place against one snapshot of the bucket
-    /// levels, with the arithmetic of
-    /// [`PlanGenerator::retain_feasible`] and
-    /// [`CompositeQosApi::max_fill_with`]. The minimum by `(score,
-    /// enumeration index)` — the full path's first plan in rank order —
-    /// is built and reserved. Only when that fails are the rest sorted and
-    /// walked, each checked against the snapshot (a failed reservation
-    /// changes nothing) before its plan is built. Decisions and
-    /// [`PlanningStats`] equal the full pipeline's.
-    fn admit_lazy(&mut self, options: &DeliveryOptions) -> Result<AdmittedPlan, Rejection> {
-        let generated = options.plan_count();
-        self.last_stats = PlanningStats { generated, feasible: 0, attempts: 0 };
-        if generated == 0 {
-            return Err(Rejection::NoFeasiblePlan);
+    /// The admission pipeline, for every cost model: places a session on a
+    /// plan from `options` against the live resource state, reserving it
+    /// afresh or, when `held` names the session's reservation,
+    /// renegotiating that one. No plan is built to be ranked. Every
+    /// candidate (delivery option × target × cipher) that fits the
+    /// buckets' total capacity — the cut of
+    /// [`PlanGenerator::retain_feasible`] — is scored in place by the cost
+    /// model against one snapshot of the bucket levels, which sees a held
+    /// reservation as still in use. The minimum by `(score, enumeration
+    /// index)` is built and tried; only when that fails are the rest
+    /// sorted and walked. A new reservation is checked against the snapshot
+    /// before its plan is built (a failed reservation changes nothing); a
+    /// renegotiation is not, as the swap returns the held share first.
+    /// Returns the outcome with the pass's [`PlanningStats`].
+    fn place(
+        &mut self,
+        options: &DeliveryOptions,
+        held: Option<ReservationId>,
+        rng: &mut Rng,
+    ) -> (Result<AdmittedPlan, Rejection>, PlanningStats) {
+        let mut stats = PlanningStats { generated: options.plan_count(), feasible: 0, attempts: 0 };
+        if stats.generated == 0 {
+            return (Err(Rejection::NoFeasiblePlan), stats);
         }
         self.api.levels_into(&mut self.levels);
-        let (levels, scored) = (&self.levels, &mut self.scored);
+        let (model, levels, scored) = (&*self.cost_model, &self.levels, &mut self.scored);
         scored.clear();
         options.for_each(|index, c| {
-            let projection = levels.project(&c.demand());
+            let demand = c.demand();
+            let projection = levels.project(&demand);
             if projection.fits_capacity {
-                scored.push((projection.max_fill, index));
+                scored.push((model.score(&c.view(projection.max_fill, &demand, levels)), index));
             }
         });
-        self.last_stats.feasible = scored.len();
-        let by_rank = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        stats.feasible = scored.len();
+        model.reorder(scored, rng);
         let Some(best) = scored.iter().copied().min_by(by_rank) else {
-            return Err(Rejection::NoFeasiblePlan);
+            return (Err(Rejection::NoFeasiblePlan), stats);
         };
-        self.last_stats.attempts = 1;
-        let plan = options.plan(options.candidate(best.1));
-        if let Ok(reservation) = self.api.reserve(&plan.resources) {
-            return Ok(AdmittedPlan { plan, reservation });
+        let reserve = |api: &mut CompositeQosApi, plan: Plan| {
+            let reservation = match held {
+                None => api.reserve(&plan.resources),
+                Some(id) => api.renegotiate(id, &plan.resources),
+            };
+            reservation.map(|reservation| AdmittedPlan { plan, reservation })
+        };
+        stats.attempts = 1;
+        if let Ok(admitted) = reserve(&mut self.api, options.plan(options.candidate(best.1))) {
+            return (Ok(admitted), stats);
         }
-        scored.sort_unstable_by(by_rank);
+        self.scored.sort_unstable_by(by_rank);
         // `scored[0]` is `best`, already attempted.
-        for (attempt, &(_, index)) in scored.iter().enumerate().skip(1) {
+        for (attempt, &(_, index)) in self.scored.iter().enumerate().skip(1) {
             let c = options.candidate(index);
-            if !self.levels.admits(&c.demand()) {
+            if held.is_none() && !self.levels.admits(&c.demand()) {
                 continue;
             }
-            let plan = options.plan(c);
-            if let Ok(reservation) = self.api.reserve(&plan.resources) {
-                self.last_stats.attempts = attempt + 1;
-                return Ok(AdmittedPlan { plan, reservation });
+            if let Ok(admitted) = reserve(&mut self.api, options.plan(c)) {
+                stats.attempts = attempt + 1;
+                return (Ok(admitted), stats);
             }
         }
-        self.last_stats.attempts = scored.len();
-        Err(Rejection::AdmissionFailed)
+        stats.attempts = self.scored.len();
+        (Err(Rejection::AdmissionFailed), stats)
     }
 
     /// The bulk-admit enumeration pass: warms the plan cache for a batch
@@ -429,8 +415,10 @@ impl QualityManager {
     }
 
     /// Renegotiates a running session to a new QoS range (user action
-    /// during playback). On success the old reservation is replaced; on
-    /// failure it is kept untouched.
+    /// during playback) through the admission pipeline, on a fresh
+    /// enumeration. On success the old reservation is replaced; on failure
+    /// it is kept untouched. Leaves [`last_stats`](Self::last_stats) and
+    /// the plan cache alone.
     pub fn renegotiate(
         &mut self,
         engine: &MetadataEngine,
@@ -438,25 +426,7 @@ impl QualityManager {
         new_request: &PlanRequest,
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
-        // Same recycled buffer as `process` — renegotiation is on the
-        // playback path and should not regrow the plan space cold.
-        self.generator.generate_into(engine, new_request, &mut self.plan_buf);
-        if self.plan_buf.is_empty() {
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        self.generator.retain_feasible(&mut self.plan_buf, &self.api);
-        if self.plan_buf.is_empty() {
-            return Err(Rejection::NoFeasiblePlan);
-        }
-        let order = self.cost_model.rank(&self.plan_buf, &self.api, rng);
-        for &i in &order {
-            if let Ok(new_id) =
-                self.api.renegotiate(admitted.reservation, &self.plan_buf[i].resources)
-            {
-                return Ok(AdmittedPlan { plan: self.plan_buf[i].clone(), reservation: new_id });
-            }
-        }
-        Err(Rejection::AdmissionFailed)
+        self.place_fresh(engine, new_request, Some(admitted.reservation), rng).0
     }
 }
 
@@ -826,8 +796,7 @@ mod tests {
         assert!(stats.hits > 0, "the repetitive request mix must hit: {stats:?}");
     }
 
-    /// Every cost model, by name; the lazy LRB path and the full
-    /// fan-out → cut → rank → walk path both run cached and uncached.
+    /// Every cost model configuration, each run cached and uncached.
     const MODELS: [fn() -> Box<dyn CostModel>; 6] = [
         || Box::new(LrbModel),
         || Box::new(RandomModel),
@@ -840,7 +809,7 @@ mod tests {
     #[test]
     fn cached_admission_is_bit_identical_to_uncached_for_every_model() {
         // RandomModel consumes RNG during ranking, so its run also proves a
-        // hit replays the exact draw sequence of a full enumeration.
+        // hit replays the exact draw sequence of a fresh enumeration.
         for (seed, make_model) in (11..).zip(MODELS) {
             assert_cached_matches_uncached(make_model, seed);
         }

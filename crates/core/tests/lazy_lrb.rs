@@ -1,17 +1,22 @@
-//! Differential test of lazy LRB admission against the full pipeline.
+//! Differential test of the admission pipeline against the plan-list
+//! pipeline it replaced, for every cost model and for renegotiation.
 //!
-//! `QualityManager::process` with the LRB model scores candidates in place
-//! and builds only the plan it reserves. The oracle is the pipeline it
-//! replaces, run on an identically built resource state:
-//! `generate_into` → `retain_feasible` → `LrbModel::rank` → `reserve` down
-//! the order. Both must agree on the outcome, every field of the chosen
-//! plan, the planning statistics, and the bucket usage afterwards, bit
-//! for bit.
+//! `QualityManager::process` and `QualityManager::renegotiate` score
+//! candidates in place and build only the plans they try. The reference
+//! is the plan-list pipeline, run on an identically built resource state
+//! and written out here rather than taken from the trait:
+//! `generate_into` → `retain_feasible` → a sort by per-plan scores
+//! computed from `CompositeQosApi` reads (a shuffle for the random model)
+//! → `reserve` or `renegotiate` down the order. Both must agree on the
+//! outcome, every field of the chosen plan, the planning statistics, the
+//! bucket usage afterwards and the next RNG draw, bit for bit; and each
+//! model's `CostModel::rank` must return the reference order.
 
 use proptest::prelude::*;
 use quasaq_core::{
-    CostModel, GeneratorConfig, LrbModel, Plan, PlanGenerator, PlanRequest, PlanningStats,
-    QopSecurity, QualityManager, Rejection,
+    AdmittedPlan, CostModel, EfficiencyModel, GeneratorConfig, LrbModel, MinBitrateModel, Plan,
+    PlanGenerator, PlanRequest, PlanningStats, QopSecurity, QosWeights, QualityManager,
+    RandomModel, Rejection, ThroughputGain, UtilityGain, WeightedSumModel,
 };
 use quasaq_media::{
     ColorDepth, FrameRate, Library, LibraryConfig, QosRange, Resolution, VideoFormat, VideoId,
@@ -144,25 +149,119 @@ fn sample_request(rng: &mut Rng) -> PlanRequest {
     }
 }
 
-/// The full pipeline the lazy path replaces, with its planning stats.
-fn oracle(
+fn utility() -> UtilityGain {
+    UtilityGain { weights: QosWeights::default() }
+}
+
+/// The six cost-model configurations the workloads run.
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    Lrb,
+    Random,
+    MinBitrate,
+    WeightedSum,
+    Throughput,
+    Utility,
+}
+
+impl Model {
+    const ALL: [Model; 6] = [
+        Model::Lrb,
+        Model::Random,
+        Model::MinBitrate,
+        Model::WeightedSum,
+        Model::Throughput,
+        Model::Utility,
+    ];
+
+    fn build(self) -> Box<dyn CostModel> {
+        match self {
+            Model::Lrb => Box::new(LrbModel),
+            Model::Random => Box::new(RandomModel),
+            Model::MinBitrate => Box::new(MinBitrateModel),
+            Model::WeightedSum => Box::new(WeightedSumModel::default()),
+            Model::Throughput => Box::new(EfficiencyModel::new(ThroughputGain)),
+            Model::Utility => Box::new(EfficiencyModel::new(utility())),
+        }
+    }
+
+    /// The sum of the plan's bucket fills, in bucket order.
+    fn fill_sum(plan: &Plan, api: &CompositeQosApi) -> f64 {
+        let mut sum = 0.0;
+        for (key, amount) in plan.resources.iter() {
+            match (api.used(key), api.capacity(key)) {
+                // The default model weighs every bucket 1.0.
+                (Some(used), Some(cap)) => sum += 1.0 * (used + amount) / cap,
+                _ => return f64::INFINITY,
+            }
+        }
+        sum
+    }
+
+    /// The reference order of `plans`: a shuffle for the random model,
+    /// else by score from live API reads, ties by position.
+    fn order(self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..plans.len()).collect();
+        if let Model::Random = self {
+            rng.shuffle(&mut order);
+            return order;
+        }
+        let lrb = |p: &Plan| api.max_fill_with(&p.resources);
+        let scores: Vec<f64> = plans
+            .iter()
+            .map(|p| match self {
+                Model::Lrb => lrb(p),
+                Model::MinBitrate => p.delivered_bps,
+                Model::WeightedSum => Self::fill_sum(p, api),
+                Model::Throughput => 1.0 / lrb(p).max(1e-9),
+                Model::Utility => utility().utility(p) / lrb(p).max(1e-9),
+                Model::Random => unreachable!(),
+            })
+            .collect();
+        // The efficiency models rank the highest efficiency first.
+        let descending = matches!(self, Model::Throughput | Model::Utility);
+        order.sort_by(|&a, &b| {
+            let by_score = scores[a].total_cmp(&scores[b]);
+            if descending { by_score.reverse() } else { by_score }.then(a.cmp(&b))
+        });
+        order
+    }
+}
+
+/// The reference pipeline, admitting anew or renegotiating `held`, with
+/// its planning stats. Also checks the model's own `rank` against the
+/// reference order, on a copy of the RNG.
+fn reference(
+    model: Model,
     generator: &PlanGenerator,
     engine: &MetadataEngine,
     api: &mut CompositeQosApi,
     request: &PlanRequest,
+    held: Option<ReservationId>,
+    rng: &mut Rng,
 ) -> (Result<(Plan, ReservationId), Rejection>, PlanningStats) {
     let mut plans = Vec::new();
     generator.generate_into(engine, request, &mut plans);
     let generated = plans.len();
-    generator.retain_feasible(&mut plans, api);
-    let feasible = plans.len();
-    let mut stats = PlanningStats { generated, feasible, attempts: 0 };
-    if feasible == 0 {
+    let mut stats = PlanningStats { generated, feasible: 0, attempts: 0 };
+    if generated == 0 {
         return (Err(Rejection::NoFeasiblePlan), stats);
     }
-    let order = LrbModel.rank(&plans, api, &mut Rng::new(0));
+    generator.retain_feasible(&mut plans, api);
+    stats.feasible = plans.len();
+    if plans.is_empty() {
+        return (Err(Rejection::NoFeasiblePlan), stats);
+    }
+    let mut ranked_rng = rng.clone();
+    let order = model.order(&plans, api, rng);
+    assert_eq!(model.build().rank(&plans, api, &mut ranked_rng), order, "{model:?} rank");
+    assert_eq!(&ranked_rng, rng, "{model:?} rank drew differently");
     for (attempt, &i) in order.iter().enumerate() {
-        if let Ok(id) = api.reserve(&plans[i].resources) {
+        let reserved = match held {
+            None => api.reserve(&plans[i].resources),
+            Some(id) => api.renegotiate(id, &plans[i].resources),
+        };
+        if let Ok(id) = reserved {
             stats.attempts = attempt + 1;
             return (Ok((plans[i].clone(), id)), stats);
         }
@@ -195,13 +294,13 @@ fn assert_same_usage(lazy: &CompositeQosApi, full: &CompositeQosApi) {
     assert_eq!(lazy.reservation_count(), full.reservation_count());
 }
 
-/// How often each admission outcome came up, so the differential run can
-/// show it reached every branch of the lazy path.
-#[derive(Debug, Default)]
+/// How often each outcome came up, so the differential run can show it
+/// reached every branch of the pipeline.
+#[derive(Debug, Default, Clone, Copy)]
 struct Coverage {
-    /// Admitted by the first candidate in rank order.
+    /// Placed on the first candidate in rank order.
     first: usize,
-    /// Admitted further down the rejection walk.
+    /// Placed further down the walk.
     walked: usize,
     /// Every feasible candidate refused.
     failed: usize,
@@ -209,10 +308,48 @@ struct Coverage {
     empty: usize,
 }
 
-/// One differential case: a sampled cluster and catalog, then `requests`
-/// admissions (with releases between them) on both sides, compared after
-/// each step.
-fn run_case(seed: u64, cfg: GeneratorConfig, requests: usize, coverage: &mut Coverage) {
+impl Coverage {
+    fn count(&mut self, outcome: &Result<(Plan, ReservationId), Rejection>, stats: PlanningStats) {
+        match outcome {
+            Ok(_) if stats.attempts == 1 => self.first += 1,
+            Ok(_) => self.walked += 1,
+            Err(Rejection::AdmissionFailed) => self.failed += 1,
+            Err(Rejection::NoFeasiblePlan) => self.empty += 1,
+        }
+    }
+}
+
+/// Checks one step's outcomes against each other, bit for bit.
+fn assert_same_outcome(
+    ours: &Result<AdmittedPlan, Rejection>,
+    reference: &Result<(Plan, ReservationId), Rejection>,
+    what: &str,
+) {
+    match (ours, reference) {
+        (Ok(ours), Ok((plan, id))) => {
+            assert_same_plan(&ours.plan, plan);
+            assert_eq!(ours.reservation, *id, "{what}");
+        }
+        (Err(ours), Err(reference)) => assert_eq!(ours, reference, "{what}"),
+        (ours, reference) => panic!(
+            "{what}: pipeline {:?} vs reference {:?}",
+            ours.as_ref().map(|a| a.plan.to_string()),
+            reference.as_ref().map(|(p, _)| p.to_string())
+        ),
+    }
+}
+
+/// One differential case: a sampled cluster and catalog, then `steps`
+/// admissions and renegotiations (with releases between them) on both
+/// sides, compared after each step.
+fn run_case(
+    model: Model,
+    seed: u64,
+    cfg: GeneratorConfig,
+    caching: bool,
+    steps: usize,
+    coverage: &mut Coverage,
+) {
     let mut rng = Rng::new(seed);
     let cluster = Cluster::sample(&mut rng);
     // Some failed servers also leave the catalog; the rest keep their
@@ -221,60 +358,73 @@ fn run_case(seed: u64, cfg: GeneratorConfig, requests: usize, coverage: &mut Cov
         cluster.failed.iter().copied().filter(|_| rng.below(2) == 0).collect();
     let engine = engine(cluster.servers, &failed_sites);
     let generator = PlanGenerator::new(cfg);
-    let mut full_api = cluster.build();
-    let mut manager =
-        QualityManager::new(cluster.build(), PlanGenerator::new(cfg), Box::new(LrbModel));
-    let mut held: Vec<ReservationId> = Vec::new();
-    for _ in 0..requests {
+    let mut reference_api = cluster.build();
+    let mut manager = QualityManager::new(cluster.build(), PlanGenerator::new(cfg), model.build());
+    manager.set_plan_caching(caching);
+    let (mut ours_rng, mut reference_rng) = (Rng::new(seed ^ 1), Rng::new(seed ^ 1));
+    let mut held: Vec<AdmittedPlan> = Vec::new();
+    for step in 0..steps {
         // Sessions end between arrivals, on both sides alike.
         if !held.is_empty() && rng.below(3) == 0 {
-            let id = held.swap_remove(rng.index(held.len()));
-            full_api.release(id);
-            manager.release_reservation(id);
+            let admitted = held.swap_remove(rng.index(held.len()));
+            reference_api.release(admitted.reservation);
+            manager.release(&admitted);
         }
         let request = sample_request(&mut rng);
-        let (full, full_stats) = oracle(&generator, &engine, &mut full_api, &request);
-        let lazy = manager.process(&engine, &request, &mut Rng::new(0));
-        assert_eq!(manager.last_stats(), full_stats, "{request:?}");
-        match (lazy, full) {
-            (Ok(lazy), Ok((plan, id))) => {
-                assert_same_plan(&lazy.plan, &plan);
-                assert_eq!(lazy.reservation, id);
-                held.push(id);
-                if full_stats.attempts == 1 {
-                    coverage.first += 1;
-                } else {
-                    coverage.walked += 1;
-                }
+        let what = format!("{model:?} step {step}: {request:?}");
+        if !held.is_empty() && rng.below(3) == 0 {
+            let i = rng.index(held.len());
+            let stats = manager.last_stats();
+            let (reference, reference_stats) = reference(
+                model,
+                &generator,
+                &engine,
+                &mut reference_api,
+                &request,
+                Some(held[i].reservation),
+                &mut reference_rng,
+            );
+            let ours = manager.renegotiate(&engine, &held[i], &request, &mut ours_rng);
+            assert_eq!(manager.last_stats(), stats, "{what}: renegotiation touched the stats");
+            assert_same_outcome(&ours, &reference, &what);
+            coverage.count(&reference, reference_stats);
+            if let Ok(renewed) = ours {
+                held[i] = renewed;
             }
-            (Err(lazy), Err(full)) => {
-                assert_eq!(lazy, full);
-                match full {
-                    Rejection::AdmissionFailed => coverage.failed += 1,
-                    Rejection::NoFeasiblePlan => coverage.empty += 1,
-                }
-            }
-            (lazy, full) => panic!(
-                "lazy {:?} vs full {:?}",
-                lazy.map(|a| a.plan.to_string()),
-                full.map(|(p, _)| p.to_string())
-            ),
+        } else {
+            let (reference, reference_stats) = reference(
+                model,
+                &generator,
+                &engine,
+                &mut reference_api,
+                &request,
+                None,
+                &mut reference_rng,
+            );
+            let ours = manager.process(&engine, &request, &mut ours_rng);
+            assert_eq!(manager.last_stats(), reference_stats, "{what}");
+            assert_same_outcome(&ours, &reference, &what);
+            coverage.count(&reference, reference_stats);
+            held.extend(ours);
         }
-        assert_same_usage(manager.api(), &full_api);
+        assert_same_usage(manager.api(), &reference_api);
+        assert_eq!(ours_rng.below(1 << 30), reference_rng.below(1 << 30), "{what}: RNG");
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn lazy_lrb_admission_matches_full_enumeration(
+    fn admission_matches_the_plan_list_pipeline(
+        model in 0usize..Model::ALL.len(),
         seed in any::<u64>(),
         allow_remote in any::<bool>(),
         allow_transcode in any::<bool>(),
         allow_drop in any::<bool>(),
         prune_wasteful in any::<bool>(),
-        requests in 1usize..10,
+        caching in any::<bool>(),
+        steps in 1usize..12,
     ) {
         let cfg = GeneratorConfig {
             allow_remote,
@@ -283,29 +433,33 @@ proptest! {
             prune_wasteful,
             ..GeneratorConfig::default()
         };
-        run_case(seed, cfg, requests, &mut Coverage::default());
+        run_case(Model::ALL[model], seed, cfg, caching, steps, &mut Coverage::default());
     }
 }
 
-/// The same comparison over fixed seeds and every generator switch
-/// setting, checked to reach each outcome: first-choice admission, a
-/// rejection walk refused to the end, and an empty plan space. (A walk
-/// that ends in admission needs a candidate whose projected fill exceeds
-/// the refused first choice's yet passes the admission test — possible
-/// only inside the `1e-9` capacity tolerance, so random states do not
-/// produce it; `walked` is counted, not required.)
+/// The same comparison for every model over fixed seeds and every
+/// generator switch setting, checked to reach each outcome per model:
+/// first-choice placement, a walk refused to the end, and an empty plan
+/// space. (For LRB a walk that ends in a placement needs a candidate
+/// whose projected fill exceeds the refused first choice's yet passes the
+/// admission test — possible only inside the `1e-9` capacity tolerance,
+/// so random states do not produce it; `walked` is counted, not
+/// required.)
 #[test]
-fn differential_cases_reach_every_outcome() {
-    let mut coverage = Coverage::default();
-    for seed in 0..64u64 {
-        let cfg = GeneratorConfig {
-            allow_remote: seed & 1 == 0,
-            allow_transcode: seed & 2 == 0,
-            allow_drop: seed & 4 == 0,
-            prune_wasteful: seed & 8 == 0,
-            ..GeneratorConfig::default()
-        };
-        run_case(seed, cfg, 8, &mut coverage);
+fn differential_cases_reach_every_outcome_for_every_model() {
+    for model in Model::ALL {
+        let mut coverage = Coverage::default();
+        for seed in 0..64u64 {
+            let cfg = GeneratorConfig {
+                allow_remote: seed & 1 == 0,
+                allow_transcode: seed & 2 == 0,
+                allow_drop: seed & 4 == 0,
+                prune_wasteful: seed & 8 == 0,
+                ..GeneratorConfig::default()
+            };
+            run_case(model, seed, cfg, seed & 16 == 0, 10, &mut coverage);
+        }
+        let Coverage { first, failed, empty, .. } = coverage;
+        assert!(first > 0 && failed > 0 && empty > 0, "{model:?}: {coverage:?}");
     }
-    assert!(coverage.first > 0 && coverage.failed > 0 && coverage.empty > 0, "{coverage:?}");
 }

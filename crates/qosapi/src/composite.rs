@@ -323,8 +323,8 @@ impl CompositeQosApi {
     }
 
     /// Renegotiates a reservation to `new_demand` atomically: on failure
-    /// the original reservation is kept. Returns the (possibly new)
-    /// reservation id.
+    /// the original reservation is kept under its id, with every bucket's
+    /// usage bit for bit as it was. Returns the new reservation id.
     ///
     /// Renegotiation happens "when QoS requirements are modified during
     /// media playback" or "when the user-specified QoP is rejected by the
@@ -334,39 +334,35 @@ impl CompositeQosApi {
         id: ReservationId,
         new_demand: &ResourceVector,
     ) -> Result<ReservationId, AdmissionError> {
-        let Some(old) = self.demand_of(id).cloned() else {
+        let Some(old) = self.reservations.get(id.0 as usize).and_then(Option::as_ref) else {
             return Err(AdmissionError::UnknownReservation(id));
         };
-        // Feasibility test against usage with the old reservation removed:
-        // for each bucket, new demand must fit within the headroom left
-        // once the old share is returned. Headroom is computed unclamped —
-        // a bucket re-rated below its outstanding reservations has
-        // `available() == 0` but genuinely negative slack, and the clamped
-        // figure would wave through demands the post-release reserve must
-        // then bounce.
+        // Two feasibility tests per bucket, both decided before anything is
+        // touched. The first is the headroom left once the old share is
+        // returned, computed unclamped: a bucket re-rated below its
+        // outstanding reservations has `available() == 0` but genuinely
+        // negative slack, and the clamped figure would wave through demands
+        // the post-release reserve must then bounce. The second is that
+        // reserve itself, run on the level the release will leave: it
+        // rounds `c - (u - o)` where the first rounds `(c - u) + o`, so the
+        // two can disagree by an ulp.
         for (key, amount) in new_demand.iter() {
             let mgr = self.manager(key).ok_or(AdmissionError::UnknownBucket(key))?;
-            let slack = mgr.capacity() - mgr.used() + old.get(key);
-            if amount > slack + 1e-9 {
+            let slack = mgr.capacity() - mgr.used() + old.demand.get(key);
+            let lease = old.leases.iter().find(|&&(k, _)| k == key);
+            let after = lease.map_or(mgr.level(), |&(_, l)| mgr.level_after_release(l));
+            if amount > slack + 1e-9 || !after.can_reserve(amount) {
                 return Err(AdmissionError::Rejected(BucketFull {
                     key,
                     requested: amount,
-                    available: slack,
+                    available: slack.min(after.available()),
                 }));
             }
         }
         self.release(id);
-        match self.reserve(new_demand) {
-            Ok(new_id) => Ok(new_id),
-            Err(e) => {
-                // Should not happen given the feasibility test; restore the
-                // old reservation to keep the session alive.
-                let restored =
-                    self.reserve(&old).expect("restoring a just-released reservation cannot fail");
-                let _ = restored;
-                Err(e)
-            }
-        }
+        let renewed = self.reserve(new_demand);
+        debug_assert!(renewed.is_ok(), "the post-release test above is the reserve's own");
+        renewed
     }
 }
 
@@ -382,6 +378,13 @@ impl Levels {
     #[inline]
     fn level(&self, key: ResourceKey) -> Option<BucketLevel> {
         self.by_server.get(key.server.0 as usize)?[key.kind as usize]
+    }
+
+    /// A bucket's usage and capacity at the snapshot, as
+    /// [`CompositeQosApi::used`] and [`CompositeQosApi::capacity`] read
+    /// them live (`None` when unmanaged).
+    pub fn used_and_capacity(&self, key: ResourceKey) -> Option<(f64, f64)> {
+        self.level(key).map(|l| (l.used, l.capacity))
     }
 
     /// Folds `entries` into a [`Projection`], exactly as
@@ -549,6 +552,51 @@ mod tests {
         }
         api.renegotiate(r, &ResourceVector::new().with(k, 10.0)).unwrap();
         assert!((api.used(k).unwrap() - 50.0).abs() < 1e-9);
+    }
+
+    /// One server whose memory bucket is nearly full, holding `old` = net
+    /// 100 000 + memory 158 120.97 beside another reservation, and a new
+    /// demand that passes the unclamped `(c - u) + o` headroom but fails
+    /// the post-release reserve's `c - (u - o)` by one ulp.
+    fn ulp_boundary(net_capacity: f64) -> (CompositeQosApi, ReservationId, ResourceVector) {
+        let (net, memory) = (key(0, ResourceKind::NetBandwidth), key(0, ResourceKind::Memory));
+        let mut api = CompositeQosApi::homogeneous_cluster([ServerId(0)], 3_200_000.0, 20e6, 512e6);
+        api.reserve(&ResourceVector::new().with(memory, 460_570_983.044_593_45)).unwrap();
+        let old = ResourceVector::new().with(net, 100_000.0).with(memory, 158_120.967_763_751_72);
+        let id = api.reserve(&old).unwrap();
+        assert!(api.set_capacity(net, net_capacity));
+        let new = ResourceVector::new().with(net, 10_000.0).with(memory, 51_429_016.955_406_56);
+        (api, id, new)
+    }
+
+    fn assert_refused_renegotiation_keeps_everything(net_capacity: f64) {
+        let (mut api, id, new) = ulp_boundary(net_capacity);
+        let old = api.demand_of(id).cloned();
+        let usage = |api: &CompositeQosApi| -> Vec<u64> {
+            api.buckets().map(|k| api.used(k).unwrap().to_bits()).collect()
+        };
+        let before = usage(&api);
+        let err = api.renegotiate(id, &new).unwrap_err();
+        assert!(matches!(err, AdmissionError::Rejected(_)), "{err:?}");
+        assert_eq!(api.demand_of(id).cloned(), old, "the old reservation keeps its id");
+        assert_eq!(usage(&api), before);
+        assert_eq!(api.reservation_count(), 2);
+        api.release(id);
+        api.release(ReservationId(0));
+        assert_eq!(api.reservation_count(), 0);
+        assert!(api.buckets().all(|k| api.used(k) == Some(0.0)), "nothing stays reserved");
+    }
+
+    #[test]
+    fn renegotiation_refused_after_release_keeps_the_old_reservation() {
+        assert_refused_renegotiation_keeps_everything(3_200_000.0);
+    }
+
+    #[test]
+    fn renegotiation_refused_on_a_rerated_link_keeps_the_old_reservation() {
+        // The old share no longer fits the re-rated link, so releasing it
+        // and reserving it again would be refused.
+        assert_refused_renegotiation_keeps_everything(50_000.0);
     }
 
     #[test]

@@ -157,6 +157,11 @@ impl ResourceVector {
         self.entries.iter().copied()
     }
 
+    /// Non-zero entries in bucket order, as a slice.
+    pub fn entries(&self) -> &[(ResourceKey, f64)] {
+        &self.entries
+    }
+
     /// True when all demands are zero.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -209,3 +209,84 @@ proptest! {
         }
     }
 }
+
+/// A bucket's capacity on the one-server cluster of
+/// [`failed_renegotiation_changes_nothing`].
+fn capacity_of(kind: ResourceKind) -> f64 {
+    match kind {
+        ResourceKind::Cpu => 1.0,
+        ResourceKind::NetBandwidth => 3_200_000.0,
+        ResourceKind::DiskBandwidth => 20_000_000.0,
+        ResourceKind::Memory => 512e6,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A refused renegotiation changes nothing, whatever the usage, even
+    /// on buckets re-rated below it: the reservation keeps its id and
+    /// demand, every bucket's usage keeps its bits, the reservation count
+    /// holds, and releasing the id afterwards frees its whole share. The
+    /// new demand aims at each bucket's boundary to within a few ulps of
+    /// either way of rounding its headroom — `(c - u) + o` or
+    /// `c - (u - o)` — where the two tests can disagree.
+    #[test]
+    fn failed_renegotiation_changes_nothing(
+        preload in proptest::collection::vec((0usize..4, 0.0f64..1.0), 0..4),
+        old in proptest::collection::vec((0usize..4, 0.0f64..0.5), 1..4),
+        rerates in proptest::collection::vec((0usize..4, 0.05f64..1.5), 0..3),
+        new in proptest::collection::vec((0usize..4, any::<bool>(), -3i64..4), 1..4),
+    ) {
+        let key = |i: usize| ResourceKey::new(ServerId(0), ResourceKind::ALL[i]);
+        let fraction_of = |i: usize, f: f64| f * capacity_of(ResourceKind::ALL[i]);
+        let mut api = CompositeQosApi::homogeneous_cluster(
+            [ServerId(0)], 3_200_000.0, 20_000_000.0, 512e6,
+        );
+        for (i, f) in preload {
+            let _ = api.reserve(&ResourceVector::new().with(key(i), fraction_of(i, f)));
+        }
+        let keys: Vec<ResourceKey> = api.buckets().collect();
+        let usage = |api: &CompositeQosApi| -> Vec<u64> {
+            keys.iter().map(|&k| api.used(k).unwrap().to_bits()).collect()
+        };
+        let before_old: Vec<f64> = keys.iter().map(|&k| api.used(k).unwrap()).collect();
+        let mut old_demand = ResourceVector::new();
+        for (i, f) in old {
+            old_demand.add(key(i), fraction_of(i, f));
+        }
+        prop_assume!(api.admits(&old_demand).is_ok());
+        let id = api.reserve(&old_demand).unwrap();
+        // Re-rates relative to the usage, so a factor below 1 leaves the
+        // bucket oversubscribed.
+        for (i, factor) in rerates {
+            let used = api.used(key(i)).unwrap();
+            let base = if used > 0.0 { used } else { capacity_of(ResourceKind::ALL[i]) };
+            api.set_capacity(key(i), factor * base);
+        }
+        let mut new_demand = ResourceVector::new();
+        for (i, unclamped, ulps) in new {
+            let (c, u, o) =
+                (api.capacity(key(i)).unwrap(), api.used(key(i)).unwrap(), old_demand.get(key(i)));
+            let edge = if unclamped { (c - u) + o } else { c - (u - o).max(0.0) };
+            let amount = f64::from_bits((edge.to_bits() as i64 + ulps) as u64);
+            if edge > 0.0 && amount.is_finite() && amount > 0.0 {
+                new_demand.set(key(i), amount);
+            }
+        }
+        let before = usage(&api);
+        let count = api.reservation_count();
+        if api.renegotiate(id, &new_demand).is_err() {
+            prop_assert_eq!(api.demand_of(id), Some(&old_demand));
+            prop_assert_eq!(usage(&api), before);
+            prop_assert_eq!(api.reservation_count(), count);
+            api.release(id);
+            prop_assert_eq!(api.reservation_count(), count - 1);
+            for (&k, &was) in keys.iter().zip(&before_old) {
+                let now = api.used(k).unwrap();
+                prop_assert!((now - was).abs() <= 1e-9 * api.capacity(k).unwrap().max(1.0),
+                    "{k}: {now} after release vs {was} before the reservation");
+            }
+        }
+    }
+}

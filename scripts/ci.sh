@@ -23,6 +23,14 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# `available_parallelism` honours the affinity mask, so on one core
+# `parallel_map` takes its serial branch: a test must pass on every core
+# count, not only the runner's.
+if command -v taskset >/dev/null; then
+    echo "==> determinism-sensitive tests pinned to one core"
+    time taskset -c 0 cargo test -q -p quasaq -p quasaq-workload -p quasaq-scenario
+fi
+
 echo "==> perfbench unit tests (the benchmark must keep building against the crate APIs)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 

@@ -101,9 +101,10 @@ proptest! {
         let plans = generator.generate(&tb.engine, &request);
         prop_assume!(!plans.is_empty());
         let order = LrbModel.rank(&plans, manager.api(), &mut rng);
-        let best = LrbModel.cost(&plans[order[0]], manager.api());
+        let cost = |i: usize| manager.api().max_fill_with(&plans[i].resources);
+        let best = cost(order[0]);
         for &i in &order {
-            prop_assert!(LrbModel.cost(&plans[i], manager.api()) >= best - 1e-12);
+            prop_assert!(cost(i) >= best - 1e-12);
         }
     }
 
