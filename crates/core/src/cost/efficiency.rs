@@ -19,6 +19,8 @@ use quasaq_media::{QualitySpec, Resolution};
 
 /// A gain function over a plan's delivered quality.
 pub trait Gain: Send {
+    /// Gain name for reports.
+    fn name(&self) -> &'static str;
     /// The gain of servicing a query at this delivered quality (> 0).
     fn gain(&self, delivered: &QualitySpec) -> f64;
 }
@@ -29,6 +31,10 @@ pub trait Gain: Send {
 pub struct ThroughputGain;
 
 impl Gain for ThroughputGain {
+    fn name(&self) -> &'static str {
+        "throughput"
+    }
+
     fn gain(&self, _delivered: &QualitySpec) -> f64 {
         1.0
     }
@@ -50,6 +56,10 @@ impl UtilityGain {
 }
 
 impl Gain for UtilityGain {
+    fn name(&self) -> &'static str {
+        "utility"
+    }
+
     /// Utility in `(0, 1]`: a weighted geometric mean of each dimension
     /// normalized to its full-quality reference.
     fn gain(&self, q: &QualitySpec) -> f64 {

@@ -47,8 +47,9 @@ pub struct PlanView<'a> {
     pub delivered: &'a QualitySpec,
     /// Mean delivered bandwidth in bytes/second.
     pub delivered_bps: f64,
-    /// The plan's resource demand: distinct keys in no particular order,
-    /// zero amounts allowed (a resource vector drops them).
+    /// The plan's resource demand: distinct keys, zero amounts allowed (a
+    /// resource vector drops them), in bucket order or else five entries,
+    /// as an enumerated candidate has.
     pub demand: &'a [(ResourceKey, f64)],
     /// The bucket levels the plan is scored against.
     pub levels: &'a Levels,
@@ -58,13 +59,8 @@ impl<'a> PlanView<'a> {
     /// The view of a built plan against `levels`.
     pub(crate) fn of(plan: &'a Plan, levels: &'a Levels) -> Self {
         let demand = plan.resources.entries();
-        PlanView {
-            max_fill: levels.project(demand).max_fill,
-            delivered: &plan.delivered,
-            delivered_bps: plan.delivered_bps,
-            demand,
-            levels,
-        }
+        let (max_fill, delivered) = (levels.project(demand).max_fill, &plan.delivered);
+        PlanView { max_fill, delivered, delivered_bps: plan.delivered_bps, demand, levels }
     }
 }
 
@@ -88,11 +84,8 @@ pub trait CostModel: Send {
     fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {
         let mut levels = Levels::default();
         api.levels_into(&mut levels);
-        let mut scored: Vec<(f64, usize)> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| (self.score(&PlanView::of(plan, &levels)), i))
-            .collect();
+        let mut scored: Vec<(f64, usize)> =
+            plans.iter().map(|plan| self.score(&PlanView::of(plan, &levels))).zip(0..).collect();
         self.reorder(&mut scored, rng);
         scored.sort_unstable_by(by_rank);
         scored.into_iter().map(|(_, i)| i).collect()

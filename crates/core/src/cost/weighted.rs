@@ -48,21 +48,15 @@ impl CostModel for WeightedSumModel {
     /// unmanaged.
     fn score(&self, plan: &PlanView<'_>) -> f64 {
         // Float addition is not associative, so the terms go in bucket
-        // order, zero amounts skipped, as a resource vector holds them. A
-        // plan's demand has at most five entries: sort them on the stack.
-        let mut stack = [(ResourceKey::new(ServerId(0), ResourceKind::Cpu), 0.0); 5];
-        let mut heap = Vec::new();
-        let terms = match stack.get_mut(..plan.demand.len()) {
-            Some(terms) => {
-                terms.copy_from_slice(plan.demand);
-                terms
-            }
-            None => {
-                heap.extend_from_slice(plan.demand);
-                &mut heap[..]
-            }
-        };
-        terms.sort_unstable_by_key(|&(key, _)| key);
+        // order, zero amounts skipped, as a resource vector holds them. An
+        // unsorted demand has five entries: sort a copy on the stack.
+        let mut sorted = [(ResourceKey::new(ServerId(0), ResourceKind::Cpu), 0.0); 5];
+        let mut terms = plan.demand;
+        if !terms.is_sorted_by_key(|&(key, _)| key) {
+            sorted.copy_from_slice(terms);
+            sorted.sort_unstable_by_key(|&(key, _)| key);
+            terms = &sorted;
+        }
         let mut sum = 0.0;
         for &(key, demand) in terms.iter().filter(|&&(_, demand)| demand != 0.0) {
             let Some((used, cap)) = plan.levels.used_and_capacity(key) else {
@@ -78,7 +72,7 @@ impl CostModel for WeightedSumModel {
 mod tests {
     use super::super::testutil::{plan_on, score_of};
     use super::*;
-    use quasaq_qosapi::{CompositeQosApi, ResourceVector};
+    use quasaq_qosapi::{CompositeQosApi, Levels, ResourceVector};
     use quasaq_sim::Rng;
 
     #[test]
@@ -103,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn score_sums_the_fills_in_bucket_order_at_any_length() {
+    fn score_sums_the_fills_in_bucket_order() {
         let mut api =
             CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20e6, 512e6);
         api.reserve(
@@ -113,21 +107,43 @@ mod tests {
         )
         .unwrap();
         let model = WeightedSumModel { cpu: 0.3, net: 1.7, disk: 0.9, memory: 2.1 };
+        let fill = |key: ResourceKey, amount: f64| {
+            model.weight(key.kind) * (api.used(key).unwrap() + amount) / api.capacity(key).unwrap()
+        };
+        // A built plan's demand is in bucket order, at any length.
         let mut plan = plan_on(0, 48_000);
-        for extra in 0..=2 {
-            if extra > 0 {
-                // Past five entries the terms are sorted off the stack.
-                let key = ResourceKey::new(ServerId(extra), ResourceKind::ALL[extra as usize]);
-                plan.resources.set(key, 0.1 * api.capacity(key).unwrap());
-            }
-            let mut expected = 0.0;
-            for (key, amount) in plan.resources.iter() {
-                let (used, cap) = (api.used(key).unwrap(), api.capacity(key).unwrap());
-                expected += model.weight(key.kind) * (used + amount) / cap;
-            }
-            assert_eq!(score_of(&model, &plan, &api).to_bits(), expected.to_bits());
+        for extra in 1..=2u32 {
+            let key = ResourceKey::new(ServerId(extra), ResourceKind::ALL[extra as usize]);
+            plan.resources.set(key, 0.1 * api.capacity(key).unwrap());
         }
         assert!(plan.resources.len() > 5);
+        let expected =
+            plan.resources.iter().fold(0.0, |sum, (key, amount)| sum + fill(key, amount));
+        assert_eq!(score_of(&model, &plan, &api).to_bits(), expected.to_bits());
+        // An enumerated candidate's five entries come in any order, zeros
+        // included; the sum still runs in bucket order.
+        let key = |server, kind| ResourceKey::new(ServerId(server), kind);
+        let mut demand = vec![
+            (key(0, ResourceKind::Cpu), 0.333),
+            (key(0, ResourceKind::NetBandwidth), 123_457.0),
+            (key(1, ResourceKind::DiskBandwidth), 3e6),
+            (key(2, ResourceKind::Memory), 1e6),
+        ];
+        let expected = demand.iter().fold(0.0, |sum, &(key, amount)| sum + fill(key, amount));
+        demand.reverse();
+        let reversed = demand.iter().fold(0.0, |sum, &(key, amount)| sum + fill(key, amount));
+        assert_ne!(reversed.to_bits(), expected.to_bits(), "the order must matter here");
+        demand.insert(2, (key(1, ResourceKind::Cpu), 0.0));
+        let mut levels = Levels::default();
+        api.levels_into(&mut levels);
+        let view = PlanView {
+            max_fill: 0.0,
+            delivered: &plan.delivered,
+            delivered_bps: plan.delivered_bps,
+            demand: &demand,
+            levels: &levels,
+        };
+        assert_eq!(model.score(&view).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
     VideoFormat, VideoId,
 };
-use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey};
+use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey, ResourceVector};
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
 
@@ -104,8 +104,8 @@ pub(crate) struct Candidate<'a> {
 }
 
 impl<'a> Candidate<'a> {
-    /// The candidate's resource demand, entry for entry what
-    /// [`Plan::assemble_resources`] puts in its vector.
+    /// The candidate's resource demand, the entries of its plan's
+    /// resource vector.
     pub(crate) fn demand(&self) -> [(ResourceKey, f64); 5] {
         let o = self.option;
         Plan::demand_entries(
@@ -125,14 +125,8 @@ impl<'a> Candidate<'a> {
         demand: &'a [(ResourceKey, f64)],
         levels: &'a Levels,
     ) -> PlanView<'a> {
-        let o = self.option;
-        PlanView {
-            max_fill,
-            delivered: &o.delivered,
-            delivered_bps: o.delivered_bps,
-            demand,
-            levels,
-        }
+        let (delivered, delivered_bps) = (&self.option.delivered, self.option.delivered_bps);
+        PlanView { max_fill, delivered, delivered_bps, demand, levels }
     }
 }
 
@@ -208,13 +202,7 @@ impl DeliveryOptions {
             cipher: self.ciphers[c.cipher],
             delivered: o.delivered,
             delivered_bps: o.delivered_bps,
-            resources: Plan::assemble_resources(
-                &o.record,
-                c.target,
-                o.delivered_bps,
-                o.cpu_shares[c.cipher],
-                o.buffer_bytes,
-            ),
+            resources: ResourceVector::from_distinct(&c.demand()),
         }
     }
 }
@@ -256,11 +244,21 @@ impl PlanGenerator {
         request: &PlanRequest,
         out: &mut Vec<Plan>,
     ) {
-        let mut options = DeliveryOptions::default();
-        self.options_into(engine, request, &mut options);
+        let options = self.options(engine, request);
         out.clear();
         out.reserve(options.plan_count());
         options.for_each(|_, c| out.push(options.plan(c)));
+    }
+
+    /// [`options_into`](Self::options_into) a new buffer.
+    pub(crate) fn options(
+        &self,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+    ) -> DeliveryOptions {
+        let mut options = DeliveryOptions::default();
+        self.options_into(engine, request, &mut options);
+        options
     }
 
     /// Enumerates the server-independent half of the plan space for

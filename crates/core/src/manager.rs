@@ -210,20 +210,9 @@ impl QualityManager {
         if !cache.should_store(&key) {
             return None;
         }
-        let options = Self::enumerate(&self.generator, engine, request);
+        let options = Arc::new(self.generator.options(engine, request));
         cache.insert(key, Arc::clone(&options));
         Some(options)
-    }
-
-    /// A fresh enumeration of `request`'s options, for a cache entry.
-    fn enumerate(
-        generator: &PlanGenerator,
-        engine: &MetadataEngine,
-        request: &PlanRequest,
-    ) -> Arc<DeliveryOptions> {
-        let mut options = DeliveryOptions::default();
-        generator.options_into(engine, request, &mut options);
-        Arc::new(options)
     }
 
     /// [`place`](Self::place) on a fresh enumeration of `request`'s
@@ -243,19 +232,15 @@ impl QualityManager {
     }
 
     /// The admission pipeline, for every cost model: places a session on a
-    /// plan from `options` against the live resource state, reserving it
-    /// afresh or, when `held` names the session's reservation,
-    /// renegotiating that one. No plan is built to be ranked. Every
-    /// candidate (delivery option × target × cipher) that fits the
-    /// buckets' total capacity — the cut of
-    /// [`PlanGenerator::retain_feasible`] — is scored in place by the cost
-    /// model against one snapshot of the bucket levels, which sees a held
-    /// reservation as still in use. The minimum by `(score, enumeration
-    /// index)` is built and tried; only when that fails are the rest
-    /// sorted and walked. A new reservation is checked against the snapshot
-    /// before its plan is built (a failed reservation changes nothing); a
-    /// renegotiation is not, as the swap returns the held share first.
-    /// Returns the outcome with the pass's [`PlanningStats`].
+    /// plan from `options`, reserving afresh or, when `held` names the
+    /// session's reservation, renegotiating it. Each candidate (delivery
+    /// option × target × cipher) that fits the buckets' total capacity,
+    /// the cut of [`PlanGenerator::retain_feasible`], is scored in place
+    /// against one snapshot of the levels, a held reservation counted as
+    /// used. The `(score, enumeration index)` minimum is built and tried;
+    /// only if that fails are the rest sorted and walked. A new reservation
+    /// is checked against the snapshot before its plan is built; a
+    /// renegotiation is not, as the swap frees the held share first.
     fn place(
         &mut self,
         options: &DeliveryOptions,
@@ -330,7 +315,7 @@ impl QualityManager {
             if count[&key] < 2 || cache.contains(&key) {
                 continue;
             }
-            cache.insert(key, Self::enumerate(&self.generator, engine, &requests[i]));
+            cache.insert(key, Arc::new(self.generator.options(engine, &requests[i])));
         }
     }
 

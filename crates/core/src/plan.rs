@@ -87,41 +87,18 @@ impl Plan {
         let cpu_share =
             cost.session_cpu_share(stored_rate, stored_fps, gop, transcode, drop, cipher)
                 * cost.reservation_headroom;
-        let v = Plan::assemble_resources(
-            object,
-            target_server,
-            delivered_bps,
-            cpu_share,
-            cost.buffer_bytes(delivered_bps),
-        );
-        (v, delivered_bps)
+        let buffer_bytes = cost.buffer_bytes(delivered_bps);
+        let entries =
+            Plan::demand_entries(object, target_server, delivered_bps, cpu_share, buffer_bytes);
+        (ResourceVector::from_distinct(&entries), delivered_bps)
     }
 
-    /// Assembles the demand vector from target-independent figures. The
-    /// delivered rate, CPU share, and buffer size depend only on the
-    /// replica and the activity choices, so callers enumerating target
-    /// sites (the plan generator fans each delivery out across every
-    /// server) compute them once and re-run only this cheap assembly per
-    /// site.
-    pub fn assemble_resources(
-        object: &ObjectRecord,
-        target_server: ServerId,
-        delivered_bps: f64,
-        cpu_share: f64,
-        buffer_bytes: f64,
-    ) -> ResourceVector {
-        ResourceVector::from_distinct(&Plan::demand_entries(
-            object,
-            target_server,
-            delivered_bps,
-            cpu_share,
-            buffer_bytes,
-        ))
-    }
-
-    /// The entries of [`assemble_resources`](Self::assemble_resources)'s
-    /// vector, unsorted and without building it. The keys are distinct; a
-    /// local plan's transfer entry is zero, which the vector drops.
+    /// A plan's demand entries from its target-independent figures, unsorted
+    /// and without building the vector: the delivered rate, CPU share and
+    /// buffer size depend only on the replica and the activity choices, so
+    /// the plan generator computes them once per delivery and re-runs only
+    /// this per target site. The keys are distinct; a local plan's transfer
+    /// entry is zero, which a resource vector drops.
     pub(crate) fn demand_entries(
         object: &ObjectRecord,
         target_server: ServerId,

@@ -334,23 +334,19 @@ impl CompositeQosApi {
         id: ReservationId,
         new_demand: &ResourceVector,
     ) -> Result<ReservationId, AdmissionError> {
-        let Some(old) = self.reservations.get(id.0 as usize).and_then(Option::as_ref) else {
+        let Some(old) = self.demand_of(id) else {
             return Err(AdmissionError::UnknownReservation(id));
         };
-        // Two feasibility tests per bucket, both decided before anything is
-        // touched. The first is the headroom left once the old share is
-        // returned, computed unclamped: a bucket re-rated below its
-        // outstanding reservations has `available() == 0` but genuinely
-        // negative slack, and the clamped figure would wave through demands
-        // the post-release reserve must then bounce. The second is that
-        // reserve itself, run on the level the release will leave: it
-        // rounds `c - (u - o)` where the first rounds `(c - u) + o`, so the
-        // two can disagree by an ulp.
+        // Both of a bucket's tests are decided before anything is touched.
+        // The headroom once the old share is returned is taken unclamped, so
+        // a bucket re-rated below its reservations shows its true negative
+        // slack. The post-release reserve's own test runs on the level the
+        // release will leave; it rounds `c - (u - o)` where the headroom
+        // rounds `(c - u) + o`, and the two can differ by an ulp.
         for (key, amount) in new_demand.iter() {
             let mgr = self.manager(key).ok_or(AdmissionError::UnknownBucket(key))?;
-            let slack = mgr.capacity() - mgr.used() + old.demand.get(key);
-            let lease = old.leases.iter().find(|&&(k, _)| k == key);
-            let after = lease.map_or(mgr.level(), |&(_, l)| mgr.level_after_release(l));
+            let slack = mgr.capacity() - mgr.used() + old.get(key);
+            let after = mgr.level().released(old.get(key));
             if amount > slack + 1e-9 || !after.can_reserve(amount) {
                 return Err(AdmissionError::Rejected(BucketFull {
                     key,
@@ -380,9 +376,7 @@ impl Levels {
         self.by_server.get(key.server.0 as usize)?[key.kind as usize]
     }
 
-    /// A bucket's usage and capacity at the snapshot, as
-    /// [`CompositeQosApi::used`] and [`CompositeQosApi::capacity`] read
-    /// them live (`None` when unmanaged).
+    /// A bucket's `(used, capacity)` at the snapshot (`None` when unmanaged).
     pub fn used_and_capacity(&self, key: ResourceKey) -> Option<(f64, f64)> {
         self.level(key).map(|l| (l.used, l.capacity))
     }

@@ -63,6 +63,12 @@ impl BucketLevel {
         (self.capacity - self.used).max(0.0)
     }
 
+    /// The level once `amount` is released, as
+    /// [`ResourceManager::release`] leaves it.
+    pub(crate) fn released(self, amount: f64) -> BucketLevel {
+        BucketLevel { used: (self.used - amount).max(0.0), ..self }
+    }
+
     /// Whether `amount` can be reserved now. Malformed demands (negative,
     /// NaN, infinite) never can.
     pub(crate) fn can_reserve(self, amount: f64) -> bool {
@@ -200,19 +206,43 @@ impl ResourceManager {
         Ok(id)
     }
 
-    /// The level [`release`](Self::release) of `lease` would leave, bit
-    /// for bit (the current level for an unknown lease).
-    pub(crate) fn level_after_release(&self, lease: LeaseId) -> BucketLevel {
-        match self.leases.get(&lease) {
-            Some(amount) => BucketLevel { used: (self.used - amount).max(0.0), ..self.level() },
-            None => self.level(),
+    /// Releases a lease. Unknown leases are a no-op (idempotent release).
+    pub fn release(&mut self, lease: LeaseId) {
+        if let Some(amount) = self.leases.remove(&lease) {
+            self.used = self.level().released(amount).used;
         }
     }
 
-    /// Releases a lease. Unknown leases are a no-op (idempotent release).
-    pub fn release(&mut self, lease: LeaseId) {
-        self.used = self.level_after_release(lease).used;
-        self.leases.remove(&lease);
+    /// Adjusts an existing lease to a new amount (renegotiation on one
+    /// bucket). On failure the lease is unchanged.
+    pub fn adjust(&mut self, lease: LeaseId, new_amount: f64) -> Result<(), BucketFull> {
+        if !(new_amount >= 0.0 && new_amount.is_finite()) {
+            // Same rationale as `reserve`: renegotiation demands come from
+            // plan arithmetic, so malformed values reject instead of panic.
+            return Err(BucketFull {
+                key: self.key,
+                requested: new_amount,
+                available: self.available(),
+            });
+        }
+        let Some(&old) = self.leases.get(&lease) else {
+            return Err(BucketFull {
+                key: self.key,
+                requested: new_amount,
+                available: self.available(),
+            });
+        };
+        let delta = new_amount - old;
+        if delta > self.available() + 1e-9 {
+            return Err(BucketFull {
+                key: self.key,
+                requested: new_amount,
+                available: self.available() + old,
+            });
+        }
+        self.leases.insert(lease, new_amount);
+        self.used = (self.used + delta).max(0.0);
+        Ok(())
     }
 
     /// Re-rates the bucket to a new total capacity (link degradation /
@@ -283,6 +313,25 @@ mod tests {
     }
 
     #[test]
+    fn adjust_up_and_down() {
+        let mut m = mgr(100.0);
+        let a = m.reserve(30.0).unwrap();
+        m.adjust(a, 60.0).unwrap();
+        assert_eq!(m.used(), 60.0);
+        m.adjust(a, 10.0).unwrap();
+        assert_eq!(m.used(), 10.0);
+        // Adjust beyond capacity fails and leaves the lease intact.
+        assert!(m.adjust(a, 200.0).is_err());
+        assert_eq!(m.used(), 10.0);
+    }
+
+    #[test]
+    fn adjust_unknown_lease_fails() {
+        let mut m = mgr(100.0);
+        assert!(m.adjust(LeaseId(99), 10.0).is_err());
+    }
+
+    #[test]
     fn zero_reservation_allowed() {
         let mut m = mgr(100.0);
         let a = m.reserve(0.0).unwrap();
@@ -303,6 +352,11 @@ mod tests {
             assert!(!m.can_reserve(bad));
             assert!(m.reserve(bad).is_err(), "reserve({bad}) must reject");
             assert_eq!(m.used(), 0.0, "failed reserve must not corrupt usage");
+        }
+        let a = m.reserve(10.0).unwrap();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(m.adjust(a, bad).is_err(), "adjust({bad}) must reject");
+            assert_eq!(m.used(), 10.0, "failed adjust must leave the lease intact");
         }
     }
 
