@@ -23,13 +23,13 @@
 //! serial loop (speedup ~1.0), which the artifact records via the `cores`
 //! field rather than pretending otherwise.
 //!
-//! Two modes drive the served control plane (`quasaq-shell`):
-//! `--serve [--addr A] [--threads N] [--seed S]` runs a shell until killed;
-//! `--load [--quick]` is the service-shell throughput study — it first pins
-//! decision-identity against the in-process driver, then measures wall-clock
-//! requests/sec and admissions/sec through the loopback at 1/2/4 shell
-//! threads and splices a `"service"` section into `BENCH_throughput.json`
-//! (skipped in `--quick`, which is the CI smoke variant).
+//! `--load [--quick]` drives the served control plane (`quasaq-shell`) in
+//! the service-shell throughput study: it first pins decision-identity
+//! against the in-process driver, then measures wall-clock requests/sec
+//! and admissions/sec through the loopback at 1/2/4 shell threads and
+//! splices a `"service"` section into `BENCH_throughput.json` (skipped in
+//! `--quick`, which is the CI smoke variant). A shell that runs until
+//! killed is `quasaq-shell`'s `serve` binary.
 
 use std::time::Instant;
 
@@ -437,26 +437,6 @@ struct ServiceRow {
     admissions_per_s: f64,
 }
 
-/// `--serve` mode: run a shell until killed, for external load drivers.
-fn run_serve_mode(args: &[String]) -> ! {
-    let arg =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let addr = arg("--addr").unwrap_or_else(|| "127.0.0.1:7171".to_string());
-    let threads: usize = arg("--threads").map_or(4, |v| v.parse().expect("--threads N"));
-    let seed: u64 = arg("--seed").map_or(7, |v| v.parse().expect("--seed N"));
-    let system = SystemKind::Quasaq(CostKind::Lrb);
-    let throughput = ThroughputConfig { seed, ..ThroughputConfig::fig6() };
-    let shell = quasaq_shell::Shell::serve(
-        &addr,
-        quasaq_shell::ShellConfig { system, throughput, threads },
-    )
-    .unwrap_or_else(|e| panic!("bind {addr}: {e}"));
-    println!("serving {} on {} ({threads} thread(s), seed {seed})", system.label(), shell.addr());
-    loop {
-        std::thread::park();
-    }
-}
-
 /// `--load` mode: the service-shell throughput study.
 ///
 /// First pins the refactor's acceptance claim — a single-connection
@@ -588,15 +568,15 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
 }
 
 /// The command line, printed with any argument error.
-const USAGE: &str = "usage: bench [--quick] [--smoke] [--gallery] [--scenario <file>] \
-                     [--load [--quick]] [--serve [--addr A] [--threads N] [--seed S]]";
+const USAGE: &str =
+    "usage: bench [--quick] [--smoke] [--gallery] [--scenario <file>] [--load [--quick]]";
 
 /// Exits with status 2 and the usage line unless every argument is a
 /// known flag and every flag that takes a value has one, so a typo never
 /// falls through to the full suite (which rewrites the artifact).
 fn check_args(args: &[String]) {
-    const SWITCHES: [&str; 5] = ["--quick", "--smoke", "--gallery", "--load", "--serve"];
-    const VALUED: [&str; 4] = ["--scenario", "--addr", "--threads", "--seed"];
+    const SWITCHES: [&str; 4] = ["--quick", "--smoke", "--gallery", "--load"];
+    const VALUED: [&str; 1] = ["--scenario"];
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         let error = if SWITCHES.contains(&arg.as_str()) {
@@ -620,9 +600,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if args.iter().any(|a| a == "--serve") {
-        run_serve_mode(&args);
-    }
     if args.iter().any(|a| a == "--load") {
         run_load_mode(quick);
         return;

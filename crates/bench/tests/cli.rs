@@ -20,9 +20,7 @@ fn unknown_flags_exit_2_with_usage() {
 
 #[test]
 fn valued_flags_without_a_value_exit_2() {
-    for args in [&["--scenario"][..], &["--serve", "--addr"], &["--serve", "--threads"]] {
-        let out = run(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("takes a value"), "{args:?}");
-    }
+    let out = run(&["--scenario"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("takes a value"));
 }

@@ -33,12 +33,12 @@ pub use weighted::WeightedSumModel;
 
 use crate::plan::Plan;
 use quasaq_media::QualitySpec;
-use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey};
+use quasaq_qosapi::{CompositeQosApi, ResourceKey};
 use quasaq_sim::Rng;
 use std::cmp::Ordering;
 
 /// What a cost model reads of one candidate plan, built or not.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct PlanView<'a> {
     /// Eq. (1): the largest bucket fill if the plan were admitted,
     /// [`CompositeQosApi::max_fill_with`] of its resources.
@@ -51,16 +51,16 @@ pub struct PlanView<'a> {
     /// resource vector drops them), in bucket order or else five entries,
     /// as an enumerated candidate has.
     pub demand: &'a [(ResourceKey, f64)],
-    /// The bucket levels the plan is scored against.
-    pub levels: &'a Levels,
+    /// The resource state the plan is scored against.
+    pub api: &'a CompositeQosApi,
 }
 
 impl<'a> PlanView<'a> {
-    /// The view of a built plan against `levels`.
-    pub(crate) fn of(plan: &'a Plan, levels: &'a Levels) -> Self {
+    /// The view of a built plan against `api`.
+    pub(crate) fn of(plan: &'a Plan, api: &'a CompositeQosApi) -> Self {
         let demand = plan.resources.entries();
-        let (max_fill, delivered) = (levels.project(demand).max_fill, &plan.delivered);
-        PlanView { max_fill, delivered, delivered_bps: plan.delivered_bps, demand, levels }
+        let (max_fill, delivered) = (api.project(demand).max_fill, &plan.delivered);
+        PlanView { max_fill, delivered, delivered_bps: plan.delivered_bps, demand, api }
     }
 }
 
@@ -69,8 +69,8 @@ pub trait CostModel: Send {
     /// Model name for reports.
     fn name(&self) -> &'static str;
 
-    /// The plan's cost under the levels in the view: lower is better, and
-    /// ties go to the plan enumerated first.
+    /// The plan's cost under the view's resource state: lower is better,
+    /// and ties go to the plan enumerated first.
     fn score(&self, plan: &PlanView<'_>) -> f64;
 
     /// Runs on the `(score, enumeration index)` entries of the plans to be
@@ -82,10 +82,8 @@ pub trait CostModel: Send {
     /// Returns plan indices, most preferred first, evaluated against the
     /// current resource state in `api`.
     fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {
-        let mut levels = Levels::default();
-        api.levels_into(&mut levels);
         let mut scored: Vec<(f64, usize)> =
-            plans.iter().map(|plan| self.score(&PlanView::of(plan, &levels))).zip(0..).collect();
+            plans.iter().map(|plan| self.score(&PlanView::of(plan, api))).zip(0..).collect();
         self.reorder(&mut scored, rng);
         scored.sort_unstable_by(by_rank);
         scored.into_iter().map(|(_, i)| i).collect()
@@ -106,15 +104,13 @@ pub(crate) mod testutil {
         CipherAlgo, ColorDepth, DeliveryCostModel, DropStrategy, FrameRate, GopPattern,
         QualitySpec, Resolution, VideoFormat, VideoId,
     };
-    use quasaq_qosapi::{CompositeQosApi, Levels};
+    use quasaq_qosapi::CompositeQosApi;
     use quasaq_sim::ServerId;
     use quasaq_store::{ObjectRecord, PhysicalObject, PhysicalOid, QosProfile};
 
-    /// `model`'s score of `plan` against `api`'s current levels.
+    /// `model`'s score of `plan` against `api`'s current state.
     pub fn score_of(model: &dyn CostModel, plan: &Plan, api: &CompositeQosApi) -> f64 {
-        let mut levels = Levels::default();
-        api.levels_into(&mut levels);
-        model.score(&PlanView::of(plan, &levels))
+        model.score(&PlanView::of(plan, api))
     }
 
     /// A simple local plan on `server` delivering at `rate_bps`.

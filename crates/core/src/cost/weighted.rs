@@ -59,7 +59,7 @@ impl CostModel for WeightedSumModel {
         }
         let mut sum = 0.0;
         for &(key, demand) in terms.iter().filter(|&&(_, demand)| demand != 0.0) {
-            let Some((used, cap)) = plan.levels.used_and_capacity(key) else {
+            let (Some(used), Some(cap)) = (plan.api.used(key), plan.api.capacity(key)) else {
                 return f64::INFINITY;
             };
             sum += self.weight(key.kind) * (used + demand) / cap;
@@ -72,7 +72,7 @@ impl CostModel for WeightedSumModel {
 mod tests {
     use super::super::testutil::{plan_on, score_of};
     use super::*;
-    use quasaq_qosapi::{CompositeQosApi, Levels, ResourceVector};
+    use quasaq_qosapi::{CompositeQosApi, ResourceVector};
     use quasaq_sim::Rng;
 
     #[test]
@@ -134,14 +134,12 @@ mod tests {
         let reversed = demand.iter().fold(0.0, |sum, &(key, amount)| sum + fill(key, amount));
         assert_ne!(reversed.to_bits(), expected.to_bits(), "the order must matter here");
         demand.insert(2, (key(1, ResourceKind::Cpu), 0.0));
-        let mut levels = Levels::default();
-        api.levels_into(&mut levels);
         let view = PlanView {
             max_fill: 0.0,
             delivered: &plan.delivered,
             delivered_bps: plan.delivered_bps,
             demand: &demand,
-            levels: &levels,
+            api: &api,
         };
         assert_eq!(model.score(&view).to_bits(), expected.to_bits());
     }

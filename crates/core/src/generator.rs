@@ -25,7 +25,7 @@ use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
     VideoFormat, VideoId,
 };
-use quasaq_qosapi::{CompositeQosApi, Levels, ResourceKey, ResourceVector};
+use quasaq_qosapi::{CompositeQosApi, ResourceKey, ResourceVector};
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
 
@@ -118,15 +118,15 @@ impl<'a> Candidate<'a> {
     }
 
     /// What a cost model reads of the candidate: its `demand` with the
-    /// `max_fill` it projects to on `levels`.
+    /// `max_fill` it projects to on `api`.
     pub(crate) fn view(
         self,
         max_fill: f64,
         demand: &'a [(ResourceKey, f64)],
-        levels: &'a Levels,
+        api: &'a CompositeQosApi,
     ) -> PlanView<'a> {
         let (delivered, delivered_bps) = (&self.option.delivered, self.option.delivered_bps);
-        PlanView { max_fill, delivered, delivered_bps, demand, levels }
+        PlanView { max_fill, delivered, delivered_bps, demand, api }
     }
 }
 
@@ -396,7 +396,7 @@ impl PlanGenerator {
     /// current usage), so it runs on every admission: a re-rated link
     /// changes it at once.
     pub fn retain_feasible(&self, plans: &mut Vec<Plan>, api: &CompositeQosApi) {
-        plans.retain(|p| api.project(&p.resources).fits_capacity);
+        plans.retain(|p| api.project(p.resources.entries()).fits_capacity);
     }
 
     /// The unpruned combinatorial bound `O(d^n)` for a request: replicas ×

@@ -15,7 +15,7 @@ use crate::generator::{DeliveryOptions, PlanGenerator, PlanRequest};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, Levels, ReservationId};
+use quasaq_qosapi::{CompositeQosApi, ReservationId};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
 use std::collections::HashMap;
@@ -99,11 +99,9 @@ pub struct QualityManager {
     last_stats: PlanningStats,
     /// Recycled buffers, holding no state between calls beyond their
     /// allocations: the request's delivery options (when the plan cache
-    /// does not supply them), the bucket levels candidates are scored
-    /// against, and the `(score, enumeration index)` of every feasible
-    /// candidate.
+    /// does not supply them) and the `(score, enumeration index)` of every
+    /// feasible candidate.
     options: DeliveryOptions,
-    levels: Levels,
     scored: Vec<(f64, usize)>,
     /// Memoized delivery options (`None` = caching off, the default).
     /// Only enumeration is memoized — feasibility, ranking and reservation
@@ -126,7 +124,6 @@ impl QualityManager {
             cost_model,
             last_stats: PlanningStats::default(),
             options: DeliveryOptions::default(),
-            levels: Levels::default(),
             scored: Vec::new(),
             plan_cache: None,
         }
@@ -236,11 +233,13 @@ impl QualityManager {
     /// session's reservation, renegotiating it. Each candidate (delivery
     /// option × target × cipher) that fits the buckets' total capacity,
     /// the cut of [`PlanGenerator::retain_feasible`], is scored in place
-    /// against one snapshot of the levels, a held reservation counted as
-    /// used. The `(score, enumeration index)` minimum is built and tried;
-    /// only if that fails are the rest sorted and walked. A new reservation
-    /// is checked against the snapshot before its plan is built; a
-    /// renegotiation is not, as the swap frees the held share first.
+    /// against the live buckets, a held reservation counted as used. The
+    /// `(score, enumeration index)` minimum is built and tried; only if
+    /// that fails are the rest sorted and walked. A refused attempt
+    /// changes no bucket, so every candidate is scored and checked against
+    /// the same state. A new reservation is checked before its plan is
+    /// built; a renegotiation is not, as the swap frees the held share
+    /// first.
     fn place(
         &mut self,
         options: &DeliveryOptions,
@@ -251,14 +250,13 @@ impl QualityManager {
         if stats.generated == 0 {
             return (Err(Rejection::NoFeasiblePlan), stats);
         }
-        self.api.levels_into(&mut self.levels);
-        let (model, levels, scored) = (&*self.cost_model, &self.levels, &mut self.scored);
+        let (model, api, scored) = (&*self.cost_model, &self.api, &mut self.scored);
         scored.clear();
         options.for_each(|index, c| {
             let demand = c.demand();
-            let projection = levels.project(&demand);
+            let projection = api.project(&demand);
             if projection.fits_capacity {
-                scored.push((model.score(&c.view(projection.max_fill, &demand, levels)), index));
+                scored.push((model.score(&c.view(projection.max_fill, &demand, api)), index));
             }
         });
         stats.feasible = scored.len();
@@ -281,7 +279,7 @@ impl QualityManager {
         // `scored[0]` is `best`, already attempted.
         for (attempt, &(_, index)) in self.scored.iter().enumerate().skip(1) {
             let c = options.candidate(index);
-            if held.is_none() && !self.levels.admits(&c.demand()) {
+            if held.is_none() && self.api.admits(&c.demand()).is_err() {
                 continue;
             }
             if let Ok(admitted) = reserve(&mut self.api, options.plan(c)) {

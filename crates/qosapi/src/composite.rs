@@ -9,12 +9,13 @@
 //! [`CompositeQosApi`] shards its buckets into one `ServerDomain` per
 //! server — the server's resource-kind managers plus its failure stash —
 //! and reserves entire [`ResourceVector`]s atomically: either every
-//! bucket admits its share or nothing is reserved. Reservations,
+//! bucket admits its share or nothing is reserved. A reservation is its
+//! demand: releasing it returns each entry to its bucket. Reservations,
 //! releases, and server failures all route through the owning domain;
 //! bucket iteration stays in global `(server, kind)` order, so the
 //! sharded layout is observationally identical to a flat bucket map.
 
-use crate::manager::{BucketFull, BucketLevel, LeaseId, Projection, ResourceManager};
+use crate::manager::{BucketFull, Projection, ResourceManager};
 use crate::resource::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 
@@ -45,11 +46,6 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-struct Reservation {
-    demand: ResourceVector,
-    leases: Vec<(ResourceKey, LeaseId)>,
-}
-
 /// One server's QoS resource domain: its per-kind bucket managers (a
 /// fixed slot per [`ResourceKind`], in declaration order so bucket
 /// iteration stays sorted), plus the capacities stashed while the server
@@ -75,9 +71,10 @@ impl ServerDomain {
 /// array index rather than a tree walk.
 pub struct CompositeQosApi {
     domains: Vec<ServerDomain>,
-    /// Slab indexed by `ReservationId.0`; ids are never reused, so a
-    /// released slot stays `None` (release idempotency, stale-id safety).
-    reservations: Vec<Option<Reservation>>,
+    /// Each reservation's demand, in a slab indexed by `ReservationId.0`;
+    /// ids are never reused, so a released slot stays `None` (release
+    /// idempotency, stale-id safety).
+    reservations: Vec<Option<ResourceVector>>,
     outstanding: usize,
     next_id: u64,
 }
@@ -126,7 +123,7 @@ impl CompositeQosApi {
         if slot >= self.domains.len() {
             self.domains.resize_with(slot + 1, ServerDomain::default);
         }
-        self.domains[slot].managers[key.kind as usize] = Some(ResourceManager::new(key, capacity));
+        self.domains[slot].managers[key.kind as usize] = Some(ResourceManager::new(capacity));
     }
 
     /// Re-rates a managed bucket to a new capacity (link degradation or
@@ -169,33 +166,17 @@ impl CompositeQosApi {
         self.manager(key).map(|m| m.used())
     }
 
-    /// A bucket's usage and capacity (`None` when unmanaged).
-    fn level(&self, key: ResourceKey) -> Option<BucketLevel> {
-        self.manager(key).map(ResourceManager::level)
-    }
-
-    /// Snapshots every bucket's usage and capacity into `out` (its
-    /// allocation is reused). Until the next reserve, release or
-    /// structural change, the snapshot projects and admits demands exactly
-    /// as the live API does.
-    pub fn levels_into(&self, out: &mut Levels) {
-        out.by_server.clear();
-        out.by_server.extend(
-            self.domains
-                .iter()
-                .map(|d| d.managers.each_ref().map(|m| m.as_ref().map(|m| m.level()))),
-        );
-    }
-
     /// Number of outstanding composite reservations. O(1): counted, not
     /// scanned.
     pub fn reservation_count(&self) -> usize {
         self.outstanding
     }
 
-    /// Admission check without reserving: can `demand` fit right now?
-    pub fn admits(&self, demand: &ResourceVector) -> Result<(), AdmissionError> {
-        for (key, amount) in demand.iter() {
+    /// Admission check without reserving: can a demand with these entries
+    /// fit right now? The keys are distinct, as in a vector's
+    /// [`entries`](ResourceVector::entries); a zero amount always fits.
+    pub fn admits(&self, entries: &[(ResourceKey, f64)]) -> Result<(), AdmissionError> {
+        for &(key, amount) in entries.iter().filter(|&&(_, amount)| amount != 0.0) {
             let mgr = self.manager(key).ok_or(AdmissionError::UnknownBucket(key))?;
             if !mgr.can_reserve(amount) {
                 return Err(AdmissionError::Rejected(BucketFull {
@@ -212,51 +193,43 @@ impl CompositeQosApi {
     /// were admitted, `max_i (U_i + r_i) / R_i`. Values above 1.0 mean the
     /// demand does not fit. Unknown buckets project to infinity.
     pub fn max_fill_with(&self, demand: &ResourceVector) -> f64 {
-        self.project(demand).max_fill
+        self.project(demand.entries()).max_fill
     }
 
-    /// `demand`'s [`Projection`] onto the live buckets: its LRB cost and
+    /// The [`Projection`] onto the live buckets of a demand with these
+    /// entries (distinct keys, zero amounts allowed): its LRB cost and
     /// whether it fits every bucket's total capacity.
-    pub fn project(&self, demand: &ResourceVector) -> Projection {
-        demand.iter().fold(Projection::EMPTY, |p, (key, amount)| p.with(self.level(key), amount))
+    pub fn project(&self, entries: &[(ResourceKey, f64)]) -> Projection {
+        entries
+            .iter()
+            .fold(Projection::EMPTY, |p, &(key, amount)| p.with(self.manager(key), amount))
     }
 
-    /// Reserves `demand` atomically.
+    /// Reserves `demand` atomically. Its keys are distinct, so the check
+    /// decides every bucket's reserve.
     pub fn reserve(&mut self, demand: &ResourceVector) -> Result<ReservationId, AdmissionError> {
-        // Two-phase: check everything first so failure needs no rollback
-        // of partially acquired leases.
-        self.admits(demand)?;
-        let mut leases = Vec::with_capacity(demand.len());
+        self.admits(demand.entries())?;
         for (key, amount) in demand.iter() {
-            let mgr = self.manager_mut(key).expect("checked above");
-            match mgr.reserve(amount) {
-                Ok(lease) => leases.push((key, lease)),
-                Err(full) => {
-                    // Unreachable in single-threaded use, but roll back
-                    // defensively.
-                    for (k, l) in leases {
-                        self.manager_mut(k).expect("held lease").release(l);
-                    }
-                    return Err(AdmissionError::Rejected(full));
-                }
-            }
+            let reserved = self.manager_mut(key).is_some_and(|mgr| mgr.reserve(amount));
+            assert!(reserved, "`admits` checked every bucket");
         }
         let id = ReservationId(self.next_id);
         self.next_id += 1;
         debug_assert_eq!(self.reservations.len() as u64, id.0);
-        self.reservations.push(Some(Reservation { demand: demand.clone(), leases }));
+        self.reservations.push(Some(demand.clone()));
         self.outstanding += 1;
         Ok(id)
     }
 
-    /// Releases a composite reservation (idempotent).
+    /// Releases a composite reservation (idempotent): each entry of its
+    /// demand goes back to its bucket, in demand order.
     pub fn release(&mut self, id: ReservationId) {
         let taken = self.reservations.get_mut(id.0 as usize).and_then(Option::take);
-        if let Some(res) = taken {
+        if let Some(demand) = taken {
             self.outstanding -= 1;
-            for (key, lease) in res.leases {
+            for (key, amount) in demand.iter() {
                 if let Some(mgr) = self.manager_mut(key) {
-                    mgr.release(lease);
+                    mgr.release(amount);
                 }
             }
         }
@@ -264,7 +237,7 @@ impl CompositeQosApi {
 
     /// The demand vector held by a reservation.
     pub fn demand_of(&self, id: ReservationId) -> Option<&ResourceVector> {
-        self.reservations.get(id.0 as usize)?.as_ref().map(|r| &r.demand)
+        self.reservations.get(id.0 as usize)?.as_ref()
     }
 
     /// Simulates the loss of a server: every bucket its domain hosted
@@ -278,7 +251,7 @@ impl CompositeQosApi {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|r| (i, r)))
-            .filter(|(_, r)| r.demand.iter().any(|(k, _)| k.server == server))
+            .filter(|(_, demand)| demand.iter().any(|(k, _)| k.server == server))
             .map(|(i, _)| ReservationId(i as u64))
             .collect();
         for &id in &affected {
@@ -346,7 +319,8 @@ impl CompositeQosApi {
         for (key, amount) in new_demand.iter() {
             let mgr = self.manager(key).ok_or(AdmissionError::UnknownBucket(key))?;
             let slack = mgr.capacity() - mgr.used() + old.get(key);
-            let after = mgr.level().released(old.get(key));
+            let mut after = *mgr;
+            after.release(old.get(key));
             if amount > slack + 1e-9 || !after.can_reserve(amount) {
                 return Err(AdmissionError::Rejected(BucketFull {
                     key,
@@ -359,42 +333,6 @@ impl CompositeQosApi {
         let renewed = self.reserve(new_demand);
         debug_assert!(renewed.is_ok(), "the post-release test above is the reserve's own");
         renewed
-    }
-}
-
-/// Every bucket's usage and capacity at one instant, laid out like the API's
-/// domains, from [`CompositeQosApi::levels_into`].
-#[derive(Debug, Clone, Default)]
-pub struct Levels {
-    by_server: Vec<[Option<BucketLevel>; ResourceKind::ALL.len()]>,
-}
-
-impl Levels {
-    /// A bucket's level at the snapshot (`None` when unmanaged).
-    #[inline]
-    fn level(&self, key: ResourceKey) -> Option<BucketLevel> {
-        self.by_server.get(key.server.0 as usize)?[key.kind as usize]
-    }
-
-    /// A bucket's `(used, capacity)` at the snapshot (`None` when unmanaged).
-    pub fn used_and_capacity(&self, key: ResourceKey) -> Option<(f64, f64)> {
-        self.level(key).map(|l| (l.used, l.capacity))
-    }
-
-    /// Folds `entries` into a [`Projection`], exactly as
-    /// [`CompositeQosApi::project`] folds a vector holding the same
-    /// non-zero entries.
-    pub fn project(&self, entries: &[(ResourceKey, f64)]) -> Projection {
-        entries.iter().fold(Projection::EMPTY, |p, &(key, amount)| p.with(self.level(key), amount))
-    }
-
-    /// Whether a reservation of `entries` would be admitted at the
-    /// snapshot — [`CompositeQosApi::admits`] on a vector holding the same
-    /// non-zero entries.
-    pub fn admits(&self, entries: &[(ResourceKey, f64)]) -> bool {
-        entries.iter().all(|&(key, amount)| {
-            amount == 0.0 || self.level(key).is_some_and(|l| l.can_reserve(amount))
-        })
     }
 }
 

@@ -9,16 +9,16 @@
 //!
 //! * [`resource`] — resource kinds, per-server buckets, and
 //!   [`ResourceVector`]s (the unit of plan cost in QuaSAQ).
-//! * [`manager`] — one [`manager::ResourceManager`] per bucket with
-//!   leases.
+//! * [`manager`] — one [`manager::ResourceManager`] per bucket: its
+//!   capacity and usage.
 //! * [`composite`] — [`CompositeQosApi`]: atomic multi-bucket
-//!   reservations, admission checks, the LRB fill projection of Eq. (1),
-//!   and atomic renegotiation.
+//!   reservations, each held as its demand vector, admission checks, the
+//!   LRB fill projection of Eq. (1), and atomic renegotiation.
 
 pub mod composite;
 pub mod manager;
 pub mod resource;
 
-pub use composite::{AdmissionError, CompositeQosApi, Levels, ReservationId};
-pub use manager::{BucketFull, LeaseId, Projection, ResourceManager};
+pub use composite::{AdmissionError, CompositeQosApi, ReservationId};
+pub use manager::{BucketFull, Projection, ResourceManager};
 pub use resource::{ResourceKey, ResourceKind, ResourceVector};

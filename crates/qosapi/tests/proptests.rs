@@ -1,8 +1,9 @@
 //! Property-based tests of the Composite QoS API's accounting invariants.
 
 use proptest::prelude::*;
-use quasaq_qosapi::{CompositeQosApi, ResourceKey, ResourceKind, ResourceVector};
+use quasaq_qosapi::{CompositeQosApi, ReservationId, ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
+use std::collections::BTreeMap;
 
 /// A demand confined to one server, small enough (≤ 4 parts × 0.2 of
 /// capacity each) that it always fits an idle server.
@@ -45,20 +46,79 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Usage always equals the sum of outstanding reservations' demands,
-    /// under any interleaving of reserve/release, and never exceeds
-    /// capacity.
+    /// under any interleaving of reserve, release, renegotiation, re-rates
+    /// and server failures and restarts, and never exceeds capacity. Bit
+    /// for bit, it is what the reservations' own demands predict: a
+    /// reserve adds each entry, a release applies `(used - a).max(0.0)` to
+    /// each entry in demand order, a renegotiation is a release and then a
+    /// reserve, a failed server's buckets go and a restarted server's
+    /// buckets come back empty.
     #[test]
     fn accounting_matches_outstanding_set(
-        ops in proptest::collection::vec((demand_strategy(), any::<bool>()), 1..60),
+        ops in proptest::collection::vec((0u8..8, demand_strategy(), 0usize..12, 0.05f64..1.5), 1..60),
     ) {
         let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
-        let mut held: Vec<(quasaq_qosapi::ReservationId, ResourceVector)> = Vec::new();
-        for (demand, release_one) in ops {
-            if release_one && !held.is_empty() {
-                let (id, _) = held.swap_remove(0);
-                api.release(id);
-            } else if let Ok(id) = api.reserve(&demand) {
-                held.push((id, demand));
+        let mut held: Vec<(ReservationId, ResourceVector)> = Vec::new();
+        let mut model: BTreeMap<ResourceKey, f64> = api.buckets().map(|k| (k, 0.0)).collect();
+        let reserve = |model: &mut BTreeMap<ResourceKey, f64>, demand: &ResourceVector| {
+            for (key, amount) in demand.iter() {
+                *model.get_mut(&key).expect("a reserved bucket is live") += amount;
+            }
+        };
+        let release = |model: &mut BTreeMap<ResourceKey, f64>, demand: &ResourceVector| {
+            for (key, amount) in demand.iter() {
+                let used = model.get_mut(&key).expect("a held bucket is live");
+                *used = (*used - amount).max(0.0);
+            }
+        };
+        for (op, demand, pick, factor) in ops {
+            let server = ServerId(pick as u32 % 3);
+            match op {
+                3 | 4 if !held.is_empty() => {
+                    let (id, old) = held.swap_remove(pick % held.len());
+                    api.release(id);
+                    release(&mut model, &old);
+                }
+                5 if !held.is_empty() => {
+                    let at = pick % held.len();
+                    if let Ok(id) = api.renegotiate(held[at].0, &demand) {
+                        release(&mut model, &held[at].1);
+                        reserve(&mut model, &demand);
+                        held[at] = (id, demand);
+                    }
+                }
+                6 => {
+                    // Re-rated no lower than the usage, so the capacity
+                    // invariant below keeps holding.
+                    let kind = ResourceKind::ALL[pick % 4];
+                    let key = ResourceKey::new(server, kind);
+                    if let Some(used) = api.used(key) {
+                        prop_assert!(api.set_capacity(key, (factor * capacity_of(kind)).max(used)));
+                    }
+                }
+                7 if api.is_failed(server) => {
+                    prop_assert!(api.restore_server(server));
+                    model.extend(ResourceKind::ALL.map(|k| (ResourceKey::new(server, k), 0.0)));
+                }
+                7 => {
+                    // Cancelled in id order, each released as a whole.
+                    for id in api.fail_server(server) {
+                        let at = held.iter().position(|&(h, _)| h == id).expect("a held id");
+                        release(&mut model, &held.remove(at).1);
+                    }
+                    model.retain(|k, _| k.server != server);
+                }
+                _ => {
+                    if let Ok(id) = api.reserve(&demand) {
+                        reserve(&mut model, &demand);
+                        held.push((id, demand));
+                    }
+                }
+            }
+            prop_assert_eq!(api.buckets().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+            for (&key, &modelled) in &model {
+                let used = api.used(key).unwrap();
+                prop_assert_eq!(used.to_bits(), modelled.to_bits(), "{key}: used {used} vs model {modelled}");
             }
             // Invariant: per-bucket usage equals the outstanding sum.
             let mut expected = ResourceVector::new();
@@ -81,7 +141,7 @@ proptest! {
     fn admits_predicts_reserve(preload in demand_strategy(), probe in demand_strategy()) {
         let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
         let _ = api.reserve(&preload);
-        let predicted = api.admits(&probe).is_ok();
+        let predicted = api.admits(probe.entries()).is_ok();
         let actual = api.reserve(&probe).is_ok();
         prop_assert_eq!(predicted, actual);
     }
@@ -143,7 +203,7 @@ proptest! {
     ) {
         let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
         let _ = api.reserve(&preload);
-        prop_assume!(api.admits(&first).is_ok());
+        prop_assume!(api.admits(first.entries()).is_ok());
         let id = api.reserve(&first).unwrap();
         let keys: Vec<_> = api.buckets().collect();
         let before: Vec<u64> = keys.iter().map(|&k| api.used(k).unwrap().to_bits()).collect();
@@ -168,7 +228,7 @@ proptest! {
         scale in 0.0f64..1.5,
     ) {
         let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
-        prop_assume!(api.admits(&first).is_ok());
+        prop_assume!(api.admits(first.entries()).is_ok());
         let id = api.reserve(&first).unwrap();
         let mut scaled = ResourceVector::new();
         for (key, amount) in first.iter() {
@@ -210,8 +270,7 @@ proptest! {
     }
 }
 
-/// A bucket's capacity on the one-server cluster of
-/// [`failed_renegotiation_changes_nothing`].
+/// A bucket's capacity on the clusters these tests build.
 fn capacity_of(kind: ResourceKind) -> f64 {
     match kind {
         ResourceKind::Cpu => 1.0,
@@ -255,7 +314,7 @@ proptest! {
         for (i, f) in old {
             old_demand.add(key(i), fraction_of(i, f));
         }
-        prop_assume!(api.admits(&old_demand).is_ok());
+        prop_assume!(api.admits(old_demand.entries()).is_ok());
         let id = api.reserve(&old_demand).unwrap();
         // Re-rates relative to the usage, so a factor below 1 leaves the
         // bucket oversubscribed.

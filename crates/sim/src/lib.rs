@@ -49,7 +49,7 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultModel, FaultPlan, Fau
 pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone, XferId};
 pub use linkdyn::{LinkInjector, LinkModel, LinkModelError, LinkPlan, LinkSpec};
 pub use queue::{EventId, EventQueue};
-pub use rng::Rng;
-pub use stats::{Histogram, LevelTracker, OnlineStats, RateCounter, Series};
+pub use rng::{Rng, Zipf};
+pub use stats::{LevelTracker, OnlineStats, RateCounter, Series};
 pub use time::{SimDuration, SimTime};
 pub use topology::ServerId;

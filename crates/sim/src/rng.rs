@@ -136,25 +136,6 @@ impl Rng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Zipf-distributed rank in `[0, n)` with exponent `s >= 0`
-    /// (s = 0 degenerates to uniform). Uses inverse-CDF over precomputable
-    /// weights; n is expected to be small (video catalogs), so O(n) per draw
-    /// is acceptable.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf over empty domain");
-        assert!(s >= 0.0, "zipf exponent must be non-negative");
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut u = self.next_f64() * norm;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(s);
-            if u < w {
-                return k - 1;
-            }
-            u -= w;
-        }
-        n - 1
-    }
-
     /// Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -167,6 +148,39 @@ impl Rng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.index(items.len())]
+    }
+}
+
+/// The Zipf distribution over ranks `[0, n)` with exponent `s >= 0`
+/// (s = 0 degenerates to uniform): the weights `1/k^s` and their sum,
+/// computed once. A draw is an inverse-CDF walk over the weights, O(n);
+/// n is a video catalog's size.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    weights: Vec<f64>,
+    norm: f64,
+}
+
+impl Zipf {
+    /// The table for `n` ranks with exponent `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "zipf over empty domain");
+        assert!(s >= 0.0, "zipf exponent must be non-negative");
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let norm = weights.iter().sum();
+        Zipf { weights, norm }
+    }
+
+    /// Draws a rank, consuming one `next_f64`.
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let mut u = rng.next_f64() * self.norm;
+        for (rank, &w) in self.weights.iter().enumerate() {
+            if u < w {
+                return rank;
+            }
+            u -= w;
+        }
+        self.weights.len() - 1
     }
 }
 
@@ -263,10 +277,10 @@ mod tests {
 
     #[test]
     fn zipf_skews_to_low_ranks() {
-        let mut r = Rng::new(15);
+        let (mut r, zipf) = (Rng::new(15), Zipf::new(10, 1.0));
         let mut counts = [0u32; 10];
         for _ in 0..50_000 {
-            counts[r.zipf(10, 1.0)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         assert!(counts[0] > counts[4]);
         assert!(counts[4] > counts[9]);
@@ -274,10 +288,10 @@ mod tests {
 
     #[test]
     fn zipf_zero_exponent_is_roughly_uniform() {
-        let mut r = Rng::new(16);
+        let (mut r, zipf) = (Rng::new(16), Zipf::new(4, 0.0));
         let mut counts = [0u32; 4];
         for _ in 0..40_000 {
-            counts[r.zipf(4, 0.0)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "counts {counts:?}");

@@ -24,10 +24,7 @@ const SKETCH_GROWTH: f64 = 1.07;
 /// log-spaced bucket sketch for quantiles.
 ///
 /// The sketch counts observations in geometric buckets (growth factor
-/// `SKETCH_GROWTH` = 1.07 from `SKETCH_FLOOR` = 1e-9): integer counts, so
-/// merging is exact and order-independent — quantiles from a sharded run equal
-/// the serial run's bit for bit, unlike P²-style estimators whose state
-/// is merge-order-dependent.
+/// `SKETCH_GROWTH` = 1.07 from `SKETCH_FLOOR` = 1e-9).
 ///
 /// `PartialEq` compares the accumulator state field-by-field (floats
 /// bit-for-bit via numeric equality), which the experiment drivers'
@@ -126,8 +123,7 @@ impl OnlineStats {
     /// empty. Nearest-rank over the geometric buckets: the result is the
     /// log-midpoint of the bucket holding the ranked observation, so it
     /// is within ±√`SKETCH_GROWTH` (≈3.5%) of an observed value, and
-    /// exact for observations at or below `SKETCH_FLOOR`. Deterministic
-    /// and merge-order-independent (integer bucket counts).
+    /// exact for observations at or below `SKETCH_FLOOR`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.n == 0 {
             return None;
@@ -158,34 +154,6 @@ impl OnlineStats {
     /// p99 convenience wrapper around [`OnlineStats::quantile`].
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford; the
-    /// quantile buckets add exactly).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.zeros += other.zeros;
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 }
 
@@ -263,80 +231,6 @@ impl Series {
             s.push(v);
         }
         s
-    }
-}
-
-/// A fixed-bin histogram over a bounded value range, with overflow and
-/// underflow counters — used for delay-distribution summaries.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram { lo, hi, bins: vec![0; bins], underflow: 0, overflow: 0 }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = (((x - self.lo) / (self.hi - self.lo) * n as f64) as usize).min(n - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The value range covered by bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's top.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The fraction of in-range mass at or below `x` (0 when empty).
-    pub fn cdf(&self, x: f64) -> f64 {
-        let total: u64 = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut below = self.underflow;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if self.bin_range(i).1 <= x {
-                below += c;
-            }
-        }
-        below as f64 / total as f64
     }
 }
 
@@ -489,31 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - all.std_dev()).abs() < 1e-9);
-        // Merging an empty accumulator changes nothing.
-        let snapshot = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), snapshot);
-    }
-
-    #[test]
     fn quantiles_track_observed_values_within_sketch_error() {
         let mut s = OnlineStats::new();
         assert_eq!(s.quantile(0.95), None);
@@ -551,28 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_merge_is_exact_and_order_independent() {
-        let xs: Vec<f64> = (0..500).map(|i| ((i * 37) % 997) as f64 / 10.0).collect();
-        let mut serial = OnlineStats::new();
-        for &x in &xs {
-            serial.push(x);
-        }
-        // Shard round-robin into 3, merge in a scrambled order.
-        let mut shards = [OnlineStats::new(), OnlineStats::new(), OnlineStats::new()];
-        for (i, &x) in xs.iter().enumerate() {
-            shards[i % 3].push(x);
-        }
-        let [a, b, c] = shards;
-        let mut merged = OnlineStats::new();
-        merged.merge(&c);
-        merged.merge(&a);
-        merged.merge(&b);
-        for q in [0.1, 0.5, 0.9, 0.95, 0.99] {
-            assert_eq!(merged.quantile(q), serial.quantile(q), "q = {q}");
-        }
-    }
-
-    #[test]
     fn push_millis_uses_milliseconds() {
         let mut s = OnlineStats::new();
         s.push_millis(SimDuration::from_millis(42));
@@ -592,43 +439,6 @@ mod tests {
         assert_eq!(s.percentile(100.0), Some(9.0));
         assert_eq!(s.percentile(50.0), Some(5.0));
         assert_eq!(Series::new().percentile(50.0), None);
-    }
-
-    #[test]
-    fn histogram_binning_and_edges() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        h.push(-1.0); // underflow
-        h.push(0.0); // first bin
-        h.push(9.999); // first bin
-        h.push(10.0); // second bin
-        h.push(99.9); // last bin
-        h.push(100.0); // overflow
-        h.push(1e9); // overflow
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[1], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_range(0), (0.0, 10.0));
-        assert_eq!(h.bin_range(9), (90.0, 100.0));
-    }
-
-    #[test]
-    fn histogram_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [1.5, 2.5, 3.5, 4.5] {
-            h.push(x);
-        }
-        assert!((h.cdf(3.0) - 0.5).abs() < 1e-12);
-        assert!((h.cdf(10.0) - 1.0).abs() < 1e-12);
-        assert_eq!(Histogram::new(0.0, 1.0, 4).cdf(0.5), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "range must be non-empty")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(5.0, 5.0, 4);
     }
 
     #[test]

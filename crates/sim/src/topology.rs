@@ -14,17 +14,8 @@ impl ServerId {
         (0..n).map(ServerId)
     }
 
-    /// Builds one per-server domain for each of the ids `0..n`, in id
-    /// order — the topology-level constructor for per-server engines
-    /// (each domain owns one server's resource state; see
-    /// [`crate::domain`]).
-    pub fn domains<D>(n: u32, build: impl FnMut(ServerId) -> D) -> Vec<D> {
-        Self::first_n(n).map(build).collect()
-    }
-
     /// This server's position in the dense `0..n` id space — the index of
-    /// its domain in a [`Self::domains`]-built vector and of its slot in
-    /// per-server state tables.
+    /// its slot in per-server state tables.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -49,11 +40,5 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(ServerId(2).to_string(), "server-2");
-    }
-
-    #[test]
-    fn domains_build_in_id_order() {
-        let domains = ServerId::domains(3, |s| (s, s.0 * 10));
-        assert_eq!(domains, vec![(ServerId(0), 0), (ServerId(1), 10), (ServerId(2), 20)]);
     }
 }

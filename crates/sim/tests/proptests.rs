@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime};
+use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime, Zipf};
 
 #[path = "support/old_link.rs"]
 mod old_link;
@@ -27,6 +27,21 @@ fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::
             }
         }
     }
+}
+
+/// A Zipf rank in `[0, n)` drawn by an inverse-CDF walk that computes
+/// the normaliser and every weight `1/k^s` afresh.
+fn zipf_walk(rng: &mut Rng, n: usize, s: f64) -> usize {
+    let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+    let mut u = rng.next_f64() * norm;
+    for k in 1..=n {
+        let w = 1.0 / (k as f64).powf(s);
+        if u < w {
+            return k - 1;
+        }
+        u -= w;
+    }
+    n - 1
 }
 
 proptest! {
@@ -235,6 +250,25 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var));
+    }
+
+    /// A [`Zipf`] table draws exactly what the walk that recomputes every
+    /// weight and the normaliser per draw draws, and leaves the generator
+    /// in the same state.
+    #[test]
+    fn zipf_table_matches_the_per_draw_walk(
+        seed in any::<u64>(),
+        n in 1usize..1_000,
+        s in 0.0f64..3.0,
+        uniform in any::<bool>(),
+    ) {
+        let s = if uniform { 0.0 } else { s };
+        let zipf = Zipf::new(n, s);
+        let (mut table, mut walk) = (Rng::new(seed), Rng::new(seed));
+        for _ in 0..100 {
+            prop_assert_eq!(zipf.sample(&mut table), zipf_walk(&mut walk, n, s));
+        }
+        prop_assert_eq!(table.next_u64(), walk.next_u64());
     }
 
     /// Forked RNG streams are reproducible and uniform draws stay in

@@ -264,11 +264,6 @@ impl StreamEngine {
         &self.sessions[id.0].report
     }
 
-    /// Number of sessions ever added.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Number of sessions still streaming. O(1): maintained on every
     /// open/finish/fail transition.
     pub fn active_sessions(&self) -> usize {

@@ -9,7 +9,7 @@
 
 use quasaq_core::{QopColor, QopMotion, QopRequest, QopResolution, QopSecurity, UserProfile};
 use quasaq_media::{QosRange, VideoId};
-use quasaq_sim::{Rng, SimDuration, SimTime};
+use quasaq_sim::{Rng, SimDuration, SimTime, Zipf};
 
 /// The distribution of requested QoP parameters.
 ///
@@ -136,6 +136,7 @@ pub fn generate_queries(seed: u64, cfg: &TrafficConfig) -> Vec<GeneratedQuery> {
     let profile = UserProfile::new("traffic");
     let mut out = Vec::new();
     let mut t = SimTime::ZERO;
+    let zipf = (cfg.video_skew > 0.0).then(|| Zipf::new(cfg.num_videos, cfg.video_skew));
     loop {
         let gap = SimDuration::from_secs_f64(rng.exp(cfg.mean_interarrival.as_secs_f64()));
         t += gap;
@@ -145,11 +146,10 @@ pub fn generate_queries(seed: u64, cfg: &TrafficConfig) -> Vec<GeneratedQuery> {
         // A burst of `burst` simultaneous requests per arrival instant;
         // with `burst == 1` the draw sequence is the legacy one exactly.
         for _ in 0..cfg.burst.max(1) {
-            let video = if cfg.video_skew > 0.0 {
-                VideoId(rng.zipf(cfg.num_videos, cfg.video_skew) as u32)
-            } else {
-                VideoId(rng.index(cfg.num_videos) as u32)
-            };
+            let video = VideoId(match &zipf {
+                Some(zipf) => zipf.sample(&mut rng),
+                None => rng.index(cfg.num_videos),
+            } as u32);
             let qop = random_qop_with(&mut rng, cfg.qop_mix);
             let qos = profile.translate(&qop);
             out.push(GeneratedQuery { at: t, video, qop, qos });

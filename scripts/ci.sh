@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `perfbench/` is its own workspace, so the two steps above miss it.
+echo "==> perfbench: cargo fmt --check + cargo clippy (deny warnings)"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc (deny rustdoc warnings: dangling or private intra-doc links fail here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
