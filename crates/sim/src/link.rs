@@ -26,12 +26,25 @@
 //! (ascending `FlowId`, the completion-scan and Reserved-allocation order)
 //! and `wf` (ascending `(cap, FlowId)`, the water-filling order) — so the
 //! fair-share allocation is rebuilt in one O(backlogged) pass with no
-//! sorting and no scan over idle flows, and `backlogged_flows` /
-//! `backlog_bytes` read running state instead of walking every flow. The
-//! arithmetic (water-fill order, per-step drains, completion rounding) is
-//! kept operation-for-operation identical to the original map-based
-//! implementation so results are bit-identical; the proptests hold the two
-//! to exact equality.
+//! sorting and no scan over idle flows.
+//!
+//! # Step-invariant arithmetic
+//!
+//! A backlogged flow's front transfer is held as `(bytes at anchor,
+//! anchor, rate, done_at)`, where `done_at = anchor + ceil(bytes / rate)`
+//! rounded up to the microsecond. The allocation is recomputed eagerly
+//! whenever the backlogged set, a cap or the capacity changes, and only a
+//! flow whose rate changes bitwise is re-anchored (its bytes drained by
+//! `old rate × (now − anchor)`). A flow's bytes therefore change only at
+//! its own rate changes and completions, never because the link was
+//! advanced: draining to `t` in one call or in many gives the same bits,
+//! and a link's state does not depend on how often a caller steps it. A
+//! front completes when its `done_at` is reached, so on a link whose
+//! allocation never changes (every uncongested Reserved link) a transfer
+//! completes at exactly `send + ceil(bytes / rate)` — the paper's fixed
+//! streaming time. The link caches its earliest `done_at`:
+//! [`SharedLink::next_event`] is a field read, and advancing a link with
+//! nothing due only moves its clock.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -107,6 +120,9 @@ impl std::error::Error for LinkError {}
 /// Sentinel in `slot_of` for closed flows.
 const NO_SLOT: u32 = u32::MAX;
 
+/// `done_at` of an idle slot, and of a front that cannot finish (rate 0).
+const NEVER: SimTime = SimTime::MAX;
+
 #[derive(Debug)]
 struct FlowSlot {
     /// Public id of the flow currently occupying this slot.
@@ -114,9 +130,17 @@ struct FlowSlot {
     /// Reserved rate (Reserved policy) or pacing cap (FairShare, 0 = no
     /// cap), in bytes/second.
     rate_bps: u64,
-    /// FIFO of `(transfer, remaining bytes)`. Kept allocated across slot
-    /// reuse so steady-state churn does not touch the allocator.
+    /// FIFO of `(transfer, bytes)`: the front's bytes as of `anchor`, the
+    /// rest at full size. Kept allocated across slot reuse so steady-state
+    /// churn does not touch the allocator.
     queue: VecDeque<(XferId, f64)>,
+    /// Allocated rate in bytes/second (0 while idle).
+    alloc: f64,
+    /// When the front's bytes were last settled: its start, or the last
+    /// change of `alloc`.
+    anchor: SimTime,
+    /// When the front completes at `alloc` (`NEVER` while idle).
+    done_at: SimTime,
 }
 
 impl FlowSlot {
@@ -127,6 +151,41 @@ impl FlowSlot {
         } else {
             self.rate_bps as f64
         }
+    }
+
+    /// The front's undelivered bytes at `now` (0 when idle).
+    fn front_left(&self, now: SimTime) -> f64 {
+        self.queue
+            .front()
+            .map_or(0.0, |&(_, b)| (b - self.alloc * (now - self.anchor).as_secs_f64()).max(0.0))
+    }
+
+    /// Sets `done_at` from the front's anchored bytes, rounded *up* to the
+    /// next microsecond so the front has fully drained by its completion.
+    fn schedule_front(&mut self) {
+        self.done_at = match self.queue.front() {
+            None => NEVER,
+            Some(_) if self.alloc <= 0.0 => NEVER,
+            Some(&(_, bytes)) => self
+                .anchor
+                .saturating_add(SimDuration::from_micros((bytes / self.alloc * 1e6).ceil() as u64)),
+        };
+    }
+
+    /// Moves the flow to `rate` at `now`. Only a bitwise change settles the
+    /// front's bytes and re-anchors it, so an unchanged rate leaves the
+    /// flow's arithmetic untouched.
+    fn set_alloc(&mut self, now: SimTime, rate: f64) {
+        if rate.to_bits() == self.alloc.to_bits() {
+            return;
+        }
+        let left = self.front_left(now);
+        if let Some(front) = self.queue.front_mut() {
+            front.1 = left;
+        }
+        self.anchor = now;
+        self.alloc = rate;
+        self.schedule_front();
     }
 }
 
@@ -145,8 +204,7 @@ pub struct SharedLink {
     /// order and the Reserved allocation order.
     active_by_id: Vec<u32>,
     /// FairShare only: backlogged slots as `(cap, slot)` in ascending
-    /// `(cap, FlowId)` order — exactly the order the original
-    /// implementation produced by sorting on every allocation rebuild.
+    /// `(cap, FlowId)` order, the water-filling order.
     wf: Vec<(f64, u32)>,
     reserved_total: u64,
     /// Sum of the nominal rates of all *open* flows (reserved rates under
@@ -159,19 +217,9 @@ pub struct SharedLink {
     completions: Vec<XferDone>,
     next_flow: u64,
     next_xfer: u64,
-    /// True when a zero-byte transfer sits at some flow's queue front and
-    /// no advance step has run since: the only way a sub-tolerance front
-    /// can exist at rest, and the only case where `advance_to(now)` still
-    /// has completions to pop.
-    zero_front_pending: bool,
-    /// Memoized result of the water-filling allocation as `(slot, rate)`
-    /// pairs in allocation order. The allocation depends only on the set of
-    /// backlogged flows and their caps, so it stays valid while the fluid
-    /// model merely drains bytes; it is invalidated whenever that set
-    /// changes (idle->backlogged send, backlogged close, drain-to-idle,
-    /// capacity change). Rebuilding is a single pass over the maintained
-    /// `wf`/`active_by_id` order — no sort, no idle-flow scan.
-    rates_cache: Option<Vec<(u32, f64)>>,
+    /// Earliest `done_at` over the backlogged flows, kept current by every
+    /// mutation.
+    next_done: Option<SimTime>,
 }
 
 impl SharedLink {
@@ -201,8 +249,7 @@ impl SharedLink {
             completions: Vec::new(),
             next_flow: 0,
             next_xfer: 0,
-            zero_front_pending: false,
-            rates_cache: None,
+            next_done: None,
         }
     }
 
@@ -246,7 +293,7 @@ impl SharedLink {
         self.advance_to(now);
         if self.capacity_bps != capacity_bps {
             self.capacity_bps = capacity_bps;
-            self.rates_cache = None;
+            self.reallocate();
         }
     }
 
@@ -262,14 +309,18 @@ impl SharedLink {
     }
 
     /// Total bytes still queued across all flows. O(backlogged queue
-    /// entries): walks only the backlogged index, in the same id-then-FIFO
-    /// order (and therefore with the same float rounding) as a scan over
-    /// every flow — idle flows contribute no terms.
+    /// entries): walks only the backlogged index, in id-then-FIFO order —
+    /// idle flows contribute no terms. Reads the anchored state without
+    /// changing it.
     pub fn backlog_bytes(&self) -> f64 {
-        self.active_by_id
-            .iter()
-            .flat_map(|&s| self.slots[s as usize].queue.iter().map(|&(_, b)| b))
-            .sum()
+        self.active_by_id.iter().flat_map(|&s| self.queued(s)).sum()
+    }
+
+    /// A flow's queued bytes at `now`, front first.
+    fn queued(&self, slot: u32) -> impl Iterator<Item = f64> + '_ {
+        let f = &self.slots[slot as usize];
+        let front = f.front_left(self.now);
+        f.queue.iter().enumerate().map(move |(i, &(_, b))| if i == 0 { front } else { b })
     }
 
     /// Looks up a flow's slot, if it is open.
@@ -346,11 +397,18 @@ impl SharedLink {
                 let f = &mut self.slots[s as usize];
                 f.id = id.0;
                 f.rate_bps = rate;
-                debug_assert!(f.queue.is_empty());
+                debug_assert!(f.queue.is_empty() && f.alloc == 0.0 && f.done_at == NEVER);
                 s
             }
             None => {
-                self.slots.push(FlowSlot { id: id.0, rate_bps: rate, queue: VecDeque::new() });
+                self.slots.push(FlowSlot {
+                    id: id.0,
+                    rate_bps: rate,
+                    queue: VecDeque::new(),
+                    alloc: 0.0,
+                    anchor: SimTime::ZERO,
+                    done_at: NEVER,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
@@ -359,7 +417,7 @@ impl SharedLink {
         self.reserved_total += reserved;
         self.demand_bps += rate;
         // A new flow opens idle: the backlogged set — and therefore the
-        // allocation — is unchanged, so the rates cache stays valid.
+        // allocation — is unchanged.
         Ok(id)
     }
 
@@ -368,9 +426,9 @@ impl SharedLink {
     pub fn close_flow(&mut self, now: SimTime, flow: FlowId) {
         self.advance_to(now);
         let Some(slot) = self.slot(flow) else { return };
-        if !self.slots[slot as usize].queue.is_empty() {
+        let backlogged = !self.slots[slot as usize].queue.is_empty();
+        if backlogged {
             self.unmark_backlogged(slot);
-            self.rates_cache = None;
         }
         let f = &mut self.slots[slot as usize];
         if self.policy == SharePolicy::Reserved {
@@ -378,8 +436,13 @@ impl SharedLink {
         }
         self.demand_bps -= f.rate_bps;
         f.queue.clear();
+        f.alloc = 0.0;
+        f.done_at = NEVER;
         self.slot_of[flow.0 as usize] = NO_SLOT;
         self.free.push(slot);
+        if backlogged {
+            self.reallocate();
+        }
     }
 
     /// Re-rates an open flow in place (a QoP renegotiation). Under
@@ -418,14 +481,14 @@ impl SharedLink {
             self.unmark_backlogged(slot);
         }
         self.slots[slot as usize].rate_bps = rate;
-        if backlogged {
-            self.mark_backlogged(slot);
-            self.rates_cache = None;
-        }
         if self.policy == SharePolicy::Reserved {
             self.reserved_total = self.reserved_total - old + rate;
         }
         self.demand_bps = self.demand_bps - old + rate;
+        if backlogged {
+            self.mark_backlogged(slot);
+            self.reallocate();
+        }
         Ok(())
     }
 
@@ -442,12 +505,11 @@ impl SharedLink {
         f.queue.push_back((id, bytes as f64));
         if was_idle {
             // Idle -> backlogged changes the active set; queueing behind an
-            // existing transfer does not.
+            // existing transfer does not. An idle slot holds rate 0, so the
+            // allocation anchors the new front at `now` as it moves it to
+            // its share (a zero-byte front is then due at once).
             self.mark_backlogged(slot);
-            self.rates_cache = None;
-            if bytes == 0 {
-                self.zero_front_pending = true;
-            }
+            self.reallocate();
         }
         Ok(id)
     }
@@ -455,198 +517,122 @@ impl SharedLink {
     /// Bytes still queued on one flow (0 for unknown/closed flows). This is
     /// what a failover path needs to resume a displaced transfer elsewhere.
     pub fn flow_backlog_bytes(&self, flow: FlowId) -> f64 {
-        self.slot(flow)
-            .map(|s| self.slots[s as usize].queue.iter().map(|&(_, b)| b).sum())
-            .unwrap_or(0.0)
+        self.slot(flow).map_or(0.0, |s| self.queued(s).sum())
     }
 
-    /// Instantaneous per-flow transmission rates for all backlogged flows.
+    /// Instantaneous per-flow transmission rates for all backlogged flows,
+    /// in ascending flow id.
     ///
     /// Under `Reserved`, each flow runs at its reserved rate. Under
     /// `FairShare`, rates are the max-min fair (water-filling) allocation
     /// of the capacity subject to each flow's pacing cap.
     pub fn current_rates(&self) -> Vec<(FlowId, f64)> {
-        let project = |rates: &[(u32, f64)]| -> Vec<(FlowId, f64)> {
-            rates.iter().map(|&(s, r)| (FlowId(self.slots[s as usize].id), r)).collect()
-        };
-        match &self.rates_cache {
-            Some(rates) => project(rates),
-            None => project(&self.compute_rates_slots()),
-        }
-    }
-
-    /// Public-id projection of [`Self::compute_rates_slots`] (from-scratch
-    /// allocation; the rate-cache regression test diffs it against
-    /// [`Self::current_rates`]).
-    #[cfg(test)]
-    fn compute_rates(&self) -> Vec<(FlowId, f64)> {
-        self.compute_rates_slots()
-            .into_iter()
-            .map(|(s, r)| (FlowId(self.slots[s as usize].id), r))
+        self.active_by_id
+            .iter()
+            .map(|&s| {
+                let f = &self.slots[s as usize];
+                (FlowId(f.id), f.alloc)
+            })
             .collect()
     }
 
-    /// Computes the allocation from the maintained backlogged indexes
-    /// (cache miss path): `active_by_id` already holds the Reserved
-    /// allocation order and `wf` the water-filling order, so no sorting and
-    /// no scan over idle flows — one pass over the backlogged set. The
-    /// water-fill arithmetic is order-identical to sorting the active set
-    /// afresh, so the resulting rates are bit-identical.
-    fn compute_rates_slots(&self) -> Vec<(u32, f64)> {
+    /// Recomputes the allocation after the backlogged set, a cap or the
+    /// capacity changed, in one pass over the maintained order —
+    /// `active_by_id` for Reserved, `wf` (tight caps first) for
+    /// water-filling — and refreshes the cached next completion.
+    fn reallocate(&mut self) {
+        let now = self.now;
         match self.policy {
-            SharePolicy::Reserved => self
-                .active_by_id
-                .iter()
-                .map(|&s| (s, self.slots[s as usize].rate_bps as f64))
-                .collect(),
-            SharePolicy::FairShare => {
-                // Water-filling: tight caps first (`wf` order).
-                let mut remaining = self.capacity_bps as f64;
-                let mut rates = Vec::with_capacity(self.wf.len());
-                let mut i = 0;
-                while i < self.wf.len() {
-                    let share = (remaining / (self.wf.len() - i) as f64).max(0.0);
-                    let (cap, slot) = self.wf[i];
-                    if cap <= share {
-                        rates.push((slot, cap));
-                        remaining = (remaining - cap).max(0.0);
-                        i += 1;
-                    } else {
-                        for &(_, s2) in &self.wf[i..] {
-                            rates.push((s2, share));
-                        }
-                        break;
-                    }
+            SharePolicy::Reserved => {
+                for &s in &self.active_by_id {
+                    let f = &mut self.slots[s as usize];
+                    f.set_alloc(now, f.rate_bps as f64);
                 }
-                rates
+            }
+            SharePolicy::FairShare => {
+                let mut remaining = self.capacity_bps as f64;
+                // Once a cap exceeds the equal share, every later flow
+                // (with a cap at least as large) gets that same share.
+                let mut level: Option<f64> = None;
+                let n = self.wf.len();
+                for (i, &(cap, s)) in self.wf.iter().enumerate() {
+                    let rate = match level {
+                        Some(share) => share,
+                        None => {
+                            let share = (remaining / (n - i) as f64).max(0.0);
+                            if cap <= share {
+                                remaining = (remaining - cap).max(0.0);
+                                cap
+                            } else {
+                                level = Some(share);
+                                share
+                            }
+                        }
+                    };
+                    self.slots[s as usize].set_alloc(now, rate);
+                }
             }
         }
+        self.refresh_next_done();
     }
 
-    /// Current transmission rate of a flow in bytes/second (0 when idle).
-    pub fn flow_rate_bps(&self, flow: FlowId) -> f64 {
-        self.current_rates().into_iter().find(|&(id, _)| id == flow).map(|(_, r)| r).unwrap_or(0.0)
+    fn refresh_next_done(&mut self) {
+        let slots = &self.slots;
+        self.next_done = self
+            .active_by_id
+            .iter()
+            .map(|&s| slots[s as usize].done_at)
+            .filter(|&d| d != NEVER)
+            .min();
     }
 
-    /// Earliest future transfer completion, or `None` when fully idle.
+    /// Earliest future transfer completion, or `None` when nothing is
+    /// transmitting. O(1): the link keeps it current.
     pub fn next_event(&self) -> Option<SimTime> {
-        let computed;
-        let rates = match &self.rates_cache {
-            Some(rates) => rates.as_slice(),
-            None => {
-                computed = self.compute_rates_slots();
-                computed.as_slice()
-            }
-        };
-        let mut best: Option<SimDuration> = None;
-        for &(slot, rate) in rates {
-            if rate <= 0.0 {
-                continue;
-            }
-            let Some(&(_, bytes)) = self.slots[slot as usize].queue.front() else { continue };
-            let secs = bytes / rate;
-            // Round *up* to the next microsecond: the completing transfer
-            // must have fully drained by the event time, or residue smaller
-            // than the clock tick would stall the fluid loop.
-            let d = SimDuration::from_micros((secs * 1e6).ceil() as u64);
-            best = Some(match best {
-                Some(b) => b.min(d),
-                None => d,
-            });
-        }
-        best.map(|d| self.now + d)
+        self.next_done
     }
 
-    /// Advances the fluid model to `t`.
+    /// Advances the fluid model to `t`. O(1) when nothing completes by
+    /// `t`: the clock moves and no flow's state changes.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_to into the past");
-        if t == self.now && !self.zero_front_pending {
-            // Zero elapsed time drains zero bytes and — absent a zero-byte
-            // front — pops nothing, so the state cannot change. This makes
-            // the `advance_to(now)` calls inside open/close/send O(1).
-            return;
+        while let Some(at) = self.next_done.filter(|&at| at <= t) {
+            self.complete_at(at);
         }
-        loop {
-            // Take the allocation (computing it only on a cache miss); the
-            // owned Vec sidesteps borrowing `self` while flows are mutated.
-            let rates = match self.rates_cache.take() {
-                Some(rates) => rates,
-                None => self.compute_rates_slots(),
-            };
-            // Earliest completion at these rates (same rounding as
-            // `next_event`: up to the next microsecond so the completing
-            // transfer has fully drained by the event time).
-            let mut best: Option<SimDuration> = None;
-            for &(slot, rate) in &rates {
-                if rate <= 0.0 {
-                    continue;
-                }
-                let Some(&(_, bytes)) = self.slots[slot as usize].queue.front() else { continue };
-                let d = SimDuration::from_micros((bytes / rate * 1e6).ceil() as u64);
-                best = Some(match best {
-                    Some(b) => b.min(d),
-                    None => d,
-                });
+        self.now = t;
+    }
+
+    /// Pops every front due by `at` (the earliest `done_at`), scanning
+    /// backlogged flows in id order and compacting the index in place. A
+    /// flow moving on to its next queued transfer anchors it at `at` and
+    /// keeps its rate; only a backlogged->idle transition reallocates.
+    fn complete_at(&mut self, at: SimTime) {
+        self.now = at;
+        let mut drained_to_idle = false;
+        let mut kept = 0;
+        for i in 0..self.active_by_id.len() {
+            let slot = self.active_by_id[i];
+            let f = &mut self.slots[slot as usize];
+            while f.done_at <= at {
+                let (xfer, _) = f.queue.pop_front().expect("a due flow has a front");
+                self.completions.push(XferDone { flow: FlowId(f.id), xfer, at });
+                f.anchor = at;
+                f.schedule_front();
             }
-            let Some(until_done) = best else {
-                // Nothing transmitting: the active set cannot change, so the
-                // allocation stays valid across the jump.
-                self.rates_cache = Some(rates);
-                self.now = t;
-                return;
-            };
-            let step_end = (self.now + until_done).min(t);
-            let step = step_end - self.now;
-            // Drain bytes proportionally to each flow's current rate.
-            let secs = step.as_secs_f64();
-            for &(slot, rate) in &rates {
-                if rate <= 0.0 {
-                    continue;
-                }
-                if let Some(front) = self.slots[slot as usize].queue.front_mut() {
-                    front.1 -= rate * secs;
-                }
+            if f.queue.is_empty() {
+                f.alloc = 0.0;
+                drained_to_idle = true;
+                self.remove_from_wf(slot);
+            } else {
+                self.active_by_id[kept] = slot;
+                kept += 1;
             }
-            self.now = step_end;
-            // Pop transfers that completed (tolerance for float residue),
-            // scanning backlogged flows in id order and compacting the
-            // index in place. A flow moving on to its next queued transfer
-            // keeps the same allocation; only a backlogged->idle transition
-            // invalidates it.
-            let mut drained_to_idle = false;
-            let mut kept = 0;
-            let mut scanned = 0;
-            while scanned < self.active_by_id.len() {
-                let slot = self.active_by_id[scanned];
-                scanned += 1;
-                let f = &mut self.slots[slot as usize];
-                let id = f.id;
-                let mut popped = false;
-                while let Some(&(xfer, bytes)) = f.queue.front() {
-                    if bytes <= 1e-6 {
-                        f.queue.pop_front();
-                        popped = true;
-                        self.completions.push(XferDone { flow: FlowId(id), xfer, at: step_end });
-                    } else {
-                        break;
-                    }
-                }
-                if popped && self.slots[slot as usize].queue.is_empty() {
-                    drained_to_idle = true;
-                    self.remove_from_wf(slot);
-                } else {
-                    self.active_by_id[kept] = slot;
-                    kept += 1;
-                }
-            }
-            self.active_by_id.truncate(kept);
-            self.zero_front_pending = false;
-            if !drained_to_idle {
-                self.rates_cache = Some(rates);
-            }
-            if self.now >= t {
-                return;
-            }
+        }
+        self.active_by_id.truncate(kept);
+        if drained_to_idle {
+            self.reallocate();
+        } else {
+            self.refresh_next_done();
         }
     }
 
@@ -895,13 +881,38 @@ mod tests {
         }
     }
 
+    /// A from-scratch allocation: the backlogged flows sorted by
+    /// `(cap, id)` and water-filled, reported in ascending flow id.
+    fn fresh_rates(link: &SharedLink) -> Vec<(FlowId, f64)> {
+        let mut flows: Vec<&FlowSlot> =
+            link.active_by_id.iter().map(|&s| &link.slots[s as usize]).collect();
+        if link.policy == SharePolicy::Reserved {
+            return flows.iter().map(|f| (FlowId(f.id), f.rate_bps as f64)).collect();
+        }
+        flows.sort_by(|a, b| a.cap().total_cmp(&b.cap()).then(a.id.cmp(&b.id)));
+        let mut remaining = link.capacity_bps as f64;
+        let mut rates = Vec::new();
+        for (i, f) in flows.iter().enumerate() {
+            let share = (remaining / (flows.len() - i) as f64).max(0.0);
+            if f.cap() <= share {
+                rates.push((FlowId(f.id), f.cap()));
+                remaining = (remaining - f.cap()).max(0.0);
+            } else {
+                rates.extend(flows[i..].iter().map(|g| (FlowId(g.id), share)));
+                break;
+            }
+        }
+        rates.sort_by_key(|r| r.0);
+        rates
+    }
+
     #[test]
-    fn rate_cache_matches_fresh_computation() {
-        // Regression for the memoized allocation: after every mutation the
-        // cached rates must equal a from-scratch water-filling pass.
+    fn eager_rates_match_fresh_water_fill() {
+        // After every mutation the eagerly maintained per-flow rates must
+        // equal a from-scratch water-filling pass.
         let mut link = SharedLink::fair_share(1000 * KB);
         let check = |link: &SharedLink| {
-            assert_eq!(link.current_rates(), link.compute_rates(), "stale rate cache");
+            assert_eq!(link.current_rates(), fresh_rates(link), "stale allocation");
         };
         let a = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
@@ -911,6 +922,10 @@ mod tests {
         link.send(SimTime::ZERO, b, 200 * KB).unwrap();
         check(&link);
         link.advance_to(SimTime::from_millis(100));
+        check(&link);
+        link.set_flow_rate(SimTime::from_millis(100), a, Some(50 * KB)).unwrap();
+        check(&link);
+        link.set_capacity(SimTime::from_millis(150), 800 * KB);
         check(&link);
         // Drive b idle (900 KB/s drains 200 KB well before 1 s), then past
         // a's queue too.
@@ -980,8 +995,8 @@ mod tests {
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert_eq!(done.len(), 1);
         assert!((done[0].at.as_secs_f64() - 1.125).abs() < 1e-3, "{}", done[0].at);
-        // The allocation cache was invalidated on both edges.
-        assert_eq!(link.current_rates(), link.compute_rates());
+        // The allocation followed both edges.
+        assert_eq!(link.current_rates(), fresh_rates(&link));
     }
 
     #[test]

@@ -2,11 +2,8 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
+use quasaq_sim::link::XferDone;
 use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime, Zipf};
-
-#[path = "support/old_link.rs"]
-mod old_link;
-use old_link::OracleLink;
 
 /// Drives a scheduler until idle, returning completions.
 fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::Completion> {
@@ -27,6 +24,84 @@ fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::
             }
         }
     }
+}
+
+/// What a link shows after one op of a trace: the completions drained,
+/// the next event, and the bits of every flow's backlog.
+type LinkView = (Vec<XferDone>, Option<SimTime>, Vec<u64>);
+
+/// Replays a random link trace of `(op, arg, pick)` triples, recording a
+/// [`LinkView`] after every op and once more after draining to idle. With
+/// `probe`, every clock move is preceded by `advance_to` calls at up to
+/// two intermediate instants drawn from `pick`: a step-invariant link
+/// must not notice them.
+fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<LinkView> {
+    const CAPACITY: u64 = 1_000_000;
+    let mut link =
+        if reserved { SharedLink::reserved(CAPACITY) } else { SharedLink::fair_share(CAPACITY) };
+    // A small rate menu makes Reserved links saturate and FairShare caps
+    // collide (equal-cap water-filling ties); 0 is uncapped.
+    let rate = |arg: u64| match arg % 8 {
+        0 if !reserved => None,
+        r => Some(r.max(1) * CAPACITY / 8),
+    };
+    let mut now = SimTime::ZERO;
+    let mut flows = Vec::new();
+    let mut log = Vec::new();
+    let view = |link: &mut SharedLink, flows: &[_]| -> LinkView {
+        let backlog = flows.iter().map(|&f| link.flow_backlog_bytes(f).to_bits()).collect();
+        (link.drain_completions(), link.next_event(), backlog)
+    };
+    let step_to = |link: &mut SharedLink, from: SimTime, to: SimTime, pick: usize| {
+        let span = (to - from).as_micros();
+        if probe && span > 0 {
+            let a = (pick >> 8) as u64 % span;
+            let b = (pick >> 32) as u64 % span;
+            link.advance_to(from + SimDuration::from_micros(a.min(b)));
+            link.advance_to(from + SimDuration::from_micros(a.max(b)));
+        }
+        link.advance_to(to);
+    };
+    for &(op, arg, pick) in ops {
+        let flow = (!flows.is_empty()).then(|| flows[pick % flows.len()]);
+        match op {
+            0 | 1 => {
+                if let Ok(id) = link.open_flow(now, rate(arg)) {
+                    flows.push(id);
+                }
+            }
+            // Close ids even after they were closed: the idempotent path
+            // runs too.
+            2 => flow.into_iter().for_each(|f| link.close_flow(now, f)),
+            3 => {
+                if let Some(f) = flow {
+                    let bytes = if arg == 0 { 0 } else { arg * 40_000 + (pick % 997) as u64 };
+                    let _ = link.send(now, f, bytes);
+                }
+            }
+            4 => {
+                if let Some(f) = flow {
+                    let _ = link.set_flow_rate(now, f, rate(arg.wrapping_add(pick as u64)));
+                }
+            }
+            5 => link.set_capacity(now, CAPACITY / 4 * (1 + arg % 4)),
+            _ => {
+                let to = now + SimDuration::from_micros(arg * 125_000 + (pick % 1_000) as u64);
+                step_to(&mut link, now, to, pick);
+                now = to;
+            }
+        }
+        log.push(view(&mut link, &flows));
+    }
+    let mut guard = 0usize;
+    while let Some(t) = link.next_event() {
+        guard += 1;
+        assert!(guard < 100_000, "link failed to drain");
+        step_to(&mut link, now, t, guard.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        now = t;
+    }
+    log.push(view(&mut link, &flows));
+    log
 }
 
 /// A Zipf rank in `[0, n)` drawn by an inverse-CDF walk that computes
@@ -212,25 +287,31 @@ proptest! {
     }
 
     /// Reserved-link isolation: a flow's completion times depend only on
-    /// its own reservation.
+    /// its own reservation, and a flow whose rate never changes completes
+    /// at the closed form `send + ceil(bytes / rate)` microseconds.
     #[test]
     fn reserved_link_isolation(
         rate_a in 1_000u64..100_000,
         rate_b in 1_000u64..100_000,
         bytes in 1u64..1_000_000,
+        send_us in 0u64..10_000_000,
     ) {
         prop_assume!(rate_a + rate_b <= 3_200_000);
+        let send_at = SimTime::from_micros(send_us);
         // Flow A alone.
         let mut solo = SharedLink::reserved(3_200_000);
         let fa = solo.open_flow(SimTime::ZERO, Some(rate_a)).unwrap();
-        solo.send(SimTime::ZERO, fa, bytes).unwrap();
+        solo.send(send_at, fa, bytes).unwrap();
         let t_solo = solo.next_event().unwrap();
-        // Flow A with a competing reserved flow B.
+        let closed_form = send_at
+            + SimDuration::from_micros((bytes as f64 / rate_a as f64 * 1e6).ceil() as u64);
+        prop_assert_eq!(t_solo, closed_form);
+        // Flow A with a competing reserved flow B that started earlier.
         let mut both = SharedLink::reserved(3_200_000);
         let fa2 = both.open_flow(SimTime::ZERO, Some(rate_a)).unwrap();
         let fb = both.open_flow(SimTime::ZERO, Some(rate_b)).unwrap();
         both.send(SimTime::ZERO, fb, bytes).unwrap();
-        both.send(SimTime::ZERO, fa2, bytes).unwrap();
+        both.send(send_at, fa2, bytes).unwrap();
         both.advance_to(t_solo);
         let done = both.drain_completions();
         prop_assert!(
@@ -347,99 +428,21 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// The arena-backed `SharedLink` behaves bit-identically to the old
-    /// map-based implementation under random open / close / send / advance
-    /// traces, on both sharing policies: same admission results, same flow
-    /// ids, same rates, same event times, and the same completion stream.
+    /// Step invariance: a link's state depends only on the ops applied to
+    /// it, not on how often it was advanced in between. Random open /
+    /// close / send (0 bytes included) / re-rate / capacity / clock traces
+    /// run twice on both policies — once as generated, once with extra
+    /// `advance_to` calls at intermediate instants — and must show the
+    /// same completions, next events and backlog bits after every op.
     #[test]
-    fn arena_link_matches_map_oracle(
+    fn link_is_step_invariant(
         reserved in proptest::bool::ANY,
-        ops in proptest::collection::vec((0u8..6, 0u64..8, any::<usize>()), 1..250),
+        ops in proptest::collection::vec((0u8..8, 0u64..8, any::<usize>()), 1..250),
     ) {
-        const CAPACITY: u64 = 1_000_000;
-        let (mut arena, mut oracle) = if reserved {
-            (SharedLink::reserved(CAPACITY), OracleLink::reserved(CAPACITY))
-        } else {
-            (SharedLink::fair_share(CAPACITY), OracleLink::fair_share(CAPACITY))
-        };
-        let mut now = SimTime::ZERO;
-        let mut flows = Vec::new();
-        for (i, &(op, arg, pick)) in ops.iter().enumerate() {
-            match op {
-                0 | 1 => {
-                    // Open with a rate drawn from a small menu so Reserved
-                    // links saturate and FairShare caps collide (equal-cap
-                    // water-filling ties are the interesting case).
-                    let rate = match arg {
-                        0 => None,
-                        r => Some(r * CAPACITY / 8),
-                    };
-                    let (ra, ro) = (arena.open_flow(now, rate), oracle.open_flow(now, rate));
-                    prop_assert_eq!(&ra, &ro, "open diverged at op {}", i);
-                    if let Ok(id) = ra {
-                        flows.push(id);
-                    }
-                }
-                2 => {
-                    if !flows.is_empty() {
-                        // Close ids even after they were closed: the
-                        // idempotent path must agree too.
-                        let f = flows[pick % flows.len()];
-                        arena.close_flow(now, f);
-                        oracle.close_flow(now, f);
-                    }
-                }
-                3 => {
-                    if !flows.is_empty() {
-                        let f = flows[pick % flows.len()];
-                        let bytes = (arg + 1) * 40_000;
-                        prop_assert_eq!(
-                            arena.send(now, f, bytes),
-                            oracle.send(now, f, bytes),
-                            "send diverged at op {}",
-                            i
-                        );
-                    }
-                }
-                4 => {
-                    now += SimDuration::from_micros(arg * 125_000);
-                    arena.advance_to(now);
-                    oracle.advance_to(now);
-                }
-                _ => {
-                    prop_assert_eq!(
-                        arena.drain_completions(),
-                        oracle.drain_completions(),
-                        "completion stream diverged at op {}",
-                        i
-                    );
-                }
-            }
-            prop_assert_eq!(arena.open_flows(), oracle.open_flows());
-            prop_assert_eq!(arena.backlogged_flows(), oracle.backlogged_flows());
-            prop_assert_eq!(arena.backlog_bytes(), oracle.backlog_bytes(), "backlog at op {}", i);
-            prop_assert_eq!(arena.reserved_bps(), oracle.reserved_bps());
-            prop_assert_eq!(arena.next_event(), oracle.next_event(), "next_event at op {}", i);
-            // Rates must agree per flow; the reporting order is allowed to
-            // differ (slot order vs id order inside equal-cap tie groups).
-            let mut ra = arena.current_rates();
-            let mut ro = oracle.current_rates();
-            ra.sort_by_key(|r| r.0);
-            ro.sort_by_key(|r| r.0);
-            prop_assert_eq!(ra, ro, "rates diverged at op {}", i);
-            for &f in &flows {
-                prop_assert_eq!(arena.flow_backlog_bytes(f), oracle.flow_backlog_bytes(f));
-            }
+        let plain = replay_link(reserved, &ops, false);
+        let probed = replay_link(reserved, &ops, true);
+        for (i, (p, q)) in plain.iter().zip(&probed).enumerate() {
+            prop_assert_eq!(p, q, "diverged after op {}", i);
         }
-        // Run every queued byte to completion and compare the final tally.
-        loop {
-            let (na, no) = (arena.next_event(), oracle.next_event());
-            prop_assert_eq!(na, no, "final drain event times diverged");
-            let Some(t) = na else { break };
-            arena.advance_to(t);
-            oracle.advance_to(t);
-        }
-        prop_assert_eq!(arena.drain_completions(), oracle.drain_completions());
-        prop_assert_eq!(arena.backlog_bytes(), 0.0);
     }
 }

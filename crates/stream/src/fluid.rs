@@ -8,8 +8,9 @@
 //! serving node's outbound link:
 //!
 //! * Reserved links (QuaSAQ / QoS-API): the session transmits at its
-//!   reserved rate, so it completes after exactly `bytes/rate` — the
-//!   fixed streaming time the paper notes.
+//!   reserved rate, so it completes at exactly `start + bytes/rate`
+//!   rounded up to the microsecond — the fixed streaming time the paper
+//!   notes.
 //! * Fair-share links (plain VDBMS): the session is paced at its bitrate
 //!   but squeezed when the link oversubscribes, so "it took much longer
 //!   time to finish each job" — the plain-VDBMS signature of Fig 6.
@@ -17,7 +18,14 @@
 //! The engine keeps one [`LinkDomain`] per server. Advancing time is one
 //! pass over the domains in `ServerId` order: each domain steps its link
 //! to the target instant and its completions are merged on the spot, which
-//! fixes the `(time, seq)` event order every result depends on.
+//! fixes the `(time, seq)` event order every result depends on. A link
+//! caches its next completion and is step-invariant (see
+//! [`quasaq_sim::link`]): stepping a link with nothing due only moves its
+//! clock, and how often it is stepped never changes its bytes. So the pass
+//! costs one field read per idle server plus work on the servers whose
+//! transfers complete, [`FluidEngine::next_event`] is a minimum over the
+//! cached completions, and a session's arithmetic does not depend on what
+//! other servers are doing.
 //!
 //! The engine is passive (`next_event`/`advance_to`/`drain_completions`)
 //! so the experiment driver owns the master event loop.

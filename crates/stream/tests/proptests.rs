@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, FrameTrace, GopPattern, TraceParams,
 };
-use quasaq_sim::{ServerId, SimDuration, SimTime};
+use quasaq_sim::{ServerId, SharePolicy, SimDuration, SimTime};
 use quasaq_stream::{
-    CpuPolicy, DispatchConfig, FrameSchedule, NodeConfig, SessionConfig, StreamEngine, Transforms,
+    CpuPolicy, DispatchConfig, FluidEngine, FrameSchedule, NodeConfig, SessionConfig, StreamEngine,
+    Transforms,
 };
 
 fn trace(seed: u64, secs: u64, rate: u64) -> FrameTrace {
@@ -20,6 +21,49 @@ fn trace(seed: u64, secs: u64, rate: u64) -> FrameTrace {
             rate as f64,
         ),
     )
+}
+
+/// Streams one watched [`FluidEngine`] session from server 0 while server
+/// 1 takes `churn` — short 100 KB/s sessions as `(gap since the previous
+/// arrival in µs, bytes)` — and returns the watched session's completion
+/// instant and the bits of its backlog at four fixed probe instants.
+fn watch_server0(
+    policy: SharePolicy,
+    bytes: u64,
+    rate: u64,
+    churn: &[(u64, u64)],
+) -> (Option<SimTime>, Vec<u64>) {
+    let mut eng = FluidEngine::new(ServerId::first_n(2), policy, 3_200_000);
+    let watched = eng.add_session(SimTime::ZERO, ServerId(0), bytes, rate).unwrap();
+    let nominal_us = bytes * 1_000_000 / rate;
+    let mut probes = (1..=4).map(|k| SimTime::from_micros(nominal_us * k / 5 + 7)).peekable();
+    let mut arrivals = churn
+        .iter()
+        .scan(SimTime::ZERO, |t, &(gap, b)| {
+            *t += SimDuration::from_micros(gap);
+            Some((*t, b))
+        })
+        .peekable();
+    let (mut done_at, mut bits) = (None, Vec::new());
+    while let Some(t) = [eng.next_event(), arrivals.peek().map(|a| a.0), probes.peek().copied()]
+        .into_iter()
+        .flatten()
+        .min()
+    {
+        eng.advance_to(t);
+        for d in eng.drain_completions() {
+            if d.id == watched {
+                done_at = Some(d.at);
+            }
+        }
+        while let Some((_, b)) = arrivals.next_if(|a| a.0 == t) {
+            let _ = eng.add_session(t, ServerId(1), b, 100_000);
+        }
+        if probes.next_if_eq(&t).is_some() {
+            bits.push(eng.session_backlog(watched).to_bits());
+        }
+    }
+    (done_at, bits)
 }
 
 proptest! {
@@ -177,5 +221,21 @@ proptest! {
         let alone = build(0);
         let contended = build(hogs);
         prop_assert_eq!(alone, contended);
+    }
+
+    /// Links do not couple across servers: a fluid session's completion
+    /// instant and its backlog bits at fixed probe times are the same
+    /// whether the other server is idle or churning short sessions.
+    #[test]
+    fn fluid_servers_do_not_couple(
+        reserved in any::<bool>(),
+        bytes in 100_000u64..3_000_000,
+        rate in 50_000u64..500_000,
+        churn in proptest::collection::vec((1u64..2_000_000, 1_000u64..200_000), 1..40),
+    ) {
+        let policy = if reserved { SharePolicy::Reserved } else { SharePolicy::FairShare };
+        let idle = watch_server0(policy, bytes, rate, &[]);
+        prop_assert!(idle.0.is_some());
+        prop_assert_eq!(idle, watch_server0(policy, bytes, rate, &churn));
     }
 }

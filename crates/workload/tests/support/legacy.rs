@@ -6,8 +6,7 @@
 //! brownout, failover, and renegotiation all inlined against the system
 //! state. The differential proptests drive random traffic/fault/link
 //! configs through both this loop and the rewired driver and require
-//! bit-identical `ThroughputResult`s — the same role `sim`'s
-//! `support/old_link.rs` plays for the flow arena.
+//! bit-identical `ThroughputResult`s.
 //!
 //! Frozen code: edits here would defeat the oracle's purpose.
 

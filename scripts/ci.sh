@@ -42,6 +42,9 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> traced benchmark run (admit_lrb100, 100 servers: fingerprint + full-enumeration shadow checks; exits 1 on a mismatch)"
 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload admit_lrb100 --seconds 3 --trace 1
 
+echo "==> traced benchmark run (dataplane_qosapi100: QoS-API baseline, the fluid data plane does nearly all the work; fingerprint + shadow checks)"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload dataplane_qosapi100 --seconds 3 --trace 1
+
 echo "==> traced benchmark run (zipf_adapt30: plan cache + bulk prefetch on; the traced plane must reproduce run_throughput_on's fingerprint)"
 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload zipf_adapt30 --seconds 3 --trace 1
 
