@@ -53,6 +53,34 @@ fn bench_planning(c: &mut Criterion) {
         })
     });
 
+    // The same admission at 100 servers (the `admit_lrb100` cluster size),
+    // where scoring ~1,300 candidates dominates.
+    let testbed = Testbed::build(TestbedConfig::scale(100, 1_000));
+    c.bench_function("full_admit_release_100", |b| {
+        let mut manager = testbed.quality_manager(CostKind::Lrb);
+        let mut rng = Rng::new(4);
+        b.iter(|| {
+            let admitted = manager.process(&testbed.engine, &request, &mut rng).expect("admits");
+            manager.release(&admitted);
+        })
+    });
+
+    // A refusal on a saturated copy of that cluster: every candidate is
+    // scored, the first choice is refused, and the fallback pass checks
+    // the rest. A refusal changes nothing, so each iteration is the same.
+    c.bench_function("refused_admit_100", |b| {
+        let mut manager = testbed.quality_manager(CostKind::Lrb);
+        let mut rng = Rng::new(5);
+        let refused = (0..)
+            .map(|i| PlanRequest { video: VideoId(i % 1_000), ..request.clone() })
+            .find(|req| manager.process(&testbed.engine, req, &mut rng).is_err())
+            .expect("the cluster saturates");
+        b.iter(|| {
+            let outcome = manager.process(&testbed.engine, black_box(&refused), &mut rng);
+            black_box(outcome.expect_err("a saturated cluster refuses"))
+        })
+    });
+
     c.bench_function("sql_parse", |b| {
         let q = "SELECT * FROM videos WHERE contains('surgery') \
                  WITH QOS (resolution >= 320x240, resolution <= 352x288, framerate >= 20) LIMIT 3";

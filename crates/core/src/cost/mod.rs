@@ -75,9 +75,12 @@ pub trait CostModel: Send {
 
     /// Runs on the `(score, enumeration index)` entries of the plans to be
     /// ranked, in enumeration order, before the order is taken. A model
-    /// whose order is a draw shuffles them here and scores each by its
-    /// drawn position; a scoring model draws nothing (the default).
-    fn reorder(&self, _scored: &mut [(f64, usize)], _rng: &mut Rng) {}
+    /// whose order is a draw shuffles them here, scores each by its drawn
+    /// position and returns `true`: the scores changed. A scoring model
+    /// draws nothing and keeps its scores (the default, `false`).
+    fn reorder(&self, _scored: &mut [(f64, usize)], _rng: &mut Rng) -> bool {
+        false
+    }
 
     /// Returns plan indices, most preferred first, evaluated against the
     /// current resource state in `api`.

@@ -24,11 +24,12 @@ impl CostModel for RandomModel {
 
     /// Shuffles the plans and scores each by its drawn position. The
     /// shuffle swaps by position alone: it draws what shuffling `0..n` draws.
-    fn reorder(&self, scored: &mut [(f64, usize)], rng: &mut Rng) {
+    fn reorder(&self, scored: &mut [(f64, usize)], rng: &mut Rng) -> bool {
         rng.shuffle(scored);
         for (position, entry) in scored.iter_mut().enumerate() {
             entry.0 = position as f64;
         }
+        true
     }
 }
 

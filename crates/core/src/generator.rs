@@ -25,7 +25,7 @@ use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
     VideoFormat, VideoId,
 };
-use quasaq_qosapi::{CompositeQosApi, ResourceKey, ResourceVector};
+use quasaq_qosapi::{CompositeQosApi, Projection, ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
 
@@ -117,6 +117,13 @@ impl<'a> Candidate<'a> {
         )
     }
 
+    /// The candidate's target-side demand entries, by kind on its target
+    /// site (the last three of its [`demand`](Self::demand)).
+    fn target_entries(&self) -> [(ResourceKind, f64); 3] {
+        let o = self.option;
+        Plan::target_entries(o.delivered_bps, o.cpu_shares[self.cipher], o.buffer_bytes)
+    }
+
     /// What a cost model reads of the candidate: its `demand` with the
     /// `max_fill` it projects to on `api`.
     pub(crate) fn view(
@@ -164,18 +171,67 @@ impl DeliveryOptions {
         self.options.len() * self.per_option()
     }
 
-    /// Visits every candidate with its enumeration index, in enumeration
-    /// order: options outermost, then targets, then ciphers.
-    pub(crate) fn for_each<'a>(&'a self, mut visit: impl FnMut(usize, Candidate<'a>)) {
+    /// Visits every candidate with its enumeration index and its demand
+    /// entries, in enumeration order: options outermost, then targets, then
+    /// ciphers. A demand's first two entries, its replica side, depend on
+    /// the target only through whether it is remote, so `replica` is
+    /// evaluated on them once per option for a local and once for a remote
+    /// target, and each candidate gets the value for its own target.
+    fn fan_out<'a, R: Copy>(
+        &'a self,
+        mut replica: impl FnMut(&[(ResourceKey, f64)]) -> R,
+        mut visit: impl FnMut(usize, Candidate<'a>, R, &[(ResourceKey, f64); 5]),
+    ) {
         let mut index = 0;
         for option in &self.options {
+            let entries = [false, true].map(|remote| Plan::replica_entries(&option.record, remote));
+            let values = [replica(&entries[0]), replica(&entries[1])];
             for &target in self.targets(option) {
+                let remote = usize::from(target != option.record.object.server);
+                let [disk, transfer] = entries[remote];
                 for cipher in 0..self.ciphers.len() {
-                    visit(index, Candidate { option, target, cipher });
+                    let c = Candidate { option, target, cipher };
+                    let [cpu, net, memory] = c
+                        .target_entries()
+                        .map(|(kind, amount)| (ResourceKey::new(target, kind), amount));
+                    visit(index, c, values[remote], &[disk, transfer, cpu, net, memory]);
                     index += 1;
                 }
             }
         }
+    }
+
+    /// Visits every candidate with its enumeration index, its
+    /// [`Projection`] on `api` and its demand entries, in enumeration
+    /// order. Each option projects its replica side once per
+    /// [`fan_out`](Self::fan_out) and each candidate folds in only its
+    /// three target-side entries, which [`CompositeQosApi::project_on`]
+    /// makes exactly `project` of the whole demand.
+    pub(crate) fn for_each_projected<'a>(
+        &'a self,
+        api: &CompositeQosApi,
+        mut visit: impl FnMut(usize, Candidate<'a>, Projection, &[(ResourceKey, f64); 5]),
+    ) {
+        self.fan_out(
+            |entries| api.project(entries),
+            |index, c, replica, demand| {
+                visit(index, c, api.project_on(replica, c.target, &c.target_entries()), demand)
+            },
+        );
+    }
+
+    /// Writes into `out`, by enumeration index, whether each candidate's
+    /// demand passes `admits`, a check made entry by entry (every entry
+    /// must pass), such as [`CompositeQosApi::admits`]. The replica side is
+    /// checked once per [`fan_out`](Self::fan_out), the target side per
+    /// candidate.
+    pub(crate) fn admissible_into(
+        &self,
+        admits: impl Fn(&[(ResourceKey, f64)]) -> bool,
+        out: &mut Vec<bool>,
+    ) {
+        out.clear();
+        self.fan_out(&admits, |_, _, replica, demand| out.push(replica && admits(&demand[2..])));
     }
 
     /// The candidate at enumeration `index` (< [`plan_count`](Self::plan_count)).
@@ -247,7 +303,7 @@ impl PlanGenerator {
         let options = self.options(engine, request);
         out.clear();
         out.reserve(options.plan_count());
-        options.for_each(|_, c| out.push(options.plan(c)));
+        options.fan_out(|_| (), |_, c, (), _| out.push(options.plan(c)));
     }
 
     /// [`options_into`](Self::options_into) a new buffer.

@@ -15,7 +15,7 @@ use crate::generator::{DeliveryOptions, PlanGenerator, PlanRequest};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, ReservationId};
+use quasaq_qosapi::{CompositeQosApi, ReservationId, ResourceKey};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
 use std::collections::HashMap;
@@ -99,10 +99,12 @@ pub struct QualityManager {
     last_stats: PlanningStats,
     /// Recycled buffers, holding no state between calls beyond their
     /// allocations: the request's delivery options (when the plan cache
-    /// does not supply them) and the `(score, enumeration index)` of every
-    /// feasible candidate.
+    /// does not supply them), the `(score, enumeration index)` of every
+    /// feasible candidate, and by enumeration index whether a candidate
+    /// passes admission.
     options: DeliveryOptions,
     scored: Vec<(f64, usize)>,
+    admissible: Vec<bool>,
     /// Memoized delivery options (`None` = caching off, the default).
     /// Only enumeration is memoized — feasibility, ranking and reservation
     /// run live on every admission — so cached and uncached admission are
@@ -125,6 +127,7 @@ impl QualityManager {
             last_stats: PlanningStats::default(),
             options: DeliveryOptions::default(),
             scored: Vec::new(),
+            admissible: Vec::new(),
             plan_cache: None,
         }
     }
@@ -233,13 +236,18 @@ impl QualityManager {
     /// session's reservation, renegotiating it. Each candidate (delivery
     /// option × target × cipher) that fits the buckets' total capacity,
     /// the cut of [`PlanGenerator::retain_feasible`], is scored in place
-    /// against the live buckets, a held reservation counted as used. The
-    /// `(score, enumeration index)` minimum is built and tried; only if
-    /// that fails are the rest sorted and walked. A refused attempt
-    /// changes no bucket, so every candidate is scored and checked against
-    /// the same state. A new reservation is checked before its plan is
-    /// built; a renegotiation is not, as the swap frees the held share
-    /// first.
+    /// against the live buckets, a held reservation counted as used, in
+    /// one pass that also keeps the `(score, enumeration index)` minimum
+    /// (re-taken when the model's [`reorder`](CostModel::reorder) rescores).
+    /// Walking the rank order would attempt candidates until one is
+    /// placed, but a refused attempt changes no bucket, and an attempt
+    /// succeeds exactly when a pure check passes:
+    /// [`CompositeQosApi::admits`] for a new reservation,
+    /// [`CompositeQosApi::admits_renegotiation`] for a held one. So the
+    /// minimum is checked first; if it is refused, one pass finds the
+    /// rank-minimum of the admissible candidates, and the walk's attempt
+    /// count is 1 plus the number of candidates ranked ahead of it. Only
+    /// the placed plan is built.
     fn place(
         &mut self,
         options: &DeliveryOptions,
@@ -252,43 +260,56 @@ impl QualityManager {
         }
         let (model, api, scored) = (&*self.cost_model, &self.api, &mut self.scored);
         scored.clear();
-        options.for_each(|index, c| {
-            let demand = c.demand();
-            let projection = api.project(&demand);
+        let mut best: Option<(f64, usize)> = None;
+        options.for_each_projected(api, |index, c, projection, demand| {
             if projection.fits_capacity {
-                scored.push((model.score(&c.view(projection.max_fill, &demand, api)), index));
+                let entry = (model.score(&c.view(projection.max_fill, demand, api)), index);
+                scored.push(entry);
+                if best.is_none_or(|b| by_rank(&entry, &b).is_lt()) {
+                    best = Some(entry);
+                }
             }
         });
         stats.feasible = scored.len();
-        model.reorder(scored, rng);
-        let Some(best) = scored.iter().copied().min_by(by_rank) else {
+        if model.reorder(scored, rng) {
+            best = scored.iter().copied().min_by(by_rank);
+        }
+        let Some(best) = best else {
             return (Err(Rejection::NoFeasiblePlan), stats);
         };
-        let reserve = |api: &mut CompositeQosApi, plan: Plan| {
-            let reservation = match held {
-                None => api.reserve(&plan.resources),
-                Some(id) => api.renegotiate(id, &plan.resources),
-            };
-            reservation.map(|reservation| AdmittedPlan { plan, reservation })
+        // The pure check of one attempt, entry by entry.
+        let admits = |entries: &[(ResourceKey, f64)]| {
+            match held {
+                None => api.admits(entries),
+                Some(id) => api.admits_renegotiation(id, entries),
+            }
+            .is_ok()
         };
         stats.attempts = 1;
-        if let Ok(admitted) = reserve(&mut self.api, options.plan(options.candidate(best.1))) {
-            return (Ok(admitted), stats);
-        }
-        self.scored.sort_unstable_by(by_rank);
-        // `scored[0]` is `best`, already attempted.
-        for (attempt, &(_, index)) in self.scored.iter().enumerate().skip(1) {
-            let c = options.candidate(index);
-            if held.is_none() && self.api.admits(&c.demand()).is_err() {
-                continue;
+        let mut pick = admits(&options.candidate(best.1).demand()).then_some(best);
+        if pick.is_none() {
+            let admissible = &mut self.admissible;
+            options.admissible_into(admits, admissible);
+            for &entry in scored.iter() {
+                if admissible[entry.1] && pick.is_none_or(|p| by_rank(&entry, &p).is_lt()) {
+                    pick = Some(entry);
+                }
             }
-            if let Ok(admitted) = reserve(&mut self.api, options.plan(c)) {
-                stats.attempts = attempt + 1;
-                return (Ok(admitted), stats);
-            }
+            stats.attempts = match pick {
+                Some(p) => 1 + scored.iter().filter(|e| by_rank(e, &p).is_lt()).count(),
+                None => scored.len(),
+            };
         }
-        stats.attempts = self.scored.len();
-        (Err(Rejection::AdmissionFailed), stats)
+        let Some((_, index)) = pick else {
+            return (Err(Rejection::AdmissionFailed), stats);
+        };
+        let plan = options.plan(options.candidate(index));
+        let reservation = match held {
+            None => self.api.reserve(&plan.resources),
+            Some(id) => self.api.renegotiate(id, &plan.resources),
+        };
+        let reservation = reservation.expect("an attempt succeeds when its pure check passes");
+        (Ok(AdmittedPlan { plan, reservation }), stats)
     }
 
     /// The bulk-admit enumeration pass: warms the plan cache for a batch

@@ -106,19 +106,37 @@ impl Plan {
         cpu_share: f64,
         buffer_bytes: f64,
     ) -> [(ResourceKey, f64); 5] {
+        let [disk, transfer] = Plan::replica_entries(object, object.object.server != target_server);
+        let [cpu, net, memory] = Plan::target_entries(delivered_bps, cpu_share, buffer_bytes)
+            .map(|(kind, amount)| (ResourceKey::new(target_server, kind), amount));
+        [disk, transfer, cpu, net, memory]
+    }
+
+    /// The first two demand entries, on the replica's site: it reads the
+    /// replica from disk and, for a `remote` target, sends it there over
+    /// its outbound link at the stored rate (the target receives and
+    /// re-serves). A local plan's transfer entry is zero.
+    pub(crate) fn replica_entries(object: &ObjectRecord, remote: bool) -> [(ResourceKey, f64); 2] {
         let stored_rate = object.object.rate_bps as f64;
         let source = object.object.server;
-        // Inter-server transfer consumes the source's outbound link at the
-        // stored rate; the target receives and re-serves.
-        let transfer = if source != target_server { stored_rate } else { 0.0 };
+        let transfer = if remote { stored_rate } else { 0.0 };
         [
-            // The source site reads the replica from disk.
             (ResourceKey::new(source, ResourceKind::DiskBandwidth), stored_rate),
             (ResourceKey::new(source, ResourceKind::NetBandwidth), transfer),
-            // The target site runs the pipeline and streams to the client.
-            (ResourceKey::new(target_server, ResourceKind::Cpu), cpu_share.min(1.0)),
-            (ResourceKey::new(target_server, ResourceKind::NetBandwidth), delivered_bps),
-            (ResourceKey::new(target_server, ResourceKind::Memory), buffer_bytes),
+        ]
+    }
+
+    /// The last three demand entries, by kind on the target site, which
+    /// runs the pipeline and streams to the client.
+    pub(crate) fn target_entries(
+        delivered_bps: f64,
+        cpu_share: f64,
+        buffer_bytes: f64,
+    ) -> [(ResourceKind, f64); 3] {
+        [
+            (ResourceKind::Cpu, cpu_share.min(1.0)),
+            (ResourceKind::NetBandwidth, delivered_bps),
+            (ResourceKind::Memory, buffer_bytes),
         ]
     }
 }

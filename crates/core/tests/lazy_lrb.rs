@@ -442,11 +442,13 @@ proptest! {
 /// The same comparison for every model over fixed seeds and every
 /// generator switch setting, checked to reach each outcome per model:
 /// first-choice placement, a walk refused to the end, and an empty plan
-/// space. (For LRB a walk that ends in a placement needs a candidate
-/// whose projected fill exceeds the refused first choice's yet passes the
-/// admission test — possible only inside the `1e-9` capacity tolerance,
-/// so random states do not produce it; `walked` is counted, not
-/// required.)
+/// space; and, for the models whose order does not follow the projected
+/// fill, a placement further down the walk, which pins its attempt count.
+/// (For LRB and the efficiency models a walk that ends in a placement
+/// needs a candidate whose projected fill exceeds the refused first
+/// choice's yet passes the admission test — possible only inside the
+/// `1e-9` capacity tolerance, so random states do not produce it;
+/// `walked` is counted, not required.)
 #[test]
 fn differential_cases_reach_every_outcome_for_every_model() {
     for model in Model::ALL {
@@ -461,7 +463,10 @@ fn differential_cases_reach_every_outcome_for_every_model() {
             };
             run_case(model, seed, cfg, seed & 16 == 0, 10, &mut coverage);
         }
-        let Coverage { first, failed, empty, .. } = coverage;
+        let Coverage { first, walked, failed, empty } = coverage;
         assert!(first > 0 && failed > 0 && empty > 0, "{model:?}: {coverage:?}");
+        if matches!(model, Model::Random | Model::MinBitrate | Model::WeightedSum) {
+            assert!(walked > 0, "{model:?}: {coverage:?}");
+        }
     }
 }

@@ -37,13 +37,16 @@ impl fmt::Display for FrameType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GopPattern {
     frames: Vec<FrameType>,
+    /// (I, P, B) counts of `frames`, taken once at construction: the
+    /// drop-fraction and size-weight helpers run per delivery option.
+    counts: (usize, usize, usize),
 }
 
 impl GopPattern {
     /// The classic MPEG-1 pattern: `IBBPBBPBBPBB` (N = 12, M = 3).
     pub fn mpeg1_classic() -> Self {
         use FrameType::*;
-        GopPattern { frames: vec![I, B, B, P, B, B, P, B, B, P, B, B] }
+        GopPattern::new(vec![I, B, B, P, B, B, P, B, B, P, B, B])
     }
 
     /// A 15-frame MPEG-1 pattern: `IBBPBBPBBPBBPBB` (N = 15, M = 3).
@@ -51,14 +54,14 @@ impl GopPattern {
     /// paper's sample video used this GOP length (15/23.97 = 625.8 ms).
     pub fn mpeg1_n15() -> Self {
         use FrameType::*;
-        GopPattern { frames: vec![I, B, B, P, B, B, P, B, B, P, B, B, P, B, B] }
+        GopPattern::new(vec![I, B, B, P, B, B, P, B, B, P, B, B, P, B, B])
     }
 
     /// A short pattern without B frames (`IPPP`), as used by low-latency
     /// encodings.
     pub fn no_b_frames() -> Self {
         use FrameType::*;
-        GopPattern { frames: vec![I, P, P, P] }
+        GopPattern::new(vec![I, P, P, P])
     }
 
     /// Builds a pattern from an explicit frame-type sequence.
@@ -69,7 +72,15 @@ impl GopPattern {
     pub fn new(frames: Vec<FrameType>) -> Self {
         assert!(!frames.is_empty(), "GOP pattern cannot be empty");
         assert_eq!(frames[0], FrameType::I, "GOP must start with an I frame");
-        GopPattern { frames }
+        let mut counts = (0, 0, 0);
+        for f in &frames {
+            match f {
+                FrameType::I => counts.0 += 1,
+                FrameType::P => counts.1 += 1,
+                FrameType::B => counts.2 += 1,
+            }
+        }
+        GopPattern { frames, counts }
     }
 
     /// Frames per GOP.
@@ -100,17 +111,7 @@ impl GopPattern {
 
     /// Counts of (I, P, B) frames in one pattern repetition.
     pub fn type_counts(&self) -> (usize, usize, usize) {
-        let mut i = 0;
-        let mut p = 0;
-        let mut b = 0;
-        for f in &self.frames {
-            match f {
-                FrameType::I => i += 1,
-                FrameType::P => p += 1,
-                FrameType::B => b += 1,
-            }
-        }
-        (i, p, b)
+        self.counts
     }
 
     /// Relative size weight of a frame type, normalized so that the mean

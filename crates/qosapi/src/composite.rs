@@ -199,10 +199,30 @@ impl CompositeQosApi {
     /// The [`Projection`] onto the live buckets of a demand with these
     /// entries (distinct keys, zero amounts allowed): its LRB cost and
     /// whether it fits every bucket's total capacity.
+    #[inline]
     pub fn project(&self, entries: &[(ResourceKey, f64)]) -> Projection {
         entries
             .iter()
             .fold(Projection::EMPTY, |p, &(key, amount)| p.with(self.manager(key), amount))
+    }
+
+    /// Folds the entries of one server's buckets into `from`: the
+    /// [`project`](Self::project) fold continued with `entries` (distinct
+    /// kinds, zero amounts allowed) on `server`'s buckets, whose domain is
+    /// looked up once. The projection's max and conjunction do not depend
+    /// on fold order, so projecting a demand's entries in two parts, merged
+    /// this way, gives `project` of the whole bit for bit.
+    #[inline]
+    pub fn project_on(
+        &self,
+        from: Projection,
+        server: ServerId,
+        entries: &[(ResourceKind, f64)],
+    ) -> Projection {
+        let managers = self.domains.get(server.0 as usize).map(|d| &d.managers);
+        entries.iter().fold(from, |p, &(kind, amount)| {
+            p.with(managers.and_then(|m| m[kind as usize].as_ref()), amount)
+        })
     }
 
     /// Reserves `demand` atomically. Its keys are distinct, so the check
@@ -295,28 +315,26 @@ impl CompositeQosApi {
         self.domains.get(server.0 as usize).is_some_and(|d| d.failed.is_some())
     }
 
-    /// Renegotiates a reservation to `new_demand` atomically: on failure
-    /// the original reservation is kept under its id, with every bucket's
-    /// usage bit for bit as it was. Returns the new reservation id.
-    ///
-    /// Renegotiation happens "when QoS requirements are modified during
-    /// media playback" or "when the user-specified QoP is rejected by the
-    /// admission control module".
-    pub fn renegotiate(
-        &mut self,
+    /// Renegotiation check without touching anything: would
+    /// [`renegotiate`](Self::renegotiate) swap reservation `id` for a
+    /// demand with these entries right now? The keys are distinct, as in
+    /// a vector's [`entries`](ResourceVector::entries); a zero amount
+    /// always fits. `renegotiate` succeeds exactly when this passes.
+    pub fn admits_renegotiation(
+        &self,
         id: ReservationId,
-        new_demand: &ResourceVector,
-    ) -> Result<ReservationId, AdmissionError> {
+        entries: &[(ResourceKey, f64)],
+    ) -> Result<(), AdmissionError> {
         let Some(old) = self.demand_of(id) else {
             return Err(AdmissionError::UnknownReservation(id));
         };
-        // Both of a bucket's tests are decided before anything is touched.
-        // The headroom once the old share is returned is taken unclamped, so
-        // a bucket re-rated below its reservations shows its true negative
-        // slack. The post-release reserve's own test runs on the level the
-        // release will leave; it rounds `c - (u - o)` where the headroom
-        // rounds `(c - u) + o`, and the two can differ by an ulp.
-        for (key, amount) in new_demand.iter() {
+        // Both of a bucket's tests are decided here. The headroom once the
+        // old share is returned is taken unclamped, so a bucket re-rated
+        // below its reservations shows its true negative slack. The
+        // post-release reserve's own test runs on the level the release
+        // will leave; it rounds `c - (u - o)` where the headroom rounds
+        // `(c - u) + o`, and the two can differ by an ulp.
+        for &(key, amount) in entries.iter().filter(|&&(_, amount)| amount != 0.0) {
             let mgr = self.manager(key).ok_or(AdmissionError::UnknownBucket(key))?;
             let slack = mgr.capacity() - mgr.used() + old.get(key);
             let mut after = *mgr;
@@ -329,9 +347,25 @@ impl CompositeQosApi {
                 }));
             }
         }
+        Ok(())
+    }
+
+    /// Renegotiates a reservation to `new_demand` atomically: on failure
+    /// the original reservation is kept under its id, with every bucket's
+    /// usage bit for bit as it was. Returns the new reservation id.
+    ///
+    /// Renegotiation happens "when QoS requirements are modified during
+    /// media playback" or "when the user-specified QoP is rejected by the
+    /// admission control module".
+    pub fn renegotiate(
+        &mut self,
+        id: ReservationId,
+        new_demand: &ResourceVector,
+    ) -> Result<ReservationId, AdmissionError> {
+        self.admits_renegotiation(id, new_demand.entries())?;
         self.release(id);
         let renewed = self.reserve(new_demand);
-        debug_assert!(renewed.is_ok(), "the post-release test above is the reserve's own");
+        debug_assert!(renewed.is_ok(), "the check's post-release test is the reserve's own");
         renewed
     }
 }

@@ -349,3 +349,74 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The admission kernel's shortcuts agree with the whole-demand calls
+    /// on random bucket states: some servers failed (server 3 was never
+    /// there), some buckets re-rated below their usage, some amounts zero.
+    /// A candidate's five entries projected in two parts — its replica
+    /// side by `project`, then its target side by `project_on` — give
+    /// `project` of all five, bit for bit; and `admits_renegotiation`
+    /// passes exactly when `renegotiate` succeeds.
+    #[test]
+    fn split_projection_and_pure_renegotiation_check_match_the_whole_calls(
+        usage in proptest::collection::vec((0u32..3, 0usize..4, 0.0f64..1.0), 0..12),
+        held in proptest::collection::vec((0u32..3, 0usize..4, 0.0f64..0.3), 1..4),
+        rerates in proptest::collection::vec((0u32..3, 0usize..4, 0.05f64..1.5), 0..4),
+        failed in proptest::collection::vec(0u32..3, 0..2),
+        source in 0u32..4,
+        target in 0u32..4,
+        amounts in proptest::collection::vec((any::<bool>(), 0.0f64..0.6), 4..5),
+    ) {
+        let key = |s: u32, i: usize| ResourceKey::new(ServerId(s), ResourceKind::ALL[i]);
+        let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
+        for (s, i, f) in usage {
+            let _ = api.reserve(&ResourceVector::new().with(key(s, i), f * capacity_of(ResourceKind::ALL[i])));
+        }
+        let mut old = ResourceVector::new();
+        for (s, i, f) in held {
+            old.set(key(s, i), f * capacity_of(ResourceKind::ALL[i]));
+        }
+        let id = api.reserve(&old).ok();
+        for (s, i, factor) in rerates {
+            if let Some(used) = api.used(key(s, i)) {
+                let base = if used > 0.0 { used } else { capacity_of(ResourceKind::ALL[i]) };
+                api.set_capacity(key(s, i), factor * base);
+            }
+        }
+        for s in failed {
+            api.fail_server(ServerId(s));
+        }
+        // The candidate: a replica read on `source`, sent on to a remote
+        // `target`, which runs the pipeline. A drawn `false` zeroes an
+        // amount.
+        let amount = |(keep, f): (bool, f64), kind: ResourceKind| {
+            if keep { f * capacity_of(kind) } else { 0.0 }
+        };
+        let stored = amount(amounts[0], ResourceKind::DiskBandwidth) / 10.0;
+        let transfer = if source != target { stored } else { 0.0 };
+        let replica = [
+            (key(source, ResourceKind::DiskBandwidth as usize), stored),
+            (key(source, ResourceKind::NetBandwidth as usize), transfer),
+        ];
+        let target_side = [
+            (ResourceKind::Cpu, amount(amounts[1], ResourceKind::Cpu)),
+            (ResourceKind::NetBandwidth, amount(amounts[2], ResourceKind::NetBandwidth)),
+            (ResourceKind::Memory, amount(amounts[3], ResourceKind::Memory)),
+        ];
+        let mut whole = replica.to_vec();
+        whole.extend(target_side.map(|(kind, a)| (ResourceKey::new(ServerId(target), kind), a)));
+        let split = api.project_on(api.project(&replica), ServerId(target), &target_side);
+        let full = api.project(&whole);
+        prop_assert_eq!(split.max_fill.to_bits(), full.max_fill.to_bits());
+        prop_assert_eq!(split.fits_capacity, full.fits_capacity);
+        // A failed server's reservations are cancelled: an unknown id must
+        // bounce in both calls alike.
+        let id = id.unwrap_or(ReservationId(u64::MAX));
+        let predicted = api.admits_renegotiation(id, &whole).is_ok();
+        let actual = api.renegotiate(id, &ResourceVector::from_distinct(&whole)).is_ok();
+        prop_assert_eq!(predicted, actual);
+    }
+}

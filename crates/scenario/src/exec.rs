@@ -281,12 +281,24 @@ fn apply_workload(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), Scenari
         ])?;
         let mut adm = AdmissionConfig::default();
         if let Some(c) = av.opt_usize("queue_capacity")? {
+            if c == 0 {
+                return Err(schema_err(
+                    format!("{}.queue_capacity", av.path),
+                    "queue capacity must be at least 1",
+                ));
+            }
             adm.queue_capacity = c;
         }
         if let Some(s) = av.opt_secs("base_backoff_s")? {
             adm.base_backoff = SimDuration::from_secs_f64(s);
         }
         if let Some(f) = av.opt_f64("backoff_factor")? {
+            if !(f.is_finite() && f >= 1.0) {
+                return Err(schema_err(
+                    format!("{}.backoff_factor", av.path),
+                    format!("backoff factor must be finite and at least 1, found {f}"),
+                ));
+            }
             adm.backoff_factor = f;
         }
         if let Some(s) = av.opt_secs("max_backoff_s")? {
@@ -878,6 +890,32 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
         match run_str(&doc, ExecMode::Serial) {
             Err(ScenarioError::Schema { path, .. }) => assert_eq!(path, key),
             other => panic!("expected a schema error at {key}, got {other:?}"),
+        }
+    }
+
+    /// Runs the smoke scenario with `admission` as its workload's
+    /// admission table, and asserts it fails with a schema error at `key`.
+    fn assert_admission_rejected(admission: &str, key: &str) {
+        let doc = SMOKE
+            .replace("burst = 2\n", &format!("burst = 2\n[stage.load.admission]\n{admission}\n"));
+        match run_str(&doc, ExecMode::Serial) {
+            Err(ScenarioError::Schema { path, .. }) => assert_eq!(path, key),
+            other => panic!("expected a schema error at {key}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_a_schema_error() {
+        assert_admission_rejected("queue_capacity = 0", "stage.load.admission.queue_capacity");
+    }
+
+    #[test]
+    fn shrinking_backoff_factor_is_a_schema_error() {
+        for factor in ["0.5", "0", "-2", "1e400"] {
+            assert_admission_rejected(
+                &format!("backoff_factor = {factor}"),
+                "stage.load.admission.backoff_factor",
+            );
         }
     }
 

@@ -206,6 +206,9 @@ pub struct SharedLink {
     /// FairShare only: backlogged slots as `(cap, slot)` in ascending
     /// `(cap, FlowId)` order, the water-filling order.
     wf: Vec<(f64, u32)>,
+    /// FairShare only: the sum of the caps in `wf` (uncapped flows count
+    /// 0), which decides [`at_nominal_rates`](Self::at_nominal_rates).
+    wf_caps: u64,
     reserved_total: u64,
     /// Sum of the nominal rates of all *open* flows (reserved rates under
     /// `Reserved`, pacing caps under `FairShare`; uncapped flows contribute
@@ -244,6 +247,7 @@ impl SharedLink {
             slot_of: Vec::new(),
             active_by_id: Vec::new(),
             wf: Vec::new(),
+            wf_caps: 0,
             reserved_total: 0,
             demand_bps: 0,
             completions: Vec::new(),
@@ -345,6 +349,7 @@ impl SharedLink {
                 .binary_search_by(|&(c, s)| c.total_cmp(&cap).then(slots[s as usize].id.cmp(&id)))
                 .unwrap_err();
             self.wf.insert(pos, (cap, slot));
+            self.wf_caps += self.slots[slot as usize].rate_bps;
         }
     }
 
@@ -371,6 +376,38 @@ impl SharedLink {
             .binary_search_by(|&(c, s)| c.total_cmp(&cap).then(slots[s as usize].id.cmp(&id)))
         {
             self.wf.remove(pos);
+            self.wf_caps -= self.slots[slot as usize].rate_bps;
+        }
+    }
+
+    /// Whether every backlogged flow runs at exactly its nominal rate, so
+    /// that adding or removing one backlogged flow moves no other flow's
+    /// rate. Always under `Reserved`. Under `FairShare`, when every
+    /// backlogged flow is capped and the caps sum to at most the capacity:
+    /// water-filling then gives each flow its cap, since the caps and the
+    /// capacity are exact integers in `f64` (below 2^53) and rounding is
+    /// monotone, so each equal share rounds to at least the cap it is
+    /// compared with.
+    fn at_nominal_rates(&self) -> bool {
+        match self.policy {
+            SharePolicy::Reserved => true,
+            SharePolicy::FairShare => {
+                self.wf.last().is_none_or(|&(cap, _)| cap.is_finite())
+                    && self.wf_caps <= self.capacity_bps
+                    && self.capacity_bps <= 1 << f64::MANTISSA_DIGITS
+            }
+        }
+    }
+
+    /// Moves the newly backlogged `slot` to its nominal rate while every
+    /// other flow keeps its own (see
+    /// [`at_nominal_rates`](Self::at_nominal_rates)), and folds its
+    /// completion into the cached next one.
+    fn start_at_nominal_rate(&mut self, slot: u32) {
+        let f = &mut self.slots[slot as usize];
+        f.set_alloc(self.now, f.rate_bps as f64);
+        if f.done_at != NEVER {
+            self.next_done = Some(self.next_done.map_or(f.done_at, |d| d.min(f.done_at)));
         }
     }
 
@@ -427,6 +464,9 @@ impl SharedLink {
         self.advance_to(now);
         let Some(slot) = self.slot(flow) else { return };
         let backlogged = !self.slots[slot as usize].queue.is_empty();
+        // Removing a flow keeps the others at their nominal rates.
+        let others_keep_rates = self.at_nominal_rates();
+        let held_next = self.next_done == Some(self.slots[slot as usize].done_at);
         if backlogged {
             self.unmark_backlogged(slot);
         }
@@ -440,8 +480,10 @@ impl SharedLink {
         f.done_at = NEVER;
         self.slot_of[flow.0 as usize] = NO_SLOT;
         self.free.push(slot);
-        if backlogged {
+        if backlogged && !others_keep_rates {
             self.reallocate();
+        } else if backlogged && held_next {
+            self.refresh_next_done();
         }
     }
 
@@ -507,9 +549,14 @@ impl SharedLink {
             // Idle -> backlogged changes the active set; queueing behind an
             // existing transfer does not. An idle slot holds rate 0, so the
             // allocation anchors the new front at `now` as it moves it to
-            // its share (a zero-byte front is then due at once).
+            // its share (a zero-byte front is then due at once). When the
+            // flows stay at their nominal rates, only this one moves.
             self.mark_backlogged(slot);
-            self.reallocate();
+            if self.at_nominal_rates() {
+                self.start_at_nominal_rate(slot);
+            } else {
+                self.reallocate();
+            }
         }
         Ok(id)
     }
@@ -605,9 +652,12 @@ impl SharedLink {
     /// Pops every front due by `at` (the earliest `done_at`), scanning
     /// backlogged flows in id order and compacting the index in place. A
     /// flow moving on to its next queued transfer anchors it at `at` and
-    /// keeps its rate; only a backlogged->idle transition reallocates.
+    /// keeps its rate; only a backlogged->idle transition reallocates, and
+    /// not while every flow runs at its nominal rate.
     fn complete_at(&mut self, at: SimTime) {
         self.now = at;
+        // Flows draining to idle keep the rest at their nominal rates.
+        let others_keep_rates = self.at_nominal_rates();
         let mut drained_to_idle = false;
         let mut kept = 0;
         for i in 0..self.active_by_id.len() {
@@ -629,7 +679,7 @@ impl SharedLink {
             }
         }
         self.active_by_id.truncate(kept);
-        if drained_to_idle {
+        if drained_to_idle && !others_keep_rates {
             self.reallocate();
         } else {
             self.refresh_next_done();
@@ -1067,5 +1117,72 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!((done[0].xfer, done[0].at), (x, SimTime::ZERO));
         assert_eq!(link.backlogged_flows(), 0);
+    }
+
+    /// Every slot's `(alloc bits, anchor, done_at, front bytes bits)` and
+    /// the cached next completion.
+    type Snapshot = (Vec<(u64, SimTime, SimTime, u64)>, Option<SimTime>);
+
+    fn snapshot(link: &SharedLink) -> Snapshot {
+        let slots = link.slots.iter().map(|f| {
+            let front = f.queue.front().map_or(0, |&(_, b)| b.to_bits());
+            (f.alloc.to_bits(), f.anchor, f.done_at, front)
+        });
+        (slots.collect(), link.next_done)
+    }
+
+    #[test]
+    fn nominal_rate_shortcut_leaves_what_reallocation_would() {
+        // `send`, `close_flow` and drain-to-idle move only the touched flow
+        // while every flow runs at its nominal rate. After each op a full
+        // reallocation must change nothing: no rate, anchor, completion or
+        // cached next event. Caps of 60..420 KB/s on a 1000 KB/s link keep
+        // the cap sum crossing the capacity both ways.
+        let (mut nominal, mut squeezed) = (0, 0);
+        for seed in 0..40u64 {
+            let reserved = seed % 2 == 1;
+            let mut rng = crate::Rng::new(seed);
+            let mut link = if reserved {
+                SharedLink::reserved(1000 * KB)
+            } else {
+                SharedLink::fair_share(1000 * KB)
+            };
+            let mut flows = Vec::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..300 {
+                match rng.below(6) {
+                    0 => {
+                        let cap = match rng.below(8) {
+                            0 if !reserved => None,
+                            r => Some(r.max(1) * 60 * KB),
+                        };
+                        flows.extend(link.open_flow(now, cap).ok());
+                    }
+                    1 if !flows.is_empty() => {
+                        let flow = flows.swap_remove(rng.index(flows.len()));
+                        link.close_flow(now, flow);
+                    }
+                    2 | 3 if !flows.is_empty() => {
+                        let flow = flows[rng.index(flows.len())];
+                        if !reserved && link.backlogged_flows() > 0 {
+                            if link.at_nominal_rates() {
+                                nominal += 1;
+                            } else {
+                                squeezed += 1;
+                            }
+                        }
+                        link.send(now, flow, rng.range_u64(1, 200) * KB).unwrap();
+                    }
+                    _ => {
+                        now += SimDuration::from_millis(rng.below(500));
+                        link.advance_to(now);
+                    }
+                }
+                let before = snapshot(&link);
+                link.reallocate();
+                assert_eq!(snapshot(&link), before, "seed {seed}");
+            }
+        }
+        assert!(nominal > 0 && squeezed > 0, "nominal {nominal}, squeezed {squeezed}");
     }
 }
