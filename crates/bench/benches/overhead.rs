@@ -6,7 +6,8 @@
 //! milliseconds) in QuaSAQ is negligible."
 //!
 //! Criterion micro-benchmarks measure the per-query planning pipeline
-//! (plan generation, LRB ranking, full admit) plus the SQL front-end, and
+//! (plan generation, LRB ranking, full admit), the QoS-API baseline's
+//! admission, and the SQL front-end, and
 //! a printed section reports the modelled DSRT overhead and the pruning
 //! ablation (plan-space sizes with and without the static rules).
 
@@ -16,8 +17,10 @@ use quasaq_core::{
     GeneratorConfig, LrbModel, PlanGenerator, PlanRequest, QopRequest, QopSecurity, UserProfile,
 };
 use quasaq_media::VideoId;
+use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::cpu::Dsrt;
 use quasaq_sim::Rng;
+use quasaq_vdbms::{BaselineKind, BaselinePlanner};
 use quasaq_workload::{CostKind, Testbed, TestbedConfig};
 use std::hint::black_box;
 
@@ -78,6 +81,34 @@ fn bench_planning(c: &mut Criterion) {
         b.iter(|| {
             let outcome = manager.process(&testbed.engine, black_box(&refused), &mut rng);
             black_box(outcome.expect_err("a saturated cluster refuses"))
+        })
+    });
+
+    // The QoS-API baseline's admission at 100 servers and 10,000 videos
+    // (the `dataplane_qosapi100` catalog): pick the full-quality replica,
+    // reserve its stream on the chosen server, release it. Videos cycle so
+    // lookups range over the whole catalog.
+    let testbed = Testbed::build(TestbedConfig::scale(100, 10_000));
+    c.bench_function("qosapi_admit_release_100", |b| {
+        let planner = BaselinePlanner::new(BaselineKind::WithQosApi);
+        let mut api = testbed.qos_api();
+        let headroom = testbed.config.cost.reservation_headroom;
+        let mut rng = Rng::new(6);
+        let mut video = 0;
+        b.iter(|| {
+            video = (video + 1) % 10_000;
+            let choice = planner.select(&testbed.engine, VideoId(video), &mut rng).expect("held");
+            let (server, profile) = (choice.server, choice.record.profile);
+            let demand = ResourceVector::new()
+                .with(
+                    ResourceKey::new(server, ResourceKind::Cpu),
+                    (profile.cpu_share * headroom).min(1.0),
+                )
+                .with(ResourceKey::new(server, ResourceKind::NetBandwidth), profile.net_bps)
+                .with(ResourceKey::new(server, ResourceKind::DiskBandwidth), profile.disk_bps)
+                .with(ResourceKey::new(server, ResourceKind::Memory), profile.memory_bytes);
+            let res = api.reserve(&demand).expect("an idle cluster admits");
+            api.release(res);
         })
     });
 

@@ -335,7 +335,7 @@ impl PlanGenerator {
         out.allow_remote = self.cfg.allow_remote;
         let Some(meta) = engine.video(request.video) else { return };
         let gop = &meta.gop;
-        out.sites.extend(engine.sites());
+        out.sites.extend_from_slice(engine.sites());
 
         // A5: encryption — depends only on the request, so build it once
         // for all replicas.
@@ -460,7 +460,7 @@ impl PlanGenerator {
     /// pruning ablation.
     pub fn combinatorial_bound(&self, engine: &MetadataEngine, video: VideoId) -> usize {
         let replicas = engine.replicas(video).len();
-        let sites = engine.sites().count();
+        let sites = engine.sites().len();
         replicas * sites * DropStrategy::ALL.len() * 2 * CipherAlgo::ALL.len()
     }
 }
@@ -495,7 +495,7 @@ mod tests {
         for s in ServerId::first_n(3) {
             stores.insert(s, ObjectStore::new(s, 1 << 40));
         }
-        let mut engine = MetadataEngine::new(ServerId::first_n(3), 16);
+        let mut engine = MetadataEngine::new(ServerId::first_n(3));
         ReplicationPlanner::new(QosSampler::default(), Placement::Full)
             .replicate(&lib, &mut stores, &mut engine)
             .unwrap();

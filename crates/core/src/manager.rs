@@ -455,7 +455,7 @@ mod tests {
         for s in ServerId::first_n(3) {
             stores.insert(s, ObjectStore::new(s, 1 << 40));
         }
-        let mut engine = MetadataEngine::new(ServerId::first_n(3), 16);
+        let mut engine = MetadataEngine::new(ServerId::first_n(3));
         ReplicationPlanner::new(QosSampler::default(), Placement::Full)
             .replicate(&lib, &mut stores, &mut engine)
             .unwrap();

@@ -36,7 +36,7 @@ fn engine(servers: u32, failed_sites: &[ServerId]) -> MetadataEngine {
     for s in ServerId::first_n(servers) {
         stores.insert(s, ObjectStore::new(s, 1 << 40));
     }
-    let mut engine = MetadataEngine::new(ServerId::first_n(servers), 16);
+    let mut engine = MetadataEngine::new(ServerId::first_n(servers));
     ReplicationPlanner::new(QosSampler::default(), Placement::Full)
         .replicate(&lib, &mut stores, &mut engine)
         .unwrap();

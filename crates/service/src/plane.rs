@@ -158,6 +158,8 @@ pub struct ControlPlane {
     last_upshift: HashMap<ServerId, SimTime>,
     sessions: Vec<Option<SessionRecord>>,
     counters: Counters,
+    /// The QoS-API baseline's candidate servers, reused across admissions.
+    candidate_servers: Vec<ServerId>,
 }
 
 impl ControlPlane {
@@ -179,6 +181,7 @@ impl ControlPlane {
             last_upshift: HashMap::new(),
             sessions: Vec::new(),
             counters: Counters::default(),
+            candidate_servers: Vec::new(),
         }
     }
 
@@ -752,16 +755,19 @@ impl ControlPlane {
                 // The baseline has no cost model, but admission may try
                 // each server holding the (full-quality) replica in
                 // random order.
-                let mut servers: Vec<ServerId> = engine
-                    .replicas(q.video)
-                    .iter()
-                    .filter(|r| r.object.rate_bps == choice.record.object.rate_bps)
-                    .map(|r| r.object.server)
-                    .collect();
+                let servers = &mut self.candidate_servers;
+                servers.clear();
+                servers.extend(
+                    engine
+                        .replicas(q.video)
+                        .iter()
+                        .filter(|r| r.object.rate_bps == choice.record.object.rate_bps)
+                        .map(|r| r.object.server),
+                );
                 servers.dedup();
-                self.rng.shuffle(&mut servers);
+                self.rng.shuffle(servers);
                 let profile = choice.record.profile;
-                for server in servers {
+                for &server in &*servers {
                     let demand = ResourceVector::new()
                         .with(
                             ResourceKey::new(server, ResourceKind::Cpu),

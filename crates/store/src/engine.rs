@@ -1,240 +1,157 @@
 //! The Distributed Metadata Engine.
 //!
 //! "We distribute the metadata in various locations enabling ease of use
-//! and migration. Caching is used to accelerate non-local metadata
-//! accesses." Content metadata is small and fully replicated; object
-//! records are partitioned by owning server, and each site keeps a
-//! bounded FIFO cache of remote records with hit/miss accounting.
+//! and migration." Content metadata is small and fully replicated. Each
+//! logical video's replica records (quality, distribution and QoS-profile
+//! metadata) are stored once and contiguously, in registration order, so
+//! the Plan Generator reads "all replica records of a logical video" as
+//! one slice. The paper's cache for non-local metadata accesses is not
+//! modelled: no remote access has a cost in this reproduction.
 
 use crate::metadata::{ObjectRecord, QosProfile};
 use crate::object::{PhysicalObject, PhysicalOid, StoreError};
 use quasaq_media::{VideoId, VideoMeta};
 use quasaq_sim::ServerId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Per-site cache of remote object records.
+/// One logical video's slot in the engine's table.
 #[derive(Debug, Default)]
-struct SiteCache {
-    entries: HashMap<PhysicalOid, ObjectRecord>,
-    order: VecDeque<PhysicalOid>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl SiteCache {
-    fn new(capacity: usize) -> Self {
-        SiteCache { capacity, ..Default::default() }
-    }
-
-    fn get(&mut self, oid: PhysicalOid) -> Option<ObjectRecord> {
-        match self.entries.get(&oid) {
-            Some(rec) => {
-                self.hits += 1;
-                Some(rec.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, rec: ObjectRecord) {
-        if self.capacity == 0 {
-            return;
-        }
-        let oid = rec.object.oid;
-        if self.entries.insert(oid, rec).is_none() {
-            self.order.push_back(oid);
-            while self.order.len() > self.capacity {
-                if let Some(evict) = self.order.pop_front() {
-                    self.entries.remove(&evict);
-                }
-            }
-        }
-    }
-
-    fn invalidate(&mut self, oid: PhysicalOid) {
-        self.entries.remove(&oid);
-        self.order.retain(|&o| o != oid);
-    }
-}
-
-/// Cache hit/miss statistics for one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Remote lookups served from the local cache.
-    pub hits: u64,
-    /// Remote lookups that had to go to the owning site.
-    pub misses: u64,
+struct VideoEntry {
+    /// Content metadata, once the video is registered.
+    meta: Option<VideoMeta>,
+    /// Replica records in registration order.
+    replicas: Vec<ObjectRecord>,
 }
 
 /// The distributed metadata engine.
 #[derive(Debug)]
 pub struct MetadataEngine {
-    /// Fully replicated content metadata.
-    content: BTreeMap<VideoId, VideoMeta>,
-    /// Object records partitioned by owning server.
-    sites: BTreeMap<ServerId, BTreeMap<PhysicalOid, ObjectRecord>>,
-    /// Distribution metadata: logical OID -> replica locations.
-    directory: BTreeMap<VideoId, Vec<(PhysicalOid, ServerId)>>,
-    /// Per-site caches of remote records.
-    caches: BTreeMap<ServerId, SiteCache>,
+    /// Indexed by `VideoId`. Its length follows the largest id registered,
+    /// so it is dense for a catalog's ids, which run from 0.
+    videos: Vec<VideoEntry>,
+    /// Physical OID -> the video whose slice holds its record.
+    oids: BTreeMap<PhysicalOid, VideoId>,
+    /// The sites this engine spans, ascending.
+    sites: Vec<ServerId>,
 }
 
 impl MetadataEngine {
-    /// Creates an engine for the given sites, each with a remote-record
-    /// cache of `cache_capacity` entries.
-    pub fn new(servers: impl IntoIterator<Item = ServerId>, cache_capacity: usize) -> Self {
-        let mut sites = BTreeMap::new();
-        let mut caches = BTreeMap::new();
-        for s in servers {
-            sites.insert(s, BTreeMap::new());
-            caches.insert(s, SiteCache::new(cache_capacity));
+    /// Creates an engine spanning the given sites.
+    pub fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
+        let mut sites: Vec<ServerId> = servers.into_iter().collect();
+        sites.sort_unstable();
+        sites.dedup();
+        MetadataEngine { videos: Vec::new(), oids: BTreeMap::new(), sites }
+    }
+
+    fn entry_mut(&mut self, id: VideoId) -> &mut VideoEntry {
+        let idx = id.0 as usize;
+        if idx >= self.videos.len() {
+            self.videos.resize_with(idx + 1, VideoEntry::default);
         }
-        MetadataEngine { content: BTreeMap::new(), sites, directory: BTreeMap::new(), caches }
+        &mut self.videos[idx]
     }
 
     /// Registers a logical video's content metadata.
     pub fn insert_video(&mut self, meta: VideoMeta) {
-        self.content.insert(meta.id, meta);
+        let id = meta.id;
+        self.entry_mut(id).meta = Some(meta);
     }
 
     /// Content metadata of a video.
     pub fn video(&self, id: VideoId) -> Option<&VideoMeta> {
-        self.content.get(&id)
+        self.videos.get(id.0 as usize)?.meta.as_ref()
     }
 
     /// All registered videos in id order.
     pub fn videos(&self) -> impl Iterator<Item = &VideoMeta> {
-        self.content.values()
+        self.videos.iter().filter_map(|e| e.meta.as_ref())
     }
 
-    /// Registers a stored replica and its QoS profile; updates the
-    /// distribution directory.
+    /// Registers a stored replica and its QoS profile, appending it to its
+    /// video's replica records.
     ///
     /// A placement naming a server this engine does not span is rejected
-    /// with [`StoreError::UnknownSite`] before any state is touched, so a
-    /// malformed placement leaves directory and partitions consistent.
+    /// with [`StoreError::UnknownSite`], and one reusing a registered
+    /// physical OID with [`StoreError::DuplicateOid`], both before any
+    /// state is touched, so a malformed placement leaves the engine as it
+    /// was.
     pub fn insert_object(
         &mut self,
         object: PhysicalObject,
         profile: QosProfile,
     ) -> Result<(), StoreError> {
-        let Some(site) = self.sites.get_mut(&object.server) else {
+        if self.sites.binary_search(&object.server).is_err() {
             return Err(StoreError::UnknownSite(object.server));
-        };
-        self.directory.entry(object.video).or_default().push((object.oid, object.server));
-        site.insert(object.oid, ObjectRecord { object, profile });
+        }
+        if self.oids.contains_key(&object.oid) {
+            return Err(StoreError::DuplicateOid(object.oid));
+        }
+        self.oids.insert(object.oid, object.video);
+        self.entry_mut(object.video).replicas.push(ObjectRecord { object, profile });
         Ok(())
     }
 
-    /// Removes a replica from its site and the directory, invalidating
-    /// caches.
+    /// Removes a replica, keeping the order of its video's other records.
     pub fn remove_object(&mut self, oid: PhysicalOid) -> Option<ObjectRecord> {
-        let mut removed = None;
-        for site in self.sites.values_mut() {
-            if let Some(rec) = site.remove(&oid) {
-                removed = Some(rec);
-                break;
-            }
-        }
-        if let Some(rec) = &removed {
-            if let Some(locs) = self.directory.get_mut(&rec.object.video) {
-                locs.retain(|&(o, _)| o != oid);
-            }
-            for cache in self.caches.values_mut() {
-                cache.invalidate(oid);
-            }
-        }
-        removed
+        let video = self.oids.remove(&oid)?;
+        let replicas = &mut self.videos[video.0 as usize].replicas;
+        let pos = replicas.iter().position(|r| r.object.oid == oid)?;
+        Some(replicas.remove(pos))
     }
 
-    /// All replica records of a logical video, across all sites — the
-    /// Plan Generator's raw material ("A given logical object may be
-    /// replicated at multiple sites and further with different formats").
-    pub fn replicas(&self, video: VideoId) -> Vec<&ObjectRecord> {
-        let Some(locs) = self.directory.get(&video) else { return Vec::new() };
-        locs.iter()
-            .filter_map(|&(oid, server)| self.sites.get(&server).and_then(|s| s.get(&oid)))
-            .collect()
+    /// All replica records of a logical video, across all sites, in
+    /// registration order — the Plan Generator's raw material ("A given
+    /// logical object may be replicated at multiple sites and further with
+    /// different formats"). Empty for an unknown video.
+    pub fn replicas(&self, video: VideoId) -> &[ObjectRecord] {
+        self.videos.get(video.0 as usize).map_or(&[], |e| &e.replicas)
     }
 
     /// Direct (location-transparent) record lookup.
     pub fn record(&self, oid: PhysicalOid) -> Option<&ObjectRecord> {
-        self.sites.values().find_map(|s| s.get(&oid))
-    }
-
-    /// A lookup issued *from* a particular site: local records are free;
-    /// remote records go through the site's cache (hit) or to the owning
-    /// site (miss, then cached). Returns the record and whether the access
-    /// was remote-and-missed.
-    pub fn lookup_from(
-        &mut self,
-        from: ServerId,
-        oid: PhysicalOid,
-    ) -> Option<(ObjectRecord, bool)> {
-        // Local partition first.
-        if let Some(rec) = self.sites.get(&from).and_then(|s| s.get(&oid)) {
-            return Some((rec.clone(), false));
-        }
-        // Remote: consult the cache.
-        if let Some(cache) = self.caches.get_mut(&from) {
-            if let Some(rec) = cache.get(oid) {
-                return Some((rec, false));
-            }
-        }
-        // Miss: fetch from the owning site and fill the cache.
-        let rec = self
-            .sites
-            .iter()
-            .filter(|&(&s, _)| s != from)
-            .find_map(|(_, site)| site.get(&oid))?
-            .clone();
-        if let Some(cache) = self.caches.get_mut(&from) {
-            cache.put(rec.clone());
-        }
-        Some((rec, true))
-    }
-
-    /// Cache statistics for a site.
-    pub fn cache_stats(&self, site: ServerId) -> Option<CacheStats> {
-        self.caches.get(&site).map(|c| CacheStats { hits: c.hits, misses: c.misses })
+        let &video = self.oids.get(&oid)?;
+        self.replicas(video).iter().find(|r| r.object.oid == oid)
     }
 
     /// Total number of object records across all sites.
     pub fn object_count(&self) -> usize {
-        self.sites.values().map(|s| s.len()).sum()
+        self.oids.len()
     }
 
     /// The largest physical OID registered anywhere (for allocating fresh
     /// OIDs after engine state was rebuilt).
     pub fn max_oid(&self) -> Option<PhysicalOid> {
-        self.sites.values().flat_map(|s| s.keys().copied()).max()
+        self.oids.last_key_value().map(|(&oid, _)| oid)
     }
 
-    /// Simulates the loss of a site: its object partition and cache are
-    /// dropped, the directory forgets its replicas, and other sites'
-    /// caches are purged of its records. Returns the lost physical OIDs.
+    /// Simulates the loss of a site: the engine stops spanning it and
+    /// forgets its replicas, keeping the order of every video's surviving
+    /// records. Returns the lost physical OIDs in ascending order; an
+    /// unknown site loses nothing.
     pub fn fail_site(&mut self, server: ServerId) -> Vec<PhysicalOid> {
-        let Some(partition) = self.sites.remove(&server) else { return Vec::new() };
-        self.caches.remove(&server);
-        let lost: Vec<PhysicalOid> = partition.keys().copied().collect();
-        for locs in self.directory.values_mut() {
-            locs.retain(|&(_, s)| s != server);
+        let Ok(pos) = self.sites.binary_search(&server) else { return Vec::new() };
+        self.sites.remove(pos);
+        let mut lost = Vec::new();
+        for entry in &mut self.videos {
+            entry.replicas.retain(|r| {
+                let here = r.object.server == server;
+                if here {
+                    lost.push(r.object.oid);
+                }
+                !here
+            });
         }
-        for cache in self.caches.values_mut() {
-            for &oid in &lost {
-                cache.invalidate(oid);
-            }
+        for oid in &lost {
+            self.oids.remove(oid);
         }
+        lost.sort_unstable();
         lost
     }
 
-    /// The sites this engine spans.
-    pub fn sites(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.sites.keys().copied()
+    /// The sites this engine spans, ascending.
+    pub fn sites(&self) -> &[ServerId] {
+        &self.sites
     }
 }
 
@@ -275,7 +192,11 @@ mod tests {
     }
 
     fn engine() -> MetadataEngine {
-        MetadataEngine::new(ServerId::first_n(3), 8)
+        MetadataEngine::new(ServerId::first_n(3))
+    }
+
+    fn oids(records: &[ObjectRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.object.oid.0).collect()
     }
 
     #[test]
@@ -302,73 +223,52 @@ mod tests {
     }
 
     #[test]
-    fn local_lookup_bypasses_cache() {
+    fn unknown_ids_find_nothing() {
         let mut e = engine();
         e.insert_object(obj(1, 0, 0), QosProfile::ZERO).unwrap();
-        let (rec, missed) = e.lookup_from(ServerId(0), PhysicalOid(1)).unwrap();
-        assert_eq!(rec.object.oid, PhysicalOid(1));
-        assert!(!missed);
-        let stats = e.cache_stats(ServerId(0)).unwrap();
-        assert_eq!(stats, CacheStats { hits: 0, misses: 0 });
+        // A wire client can name any id: out-of-range lookups are empty.
+        assert!(e.replicas(VideoId(u32::MAX)).is_empty());
+        assert!(e.video(VideoId(u32::MAX)).is_none());
+        assert!(e.record(PhysicalOid(u64::MAX)).is_none());
+        assert!(e.remove_object(PhysicalOid(u64::MAX)).is_none());
+        assert_eq!(e.object_count(), 1);
     }
 
     #[test]
-    fn remote_lookup_caches() {
+    fn removal_keeps_the_order_of_what_is_left() {
         let mut e = engine();
-        e.insert_object(obj(1, 0, 1), QosProfile::ZERO).unwrap();
-        // First remote access misses.
-        let (_, missed) = e.lookup_from(ServerId(0), PhysicalOid(1)).unwrap();
-        assert!(missed);
-        // Second hits the cache.
-        let (_, missed) = e.lookup_from(ServerId(0), PhysicalOid(1)).unwrap();
-        assert!(!missed);
-        let stats = e.cache_stats(ServerId(0)).unwrap();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn cache_eviction_is_bounded() {
-        let mut e = MetadataEngine::new(ServerId::first_n(2), 2);
-        for i in 0..5 {
-            e.insert_object(obj(i, 0, 1), QosProfile::ZERO).unwrap();
+        for (oid, server) in [(1, 1), (2, 0), (3, 2), (4, 1)] {
+            e.insert_object(obj(oid, 0, server), QosProfile::ZERO).unwrap();
         }
-        for i in 0..5 {
-            e.lookup_from(ServerId(0), PhysicalOid(i));
-        }
-        // Re-access the first: evicted, so it misses again.
-        let (_, missed) = e.lookup_from(ServerId(0), PhysicalOid(0)).unwrap();
-        assert!(missed);
-    }
-
-    #[test]
-    fn removal_updates_directory_and_caches() {
-        let mut e = engine();
-        e.insert_object(obj(1, 0, 1), QosProfile::ZERO).unwrap();
-        e.lookup_from(ServerId(0), PhysicalOid(1));
-        let removed = e.remove_object(PhysicalOid(1)).unwrap();
-        assert_eq!(removed.object.oid, PhysicalOid(1));
-        assert!(e.replicas(VideoId(0)).is_empty());
-        assert!(e.lookup_from(ServerId(0), PhysicalOid(1)).is_none());
-        assert!(e.remove_object(PhysicalOid(1)).is_none());
+        let removed = e.remove_object(PhysicalOid(2)).unwrap();
+        assert_eq!(removed.object.oid, PhysicalOid(2));
+        assert_eq!(oids(e.replicas(VideoId(0))), [1, 3, 4]);
+        assert!(e.record(PhysicalOid(2)).is_none());
+        assert!(e.remove_object(PhysicalOid(2)).is_none());
+        assert_eq!(e.object_count(), 3);
+        assert_eq!(e.max_oid(), Some(PhysicalOid(4)));
     }
 
     #[test]
     fn site_failure_forgets_its_replicas() {
         let mut e = engine();
         e.insert_video(meta(0));
+        e.insert_object(obj(4, 0, 1), QosProfile::ZERO).unwrap();
         e.insert_object(obj(1, 0, 0), QosProfile::ZERO).unwrap();
         e.insert_object(obj(2, 0, 1), QosProfile::ZERO).unwrap();
-        // Warm server 0's cache with server 1's record.
-        e.lookup_from(ServerId(0), PhysicalOid(2));
-        let lost = e.fail_site(ServerId(1));
-        assert_eq!(lost, vec![PhysicalOid(2)]);
-        // Directory and caches no longer serve the lost replica.
-        assert_eq!(e.replicas(VideoId(0)).len(), 1);
-        assert!(e.lookup_from(ServerId(0), PhysicalOid(2)).is_none());
-        assert_eq!(e.sites().count(), 2);
-        // Failing an unknown site is a no-op.
+        e.insert_object(obj(3, 0, 2), QosProfile::ZERO).unwrap();
+        // Lost OIDs come back ascending, whatever their registration order.
+        assert_eq!(e.fail_site(ServerId(1)), vec![PhysicalOid(2), PhysicalOid(4)]);
+        assert_eq!(oids(e.replicas(VideoId(0))), [1, 3]);
+        assert!(e.record(PhysicalOid(2)).is_none());
+        assert_eq!(e.sites(), [ServerId(0), ServerId(2)]);
+        assert_eq!(e.object_count(), 2);
+        // Failing an unknown (or already failed) site is a no-op.
         assert!(e.fail_site(ServerId(9)).is_empty());
+        assert!(e.fail_site(ServerId(1)).is_empty());
+        // The failed site takes no new placements.
+        let err = e.insert_object(obj(5, 0, 1), QosProfile::ZERO).unwrap_err();
+        assert_eq!(err, StoreError::UnknownSite(ServerId(1)));
     }
 
     #[test]
@@ -376,11 +276,36 @@ mod tests {
         let mut e = engine();
         let err = e.insert_object(obj(1, 0, 9), QosProfile::ZERO).unwrap_err();
         assert_eq!(err, StoreError::UnknownSite(ServerId(9)));
-        // The rejected placement left no trace: directory and partitions
-        // are untouched, and the engine keeps working.
+        // The rejected placement left no trace, and the engine keeps
+        // working.
         assert!(e.replicas(VideoId(0)).is_empty());
         assert_eq!(e.object_count(), 0);
         e.insert_object(obj(1, 0, 0), QosProfile::ZERO).unwrap();
         assert_eq!(e.replicas(VideoId(0)).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_oid_on_another_server_is_rejected() {
+        let mut e = engine();
+        e.insert_object(obj(1, 0, 0), QosProfile::ZERO).unwrap();
+        let err = e.insert_object(obj(1, 0, 1), QosProfile::ZERO).unwrap_err();
+        assert_eq!(err, StoreError::DuplicateOid(PhysicalOid(1)));
+        assert_eq!(e.replicas(VideoId(0)).len(), 1);
+        // Removing the OID removes every trace of it.
+        e.remove_object(PhysicalOid(1)).unwrap();
+        assert!(e.replicas(VideoId(0)).is_empty());
+        assert_eq!(e.object_count(), 0);
+        assert!(e.record(PhysicalOid(1)).is_none());
+    }
+
+    #[test]
+    fn duplicate_oid_on_the_same_server_is_rejected() {
+        let mut e = engine();
+        e.insert_object(obj(1, 0, 0), QosProfile::ZERO).unwrap();
+        let err = e.insert_object(obj(1, 3, 0), QosProfile::ZERO).unwrap_err();
+        assert_eq!(err, StoreError::DuplicateOid(PhysicalOid(1)));
+        assert_eq!(oids(e.replicas(VideoId(0))), [1]);
+        assert!(e.replicas(VideoId(3)).is_empty());
+        assert_eq!(e.object_count(), 1);
     }
 }

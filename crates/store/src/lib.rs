@@ -6,9 +6,9 @@
 //! * [`object`] — physical OIDs, stored replicas, and per-server
 //!   disk-space accounting ([`ObjectStore`]).
 //! * [`metadata`] — object records and static per-replica QoS profiles.
-//! * [`engine`] — the [`MetadataEngine`]: replicated content metadata,
-//!   per-site object partitions, a distribution directory mapping logical
-//!   to physical OIDs, and bounded caches for non-local lookups.
+//! * [`engine`] — the [`MetadataEngine`]: replicated content metadata
+//!   and, per logical video, its replica records (the distribution
+//!   metadata mapping logical to physical OIDs) in one slice.
 //! * [`replication`] — offline replication ([`ReplicationPlanner`], full
 //!   or round-robin placement), the [`QosSampler`], and an online
 //!   access-driven migration planner (extension).
@@ -18,7 +18,7 @@ pub mod metadata;
 pub mod object;
 pub mod replication;
 
-pub use engine::{CacheStats, MetadataEngine};
+pub use engine::MetadataEngine;
 pub use metadata::{ObjectRecord, QosProfile};
 pub use object::{ObjectStore, PhysicalObject, PhysicalOid, StoreError};
 pub use replication::{

@@ -59,6 +59,8 @@ pub enum StoreError {
     NotFound(PhysicalOid),
     /// The placement names a server the metadata engine does not span.
     UnknownSite(ServerId),
+    /// The physical OID is already registered with the metadata engine.
+    DuplicateOid(PhysicalOid),
 }
 
 impl fmt::Display for StoreError {
@@ -69,6 +71,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::NotFound(oid) => write!(f, "{oid} not found"),
             StoreError::UnknownSite(server) => write!(f, "unknown site {server}"),
+            StoreError::DuplicateOid(oid) => write!(f, "{oid} already registered"),
         }
     }
 }

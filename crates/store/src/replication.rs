@@ -221,10 +221,9 @@ pub fn plan_migrations(
     stats: &AccessStats,
     hot_threshold: u64,
 ) -> Vec<Migration> {
-    let servers: Vec<ServerId> = engine.sites().collect();
+    let servers = engine.sites();
     let mut migrations = Vec::new();
-    let videos: Vec<VideoId> = engine.videos().map(|m| m.id).collect();
-    for video in videos {
+    for video in engine.videos().map(|m| m.id) {
         if stats.video_total(video) < hot_threshold {
             continue;
         }
@@ -233,7 +232,7 @@ pub fn plan_migrations(
             continue;
         };
         // Distinct tiers in stable order (highest rate first).
-        let mut tiers: Vec<&ObjectRecord> = replicas.clone();
+        let mut tiers: Vec<&ObjectRecord> = replicas.iter().collect();
         tiers.sort_by(|a, b| {
             b.object.rate_bps.cmp(&a.object.rate_bps).then(a.object.oid.cmp(&b.object.oid))
         });
@@ -261,7 +260,7 @@ mod tests {
         for s in ServerId::first_n(3) {
             stores.insert(s, ObjectStore::new(s, 1 << 40));
         }
-        let mut engine = MetadataEngine::new(ServerId::first_n(3), 16);
+        let mut engine = MetadataEngine::new(ServerId::first_n(3));
         let mut planner = ReplicationPlanner::new(QosSampler::default(), placement);
         planner.replicate(&library, &mut stores, &mut engine).unwrap();
         (library, stores, engine)
@@ -359,7 +358,7 @@ mod tests {
         let mut stores = BTreeMap::new();
         // One tiny store: replication must fail.
         stores.insert(ServerId(0), ObjectStore::new(ServerId(0), 1_000));
-        let mut engine = MetadataEngine::new([ServerId(0)], 4);
+        let mut engine = MetadataEngine::new([ServerId(0)]);
         let mut planner = ReplicationPlanner::new(QosSampler::default(), Placement::Full);
         assert!(matches!(
             planner.replicate(&library, &mut stores, &mut engine),
@@ -374,7 +373,7 @@ mod tests {
         // previously this placement aborted the process via panic.
         let mut stores = BTreeMap::new();
         stores.insert(ServerId(7), ObjectStore::new(ServerId(7), 1 << 40));
-        let mut engine = MetadataEngine::new([ServerId(0)], 4);
+        let mut engine = MetadataEngine::new([ServerId(0)]);
         let mut planner = ReplicationPlanner::new(QosSampler::default(), Placement::Full);
         let err = planner.replicate(&library, &mut stores, &mut engine).unwrap_err();
         assert_eq!(err, StoreError::UnknownSite(ServerId(7)));

@@ -1,0 +1,171 @@
+//! Model check of the dense metadata engine against the layout it
+//! replaced: records partitioned by owning site, a directory of replica
+//! locations per video, and `record` by a scan over the sites.
+
+use proptest::prelude::*;
+use quasaq_media::{ColorDepth, FrameRate, QualitySpec, Resolution, VideoFormat, VideoId};
+use quasaq_sim::ServerId;
+use quasaq_store::{
+    MetadataEngine, Migration, ObjectRecord, ObjectStore, PhysicalObject, PhysicalOid, Placement,
+    QosProfile, QosSampler, ReplicationPlanner, StoreError,
+};
+use std::collections::BTreeMap;
+
+/// The three-map reference layout, with the duplicate-OID check.
+struct Model {
+    sites: BTreeMap<ServerId, BTreeMap<PhysicalOid, ObjectRecord>>,
+    directory: BTreeMap<VideoId, Vec<(PhysicalOid, ServerId)>>,
+    next_oid: u64,
+}
+
+impl Model {
+    fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
+        let sites = servers.into_iter().map(|s| (s, BTreeMap::new())).collect();
+        Model { sites, directory: BTreeMap::new(), next_oid: 0 }
+    }
+
+    fn insert(&mut self, object: PhysicalObject, profile: QosProfile) -> Result<(), StoreError> {
+        if !self.sites.contains_key(&object.server) {
+            return Err(StoreError::UnknownSite(object.server));
+        }
+        if self.record(object.oid).is_some() {
+            return Err(StoreError::DuplicateOid(object.oid));
+        }
+        self.directory.entry(object.video).or_default().push((object.oid, object.server));
+        let site = self.sites.get_mut(&object.server).unwrap();
+        site.insert(object.oid, ObjectRecord { object, profile });
+        Ok(())
+    }
+
+    fn remove(&mut self, oid: PhysicalOid) -> Option<ObjectRecord> {
+        let rec = self.sites.values_mut().find_map(|s| s.remove(&oid))?;
+        self.directory.get_mut(&rec.object.video).unwrap().retain(|&(o, _)| o != oid);
+        Some(rec)
+    }
+
+    fn replicas(&self, video: VideoId) -> Vec<ObjectRecord> {
+        let Some(locs) = self.directory.get(&video) else { return Vec::new() };
+        locs.iter().filter_map(|&(oid, s)| self.sites.get(&s)?.get(&oid)).cloned().collect()
+    }
+
+    fn record(&self, oid: PhysicalOid) -> Option<&ObjectRecord> {
+        self.sites.values().find_map(|s| s.get(&oid))
+    }
+
+    fn max_oid(&self) -> Option<PhysicalOid> {
+        self.sites.values().flat_map(|s| s.keys().copied()).max()
+    }
+
+    fn fail_site(&mut self, server: ServerId) -> Vec<PhysicalOid> {
+        let Some(partition) = self.sites.remove(&server) else { return Vec::new() };
+        for locs in self.directory.values_mut() {
+            locs.retain(|&(_, s)| s != server);
+        }
+        partition.into_keys().collect()
+    }
+
+    /// `ReplicationPlanner::apply_migrations` on the reference layout.
+    fn apply_migrations(&mut self, migrations: &[Migration]) -> Result<usize, StoreError> {
+        if let Some(max) = self.max_oid() {
+            self.next_oid = self.next_oid.max(max.0 + 1);
+        }
+        let mut applied = 0;
+        for m in migrations {
+            let Some(source) = self.record(m.oid).cloned() else { continue };
+            if source.object.server == m.to {
+                continue;
+            }
+            let mut object = source.object;
+            object.oid = PhysicalOid(self.next_oid);
+            self.next_oid += 1;
+            object.server = m.to;
+            self.insert(object, source.profile)?;
+            applied += 1;
+        }
+        Ok(applied)
+    }
+}
+
+fn object(oid: u64, video: u32, server: u32) -> (PhysicalObject, QosProfile) {
+    let object = PhysicalObject {
+        oid: PhysicalOid(oid),
+        video: VideoId(video),
+        tier: ["full", "t1", "dsl"][(oid % 3) as usize],
+        spec: QualitySpec::new(
+            Resolution::CIF,
+            ColorDepth::TRUE_COLOR,
+            FrameRate::NTSC_FILM,
+            VideoFormat::Mpeg1,
+        ),
+        rate_bps: 48_000 + oid,
+        bytes: 1_000,
+        server: ServerId(server),
+        trace_seed: oid,
+    };
+    (object, QosProfile { cpu_share: oid as f64 / 64.0, ..QosProfile::ZERO })
+}
+
+/// Engine and model agree on everything a caller can observe.
+fn assert_agree(engine: &MetadataEngine, model: &Model) {
+    for video in (0..8).chain([u32::MAX]).map(VideoId) {
+        assert_eq!(engine.replicas(video), model.replicas(video).as_slice(), "{video:?}");
+    }
+    for oid in (0..72).map(PhysicalOid) {
+        assert_eq!(engine.record(oid), model.record(oid), "{oid}");
+    }
+    let count: usize = model.sites.values().map(|s| s.len()).sum();
+    assert_eq!(engine.object_count(), count);
+    assert_eq!(engine.max_oid(), model.max_oid());
+    assert!(engine.sites().iter().eq(model.sites.keys()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random inserts (unknown sites and duplicate OIDs included),
+    /// removals, site failures (known and unknown) and migration rounds
+    /// leave the dense engine indistinguishable from the reference
+    /// layout: the same replica lists in the same order, the same records,
+    /// counts, sites and errors.
+    #[test]
+    fn dense_engine_matches_the_partitioned_layout(
+        ops in prop::collection::vec(
+            (0u8..8, 0u32..6, 0u64..48, 0u32..5, prop::collection::vec((0u64..72, 0u32..5), 0..4)),
+            1..80,
+        ),
+    ) {
+        // The engine spans servers 0..4; a store exists for server 4 too,
+        // so a migration there fails as an unknown site.
+        let mut engine = MetadataEngine::new(ServerId::first_n(4));
+        let mut model = Model::new(ServerId::first_n(4));
+        let mut stores: BTreeMap<ServerId, ObjectStore> =
+            ServerId::first_n(5).map(|s| (s, ObjectStore::new(s, u64::MAX))).collect();
+        let mut planner = ReplicationPlanner::new(QosSampler::default(), Placement::RoundRobin);
+        for (op, video, oid, server, moves) in ops {
+            match op {
+                0..=3 => {
+                    let (obj, profile) = object(oid, video, server);
+                    let got = engine.insert_object(obj.clone(), profile);
+                    prop_assert_eq!(got, model.insert(obj, profile));
+                }
+                4 | 5 => {
+                    let oid = PhysicalOid(oid);
+                    prop_assert_eq!(engine.remove_object(oid), model.remove(oid));
+                }
+                6 => {
+                    let server = ServerId(server);
+                    prop_assert_eq!(engine.fail_site(server), model.fail_site(server));
+                }
+                _ => {
+                    let migrations: Vec<Migration> = moves
+                        .into_iter()
+                        .map(|(oid, to)| Migration { oid: PhysicalOid(oid), to: ServerId(to) })
+                        .collect();
+                    let got = planner.apply_migrations(&migrations, &mut stores, &mut engine);
+                    prop_assert_eq!(got, model.apply_migrations(&migrations));
+                }
+            }
+            assert_agree(&engine, &model);
+        }
+    }
+}

@@ -81,15 +81,11 @@ impl BaselinePlanner {
         rng: &mut Rng,
         exclude: &std::collections::BTreeSet<ServerId>,
     ) -> Option<BaselineChoice> {
-        let live: Vec<&ObjectRecord> = engine
-            .replicas(video)
-            .into_iter()
-            .filter(|r| !exclude.contains(&r.object.server))
-            .collect();
-        let best_rate = live.iter().map(|r| r.object.rate_bps).max()?;
-        let candidates: Vec<&ObjectRecord> =
-            live.into_iter().filter(|r| r.object.rate_bps == best_rate).collect();
-        let pick = candidates[rng.index(candidates.len())];
+        let replicas = engine.replicas(video);
+        let live = || replicas.iter().filter(|r| !exclude.contains(&r.object.server));
+        let best_rate = live().map(|r| r.object.rate_bps).max()?;
+        let candidates = || live().filter(|r| r.object.rate_bps == best_rate);
+        let pick = candidates().nth(rng.index(candidates().count()))?;
         Some(BaselineChoice {
             record: pick.clone(),
             server: pick.object.server,
@@ -111,7 +107,7 @@ mod tests {
         for s in ServerId::first_n(3) {
             stores.insert(s, ObjectStore::new(s, 1 << 40));
         }
-        let mut engine = MetadataEngine::new(ServerId::first_n(3), 16);
+        let mut engine = MetadataEngine::new(ServerId::first_n(3));
         ReplicationPlanner::new(QosSampler::default(), Placement::Full)
             .replicate(&lib, &mut stores, &mut engine)
             .unwrap();

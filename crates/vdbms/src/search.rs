@@ -101,7 +101,7 @@ mod tests {
 
     fn engine() -> MetadataEngine {
         let lib = Library::generate(42, &LibraryConfig::default());
-        let mut e = MetadataEngine::new(ServerId::first_n(3), 8);
+        let mut e = MetadataEngine::new(ServerId::first_n(3));
         for entry in lib.entries() {
             e.insert_video(entry.meta.clone());
         }

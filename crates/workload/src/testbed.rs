@@ -188,7 +188,7 @@ impl Testbed {
         for s in ServerId::first_n(config.servers) {
             stores.insert(s, ObjectStore::new(s, 1 << 42));
         }
-        let mut engine = MetadataEngine::new(ServerId::first_n(config.servers), 64);
+        let mut engine = MetadataEngine::new(ServerId::first_n(config.servers));
         ReplicationPlanner::new(QosSampler { cost: config.cost }, config.placement)
             .replicate(&library, &mut stores, &mut engine)
             .expect("testbed replication fits");

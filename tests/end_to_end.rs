@@ -370,21 +370,40 @@ fn whole_pipeline_is_deterministic() {
 }
 
 #[test]
-fn metadata_cache_accelerates_remote_lookups() {
-    let tb = Testbed::build(TestbedConfig {
-        placement: quasaq::store::Placement::RoundRobin,
+fn replica_order_survives_failure_and_migration() {
+    use quasaq::store::{Migration, Placement, QosSampler, ReplicationPlanner};
+    let mut tb = Testbed::build(TestbedConfig {
+        placement: Placement::RoundRobin,
         ..TestbedConfig::default()
     });
-    let mut engine = tb.engine;
-    // Find a replica owned by server 1 and look it up from server 0 twice.
-    let remote_oid = engine
-        .replicas(VideoId(0))
+    let Testbed { stores, engine, .. } = &mut tb;
+    // Registration order, which replication makes OID order.
+    let before = engine.replicas(VideoId(0)).to_vec();
+    assert!(before.len() >= 3, "round-robin spreads every tier");
+    assert!(before.windows(2).all(|w| w[0].object.oid < w[1].object.oid));
+
+    // Losing a site drops its replicas and keeps the survivors in order.
+    let failed = before[1].object.server;
+    let lost = engine.fail_site(failed);
+    assert!(lost.contains(&before[1].object.oid));
+    let mut expected: Vec<_> =
+        before.iter().filter(|r| r.object.server != failed).cloned().collect();
+    assert_eq!(engine.replicas(VideoId(0)), expected.as_slice());
+
+    // A migrated copy is appended last, under a fresh OID.
+    let source = expected[0].clone();
+    let to = *engine
+        .sites()
         .iter()
-        .find(|r| r.object.server == ServerId(1))
-        .map(|r| r.object.oid)
-        .expect("round-robin spreads replicas");
-    let (_, miss1) = engine.lookup_from(ServerId(0), remote_oid).unwrap();
-    let (_, miss2) = engine.lookup_from(ServerId(0), remote_oid).unwrap();
-    assert!(miss1);
-    assert!(!miss2);
+        .find(|&&s| s != source.object.server)
+        .expect("a live site besides the source's");
+    let fresh = engine.max_oid().map_or(0, |o| o.0 + 1);
+    let mut planner = ReplicationPlanner::new(QosSampler::default(), Placement::RoundRobin);
+    let migration = Migration { oid: source.object.oid, to };
+    assert_eq!(planner.apply_migrations(&[migration], stores, engine).unwrap(), 1);
+    let mut copy = source;
+    copy.object.oid = quasaq::store::PhysicalOid(fresh);
+    copy.object.server = to;
+    expected.push(copy);
+    assert_eq!(engine.replicas(VideoId(0)), expected.as_slice());
 }
