@@ -56,8 +56,8 @@ fn bench_planning(c: &mut Criterion) {
         })
     });
 
-    // The same admission at 100 servers (the `admit_lrb100` cluster size),
-    // where scoring ~1,300 candidates dominates.
+    // The same admission at 100 servers (the `admit_lrb100` cluster size,
+    // ~1,300 candidates), on an idle cluster.
     let testbed = Testbed::build(TestbedConfig::scale(100, 1_000));
     c.bench_function("full_admit_release_100", |b| {
         let mut manager = testbed.quality_manager(CostKind::Lrb);
@@ -68,9 +68,34 @@ fn bench_planning(c: &mut Criterion) {
         })
     });
 
-    // A refusal on a saturated copy of that cluster: every candidate is
-    // scored, the first choice is refused, and the fallback pass checks
-    // the rest. A refusal changes nothing, so each iteration is the same.
+    // The same admission on that cluster at a steady-state load: 3,000
+    // sessions admitted and every third released, so 2,000 stay (about
+    // `admit_lrb100`'s mean) on unevenly filled servers, as under churn.
+    // LRB's score floor then leaves most delivery sides unscored, which
+    // the idle cluster above cannot show (an evenly filled one shows
+    // little of it either: its remote sides' floors tie with the best).
+    c.bench_function("loaded_admit_100", |b| {
+        let mut manager = testbed.quality_manager(CostKind::Lrb);
+        let mut rng = Rng::new(7);
+        let requests: Vec<PlanRequest> =
+            (0..1_000).map(|i| PlanRequest { video: VideoId(i), ..request.clone() }).collect();
+        let admitted: Vec<_> = (requests.iter().cycle().take(3_000))
+            .map(|req| manager.process(&testbed.engine, req, &mut rng).expect("room"))
+            .collect();
+        for session in admitted.iter().skip(2).step_by(3) {
+            manager.release(session);
+        }
+        let mut next = requests.iter().cycle();
+        b.iter(|| {
+            let req = next.next().expect("cycles");
+            let admitted = manager.process(&testbed.engine, req, &mut rng).expect("admits");
+            manager.release(&admitted);
+        })
+    });
+
+    // A refusal on a saturated copy of that cluster: the first choice is
+    // refused, and the fallback pass checks every candidate's admission.
+    // A refusal changes nothing, so each iteration is the same.
     c.bench_function("refused_admit_100", |b| {
         let mut manager = testbed.quality_manager(CostKind::Lrb);
         let mut rng = Rng::new(5);

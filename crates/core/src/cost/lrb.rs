@@ -25,6 +25,11 @@ impl CostModel for LrbModel {
     fn score(&self, plan: &PlanView<'_>) -> f64 {
         plan.max_fill
     }
+
+    /// The score is the max fill itself, so a fill floor is a score floor.
+    fn score_floor(&self, max_fill_floor: f64) -> Option<f64> {
+        Some(max_fill_floor)
+    }
 }
 
 #[cfg(test)]

@@ -82,6 +82,18 @@ pub trait CostModel: Send {
         false
     }
 
+    /// A floor under the score of every plan whose Eq. (1) `max_fill` is
+    /// at least `max_fill_floor`, under [`f64::total_cmp`]; `None` (the
+    /// default) when the score has none. Admission uses it to skip the
+    /// candidates that cannot rank first: with a floor it scores the
+    /// plans side by side in ascending floor order and stops at the first
+    /// side whose floor exceeds the best score found. A model with a floor
+    /// returns one for every fill, and keeps `reorder`'s default: its
+    /// scores are what it ranks by.
+    fn score_floor(&self, _max_fill_floor: f64) -> Option<f64> {
+        None
+    }
+
     /// Returns plan indices, most preferred first, evaluated against the
     /// current resource state in `api`.
     fn rank(&self, plans: &[Plan], api: &CompositeQosApi, rng: &mut Rng) -> Vec<usize> {

@@ -25,7 +25,9 @@ use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
     VideoFormat, VideoId,
 };
-use quasaq_qosapi::{CompositeQosApi, Projection, ResourceKey, ResourceKind, ResourceVector};
+use quasaq_qosapi::{
+    CompositeQosApi, LiveCapacity, Projection, ResourceKey, ResourceKind, ResourceVector,
+};
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
 
@@ -93,6 +95,14 @@ pub(crate) struct DeliveryOption {
     cpu_shares: [f64; CipherAlgo::ALL.len()],
 }
 
+impl DeliveryOption {
+    /// The target-side demand entries under the request's `cipher`-th
+    /// cipher, by kind on whichever site is the target.
+    fn target_entries(&self, cipher: usize) -> [(ResourceKind, f64); 3] {
+        Plan::target_entries(self.delivered_bps, self.cpu_shares[cipher], self.buffer_bytes)
+    }
+}
+
 /// One point of the plan space before its plan is built: a delivery
 /// option, a target site, and the position of a cipher among the
 /// request's ciphers.
@@ -120,8 +130,16 @@ impl<'a> Candidate<'a> {
     /// The candidate's target-side demand entries, by kind on its target
     /// site (the last three of its [`demand`](Self::demand)).
     fn target_entries(&self) -> [(ResourceKind, f64); 3] {
-        let o = self.option;
-        Plan::target_entries(o.delivered_bps, o.cpu_shares[self.cipher], o.buffer_bytes)
+        self.option.target_entries(self.cipher)
+    }
+
+    /// The candidate's [`demand`](Self::demand), given its replica-side
+    /// entries.
+    fn demand_with(&self, [disk, transfer]: [(ResourceKey, f64); 2]) -> [(ResourceKey, f64); 5] {
+        let target = self.target;
+        let [cpu, net, memory] =
+            self.target_entries().map(|(kind, amount)| (ResourceKey::new(target, kind), amount));
+        [disk, transfer, cpu, net, memory]
     }
 
     /// What a cost model reads of the candidate: its `demand` with the
@@ -137,6 +155,24 @@ impl<'a> Candidate<'a> {
     }
 }
 
+/// One side of a delivery option's fan-out: its one local target, or all
+/// of its remote targets. Every candidate of a side demands the same
+/// replica-side entries (`Plan::replica_entries`), and its projection
+/// folds its target side into theirs, so no candidate of the side
+/// projects a lower max fill than the side's [`replica`](Self::replica).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Side {
+    /// The option's position among the request's options.
+    option: usize,
+    /// The position of the option's own site among its targets, if there
+    /// (always, on a local side).
+    local: Option<usize>,
+    /// Whether this is the remote side.
+    pub(crate) remote: bool,
+    /// The side's replica-side entries projected on the live buckets.
+    pub(crate) replica: Projection,
+}
+
 /// The delivery options of one request and the fan-out that turns them
 /// into plans: option × target site × cipher. A plan's *enumeration
 /// index* is its position in that fan-out, which is also its position in
@@ -145,6 +181,7 @@ impl<'a> Candidate<'a> {
 pub(crate) struct DeliveryOptions {
     options: Vec<DeliveryOption>,
     ciphers: Vec<CipherAlgo>,
+    /// The sites, ascending.
     sites: Vec<ServerId>,
     allow_remote: bool,
 }
@@ -188,13 +225,9 @@ impl DeliveryOptions {
             let values = [replica(&entries[0]), replica(&entries[1])];
             for &target in self.targets(option) {
                 let remote = usize::from(target != option.record.object.server);
-                let [disk, transfer] = entries[remote];
                 for cipher in 0..self.ciphers.len() {
                     let c = Candidate { option, target, cipher };
-                    let [cpu, net, memory] = c
-                        .target_entries()
-                        .map(|(kind, amount)| (ResourceKey::new(target, kind), amount));
-                    visit(index, c, values[remote], &[disk, transfer, cpu, net, memory]);
+                    visit(index, c, values[remote], &c.demand_with(entries[remote]));
                     index += 1;
                 }
             }
@@ -218,6 +251,96 @@ impl DeliveryOptions {
                 visit(index, c, api.project_on(replica, c.target, &c.target_entries()), demand)
             },
         );
+    }
+
+    /// Visits the option sides that hold a target, each with its
+    /// projection, but only those whose replica side fits the buckets'
+    /// total capacity: no candidate of another side does.
+    pub(crate) fn for_each_side(&self, api: &CompositeQosApi, mut visit: impl FnMut(Side)) {
+        for (index, option) in self.options.iter().enumerate() {
+            let targets = self.targets(option);
+            let local = targets.binary_search(&option.record.object.server).ok();
+            let remotes = targets.len() - usize::from(local.is_some());
+            for remote in [false, true] {
+                if (remote && remotes == 0) || (!remote && local.is_none()) {
+                    continue;
+                }
+                let replica = api.project(&Plan::replica_entries(&option.record, remote));
+                if replica.fits_capacity {
+                    visit(Side { option: index, local, remote, replica });
+                }
+            }
+        }
+    }
+
+    /// The targets of `side`, each with its position among its option's
+    /// targets.
+    fn side_targets(&self, side: Side) -> impl Iterator<Item = (usize, ServerId)> + '_ {
+        let targets = self.targets(&self.options[side.option]);
+        let positions = match side.local {
+            Some(local) if !side.remote => local..local + 1,
+            _ => 0..targets.len(),
+        };
+        positions
+            .filter(move |&p| !side.remote || Some(p) != side.local)
+            .map(move |p| (p, targets[p]))
+    }
+
+    /// [`for_each_projected`](Self::for_each_projected) restricted to the
+    /// candidates of `side`, in enumeration order.
+    pub(crate) fn for_each_projected_on<'a>(
+        &'a self,
+        api: &CompositeQosApi,
+        side: Side,
+        mut visit: impl FnMut(usize, Candidate<'a>, Projection, &[(ResourceKey, f64); 5]),
+    ) {
+        let option = &self.options[side.option];
+        let replica = Plan::replica_entries(&option.record, side.remote);
+        let ciphers = self.ciphers.len();
+        let first = side.option * self.per_option();
+        for (position, target) in self.side_targets(side) {
+            for cipher in 0..ciphers {
+                let c = Candidate { option, target, cipher };
+                let projection = api.project_on(side.replica, target, &c.target_entries());
+                visit(first + position * ciphers + cipher, c, projection, &c.demand_with(replica));
+            }
+        }
+    }
+
+    /// The [`LiveCapacity`] of the target-side kinds over the sites.
+    pub(crate) fn live_targets(&self, api: &CompositeQosApi) -> LiveCapacity {
+        api.live_capacity(&self.sites, &Plan::TARGET_KINDS)
+    }
+
+    /// How many candidates of a remote `side`, one from
+    /// [`for_each_side`](Self::for_each_side), fit the buckets' total
+    /// capacity: the count of fitting projections
+    /// [`for_each_projected_on`](Self::for_each_projected_on) would visit,
+    /// taken by comparison alone. `live` is [`live_targets`](Self::live_targets).
+    /// The side's targets are the sites but the option's own, so where its
+    /// entries fit every live site the count is the live sites but the
+    /// option's own, with no site visited.
+    pub(crate) fn count_fitting(
+        &self,
+        api: &CompositeQosApi,
+        side: Side,
+        live: &LiveCapacity,
+    ) -> usize {
+        debug_assert!(side.remote, "a local side is always scored");
+        let option = &self.options[side.option];
+        let source = option.record.object.server;
+        (0..self.ciphers.len())
+            .map(|cipher| {
+                let entries = option.target_entries(cipher);
+                if live.fits_everywhere(&entries) {
+                    // Then they fit exactly the live sites.
+                    live.servers
+                        - usize::from(side.local.is_some() && api.fits_on(source, &entries))
+                } else {
+                    self.side_targets(side).filter(|&(_, t)| api.fits_on(t, &entries)).count()
+                }
+            })
+            .sum()
     }
 
     /// Writes into `out`, by enumeration index, whether each candidate's

@@ -11,11 +11,11 @@
 //! renegotiated.
 
 use crate::cost::{by_rank, CostModel};
-use crate::generator::{DeliveryOptions, PlanGenerator, PlanRequest};
+use crate::generator::{Candidate, DeliveryOptions, PlanGenerator, PlanRequest, Side};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, ReservationId, ResourceKey};
+use quasaq_qosapi::{CompositeQosApi, Projection, ReservationId, ResourceKey};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
 use std::collections::HashMap;
@@ -99,10 +99,11 @@ pub struct QualityManager {
     last_stats: PlanningStats,
     /// Recycled buffers, holding no state between calls beyond their
     /// allocations: the request's delivery options (when the plan cache
-    /// does not supply them), the `(score, enumeration index)` of every
-    /// feasible candidate, and by enumeration index whether a candidate
-    /// passes admission.
+    /// does not supply them), the remote option sides with their score
+    /// floors, the `(score, enumeration index)` of every scored candidate,
+    /// and by enumeration index whether a candidate passes admission.
     options: DeliveryOptions,
+    remotes: Vec<(f64, Side)>,
     scored: Vec<(f64, usize)>,
     admissible: Vec<bool>,
     /// Memoized delivery options (`None` = caching off, the default).
@@ -126,6 +127,7 @@ impl QualityManager {
             cost_model,
             last_stats: PlanningStats::default(),
             options: DeliveryOptions::default(),
+            remotes: Vec::new(),
             scored: Vec::new(),
             admissible: Vec::new(),
             plan_cache: None,
@@ -236,18 +238,31 @@ impl QualityManager {
     /// session's reservation, renegotiating it. Each candidate (delivery
     /// option × target × cipher) that fits the buckets' total capacity,
     /// the cut of [`PlanGenerator::retain_feasible`], is scored in place
-    /// against the live buckets, a held reservation counted as used, in
-    /// one pass that also keeps the `(score, enumeration index)` minimum
-    /// (re-taken when the model's [`reorder`](CostModel::reorder) rescores).
+    /// against the live buckets, a held reservation counted as used, and
+    /// the pass keeps the `(score, enumeration index)` minimum.
+    ///
+    /// A model without a [`score_floor`](CostModel::score_floor) has every
+    /// candidate scored in enumeration order (the minimum re-taken when its
+    /// [`reorder`](CostModel::reorder) rescores). With one, each option's
+    /// local target is scored, and its remote targets, one side of the
+    /// option, are scored in ascending order of the floor their replica
+    /// side's projection gives, until a side's floor is strictly above the
+    /// minimum found: no candidate of that side or a later one can rank
+    /// first, since ties go to the lower index. The sides left unscored
+    /// still count toward [`PlanningStats::feasible`], by capacity
+    /// comparisons alone.
+    ///
     /// Walking the rank order would attempt candidates until one is
     /// placed, but a refused attempt changes no bucket, and an attempt
     /// succeeds exactly when a pure check passes:
     /// [`CompositeQosApi::admits`] for a new reservation,
     /// [`CompositeQosApi::admits_renegotiation`] for a held one. So the
-    /// minimum is checked first; if it is refused, one pass finds the
-    /// rank-minimum of the admissible candidates, and the walk's attempt
-    /// count is 1 plus the number of candidates ranked ahead of it. Only
-    /// the placed plan is built.
+    /// minimum is checked first. If it is refused, one pass marks the
+    /// admissible candidates; the rank-minimum of those is the pick, found
+    /// among the scored candidates and, under a floor, the further sides
+    /// whose floor does not exceed it. The walk's attempt count is 1 plus
+    /// the number of candidates ranked ahead of the pick, all of them
+    /// scored. Only the placed plan is built.
     fn place(
         &mut self,
         options: &DeliveryOptions,
@@ -258,20 +273,52 @@ impl QualityManager {
         if stats.generated == 0 {
             return (Err(Rejection::NoFeasiblePlan), stats);
         }
-        let (model, api, scored) = (&*self.cost_model, &self.api, &mut self.scored);
+        let (model, api) = (&*self.cost_model, &self.api);
+        let (remotes, scored) = (&mut self.remotes, &mut self.scored);
         scored.clear();
+        remotes.clear();
         let mut best: Option<(f64, usize)> = None;
-        options.for_each_projected(api, |index, c, projection, demand| {
-            if projection.fits_capacity {
-                let entry = (model.score(&c.view(projection.max_fill, demand, api)), index);
-                scored.push(entry);
-                if best.is_none_or(|b| by_rank(&entry, &b).is_lt()) {
-                    best = Some(entry);
+        // The remote sides from `remotes[next]` on are unscored.
+        let mut next = 0;
+        // A model has a floor for every fill or for none.
+        let floored = model.score_floor(0.0).is_some();
+        if floored {
+            // Each option's local side is scored at once (one target, and a
+            // floor never above its remote side's); its remote side is
+            // queued with its floor.
+            options.for_each_side(api, |side| {
+                let floor = model.score_floor(side.replica.max_fill);
+                let floor = floor.expect("a model with a floor has one for every fill");
+                if side.remote {
+                    remotes.push((floor, side));
+                } else {
+                    options.for_each_projected_on(api, side, |index, c, projection, demand| {
+                        keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
+                    });
                 }
+            });
+            while let Some(side) = next_side(remotes, next, best) {
+                next += 1;
+                options.for_each_projected_on(api, side, |index, c, projection, demand| {
+                    keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
+                });
             }
-        });
+        } else {
+            options.for_each_projected(api, |index, c, projection, demand| {
+                keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
+            });
+        }
         stats.feasible = scored.len();
-        if model.reorder(scored, rng) {
+        if next < remotes.len() {
+            let live = options.live_targets(api);
+            stats.feasible += remotes[next..]
+                .iter()
+                .map(|&(_, side)| options.count_fitting(api, side, &live))
+                .sum::<usize>();
+        }
+        let rescored = model.reorder(scored, rng);
+        debug_assert!(!(floored && rescored), "a model with a score floor ranks by its scores");
+        if rescored {
             best = scored.iter().copied().min_by(by_rank);
         }
         let Some(best) = best else {
@@ -290,14 +337,22 @@ impl QualityManager {
         if pick.is_none() {
             let admissible = &mut self.admissible;
             options.admissible_into(admits, admissible);
-            for &entry in scored.iter() {
-                if admissible[entry.1] && pick.is_none_or(|p| by_rank(&entry, &p).is_lt()) {
-                    pick = Some(entry);
+            if admissible.contains(&true) {
+                pick = scored.iter().copied().filter(|e| admissible[e.1]).min_by(by_rank);
+                // Under a floor, an admissible candidate ranked ahead of
+                // the pick can only lie in a side whose floor does not
+                // exceed it.
+                while let Some(side) = next_side(remotes, next, pick) {
+                    next += 1;
+                    options.for_each_projected_on(api, side, |index, c, projection, demand| {
+                        let entry = score(model, api, scored, index, c, projection, demand);
+                        keep_min(&mut pick, entry.filter(|e| admissible[e.1]));
+                    });
                 }
             }
             stats.attempts = match pick {
                 Some(p) => 1 + scored.iter().filter(|e| by_rank(e, &p).is_lt()).count(),
-                None => scored.len(),
+                None => stats.feasible,
             };
         }
         let Some((_, index)) = pick else {
@@ -431,6 +486,55 @@ impl QualityManager {
         rng: &mut Rng,
     ) -> Result<AdmittedPlan, Rejection> {
         self.place_fresh(engine, new_request, Some(admitted.reservation), rng).0
+    }
+}
+
+/// Scores candidate `c` at enumeration `index` when its projection fits
+/// capacity, recording its `(score, index)` entry in `scored`, and returns
+/// the entry.
+fn score(
+    model: &dyn CostModel,
+    api: &CompositeQosApi,
+    scored: &mut Vec<(f64, usize)>,
+    index: usize,
+    c: Candidate<'_>,
+    projection: Projection,
+    demand: &[(ResourceKey, f64); 5],
+) -> Option<(f64, usize)> {
+    let entry = projection
+        .fits_capacity
+        .then(|| (model.score(&c.view(projection.max_fill, demand, api)), index));
+    scored.extend(entry);
+    entry
+}
+
+/// The next remote side to score in ascending floor order, taken from the
+/// `(floor, side)` entries of `remotes[next..]`: moves the least to
+/// `remotes[next]` and returns its side, or `None` when its floor is above
+/// `bound`'s score (or no entry is left), since then no candidate of it or
+/// of a later side ranks ahead of `bound`. The sides scored are thus
+/// exactly those whose floor is at most the final bound, whichever way
+/// equal floors are ordered. A selection sort taken one step at a time:
+/// few remote sides are scored, and sorting them all cost more than
+/// scoring those few.
+fn next_side(
+    remotes: &mut [(f64, Side)],
+    next: usize,
+    bound: Option<(f64, usize)>,
+) -> Option<Side> {
+    let rest = &mut remotes[next..];
+    let (at, &(floor, side)) = rest.iter().enumerate().min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))?;
+    if bound.is_some_and(|b| floor.total_cmp(&b.0).is_gt()) {
+        return None;
+    }
+    rest.swap(0, at);
+    Some(side)
+}
+
+/// Makes `min` the rank-minimum of itself and `entry`.
+fn keep_min(min: &mut Option<(f64, usize)>, entry: Option<(f64, usize)>) {
+    if let Some(entry) = entry.filter(|e| min.is_none_or(|m| by_rank(e, &m).is_lt())) {
+        *min = Some(entry);
     }
 }
 
@@ -942,6 +1046,37 @@ mod tests {
         // Prefetching is idempotent: already-cached keys are skipped.
         bulk.prefetch_plans(&e, &reqs);
         assert_eq!(bulk.plan_cache.as_ref().unwrap().len(), 4);
+    }
+
+    /// The score floor prunes: on a loaded 20-server cluster, LRB scores a
+    /// small share of the candidates, all of which fit capacity.
+    #[test]
+    fn lrb_scores_only_the_sides_that_can_win() {
+        let servers: Vec<ServerId> = ServerId::first_n(20).collect();
+        let lib = Library::generate(42, &LibraryConfig::default());
+        let mut stores: BTreeMap<_, _> =
+            servers.iter().map(|&s| (s, ObjectStore::new(s, 1 << 40))).collect();
+        let mut e = MetadataEngine::new(servers.clone());
+        ReplicationPlanner::new(QosSampler::default(), Placement::Spread { copies: 3 })
+            .replicate(&lib, &mut stores, &mut e)
+            .unwrap();
+        let api = CompositeQosApi::homogeneous_cluster(servers, 3_200_000.0, 20_000_000.0, 512e6);
+        let generator = PlanGenerator::new(GeneratorConfig::default());
+        let mut m = QualityManager::new(api, generator, Box::new(LrbModel));
+        let mut rng = Rng::new(16);
+        for i in 0..900 {
+            m.process(&e, &request(i % 15), &mut rng).expect("the cluster has room");
+        }
+        let (mut scored, mut generated) = (0, 0);
+        for video in 0..15 {
+            let admitted = m.process(&e, &request(video), &mut rng).expect("room");
+            m.release(&admitted);
+            let stats = m.last_stats();
+            assert_eq!(stats.feasible, stats.generated, "nothing exceeds a bucket's capacity");
+            scored += m.scored.len();
+            generated += stats.generated;
+        }
+        assert!(scored * 3 < generated, "{scored} of {generated} candidates scored");
     }
 
     #[test]

@@ -126,6 +126,10 @@ impl Plan {
         ]
     }
 
+    /// The kinds of the [`target_entries`](Self::target_entries), in order.
+    pub(crate) const TARGET_KINDS: [ResourceKind; 3] =
+        [ResourceKind::Cpu, ResourceKind::NetBandwidth, ResourceKind::Memory];
+
     /// The last three demand entries, by kind on the target site, which
     /// runs the pipeline and streams to the client.
     pub(crate) fn target_entries(
@@ -133,11 +137,8 @@ impl Plan {
         cpu_share: f64,
         buffer_bytes: f64,
     ) -> [(ResourceKind, f64); 3] {
-        [
-            (ResourceKind::Cpu, cpu_share.min(1.0)),
-            (ResourceKind::NetBandwidth, delivered_bps),
-            (ResourceKind::Memory, buffer_bytes),
-        ]
+        let [cpu, net, memory] = Plan::TARGET_KINDS;
+        [(cpu, cpu_share.min(1.0)), (net, delivered_bps), (memory, buffer_bytes)]
     }
 }
 

@@ -15,7 +15,7 @@
 //! bucket iteration stays in global `(server, kind)` order, so the
 //! sharded layout is observationally identical to a flat bucket map.
 
-use crate::manager::{BucketFull, Projection, ResourceManager};
+use crate::manager::{within_capacity, BucketFull, Projection, ResourceManager};
 use crate::resource::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 
@@ -60,6 +60,33 @@ struct ServerDomain {
 impl ServerDomain {
     fn is_empty(&self) -> bool {
         self.managers.iter().all(|m| m.is_none())
+    }
+}
+
+/// A summary of some servers' buckets of some kinds, from
+/// [`CompositeQosApi::live_capacity`]: how many of the servers are *live*,
+/// hosting a bucket of every one of the kinds, and the smallest capacity
+/// of each kind among them. It answers for all those servers at once
+/// whether entries fit, without visiting them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LiveCapacity {
+    /// The number of live servers.
+    pub servers: usize,
+    /// The smallest capacity by kind among the live servers (infinite when
+    /// none is live), negative infinity for the kinds not summarized.
+    min: [f64; ResourceKind::ALL.len()],
+}
+
+impl LiveCapacity {
+    /// Whether entries of the summarized kinds, none of them zero, fit the
+    /// smallest live capacity of their kind. Then
+    /// [`fits_on`](CompositeQosApi::fits_on) holds for them on exactly the
+    /// live servers: every live bucket is at least that large, and a
+    /// server missing one of the buckets refuses its nonzero entry.
+    pub fn fits_everywhere(&self, entries: &[(ResourceKind, f64)]) -> bool {
+        entries.iter().all(|&(kind, amount)| {
+            amount != 0.0 && within_capacity(self.min[kind as usize], amount)
+        })
     }
 }
 
@@ -223,6 +250,39 @@ impl CompositeQosApi {
         entries.iter().fold(from, |p, &(kind, amount)| {
             p.with(managers.and_then(|m| m[kind as usize].as_ref()), amount)
         })
+    }
+
+    /// Whether entries of these kinds (distinct, zero amounts allowed) fit
+    /// the total capacity of `server`'s buckets: the `fits_capacity` of
+    /// [`project_on`](Self::project_on) from an empty projection, by
+    /// comparison alone.
+    pub fn fits_on(&self, server: ServerId, entries: &[(ResourceKind, f64)]) -> bool {
+        let managers = self.domains.get(server.0 as usize).map(|d| &d.managers);
+        entries.iter().filter(|&&(_, amount)| amount != 0.0).all(|&(kind, amount)| {
+            managers
+                .and_then(|m| m[kind as usize].as_ref())
+                .is_some_and(|m| m.within_capacity(amount))
+        })
+    }
+
+    /// The [`LiveCapacity`] of `kinds` among `servers`.
+    pub fn live_capacity(&self, servers: &[ServerId], kinds: &[ResourceKind]) -> LiveCapacity {
+        let mut live =
+            LiveCapacity { servers: 0, min: [f64::NEG_INFINITY; ResourceKind::ALL.len()] };
+        for &kind in kinds {
+            live.min[kind as usize] = f64::INFINITY;
+        }
+        'servers: for server in servers {
+            let Some(domain) = self.domains.get(server.0 as usize) else { continue };
+            let mut min = live.min;
+            for &kind in kinds {
+                let Some(bucket) = &domain.managers[kind as usize] else { continue 'servers };
+                min[kind as usize] = min[kind as usize].min(bucket.capacity());
+            }
+            live.min = min;
+            live.servers += 1;
+        }
+        live
     }
 
     /// Reserves `demand` atomically. Its keys are distinct, so the check
@@ -634,6 +694,31 @@ mod tests {
             api.reserve(&ResourceVector::new().with(key(0, ResourceKind::NetBandwidth), 1000.0)),
             Err(AdmissionError::Rejected(_))
         ));
+    }
+
+    #[test]
+    fn live_capacity_answers_for_every_live_server() {
+        let mut api = cluster();
+        api.set_capacity(key(1, ResourceKind::NetBandwidth), 1_000.0);
+        api.fail_server(ServerId(2));
+        let servers = [ServerId(0), ServerId(1), ServerId(2), ServerId(7)];
+        let kinds = [ResourceKind::Cpu, ResourceKind::NetBandwidth];
+        let live = api.live_capacity(&servers, &kinds);
+        assert_eq!(live.servers, 2, "a failed or unknown server is not live");
+        let small = [(ResourceKind::Cpu, 0.5), (ResourceKind::NetBandwidth, 1_000.0)];
+        assert!(live.fits_everywhere(&small));
+        let fits: Vec<bool> = servers.iter().map(|&s| api.fits_on(s, &small)).collect();
+        assert_eq!(fits, [true, true, false, false]);
+        // Above the smallest live link: decided server by server.
+        let large = [(ResourceKind::Cpu, 0.5), (ResourceKind::NetBandwidth, 2_000.0)];
+        assert!(!live.fits_everywhere(&large));
+        assert!(api.fits_on(ServerId(0), &large) && !api.fits_on(ServerId(1), &large));
+        // A zero entry fits anywhere, even where its bucket is missing, and
+        // a kind left out of the summary is never vouched for.
+        let zero = [(ResourceKind::Cpu, 0.0), (ResourceKind::NetBandwidth, 10.0)];
+        assert!(!live.fits_everywhere(&zero));
+        assert!(api.fits_on(ServerId(2), &[(ResourceKind::Cpu, 0.0)]));
+        assert!(!live.fits_everywhere(&[(ResourceKind::Memory, 1.0)]));
     }
 
     #[test]

@@ -35,6 +35,12 @@ impl std::error::Error for BucketFull {}
 /// reservations.
 const CAPACITY_TOLERANCE: f64 = 1e-9;
 
+/// Whether `amount` fits a bucket of this total `capacity`. Monotone in
+/// `capacity`: what fits the smallest of several capacities fits each.
+pub(crate) fn within_capacity(capacity: f64, amount: f64) -> bool {
+    amount <= capacity + CAPACITY_TOLERANCE
+}
+
 /// A demand's projection onto the buckets: the LRB cost of Eq. (1),
 /// `max_i (U_i + r_i) / R_i`, and whether every entry fits its bucket's
 /// total capacity. Built by folding in the demand's entries one by one in
@@ -114,8 +120,8 @@ impl ResourceManager {
 
     /// Whether `amount` fits the bucket's total capacity, whatever the
     /// usage — the plan generator's instant feasibility cut.
-    fn within_capacity(&self, amount: f64) -> bool {
-        amount <= self.capacity + CAPACITY_TOLERANCE
+    pub(crate) fn within_capacity(&self, amount: f64) -> bool {
+        within_capacity(self.capacity, amount)
     }
 
     /// Whether `amount` can be reserved. Malformed demands (negative, NaN,

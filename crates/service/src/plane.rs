@@ -768,18 +768,18 @@ impl ControlPlane {
                 self.rng.shuffle(servers);
                 let profile = choice.record.profile;
                 for &server in &*servers {
-                    let demand = ResourceVector::new()
-                        .with(
-                            ResourceKey::new(server, ResourceKind::Cpu),
-                            (profile.cpu_share * *headroom).min(1.0),
-                        )
-                        .with(ResourceKey::new(server, ResourceKind::NetBandwidth), profile.net_bps)
-                        .with(
-                            ResourceKey::new(server, ResourceKind::DiskBandwidth),
-                            profile.disk_bps,
-                        )
-                        .with(ResourceKey::new(server, ResourceKind::Memory), profile.memory_bytes);
-                    if let Ok(res) = api.reserve(&demand) {
+                    let demand = [
+                        (ResourceKind::Cpu, (profile.cpu_share * *headroom).min(1.0)),
+                        (ResourceKind::NetBandwidth, profile.net_bps),
+                        (ResourceKind::DiskBandwidth, profile.disk_bps),
+                        (ResourceKind::Memory, profile.memory_bytes),
+                    ]
+                    .map(|(kind, amount)| (ResourceKey::new(server, kind), amount));
+                    // Only the server that admits gets its demand vector.
+                    if api.admits(&demand).is_ok() {
+                        let res = api
+                            .reserve(&ResourceVector::from_distinct(&demand))
+                            .expect("a reservation succeeds when `admits` passes");
                         let bytes = resume_bytes(choice.record.object.bytes, resume);
                         let rate = choice.record.object.rate_bps;
                         return Ok(Placement {

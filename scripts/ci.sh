@@ -51,6 +51,9 @@ cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload
 echo "==> determinism + timing artifact (quick mode; fig6/fig7/queued/availability suites)"
 cargo run --release -p quasaq-bench --bin bench -- --quick
 
+echo "==> overhead micro-benchmarks, one smoke run (admission at 3 and 100 servers: idle, loaded, refused; every case's expects run)"
+cargo bench -p quasaq-bench --bench overhead
+
 echo "==> cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
 cargo run --release -p quasaq-bench --bin bench -- --smoke
 
