@@ -93,9 +93,13 @@ fn bench_planning(c: &mut Criterion) {
         })
     });
 
-    // A refusal on a saturated copy of that cluster: the first choice is
-    // refused, and the fallback pass checks every candidate's admission.
-    // A refusal changes nothing, so each iteration is the same.
+    // A refusal on a saturated copy of that cluster: the best local
+    // candidate is refused, and the refusal proof checks the option sides'
+    // admission, pruning remote targets by the most any site has left,
+    // until it has shown that nothing is admissible; no remote side is
+    // ranked. The walk it stands for attempts every feasible candidate,
+    // so its statistics say so. A refusal changes nothing, so each
+    // iteration is the same.
     c.bench_function("refused_admit_100", |b| {
         let mut manager = testbed.quality_manager(CostKind::Lrb);
         let mut rng = Rng::new(5);
@@ -103,6 +107,9 @@ fn bench_planning(c: &mut Criterion) {
             .map(|i| PlanRequest { video: VideoId(i % 1_000), ..request.clone() })
             .find(|req| manager.process(&testbed.engine, req, &mut rng).is_err())
             .expect("the cluster saturates");
+        let stats = manager.last_stats();
+        assert!(stats.feasible > 0, "a refusal of feasible candidates: {stats:?}");
+        assert_eq!(stats.attempts, stats.feasible, "a refusal attempts every feasible candidate");
         b.iter(|| {
             let outcome = manager.process(&testbed.engine, black_box(&refused), &mut rng);
             black_box(outcome.expect_err("a saturated cluster refuses"))

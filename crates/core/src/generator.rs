@@ -26,7 +26,7 @@ use quasaq_media::{
     VideoFormat, VideoId,
 };
 use quasaq_qosapi::{
-    CompositeQosApi, LiveCapacity, Projection, ResourceKey, ResourceKind, ResourceVector,
+    CompositeQosApi, Headroom, LiveCapacity, Projection, ResourceKey, ResourceKind, ResourceVector,
 };
 use quasaq_sim::ServerId;
 use quasaq_store::{MetadataEngine, ObjectRecord};
@@ -257,15 +257,27 @@ impl DeliveryOptions {
     /// projection, but only those whose replica side fits the buckets'
     /// total capacity: no candidate of another side does.
     pub(crate) fn for_each_side(&self, api: &CompositeQosApi, mut visit: impl FnMut(Side)) {
+        // Consecutive options share their replica, and so its projections.
+        type Replica = [(ResourceKey, f64); 2];
+        let mut last: Option<([Replica; 2], [Projection; 2])> = None;
         for (index, option) in self.options.iter().enumerate() {
             let targets = self.targets(option);
             let local = targets.binary_search(&option.record.object.server).ok();
             let remotes = targets.len() - usize::from(local.is_some());
+            let entries = [false, true].map(|remote| Plan::replica_entries(&option.record, remote));
+            let projections = match last {
+                Some((seen, projections)) if seen == entries => projections,
+                _ => {
+                    let projections = entries.map(|e| api.project(&e));
+                    last = Some((entries, projections));
+                    projections
+                }
+            };
             for remote in [false, true] {
                 if (remote && remotes == 0) || (!remote && local.is_none()) {
                     continue;
                 }
-                let replica = api.project(&Plan::replica_entries(&option.record, remote));
+                let replica = projections[usize::from(remote)];
                 if replica.fits_capacity {
                     visit(Side { option: index, local, remote, replica });
                 }
@@ -307,19 +319,14 @@ impl DeliveryOptions {
         }
     }
 
-    /// The [`LiveCapacity`] of the target-side kinds over the sites.
-    pub(crate) fn live_targets(&self, api: &CompositeQosApi) -> LiveCapacity {
-        api.live_capacity(&self.sites, &Plan::TARGET_KINDS)
-    }
-
     /// How many candidates of a remote `side`, one from
     /// [`for_each_side`](Self::for_each_side), fit the buckets' total
     /// capacity: the count of fitting projections
     /// [`for_each_projected_on`](Self::for_each_projected_on) would visit,
-    /// taken by comparison alone. `live` is [`live_targets`](Self::live_targets).
-    /// The side's targets are the sites but the option's own, so where its
-    /// entries fit every live site the count is the live sites but the
-    /// option's own, with no site visited.
+    /// taken by comparison alone. `live` is the [`LiveTargets`] summary of
+    /// the sites. The side's targets are the sites but the option's own,
+    /// so where its entries fit every live site the count is the live
+    /// sites but the option's own, with no site visited.
     pub(crate) fn count_fitting(
         &self,
         api: &CompositeQosApi,
@@ -343,18 +350,36 @@ impl DeliveryOptions {
             .sum()
     }
 
-    /// Writes into `out`, by enumeration index, whether each candidate's
-    /// demand passes `admits`, a check made entry by entry (every entry
-    /// must pass), such as [`CompositeQosApi::admits`]. The replica side is
-    /// checked once per [`fan_out`](Self::fan_out), the target side per
-    /// candidate.
-    pub(crate) fn admissible_into(
+    /// The replica-side demand entries every candidate of `side` shares.
+    pub(crate) fn replica_entries(&self, side: Side) -> [(ResourceKey, f64); 2] {
+        Plan::replica_entries(&self.options[side.option].record, side.remote)
+    }
+
+    /// Whether some candidate of `side`, whose
+    /// [`replica_entries`](Self::replica_entries) pass
+    /// [`CompositeQosApi::admits`], passes it too: whether the target-side
+    /// entries under one of the ciphers pass
+    /// [`CompositeQosApi::admits_on`] on one of the side's targets. A
+    /// remote side's entries are first put to `headroom`, the
+    /// [`Headroom`] of the target-side kinds over the sites (made on the
+    /// first call that needs it), which refuses them on every target at
+    /// once.
+    pub(crate) fn side_admits(
         &self,
-        admits: impl Fn(&[(ResourceKey, f64)]) -> bool,
-        out: &mut Vec<bool>,
-    ) {
-        out.clear();
-        self.fan_out(&admits, |_, _, replica, demand| out.push(replica && admits(&demand[2..])));
+        api: &CompositeQosApi,
+        side: Side,
+        headroom: &mut Option<Headroom>,
+    ) -> bool {
+        let option = &self.options[side.option];
+        (0..self.ciphers.len()).any(|cipher| {
+            let entries = option.target_entries(cipher);
+            let refused_everywhere = side.remote
+                && !headroom
+                    .get_or_insert_with(|| api.headroom(&self.sites, &Plan::TARGET_KINDS))
+                    .may_admit(&entries);
+            !refused_everywhere
+                && self.side_targets(side).any(|(_, target)| api.admits_on(target, &entries))
+        })
     }
 
     /// The candidate at enumeration `index` (< [`plan_count`](Self::plan_count)).
@@ -382,6 +407,34 @@ impl DeliveryOptions {
             delivered: o.delivered,
             delivered_bps: o.delivered_bps,
             resources: ResourceVector::from_distinct(&c.demand()),
+        }
+    }
+}
+
+/// The [`LiveCapacity`] of the target-side kinds over a request's sites,
+/// kept across admissions: it is rebuilt only when the sites or the
+/// buckets' [`capacity_epoch`](CompositeQosApi::capacity_epoch) change.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LiveTargets {
+    /// The epoch and the summary, once made.
+    summary: Option<(u64, LiveCapacity)>,
+    /// The sites summarized.
+    sites: Vec<ServerId>,
+}
+
+impl LiveTargets {
+    /// The summary over `options`' sites on `api`, the one `api` the
+    /// summary is kept for.
+    pub(crate) fn of(&mut self, api: &CompositeQosApi, options: &DeliveryOptions) -> LiveCapacity {
+        let epoch = api.capacity_epoch();
+        match self.summary {
+            Some((made, live)) if made == epoch && self.sites == options.sites => live,
+            _ => {
+                let live = api.live_capacity(&options.sites, &Plan::TARGET_KINDS);
+                self.sites.clone_from(&options.sites);
+                self.summary = Some((epoch, live));
+                live
+            }
         }
     }
 }

@@ -11,11 +11,11 @@
 //! renegotiated.
 
 use crate::cost::{by_rank, CostModel};
-use crate::generator::{Candidate, DeliveryOptions, PlanGenerator, PlanRequest, Side};
+use crate::generator::{Candidate, DeliveryOptions, LiveTargets, PlanGenerator, PlanRequest, Side};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, Projection, ReservationId, ResourceKey};
+use quasaq_qosapi::{CompositeQosApi, LiveCapacity, Projection, ReservationId, ResourceKey};
 use quasaq_sim::Rng;
 use quasaq_store::MetadataEngine;
 use std::collections::HashMap;
@@ -99,13 +99,16 @@ pub struct QualityManager {
     last_stats: PlanningStats,
     /// Recycled buffers, holding no state between calls beyond their
     /// allocations: the request's delivery options (when the plan cache
-    /// does not supply them), the remote option sides with their score
-    /// floors, the `(score, enumeration index)` of every scored candidate,
-    /// and by enumeration index whether a candidate passes admission.
+    /// does not supply them), the local option sides, the remote option
+    /// sides with their score floors, and the `(score, enumeration index)`
+    /// of every scored candidate.
     options: DeliveryOptions,
+    locals: Vec<Side>,
     remotes: Vec<(f64, Side)>,
     scored: Vec<(f64, usize)>,
-    admissible: Vec<bool>,
+    /// The summary of the live target-side capacity, kept until the
+    /// capacities or the sites change.
+    live: LiveTargets,
     /// Memoized delivery options (`None` = caching off, the default).
     /// Only enumeration is memoized — feasibility, ranking and reservation
     /// run live on every admission — so cached and uncached admission are
@@ -127,9 +130,10 @@ impl QualityManager {
             cost_model,
             last_stats: PlanningStats::default(),
             options: DeliveryOptions::default(),
+            locals: Vec::new(),
             remotes: Vec::new(),
             scored: Vec::new(),
-            admissible: Vec::new(),
+            live: LiveTargets::default(),
             plan_cache: None,
         }
     }
@@ -257,12 +261,20 @@ impl QualityManager {
     /// succeeds exactly when a pure check passes:
     /// [`CompositeQosApi::admits`] for a new reservation,
     /// [`CompositeQosApi::admits_renegotiation`] for a held one. So the
-    /// minimum is checked first. If it is refused, one pass marks the
-    /// admissible candidates; the rank-minimum of those is the pick, found
-    /// among the scored candidates and, under a floor, the further sides
-    /// whose floor does not exceed it. The walk's attempt count is 1 plus
-    /// the number of candidates ranked ahead of the pick, all of them
-    /// scored. Only the placed plan is built.
+    /// minimum is checked first. If it is refused, the pick is the
+    /// rank-minimum of the admissible candidates: among the scored ones,
+    /// only a candidate ranked ahead of the pick found so far is checked,
+    /// and under a floor the further sides whose floor does not exceed the
+    /// pick are scored and checked alike. The walk's attempt count is 1
+    /// plus the number of candidates ranked ahead of the pick, all of them
+    /// scored, or every feasible candidate when none is admissible. Only
+    /// the placed plan is built.
+    ///
+    /// Under a floor, a new reservation whose best local candidate is
+    /// refused is first put to [`prove_refusal`], before any remote side
+    /// is scored: when no candidate at all is admissible, the walk would
+    /// refuse every feasible candidate, which the proof counts, and
+    /// nothing needs ranking.
     fn place(
         &mut self,
         options: &DeliveryOptions,
@@ -274,11 +286,20 @@ impl QualityManager {
             return (Err(Rejection::NoFeasiblePlan), stats);
         }
         let (model, api) = (&*self.cost_model, &self.api);
-        let (remotes, scored) = (&mut self.remotes, &mut self.scored);
+        let (locals, remotes, scored) = (&mut self.locals, &mut self.remotes, &mut self.scored);
         scored.clear();
+        locals.clear();
         remotes.clear();
+        // The pure check of one attempt, entry by entry.
+        let admits = |entries: &[(ResourceKey, f64)]| {
+            match held {
+                None => api.admits(entries),
+                Some(id) => api.admits_renegotiation(id, entries),
+            }
+            .is_ok()
+        };
         let mut best: Option<(f64, usize)> = None;
-        // The remote sides from `remotes[next]` on are unscored.
+        // The remote sides from `remotes[next..]` on are unscored.
         let mut next = 0;
         // A model has a floor for every fill or for none.
         let floored = model.score_floor(0.0).is_some();
@@ -292,11 +313,24 @@ impl QualityManager {
                 if side.remote {
                     remotes.push((floor, side));
                 } else {
+                    locals.push(side);
                     options.for_each_projected_on(api, side, |index, c, projection, demand| {
                         keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
                     });
                 }
             });
+            if held.is_none() && !best.is_some_and(|b| admits(&options.candidate(b.1).demand())) {
+                let live = self.live.of(api, options);
+                if let Some(fitting) = prove_refusal(options, api, locals, remotes, &live) {
+                    stats.feasible = scored.len() + fitting;
+                    stats.attempts = stats.feasible;
+                    let refused = match stats.feasible {
+                        0 => Rejection::NoFeasiblePlan,
+                        _ => Rejection::AdmissionFailed,
+                    };
+                    return (Err(refused), stats);
+                }
+            }
             while let Some(side) = next_side(remotes, next, best) {
                 next += 1;
                 options.for_each_projected_on(api, side, |index, c, projection, demand| {
@@ -310,7 +344,7 @@ impl QualityManager {
         }
         stats.feasible = scored.len();
         if next < remotes.len() {
-            let live = options.live_targets(api);
+            let live = self.live.of(api, options);
             stats.feasible += remotes[next..]
                 .iter()
                 .map(|&(_, side)| options.count_fitting(api, side, &live))
@@ -324,31 +358,31 @@ impl QualityManager {
         let Some(best) = best else {
             return (Err(Rejection::NoFeasiblePlan), stats);
         };
-        // The pure check of one attempt, entry by entry.
-        let admits = |entries: &[(ResourceKey, f64)]| {
-            match held {
-                None => api.admits(entries),
-                Some(id) => api.admits_renegotiation(id, entries),
-            }
-            .is_ok()
-        };
         stats.attempts = 1;
         let mut pick = admits(&options.candidate(best.1).demand()).then_some(best);
         if pick.is_none() {
-            let admissible = &mut self.admissible;
-            options.admissible_into(admits, admissible);
-            if admissible.contains(&true) {
-                pick = scored.iter().copied().filter(|e| admissible[e.1]).min_by(by_rank);
-                // Under a floor, an admissible candidate ranked ahead of
-                // the pick can only lie in a side whose floor does not
-                // exceed it.
-                while let Some(side) = next_side(remotes, next, pick) {
-                    next += 1;
-                    options.for_each_projected_on(api, side, |index, c, projection, demand| {
-                        let entry = score(model, api, scored, index, c, projection, demand);
-                        keep_min(&mut pick, entry.filter(|e| admissible[e.1]));
-                    });
+            let ahead = |e: &(f64, usize), pick: Option<(f64, usize)>| {
+                pick.is_none_or(|p| by_rank(e, &p).is_lt())
+            };
+            for &entry in scored.iter() {
+                if ahead(&entry, pick) && admits(&options.candidate(entry.1).demand()) {
+                    pick = Some(entry);
                 }
+            }
+            // Under a floor, an admissible candidate ranked ahead of the
+            // pick can only lie in a side whose floor does not exceed it.
+            // The check is made entry by entry, so a side's shared replica
+            // entries are checked once.
+            while let Some(side) = next_side(remotes, next, pick) {
+                next += 1;
+                let replica_admits = admits(&options.replica_entries(side));
+                options.for_each_projected_on(api, side, |index, c, projection, demand| {
+                    let entry = score(model, api, scored, index, c, projection, demand);
+                    let admitted = |e| replica_admits && ahead(&e, pick) && admits(&demand[2..]);
+                    if entry.is_some_and(admitted) {
+                        pick = entry;
+                    }
+                });
             }
             stats.attempts = match pick {
                 Some(p) => 1 + scored.iter().filter(|e| by_rank(e, &p).is_lt()).count(),
@@ -508,6 +542,46 @@ fn score(
     entry
 }
 
+/// Under a score floor, for a fresh reservation: whether no candidate of
+/// the option sides, `locals` (all scored) and then `remotes`, passes
+/// [`CompositeQosApi::admits`]. Returns `None` at the first side found
+/// with a candidate that does, else how many of the remote sides'
+/// candidates fit capacity ([`DeliveryOptions::count_fitting`] under
+/// `live`). A candidate passes when its replica-side and its target-side
+/// entries do. The replica side is checked once for each run of sides with
+/// the same replica entries (an option's replica comes first in the
+/// enumeration, so the options of one replica are consecutive), the
+/// target side as [`DeliveryOptions::side_admits`] does.
+fn prove_refusal(
+    options: &DeliveryOptions,
+    api: &CompositeQosApi,
+    locals: &[Side],
+    remotes: &[(f64, Side)],
+    live: &LiveCapacity,
+) -> Option<usize> {
+    let mut fitting = 0;
+    let mut replica: Option<([(ResourceKey, f64); 2], bool)> = None;
+    let mut headroom = None;
+    for &side in locals.iter().chain(remotes.iter().map(|(_, side)| side)) {
+        if side.remote {
+            fitting += options.count_fitting(api, side, live);
+        }
+        let entries = options.replica_entries(side);
+        let admitted = match replica {
+            Some((checked, admitted)) if checked == entries => admitted,
+            _ => {
+                let admitted = api.admits(&entries).is_ok();
+                replica = Some((entries, admitted));
+                admitted
+            }
+        };
+        if admitted && options.side_admits(api, side, &mut headroom) {
+            return None;
+        }
+    }
+    Some(fitting)
+}
+
 /// The next remote side to score in ascending floor order, taken from the
 /// `(floor, side)` entries of `remotes[next..]`: moves the least to
 /// `remotes[next]` and returns its side, or `None` when its floor is above
@@ -548,7 +622,7 @@ mod tests {
     use crate::generator::GeneratorConfig;
     use crate::qop::{QopRequest, QopSecurity, QosWeights};
     use quasaq_media::{Library, LibraryConfig, VideoId};
-    use quasaq_qosapi::{ResourceKey, ResourceKind};
+    use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
     use quasaq_sim::ServerId;
     use quasaq_store::{ObjectStore, Placement, QosSampler, ReplicationPlanner};
     use std::collections::BTreeMap;
@@ -1053,13 +1127,7 @@ mod tests {
     #[test]
     fn lrb_scores_only_the_sides_that_can_win() {
         let servers: Vec<ServerId> = ServerId::first_n(20).collect();
-        let lib = Library::generate(42, &LibraryConfig::default());
-        let mut stores: BTreeMap<_, _> =
-            servers.iter().map(|&s| (s, ObjectStore::new(s, 1 << 40))).collect();
-        let mut e = MetadataEngine::new(servers.clone());
-        ReplicationPlanner::new(QosSampler::default(), Placement::Spread { copies: 3 })
-            .replicate(&lib, &mut stores, &mut e)
-            .unwrap();
+        let mut e = spread_engine(&servers);
         let api = CompositeQosApi::homogeneous_cluster(servers, 3_200_000.0, 20_000_000.0, 512e6);
         let generator = PlanGenerator::new(GeneratorConfig::default());
         let mut m = QualityManager::new(api, generator, Box::new(LrbModel));
@@ -1077,6 +1145,88 @@ mod tests {
             generated += stats.generated;
         }
         assert!(scored * 3 < generated, "{scored} of {generated} candidates scored");
+        // The live-capacity summary kept for that count follows the
+        // request's site list, not only the capacity epoch: a site dropped
+        // from the catalog alone, its buckets still registered, must not
+        // be counted as a target.
+        e.fail_site(ServerId(0));
+        for video in 0..15 {
+            let admitted = m.process(&e, &request(video), &mut rng).expect("room");
+            m.release(&admitted);
+            let stats = m.last_stats();
+            assert_eq!(stats.feasible, stats.generated, "video {video} on 19 sites");
+        }
+    }
+
+    /// Three copies of each video of the default library, spread over
+    /// `servers`.
+    fn spread_engine(servers: &[ServerId]) -> MetadataEngine {
+        let lib = Library::generate(42, &LibraryConfig::default());
+        let mut stores: BTreeMap<_, _> =
+            servers.iter().map(|&s| (s, ObjectStore::new(s, 1 << 40))).collect();
+        let mut e = MetadataEngine::new(servers.to_vec());
+        ReplicationPlanner::new(QosSampler::default(), Placement::Spread { copies: 3 })
+            .replicate(&lib, &mut stores, &mut e)
+            .unwrap();
+        e
+    }
+
+    /// The refusal proof is exact both ways: on 12-server clusters whose
+    /// buckets are saturated, partly used or idle at random (so a server
+    /// often has one target-side kind to spare and not another), it finds
+    /// an admissible candidate exactly when one of the generated plans
+    /// passes admission, and otherwise counts the remote plans that fit
+    /// capacity.
+    #[test]
+    fn refusal_proof_is_exact() {
+        let servers: Vec<ServerId> = ServerId::first_n(12).collect();
+        let e = spread_engine(&servers);
+        let generator = PlanGenerator::new(GeneratorConfig::default());
+        let mut rng = Rng::new(17);
+        let (mut proved, mut found) = (0, 0);
+        for _ in 0..30 {
+            let mut api = CompositeQosApi::homogeneous_cluster(
+                servers.iter().copied(),
+                3_200_000.0,
+                20_000_000.0,
+                512e6,
+            );
+            // The chance, out of 8, that a bucket is saturated.
+            let saturated = 2 + rng.below(6);
+            for key in api.buckets().collect::<Vec<_>>() {
+                let fraction = match rng.below(8) {
+                    draw if draw < saturated => 0.995 + 0.005 * rng.next_f64(),
+                    7 => 0.0,
+                    _ => rng.next_f64(),
+                };
+                let amount = fraction * api.capacity(key).unwrap();
+                api.reserve(&ResourceVector::new().with(key, amount)).unwrap();
+            }
+            for video in 0..15 {
+                let mut request = request(video);
+                request.security = [QopSecurity::Open, QopSecurity::Standard][rng.index(2)];
+                let options = generator.options(&e, &request);
+                let (mut locals, mut remotes) = (Vec::new(), Vec::new());
+                options.for_each_side(&api, |side| match side.remote {
+                    true => remotes.push((0.0, side)),
+                    false => locals.push(side),
+                });
+                let live = LiveTargets::default().of(&api, &options);
+                let proof = prove_refusal(&options, &api, &locals, &remotes, &live);
+                let plans = generator.generate(&e, &request);
+                let admissible = plans.iter().any(|p| api.admits(p.resources.entries()).is_ok());
+                assert_eq!(proof.is_none(), admissible, "video {video}: {proof:?}");
+                if let Some(fitting) = proof {
+                    let fits = |p: &&Plan| api.project(p.resources.entries()).fits_capacity;
+                    let remote = plans.iter().filter(|p| !p.is_local()).filter(fits).count();
+                    assert_eq!(fitting, remote, "video {video}");
+                    proved += 1;
+                } else {
+                    found += 1;
+                }
+            }
+        }
+        assert!(proved > 0 && found > 0, "{proved} proved, {found} found");
     }
 
     #[test]

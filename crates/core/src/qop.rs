@@ -244,48 +244,69 @@ impl UserProfile {
     /// one quality dimension's floor; dimensions with *lower* weight are
     /// relaxed first.
     pub fn degrade_options(&self, range: &QosRange) -> Vec<QosRange> {
-        // (weight, builder) per dimension; sort ascending by weight.
-        let mut dims: Vec<(f64, u8)> = vec![
-            (self.weights.resolution, 0),
-            (self.weights.frame_rate, 1),
-            (self.weights.color, 2),
+        self.relax_order().into_iter().filter_map(|dim| dim.relax(range)).collect()
+    }
+
+    /// The first of the [`degrade_options`](Self::degrade_options), one
+    /// step down the second-chance ladder, built without the others.
+    pub fn degrade_step(&self, range: &QosRange) -> Option<QosRange> {
+        self.relax_order().into_iter().find_map(|dim| dim.relax(range))
+    }
+
+    /// The quality dimensions by ascending weight, ties in declaration
+    /// order.
+    fn relax_order(&self) -> [Dimension; 3] {
+        let w = &self.weights;
+        let mut dims = [
+            (w.resolution, Dimension::Resolution),
+            (w.frame_rate, Dimension::FrameRate),
+            (w.color, Dimension::Color),
         ];
         dims.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut out = Vec::new();
-        for (_, dim) in dims {
-            let mut r = range.clone();
-            match dim {
-                0 => {
-                    let m = r.min_resolution;
-                    if m.width > 160 || m.height > 120 {
-                        r.min_resolution =
-                            Resolution::new((m.width / 2).max(160), (m.height / 2).max(120));
-                    } else {
-                        continue;
-                    }
-                }
-                1 => {
-                    let fps = r.min_frame_rate.fps();
-                    if fps > 8.0 {
-                        r.min_frame_rate = FrameRate::from_fps((fps / 2.0).max(8.0));
-                    } else {
-                        continue;
-                    }
-                }
-                _ => {
-                    let bits = r.min_color.bits();
-                    if bits > 8 {
-                        r.min_color = ColorDepth::from_bits((bits / 2).max(8));
-                    } else {
-                        continue;
-                    }
-                }
+        dims.map(|(_, dim)| dim)
+    }
+}
+
+/// A quality dimension whose floor the second-chance ladder relaxes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Dimension {
+    Resolution,
+    FrameRate,
+    Color,
+}
+
+impl Dimension {
+    /// `range` with this dimension's floor halved (never below its
+    /// global floor), or `None` when the floor is already at the bottom
+    /// or the relaxed range is invalid.
+    fn relax(self, range: &QosRange) -> Option<QosRange> {
+        let relaxed = match self {
+            Dimension::Resolution => {
+                let m = range.min_resolution;
+                (m.width > 160 || m.height > 120).then(|| QosRange {
+                    min_resolution: Resolution::new(
+                        (m.width / 2).max(160),
+                        (m.height / 2).max(120),
+                    ),
+                    ..range.clone()
+                })
             }
-            if r.is_valid() {
-                out.push(r);
+            Dimension::FrameRate => {
+                let fps = range.min_frame_rate.fps();
+                (fps > 8.0).then(|| QosRange {
+                    min_frame_rate: FrameRate::from_fps((fps / 2.0).max(8.0)),
+                    ..range.clone()
+                })
             }
-        }
-        out
+            Dimension::Color => {
+                let bits = range.min_color.bits();
+                (bits > 8).then(|| QosRange {
+                    min_color: ColorDepth::from_bits((bits / 2).max(8)),
+                    ..range.clone()
+                })
+            }
+        };
+        relaxed.filter(QosRange::is_valid)
     }
 }
 

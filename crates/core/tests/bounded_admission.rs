@@ -8,10 +8,13 @@
 //! 10–40 servers whose replica sources are loaded unevenly, with failed
 //! servers and re-rated buckets, both must agree on every admission and
 //! renegotiation: the outcome, the plan, the planning statistics, the
-//! bucket usage bits and the next RNG draw.
+//! bucket usage bits and the next RNG draw. A fresh admission that LRB
+//! refuses is decided by the refusal proof, before any remote side is
+//! ranked, so the full scan checks the proof's decision and its counts
+//! too.
 
 use quasaq_core::{
-    AdmittedPlan, CostModel, GeneratorConfig, LrbModel, PlanGenerator, PlanRequest, PlanView,
+    AdmittedPlan, CostModel, GeneratorConfig, LrbModel, Plan, PlanGenerator, PlanRequest, PlanView,
     PlanningStats, QopRequest, QopSecurity, QualityManager, Rejection, UserProfile,
 };
 use quasaq_media::{Library, LibraryConfig, VideoId};
@@ -50,9 +53,10 @@ fn capacity(kind: ResourceKind) -> f64 {
 /// catalog's placement, buckets never registered (a server missing one
 /// hosts no candidate that needs it), per-bucket usage as a fraction of
 /// capacity (the replica sources' disk and outbound link loaded
-/// unevenly), re-rates by a factor (some below one stream's demand, so
-/// that no candidate on the bucket fits and feasibility is counted site
-/// by site) and failed servers, some of which also leave the catalog.
+/// unevenly, or each server's CPU or outbound link saturated), re-rates by
+/// a factor (some below one stream's demand, so that no candidate on the
+/// bucket fits and feasibility is counted site by site) and failed
+/// servers, some of which also leave the catalog.
 #[derive(Debug)]
 struct Cluster {
     servers: u32,
@@ -72,9 +76,16 @@ impl Cluster {
             _ => Placement::Spread { copies: 1 + rng.below(4) as u32 },
         };
         // Idle clusters place at once; full ones refuse and walk. A flat
-        // cluster fills every bucket to at least the level.
+        // cluster fills every bucket to at least the level. A mixed one
+        // saturates the CPU of some servers and the outbound link of the
+        // others, so some server has each target-side kind to spare but
+        // none has both.
         let level = [0.2, 0.6, 0.9, 0.98][rng.index(4)];
-        let flat = rng.below(3) == 0;
+        let (flat, mixed) = match rng.below(4) {
+            0 => (true, false),
+            1 => (false, true),
+            _ => (false, false),
+        };
         let mut missing = Vec::new();
         let mut usage = Vec::new();
         let mut rerates = Vec::new();
@@ -85,6 +96,7 @@ impl Cluster {
             }
             // A hot source: its disk and outbound link are well used.
             let hot = rng.below(3) == 0;
+            let saturated = [ResourceKind::Cpu, ResourceKind::NetBandwidth][rng.index(2)];
             for kind in ResourceKind::ALL {
                 let source_side =
                     matches!(kind, ResourceKind::DiskBandwidth | ResourceKind::NetBandwidth);
@@ -92,6 +104,11 @@ impl Cluster {
                     (true, _) => level + (1.0 - level) * rng.next_f64(),
                     (false, 0) => 0.0,
                     (false, _) => level * rng.next_f64(),
+                };
+                let fraction = if mixed && kind == saturated {
+                    0.995 + 0.005 * rng.next_f64()
+                } else {
+                    fraction
                 };
                 if fraction > 0.0 && !missing.contains(&ResourceKey::new(s, kind)) {
                     usage.push((ResourceKey::new(s, kind), fraction));
@@ -183,6 +200,14 @@ struct Coverage {
     capacity_cut: usize,
     /// Renegotiations compared.
     renegotiated: usize,
+    /// Fresh refusals with remote candidates that fit capacity: the
+    /// refusal proof counted and cleared remote sides.
+    proved_remote: usize,
+    /// Fresh refusals with a remote candidate whose replica side admits
+    /// and whose target-side entries each fit the most any site has left
+    /// of their kind, yet no target admits them: the per-kind maximum
+    /// cannot prune the side, and every target is checked.
+    unpruned: usize,
 }
 
 impl Coverage {
@@ -197,6 +222,31 @@ impl Coverage {
             self.capacity_cut += 1;
         }
     }
+}
+
+/// Classifies a fresh refusal on `api`, whose state the refusal left as it
+/// was.
+fn classify_refusal(
+    coverage: &mut Coverage,
+    plans: &[Plan],
+    api: &CompositeQosApi,
+    sites: &[ServerId],
+) {
+    let fits = |p: &&Plan| api.project(p.resources.entries()).fits_capacity;
+    let remote: Vec<&Plan> = plans.iter().filter(|p| !p.is_local()).filter(fits).collect();
+    let target_kinds = [ResourceKind::Cpu, ResourceKind::NetBandwidth, ResourceKind::Memory];
+    let headroom = api.headroom(sites, &target_kinds);
+    let unpruned = remote.iter().any(|p| {
+        let on = |server, kind| {
+            (ResourceKey::new(server, kind), p.resources.get(ResourceKey::new(server, kind)))
+        };
+        let replica = [ResourceKind::DiskBandwidth, ResourceKind::NetBandwidth]
+            .map(|kind| on(p.source_server(), kind));
+        let target = target_kinds.map(|kind| (kind, on(p.target_server, kind).1));
+        api.admits(&replica).is_ok() && headroom.may_admit(&target)
+    });
+    coverage.proved_remote += usize::from(!remote.is_empty());
+    coverage.unpruned += usize::from(unpruned);
 }
 
 /// The two managers of one case, run step by step in lockstep.
@@ -268,6 +318,10 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             assert_eq!(format!("{ours:?}"), format!("{theirs:?}"), "{what}: admission");
             assert_eq!(b.last_stats(), f.last_stats(), "{what}: stats");
             coverage.count(&ours, b.last_stats());
+            if matches!(ours, Err(Rejection::AdmissionFailed)) {
+                let plans = PlanGenerator::new(cfg).generate(&engine, &request);
+                classify_refusal(coverage, &plans, b.api(), engine.sites());
+            }
             if let (Ok(x), Ok(y)) = (ours, theirs) {
                 held.push((x, y));
             }
@@ -291,4 +345,5 @@ fn bounded_admission_matches_the_full_scan() {
     let Coverage { first, failed, capacity_cut, renegotiated_past_min, .. } = coverage;
     assert!(first > 0 && failed > 0 && capacity_cut > 0, "{coverage:?}");
     assert!(renegotiated_past_min > 0, "{coverage:?}");
+    assert!(coverage.proved_remote > 0 && coverage.unpruned > 0, "{coverage:?}");
 }

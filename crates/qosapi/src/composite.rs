@@ -15,7 +15,7 @@
 //! bucket iteration stays in global `(server, kind)` order, so the
 //! sharded layout is observationally identical to a flat bucket map.
 
-use crate::manager::{within_capacity, BucketFull, Projection, ResourceManager};
+use crate::manager::{reservable, within_capacity, BucketFull, Projection, ResourceManager};
 use crate::resource::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 
@@ -90,6 +90,33 @@ impl LiveCapacity {
     }
 }
 
+/// The most that some servers' buckets of some kinds have left, from
+/// [`CompositeQosApi::headroom`]: the largest
+/// [`available`](ResourceManager::available) amount of each kind among
+/// them. It refuses entries for all those servers at once, without
+/// visiting them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Headroom {
+    /// The largest available amount by kind (negative infinity when no
+    /// server hosts a bucket of the kind), infinite for the kinds not
+    /// summarized.
+    max: [f64; ResourceKind::ALL.len()],
+}
+
+impl Headroom {
+    /// Whether every nonzero entry could be reserved in a bucket that has
+    /// the largest available amount of its kind. When not,
+    /// [`admits_on`](CompositeQosApi::admits_on) refuses the entries on
+    /// every one of the servers: whether an amount can be reserved is
+    /// monotone in what the bucket has left, and no bucket of a kind has
+    /// more left than the largest.
+    pub fn may_admit(&self, entries: &[(ResourceKind, f64)]) -> bool {
+        entries
+            .iter()
+            .all(|&(kind, amount)| amount == 0.0 || reservable(self.max[kind as usize], amount))
+    }
+}
+
 /// Per-server bucket domains plus composite (all-or-nothing)
 /// reservations.
 ///
@@ -104,6 +131,9 @@ pub struct CompositeQosApi {
     reservations: Vec<Option<ResourceVector>>,
     outstanding: usize,
     next_id: u64,
+    /// Bumped by every call that may change a bucket's capacity or which
+    /// buckets exist; see [`capacity_epoch`](Self::capacity_epoch).
+    capacity_epoch: u64,
 }
 
 impl CompositeQosApi {
@@ -114,6 +144,7 @@ impl CompositeQosApi {
             reservations: Vec::new(),
             outstanding: 0,
             next_id: 0,
+            capacity_epoch: 0,
         }
     }
 
@@ -151,6 +182,19 @@ impl CompositeQosApi {
             self.domains.resize_with(slot + 1, ServerDomain::default);
         }
         self.domains[slot].managers[key.kind as usize] = Some(ResourceManager::new(capacity));
+        self.capacity_epoch += 1;
+    }
+
+    /// A counter that [`register`](Self::register),
+    /// [`set_capacity`](Self::set_capacity),
+    /// [`fail_server`](Self::fail_server) and
+    /// [`restore_server`](Self::restore_server) bump, and nothing else
+    /// changes. Anything computed from the buckets' capacities and
+    /// presence alone, such as a [`live_capacity`](Self::live_capacity),
+    /// stays valid while the epoch does: reservations and releases only
+    /// move usage.
+    pub fn capacity_epoch(&self) -> u64 {
+        self.capacity_epoch
     }
 
     /// Re-rates a managed bucket to a new capacity (link degradation or
@@ -162,6 +206,7 @@ impl CompositeQosApi {
         match self.manager_mut(key) {
             Some(mgr) => {
                 mgr.set_capacity(capacity);
+                self.capacity_epoch += 1;
                 true
             }
             None => false,
@@ -265,6 +310,33 @@ impl CompositeQosApi {
         })
     }
 
+    /// Whether entries of these kinds (distinct, zero amounts allowed) pass
+    /// [`admits`](Self::admits) on `server`'s buckets, whose domain is
+    /// looked up once.
+    pub fn admits_on(&self, server: ServerId, entries: &[(ResourceKind, f64)]) -> bool {
+        let managers = self.domains.get(server.0 as usize).map(|d| &d.managers);
+        entries.iter().filter(|&&(_, amount)| amount != 0.0).all(|&(kind, amount)| {
+            managers.and_then(|m| m[kind as usize].as_ref()).is_some_and(|m| m.can_reserve(amount))
+        })
+    }
+
+    /// The [`Headroom`] of `kinds` among `servers`.
+    pub fn headroom(&self, servers: &[ServerId], kinds: &[ResourceKind]) -> Headroom {
+        let mut max = [f64::INFINITY; ResourceKind::ALL.len()];
+        for &kind in kinds {
+            max[kind as usize] = f64::NEG_INFINITY;
+        }
+        for server in servers {
+            let Some(domain) = self.domains.get(server.0 as usize) else { continue };
+            for &kind in kinds {
+                if let Some(bucket) = &domain.managers[kind as usize] {
+                    max[kind as usize] = max[kind as usize].max(bucket.available());
+                }
+            }
+        }
+        Headroom { max }
+    }
+
     /// The [`LiveCapacity`] of `kinds` among `servers`.
     pub fn live_capacity(&self, servers: &[ServerId], kinds: &[ResourceKind]) -> LiveCapacity {
         let mut live =
@@ -326,6 +398,7 @@ impl CompositeQosApi {
     /// session is useless). Returns the cancelled reservation ids so the
     /// caller can re-plan the affected sessions.
     pub fn fail_server(&mut self, server: ServerId) -> Vec<ReservationId> {
+        self.capacity_epoch += 1;
         let affected: Vec<ReservationId> = self
             .reservations
             .iter()

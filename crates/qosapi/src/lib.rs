@@ -19,6 +19,6 @@ pub mod composite;
 pub mod manager;
 pub mod resource;
 
-pub use composite::{AdmissionError, CompositeQosApi, LiveCapacity, ReservationId};
+pub use composite::{AdmissionError, CompositeQosApi, Headroom, LiveCapacity, ReservationId};
 pub use manager::{BucketFull, Projection, ResourceManager};
 pub use resource::{ResourceKey, ResourceKind, ResourceVector};

@@ -41,6 +41,13 @@ pub(crate) fn within_capacity(capacity: f64, amount: f64) -> bool {
     amount <= capacity + CAPACITY_TOLERANCE
 }
 
+/// Whether `amount` can be reserved in a bucket with `available` left.
+/// Monotone in `available`: what a bucket refuses, every bucket with no
+/// more left refuses too.
+pub(crate) fn reservable(available: f64, amount: f64) -> bool {
+    amount >= 0.0 && amount.is_finite() && amount <= available + CAPACITY_TOLERANCE
+}
+
 /// A demand's projection onto the buckets: the LRB cost of Eq. (1),
 /// `max_i (U_i + r_i) / R_i`, and whether every entry fits its bucket's
 /// total capacity. Built by folding in the demand's entries one by one in
@@ -129,7 +136,7 @@ impl ResourceManager {
     /// from plan resource vectors, so garbage must bounce as a rejection
     /// rather than corrupt `used`.
     pub fn can_reserve(&self, amount: f64) -> bool {
-        amount >= 0.0 && amount.is_finite() && amount <= self.available() + CAPACITY_TOLERANCE
+        reservable(self.available(), amount)
     }
 
     /// Reserves `amount` if [`can_reserve`](Self::can_reserve) allows it,

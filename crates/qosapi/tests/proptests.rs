@@ -358,8 +358,11 @@ proptest! {
     /// there), some buckets re-rated below their usage, some amounts zero.
     /// A candidate's five entries projected in two parts — its replica
     /// side by `project`, then its target side by `project_on` — give
-    /// `project` of all five, bit for bit; and `admits_renegotiation`
-    /// passes exactly when `renegotiate` succeeds.
+    /// `project` of all five, bit for bit; its target side passes
+    /// `admits_on` exactly when `admits` passes it keyed on the target;
+    /// where the servers' `headroom` refuses it, `admits_on` refuses it on
+    /// every server; and `admits_renegotiation` passes exactly when
+    /// `renegotiate` succeeds.
     #[test]
     fn split_projection_and_pure_renegotiation_check_match_the_whole_calls(
         usage in proptest::collection::vec((0u32..3, 0usize..4, 0.0f64..1.0), 0..12),
@@ -412,11 +415,70 @@ proptest! {
         let full = api.project(&whole);
         prop_assert_eq!(split.max_fill.to_bits(), full.max_fill.to_bits());
         prop_assert_eq!(split.fits_capacity, full.fits_capacity);
+        let keyed = target_side.map(|(kind, a)| (ResourceKey::new(ServerId(target), kind), a));
+        prop_assert_eq!(api.admits_on(ServerId(target), &target_side), api.admits(&keyed).is_ok());
+        let servers: Vec<ServerId> = ServerId::first_n(4).collect();
+        let kinds = target_side.map(|(kind, _)| kind);
+        if !api.headroom(&servers, &kinds).may_admit(&target_side) {
+            prop_assert!(servers.iter().all(|&s| !api.admits_on(s, &target_side)));
+        }
         // A failed server's reservations are cancelled: an unknown id must
         // bounce in both calls alike.
         let id = id.unwrap_or(ReservationId(u64::MAX));
         let predicted = api.admits_renegotiation(id, &whole).is_ok();
         let actual = api.renegotiate(id, &ResourceVector::from_distinct(&whole)).is_ok();
         prop_assert_eq!(predicted, actual);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `LiveCapacity` kept by capacity epoch, rebuilt only when the
+    /// epoch moves, equals a fresh `live_capacity` after every call of a
+    /// random sequence: registrations, re-rates, server failures and
+    /// restarts (each of which bumps the epoch when it changes anything)
+    /// and reservations and releases (which never do).
+    #[test]
+    fn live_capacity_kept_by_epoch_stays_fresh(
+        ops in proptest::collection::vec((0u8..6, 0u32..5, 0usize..4, 0.05f64..1.5), 1..40),
+    ) {
+        let key = |s: u32, i: usize| ResourceKey::new(ServerId(s), ResourceKind::ALL[i]);
+        let servers: Vec<ServerId> = ServerId::first_n(5).collect();
+        let kinds = [ResourceKind::Cpu, ResourceKind::NetBandwidth, ResourceKind::Memory];
+        let mut api = CompositeQosApi::homogeneous_cluster(ServerId::first_n(3), 3_200_000.0, 20_000_000.0, 512e6);
+        let mut kept = (api.capacity_epoch(), api.live_capacity(&servers, &kinds));
+        let mut held = Vec::new();
+        for (op, s, i, factor) in ops {
+            let (before, capacity) = (api.capacity_epoch(), capacity_of(ResourceKind::ALL[i]));
+            let changed = match op {
+                0 => {
+                    api.register(key(s, i), factor * capacity);
+                    true
+                }
+                1 => api.set_capacity(key(s, i), factor * capacity),
+                2 => {
+                    api.fail_server(ServerId(s));
+                    true
+                }
+                3 => api.restore_server(ServerId(s)),
+                4 => {
+                    let demand = ResourceVector::new().with(key(s, i), factor * capacity / 4.0);
+                    held.extend(api.reserve(&demand).ok());
+                    false
+                }
+                _ => {
+                    if let Some(id) = held.pop() {
+                        api.release(id);
+                    }
+                    false
+                }
+            };
+            prop_assert_eq!(api.capacity_epoch() != before, changed, "op {}", op);
+            if api.capacity_epoch() != kept.0 {
+                kept = (api.capacity_epoch(), api.live_capacity(&servers, &kinds));
+            }
+            prop_assert_eq!(kept.1, api.live_capacity(&servers, &kinds));
+        }
     }
 }

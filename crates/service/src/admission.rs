@@ -229,7 +229,7 @@ impl AdmissionQueue {
         // Walk the second-chance ladder: lower floors reach more replicas
         // (and cheaper plans), so every retry asks for something easier.
         // Dimensions with lower profile weight are relaxed first.
-        match self.cfg.profile.degrade_options(&w.query.qos).into_iter().next() {
+        match self.cfg.profile.degrade_step(&w.query.qos) {
             Some(next) => {
                 w.query.qos = next;
                 if fresh {
@@ -382,7 +382,7 @@ mod tests {
         let t = SimTime::ZERO;
         let mut w = waiting(t);
         // Grind the range to the global floor so no degrade step remains.
-        while let Some(r) = q.cfg.profile.degrade_options(&w.query.qos).into_iter().next() {
+        while let Some(r) = q.cfg.profile.degrade_step(&w.query.qos) {
             w.query.qos = r;
         }
         // Static infeasibility at the bottom: dropped as hopeless.
@@ -520,7 +520,7 @@ mod tests {
         // Hopeless at the ladder bottom: counted for fresh, not displaced.
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
         let mut w = displaced(crash);
-        while let Some(r) = q.cfg.profile.degrade_options(&w.query.qos).into_iter().next() {
+        while let Some(r) = q.cfg.profile.degrade_step(&w.query.qos) {
             w.query.qos = r;
         }
         assert_eq!(q.admit_failure(crash, w, &Rejection::NoFeasiblePlan), Disposition::Hopeless);

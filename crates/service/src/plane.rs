@@ -338,9 +338,7 @@ impl ControlPlane {
                     return;
                 }
                 BrownoutAction::DegradeThenReject => {
-                    if let Some(next) =
-                        self.profile.degrade_options(&request.qos).into_iter().next()
-                    {
+                    if let Some(next) = self.profile.degrade_step(&request.qos) {
                         request.qos = next;
                     }
                     via_brownout = true;
@@ -496,7 +494,7 @@ impl ControlPlane {
                 Ok(placement) => break Some(placement),
                 Err(why) => {
                     last_err = why;
-                    match self.profile.degrade_options(&request.qos).into_iter().next() {
+                    match self.profile.degrade_step(&request.qos) {
                         Some(next) => {
                             request.qos = next;
                             steps += 1;
@@ -559,14 +557,11 @@ impl ControlPlane {
                     .and_then(|rec| rec.ctx.as_ref())
                     .filter(|ctx| ctx.plan.is_some())
                     .and_then(|ctx| {
-                        self.profile.degrade_options(&ctx.query.qos).into_iter().next().map(
-                            |next| {
-                                let hunting = ctx
-                                    .upshifted_at
-                                    .is_some_and(|ts| now < ts + policy.upgrade_period);
-                                (next, hunting)
-                            },
-                        )
+                        self.profile.degrade_step(&ctx.query.qos).map(|next| {
+                            let hunting =
+                                ctx.upshifted_at.is_some_and(|ts| now < ts + policy.upgrade_period);
+                            (next, hunting)
+                        })
                     })
             }) else {
                 continue;

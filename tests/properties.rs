@@ -152,4 +152,29 @@ proptest! {
             prop_assert_eq!(alt.max_resolution, qos.max_resolution);
         }
     }
+
+    /// One step down the second-chance ladder is the first degrade option,
+    /// at every rung down to the bottom. Weights come from a small set so
+    /// that ties between dimensions come up.
+    #[test]
+    fn degrade_step_is_the_first_degrade_option(
+        qos in qos_range_strategy(),
+        weights in (0u32..3, 0u32..3, 0u32..3),
+    ) {
+        let w = |i: u32| [0.5, 1.0, 2.0][i as usize];
+        let profile = UserProfile::with_weights(
+            "p",
+            quasaq::core::QosWeights {
+                resolution: w(weights.0),
+                frame_rate: w(weights.1),
+                color: w(weights.2),
+            },
+        );
+        let mut rung = Some(qos);
+        while let Some(range) = rung {
+            let step = profile.degrade_step(&range);
+            prop_assert_eq!(&step, &profile.degrade_options(&range).into_iter().next());
+            rung = step;
+        }
+    }
 }
