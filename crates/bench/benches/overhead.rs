@@ -68,6 +68,18 @@ fn bench_planning(c: &mut Criterion) {
         })
     });
 
+    // The same idle admission under the Random model, which has no score
+    // floor: every delivery side is scored, and the entries are put back
+    // in enumeration order before the shuffle.
+    c.bench_function("random_admit_release_100", |b| {
+        let mut manager = testbed.quality_manager(CostKind::Random);
+        let mut rng = Rng::new(8);
+        b.iter(|| {
+            let admitted = manager.process(&testbed.engine, &request, &mut rng).expect("admits");
+            manager.release(&admitted);
+        })
+    });
+
     // The same admission on that cluster at a steady-state load: 3,000
     // sessions admitted and every third released, so 2,000 stay (about
     // `admit_lrb100`'s mean) on unevenly filled servers, as under churn.

@@ -14,12 +14,12 @@
 //! enough for CI, and skips the JSON write so CI runs never clobber the
 //! committed full-mode artifact.
 //!
-//! Two further modes drive the declarative scenario DSL (`quasaq-scenario`):
-//! `--scenario <file>` executes one TOML scenario serially and on the
+//! `--scenario <file>` drives the declarative scenario DSL
+//! (`quasaq-scenario`): it executes one TOML scenario serially and on the
 //! scenario-parallel runner, asserts byte-identical reports, and prints
-//! harness-shaped JSON rows; `--gallery` runs every `scenarios/*.toml` both
-//! ways against its committed golden (the CI regression gate). Speedup is
-//! bounded by the machine: on a single core the runner degrades to the
+//! harness-shaped JSON rows. (The committed `scenarios/*.toml` gallery and
+//! its goldens are checked by `cargo test --test scenario_gallery`.)
+//! Speedup is bounded by the machine: on a single core the runner degrades to the
 //! serial loop (speedup ~1.0), which the artifact records via the `cores`
 //! field rather than pretending otherwise.
 //!
@@ -381,49 +381,6 @@ fn run_scenario_mode(file: &str) {
     assert!(identical, "{file}: parallel report diverged from serial");
 }
 
-/// `--gallery` mode: the CI smoke gate over every committed scenario.
-/// Each gallery entry runs serially and on the scenario-parallel runner;
-/// both renderings must be byte-identical to each other and to the
-/// committed golden.
-fn run_gallery_mode() {
-    use quasaq_scenario::{run_file, ExecMode};
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let dir = root.join("scenarios");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
-        .map(|entry| entry.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    files.sort();
-    assert!(files.len() >= 6, "gallery shrank below 6 scenarios: {}", files.len());
-    for path in &files {
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let t0 = Instant::now();
-        let serial = run_file(path, ExecMode::Serial).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let parallel = run_file(path, ExecMode::Parallel).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let rendered = serial.render();
-        assert!(rendered == parallel.render(), "{name}: parallel report diverged from serial");
-        let golden = dir.join("golden").join(&name).with_extension("golden");
-        let expected = std::fs::read_to_string(&golden)
-            .unwrap_or_else(|e| panic!("{name}: missing golden {}: {e}", golden.display()));
-        assert!(
-            rendered == expected,
-            "{name}: report drifted from {} — rebless via QUASAQ_BLESS=1 cargo test \
-             --test scenario_gallery if intentional",
-            golden.display()
-        );
-        println!(
-            "  {name}: serial {serial_ms:>8.1} ms | parallel {parallel_ms:>8.1} ms | \
-             fp {:016x} | golden OK",
-            serial.fingerprint()
-        );
-    }
-    println!("gallery OK: {} scenarios bit-identical serial vs parallel", files.len());
-}
-
 /// One `--load` measurement row: the loopback replay at a given shell
 /// thread count, striped over as many connections.
 struct ServiceRow {
@@ -568,14 +525,13 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
 }
 
 /// The command line, printed with any argument error.
-const USAGE: &str =
-    "usage: bench [--quick] [--smoke] [--gallery] [--scenario <file>] [--load [--quick]]";
+const USAGE: &str = "usage: bench [--quick] [--smoke] [--scenario <file>] [--load [--quick]]";
 
 /// Exits with status 2 and the usage line unless every argument is a
 /// known flag and every flag that takes a value has one, so a typo never
 /// falls through to the full suite (which rewrites the artifact).
 fn check_args(args: &[String]) {
-    const SWITCHES: [&str; 4] = ["--quick", "--smoke", "--gallery", "--load"];
+    const SWITCHES: [&str; 3] = ["--quick", "--smoke", "--load"];
     const VALUED: [&str; 1] = ["--scenario"];
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
@@ -606,11 +562,6 @@ fn main() {
     }
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
         run_scenario_mode(&args[i + 1]);
-        return;
-    }
-    if args.iter().any(|a| a == "--gallery") {
-        println!("gallery mode: scenario DSL golden suite ({cores} core(s))");
-        run_gallery_mode();
         return;
     }
 

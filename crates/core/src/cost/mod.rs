@@ -74,10 +74,11 @@ pub trait CostModel: Send {
     fn score(&self, plan: &PlanView<'_>) -> f64;
 
     /// Runs on the `(score, enumeration index)` entries of the plans to be
-    /// ranked, in enumeration order, before the order is taken. A model
+    /// ranked, in no particular order, before the order is taken. A model
     /// whose order is a draw shuffles them here, scores each by its drawn
-    /// position and returns `true`: the scores changed. A scoring model
-    /// draws nothing and keeps its scores (the default, `false`).
+    /// position and returns `true`: the scores changed. Its draw must not
+    /// depend on the order it is handed. A scoring model draws nothing and
+    /// keeps its scores (the default, `false`).
     fn reorder(&self, _scored: &mut [(f64, usize)], _rng: &mut Rng) -> bool {
         false
     }

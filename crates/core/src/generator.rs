@@ -127,18 +127,12 @@ impl<'a> Candidate<'a> {
         )
     }
 
-    /// The candidate's target-side demand entries, by kind on its target
-    /// site (the last three of its [`demand`](Self::demand)).
-    fn target_entries(&self) -> [(ResourceKind, f64); 3] {
-        self.option.target_entries(self.cipher)
-    }
-
     /// The candidate's [`demand`](Self::demand), given its replica-side
     /// entries.
     fn demand_with(&self, [disk, transfer]: [(ResourceKey, f64); 2]) -> [(ResourceKey, f64); 5] {
         let target = self.target;
-        let [cpu, net, memory] =
-            self.target_entries().map(|(kind, amount)| (ResourceKey::new(target, kind), amount));
+        let [cpu, net, memory] = (self.option.target_entries(self.cipher))
+            .map(|(kind, amount)| (ResourceKey::new(target, kind), amount));
         [disk, transfer, cpu, net, memory]
     }
 
@@ -176,7 +170,12 @@ pub(crate) struct Side {
 /// The delivery options of one request and the fan-out that turns them
 /// into plans: option × target site × cipher. A plan's *enumeration
 /// index* is its position in that fan-out, which is also its position in
-/// [`PlanGenerator::generate_into`]'s output.
+/// [`PlanGenerator::generate_into`]'s output. Admission, under every cost
+/// model, visits the candidates one option side at a time
+/// ([`for_each_side`](Self::for_each_side), then
+/// [`for_each_projected_on`](Self::for_each_projected_on)), so not in
+/// enumeration order; a candidate is identified by its index
+/// ([`candidate`](Self::candidate)).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryOptions {
     options: Vec<DeliveryOption>,
@@ -206,51 +205,6 @@ impl DeliveryOptions {
     /// The size of the plan space.
     pub(crate) fn plan_count(&self) -> usize {
         self.options.len() * self.per_option()
-    }
-
-    /// Visits every candidate with its enumeration index and its demand
-    /// entries, in enumeration order: options outermost, then targets, then
-    /// ciphers. A demand's first two entries, its replica side, depend on
-    /// the target only through whether it is remote, so `replica` is
-    /// evaluated on them once per option for a local and once for a remote
-    /// target, and each candidate gets the value for its own target.
-    fn fan_out<'a, R: Copy>(
-        &'a self,
-        mut replica: impl FnMut(&[(ResourceKey, f64)]) -> R,
-        mut visit: impl FnMut(usize, Candidate<'a>, R, &[(ResourceKey, f64); 5]),
-    ) {
-        let mut index = 0;
-        for option in &self.options {
-            let entries = [false, true].map(|remote| Plan::replica_entries(&option.record, remote));
-            let values = [replica(&entries[0]), replica(&entries[1])];
-            for &target in self.targets(option) {
-                let remote = usize::from(target != option.record.object.server);
-                for cipher in 0..self.ciphers.len() {
-                    let c = Candidate { option, target, cipher };
-                    visit(index, c, values[remote], &c.demand_with(entries[remote]));
-                    index += 1;
-                }
-            }
-        }
-    }
-
-    /// Visits every candidate with its enumeration index, its
-    /// [`Projection`] on `api` and its demand entries, in enumeration
-    /// order. Each option projects its replica side once per
-    /// [`fan_out`](Self::fan_out) and each candidate folds in only its
-    /// three target-side entries, which [`CompositeQosApi::project_on`]
-    /// makes exactly `project` of the whole demand.
-    pub(crate) fn for_each_projected<'a>(
-        &'a self,
-        api: &CompositeQosApi,
-        mut visit: impl FnMut(usize, Candidate<'a>, Projection, &[(ResourceKey, f64); 5]),
-    ) {
-        self.fan_out(
-            |entries| api.project(entries),
-            |index, c, replica, demand| {
-                visit(index, c, api.project_on(replica, c.target, &c.target_entries()), demand)
-            },
-        );
     }
 
     /// Visits the option sides that hold a target, each with its
@@ -298,8 +252,12 @@ impl DeliveryOptions {
             .map(move |p| (p, targets[p]))
     }
 
-    /// [`for_each_projected`](Self::for_each_projected) restricted to the
-    /// candidates of `side`, in enumeration order.
+    /// Visits the candidates of `side`, in enumeration order, each with its
+    /// enumeration index, its [`Projection`] on `api` and its demand
+    /// entries. Each candidate folds only its three target-side entries
+    /// into the side's replica projection, which
+    /// [`CompositeQosApi::project_on`] makes exactly `project` of the whole
+    /// demand.
     pub(crate) fn for_each_projected_on<'a>(
         &'a self,
         api: &CompositeQosApi,
@@ -313,7 +271,8 @@ impl DeliveryOptions {
         for (position, target) in self.side_targets(side) {
             for cipher in 0..ciphers {
                 let c = Candidate { option, target, cipher };
-                let projection = api.project_on(side.replica, target, &c.target_entries());
+                let projection =
+                    api.project_on(side.replica, target, &option.target_entries(cipher));
                 visit(first + position * ciphers + cipher, c, projection, &c.demand_with(replica));
             }
         }
@@ -478,8 +437,7 @@ impl PlanGenerator {
     ) {
         let options = self.options(engine, request);
         out.clear();
-        out.reserve(options.plan_count());
-        options.fan_out(|_| (), |_, c, (), _| out.push(options.plan(c)));
+        out.extend((0..options.plan_count()).map(|index| options.plan(options.candidate(index))));
     }
 
     /// [`options_into`](Self::options_into) a new buffer.

@@ -245,15 +245,16 @@ impl QualityManager {
     /// against the live buckets, a held reservation counted as used, and
     /// the pass keeps the `(score, enumeration index)` minimum.
     ///
-    /// A model without a [`score_floor`](CostModel::score_floor) has every
-    /// candidate scored in enumeration order (the minimum re-taken when its
-    /// [`reorder`](CostModel::reorder) rescores). With one, each option's
-    /// local target is scored, and its remote targets, one side of the
-    /// option, are scored in ascending order of the floor their replica
-    /// side's projection gives, until a side's floor is strictly above the
-    /// minimum found: no candidate of that side or a later one can rank
-    /// first, since ties go to the lower index. The sides left unscored
-    /// still count toward [`PlanningStats::feasible`], by capacity
+    /// The candidates are scored side by side, each option's local target
+    /// and then its remote targets
+    /// ([`DeliveryOptions::for_each_side`]); the minimum is re-taken when
+    /// the model's [`reorder`](CostModel::reorder) rescores. Under a
+    /// [`score_floor`](CostModel::score_floor), the remote sides are
+    /// queued instead and scored in ascending order of the floor their
+    /// replica side's projection gives, until a side's floor is strictly
+    /// above the minimum found: no candidate of that side or a later one
+    /// can rank first, since ties go to the lower index. The sides left
+    /// unscored still count toward [`PlanningStats::feasible`], by capacity
     /// comparisons alone.
     ///
     /// Walking the rank order would attempt candidates until one is
@@ -303,42 +304,38 @@ impl QualityManager {
         let mut next = 0;
         // A model has a floor for every fill or for none.
         let floored = model.score_floor(0.0).is_some();
-        if floored {
-            // Each option's local side is scored at once (one target, and a
-            // floor never above its remote side's); its remote side is
-            // queued with its floor.
-            options.for_each_side(api, |side| {
-                let floor = model.score_floor(side.replica.max_fill);
-                let floor = floor.expect("a model with a floor has one for every fill");
-                if side.remote {
-                    remotes.push((floor, side));
-                } else {
+        // A side is scored at once, unless it is remote under a floor: then
+        // it is queued with its floor (a local side has one target, and a
+        // floor never above its remote side's).
+        options.for_each_side(api, |side| match model.score_floor(side.replica.max_fill) {
+            Some(floor) if side.remote => remotes.push((floor, side)),
+            _ => {
+                if !side.remote {
                     locals.push(side);
-                    options.for_each_projected_on(api, side, |index, c, projection, demand| {
-                        keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
-                    });
                 }
-            });
-            if held.is_none() && !best.is_some_and(|b| admits(&options.candidate(b.1).demand())) {
-                let live = self.live.of(api, options);
-                if let Some(fitting) = prove_refusal(options, api, locals, remotes, &live) {
-                    stats.feasible = scored.len() + fitting;
-                    stats.attempts = stats.feasible;
-                    let refused = match stats.feasible {
-                        0 => Rejection::NoFeasiblePlan,
-                        _ => Rejection::AdmissionFailed,
-                    };
-                    return (Err(refused), stats);
-                }
-            }
-            while let Some(side) = next_side(remotes, next, best) {
-                next += 1;
                 options.for_each_projected_on(api, side, |index, c, projection, demand| {
                     keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
                 });
             }
-        } else {
-            options.for_each_projected(api, |index, c, projection, demand| {
+        });
+        if floored
+            && held.is_none()
+            && !best.is_some_and(|b| admits(&options.candidate(b.1).demand()))
+        {
+            let live = self.live.of(api, options);
+            if let Some(fitting) = prove_refusal(options, api, locals, remotes, &live) {
+                stats.feasible = scored.len() + fitting;
+                stats.attempts = stats.feasible;
+                let refused = match stats.feasible {
+                    0 => Rejection::NoFeasiblePlan,
+                    _ => Rejection::AdmissionFailed,
+                };
+                return (Err(refused), stats);
+            }
+        }
+        while let Some(side) = next_side(remotes, next, best) {
+            next += 1;
+            options.for_each_projected_on(api, side, |index, c, projection, demand| {
                 keep_min(&mut best, score(model, api, scored, index, c, projection, demand))
             });
         }

@@ -4,11 +4,11 @@
 //! only the delivery-option sides whose replica-side fill can still win
 //! and counts the others' feasible candidates by capacity comparisons.
 //! `FullScan` scores exactly as LRB but keeps the default (no floor), so
-//! its manager scores every candidate in enumeration order. On clusters of
-//! 10–40 servers whose replica sources are loaded unevenly, with failed
-//! servers and re-rated buckets, both must agree on every admission and
-//! renegotiation: the outcome, the plan, the planning statistics, the
-//! bucket usage bits and the next RNG draw. A fresh admission that LRB
+//! its manager scores every candidate of every side and takes no refusal
+//! proof. On clusters of 10–40 servers whose replica sources are loaded
+//! unevenly, with failed servers and re-rated buckets, both must agree on
+//! every admission and renegotiation: the outcome, the plan, the planning
+//! statistics, the bucket usage bits and the next RNG draw. A fresh admission that LRB
 //! refuses is decided by the refusal proof, before any remote side is
 //! ranked, so the full scan checks the proof's decision and its counts
 //! too.

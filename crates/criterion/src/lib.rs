@@ -5,20 +5,26 @@
 //! workspace's benches use — `Criterion::bench_function`, `Bencher::iter`,
 //! `criterion_group!`, `criterion_main!`, `configure_from_args`, and
 //! `final_summary` — with a plain wall-clock measurement loop: a short
-//! warm-up, then individually timed iterations until a fixed budget
-//! elapses, then a printed `mean ± std (min … max)` per-iteration summary.
+//! warm-up, then timed batches of iterations until a fixed budget elapses,
+//! then a printed per-iteration summary over the batch means. A batch is
+//! sized from the warm-up to last about 50 µs, so the timer's own cost
+//! and resolution vanish from a microsecond-scale iteration.
 //! The headline number is a *trimmed* mean — the slowest and fastest 5%
-//! (at least one sample each side) are dropped before averaging, so a
+//! of batches (at least one each side) are dropped before averaging, so a
 //! single scheduler hiccup cannot skew the figure the way it would a raw
-//! mean. There is no HTML report; the point is that `cargo bench` runs
-//! green offline and still prints numbers with enough spread information
-//! to judge run-to-run noise.
+//! mean — printed beside the median and the best (lowest) batch mean,
+//! which drift between runs far less on a shared machine. There is no
+//! HTML report; the point is that `cargo bench` runs green offline and
+//! still prints numbers with enough spread information to judge
+//! run-to-run noise.
 
 use std::time::{Duration, Instant};
 
 const WARMUP_ITERS: u64 = 3;
 const MEASURE_BUDGET: Duration = Duration::from_millis(200);
 const MAX_ITERS: u64 = 100_000;
+/// How long one timed batch of iterations should take.
+const BATCH_TARGET: Duration = Duration::from_micros(50);
 
 /// Mirror of `criterion::Criterion` (measurement configuration is fixed).
 #[derive(Debug, Default)]
@@ -44,12 +50,15 @@ impl Criterion {
         match bencher.stats() {
             Some(s) => {
                 println!(
-                    "bench: {name:<32} {:>12} ± {} ({} … {}, {} iters)",
+                    "bench: {name:<32} {:>12} ± {} (median {}, best batch {}, worst {}; \
+                     {} iters in {} batches)",
                     format_time(s.trimmed_mean),
                     format_time(s.std_dev),
+                    format_time(s.median),
                     format_time(s.min),
                     format_time(s.max),
                     s.iters,
+                    s.batches,
                 );
             }
             None => println!("bench: {name:<32} (no measurement — iter() never called)"),
@@ -58,49 +67,59 @@ impl Criterion {
     }
 }
 
-/// Per-iteration timing statistics of one measured benchmark.
+/// Per-iteration timing statistics of one measured benchmark, taken over
+/// its batch means (a batch's time over its iterations).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
     /// Number of measured (post-warm-up) iterations.
     pub iters: u64,
-    /// Mean seconds per iteration over every sample.
+    /// Number of timed batches.
+    pub batches: u64,
+    /// Mean seconds per iteration over every batch.
     pub mean: f64,
-    /// Outlier-rejected mean: the slowest and fastest 5% of samples (at
-    /// least one each side once three samples exist) are discarded before
+    /// Outlier-rejected mean: the slowest and fastest 5% of batches (at
+    /// least one each side once three batches exist) are discarded before
     /// averaging. This is the headline number `bench_function` prints.
     pub trimmed_mean: f64,
-    /// Population standard deviation in seconds.
+    /// The median batch mean in seconds.
+    pub median: f64,
+    /// Population standard deviation of the batch means in seconds.
     pub std_dev: f64,
-    /// Fastest iteration in seconds.
+    /// The fastest (best) batch mean in seconds.
     pub min: f64,
-    /// Slowest iteration in seconds.
+    /// The slowest batch mean in seconds.
     pub max: f64,
 }
 
 /// Mirror of `criterion::Bencher`.
 #[derive(Debug, Default)]
 pub struct Bencher {
+    /// Seconds per iteration of each timed batch.
     samples: Vec<f64>,
+    /// Iterations measured over all batches.
+    iters: u64,
 }
 
 impl Bencher {
+    /// Times `routine` in batches until the budget elapses, at least one
+    /// batch even when a single call runs past the whole budget.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
+        let warmup = Instant::now();
         for _ in 0..WARMUP_ITERS {
             std::hint::black_box(routine());
         }
+        let per_iter = warmup.elapsed().as_nanos() / u128::from(WARMUP_ITERS);
+        let batch = (BATCH_TARGET.as_nanos() / per_iter.max(1)).clamp(1, 1_000) as u64;
         self.samples.clear();
+        self.iters = 0;
         let start = Instant::now();
-        while start.elapsed() < MEASURE_BUDGET && (self.samples.len() as u64) < MAX_ITERS {
+        while self.iters == 0 || (start.elapsed() < MEASURE_BUDGET && self.iters < MAX_ITERS) {
             let t = Instant::now();
-            std::hint::black_box(routine());
-            self.samples.push(t.elapsed().as_secs_f64());
-        }
-        if self.samples.is_empty() {
-            // A single routine call ran past the whole budget: keep it as
-            // the lone sample rather than reporting nothing.
-            let t = Instant::now();
-            std::hint::black_box(routine());
-            self.samples.push(t.elapsed().as_secs_f64());
+            for _ in 0..batch {
+                std::hint::black_box(routine());
+            }
+            self.samples.push(t.elapsed().as_secs_f64() / batch as f64);
+            self.iters += batch;
         }
     }
 
@@ -109,18 +128,20 @@ impl Bencher {
         if self.samples.is_empty() {
             return None;
         }
-        let n = self.samples.len() as f64;
-        let mean = self.samples.iter().sum::<f64>() / n;
-        let var = self.samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
-        let min = self.samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let n = self.samples.len();
+        let mean = self.samples.iter().sum::<f64>() / n as f64;
+        let var = self.samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
         Some(SampleStats {
-            iters: self.samples.len() as u64,
+            iters: self.iters,
+            batches: n as u64,
             mean,
             trimmed_mean: trimmed_mean(&self.samples),
+            median: (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0,
             std_dev: var.sqrt(),
-            min,
-            max,
+            min: sorted[0],
+            max: sorted[n - 1],
         })
     }
 }
@@ -194,8 +215,9 @@ mod tests {
         assert!(b.stats().is_none());
         b.iter(|| (0..256u64).sum::<u64>());
         let s = b.stats().expect("measured");
-        assert!(s.iters >= 1);
+        assert!(s.iters >= s.batches && s.batches >= 1, "{s:?}");
         assert!(s.min <= s.mean && s.mean <= s.max, "{s:?}");
+        assert!(s.min <= s.median && s.median <= s.max, "{s:?}");
         assert!(s.min <= s.trimmed_mean && s.trimmed_mean <= s.max, "{s:?}");
         assert!(s.std_dev >= 0.0 && s.std_dev.is_finite());
         assert!(s.mean > 0.0);
@@ -224,12 +246,20 @@ mod tests {
 
     #[test]
     fn stats_trimmed_mean_matches_free_function() {
-        let b = Bencher { samples: vec![1.0, 2.0, 3.0, 4.0, 100.0] };
+        let b = Bencher { samples: vec![1.0, 2.0, 3.0, 4.0, 100.0], iters: 5 };
         let s = b.stats().expect("samples present");
         assert_eq!(s.trimmed_mean, 3.0);
         assert_eq!(s.mean, 22.0);
+        assert_eq!(s.median, 3.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
+    }
+
+    #[test]
+    fn median_of_an_even_count_averages_the_middle_two() {
+        let b = Bencher { samples: vec![4.0, 1.0, 3.0, 2.0], iters: 40 };
+        let s = b.stats().expect("samples present");
+        assert_eq!((s.median, s.iters, s.batches), (2.5, 40, 4));
     }
 
     #[test]

@@ -162,26 +162,39 @@ fn server_in_range(v: View<'_>, key: &str, servers: u32) -> Result<ServerId, Sce
 }
 
 fn apply_topology(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), ScenarioError> {
+    let key = |name: &str| format!("{}.{name}", v.path);
     if let Some(servers) = v.opt_u64("servers")? {
-        if servers == 0 {
-            return Err(schema_err(format!("{}.servers", v.path), "needs at least one server"));
-        }
-        cfg.testbed.servers = servers as u32;
+        cfg.testbed.servers = match u32::try_from(servers) {
+            Ok(0) => return Err(schema_err(key("servers"), "needs at least one server")),
+            Ok(servers) => servers,
+            Err(_) => return Err(schema_err(key("servers"), format!("{servers} is too many"))),
+        };
     }
     if let Some(videos) = v.opt_usize("videos")? {
+        if videos == 0 {
+            return Err(schema_err(key("videos"), "needs at least one video"));
+        }
         cfg.testbed.library.num_videos = videos;
     }
     if let Some(seed) = v.opt_u64("seed")? {
         cfg.testbed.seed = seed;
     }
     if let Some(bps) = v.opt_u64("link_capacity_bps")? {
+        if bps == 0 {
+            return Err(schema_err(key("link_capacity_bps"), "must be positive"));
+        }
         cfg.testbed.link_capacity_bps = bps;
     }
-    if let Some(bps) = v.opt_f64("disk_bps")? {
-        cfg.testbed.disk_bps = bps;
-    }
-    if let Some(bytes) = v.opt_f64("memory_bytes")? {
-        cfg.testbed.memory_bytes = bytes;
+    for (name, slot) in
+        [("disk_bps", &mut cfg.testbed.disk_bps), ("memory_bytes", &mut cfg.testbed.memory_bytes)]
+    {
+        if let Some(amount) = v.opt_f64(name)? {
+            if !(amount > 0.0 && amount.is_finite()) {
+                let message = format!("must be positive and finite, found {amount}");
+                return Err(schema_err(key(name), message));
+            }
+            *slot = amount;
+        }
     }
     if let Some(s) = v.opt_secs("min_video_s")? {
         cfg.testbed.library.min_duration = SimDuration::from_secs_f64(s);
@@ -189,14 +202,17 @@ fn apply_topology(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), Scenari
     if let Some(s) = v.opt_secs("max_video_s")? {
         cfg.testbed.library.max_duration = SimDuration::from_secs_f64(s);
     }
-    if let Some(n) = v.opt_usize("min_replicas")? {
-        cfg.testbed.library.min_replicas = n;
-    }
-    if let Some(n) = v.opt_usize("max_replicas")? {
-        cfg.testbed.library.max_replicas = n;
-    }
-    if cfg.testbed.library.min_duration > cfg.testbed.library.max_duration {
-        return Err(schema_err(v.path, "min_video_s must not exceed max_video_s"));
+    let tiers = quasaq_media::quality_ladder().len();
+    let library = &mut cfg.testbed.library;
+    for (name, slot) in
+        [("min_replicas", &mut library.min_replicas), ("max_replicas", &mut library.max_replicas)]
+    {
+        if let Some(n) = v.opt_usize(name)? {
+            if !(1..=tiers).contains(&n) {
+                return Err(schema_err(key(name), format!("must be in 1..={tiers}, found {n}")));
+            }
+            *slot = n;
+        }
     }
     if let Some(p) = v.opt_str("placement")? {
         cfg.testbed.placement = match p {
@@ -206,7 +222,10 @@ fn apply_topology(v: View<'_>, cfg: &mut ThroughputConfig) -> Result<(), Scenari
                 let copies = v.opt_u64("copies")?.ok_or_else(|| {
                     schema_err(format!("{}.copies", v.path), "spread placement needs copies")
                 })?;
-                quasaq_store::Placement::Spread { copies: copies as u32 }
+                // Copies are clamped to the server count, so saturating
+                // keeps their meaning.
+                let copies = u32::try_from(copies).unwrap_or(u32::MAX);
+                quasaq_store::Placement::Spread { copies }
             }
             other => {
                 return Err(schema_err(
@@ -545,6 +564,20 @@ fn base_config(spec: &ScenarioSpec) -> ThroughputConfig {
     cfg
 }
 
+/// The bounds that two topology keys set together, checked on the composed
+/// topology: one fragment may set a maximum that a later one's minimum
+/// fits.
+fn check_composed_topology(cfg: &ThroughputConfig, path: String) -> Result<(), ScenarioError> {
+    let library = &cfg.testbed.library;
+    if library.min_replicas > library.max_replicas {
+        return Err(schema_err(path, "the topology's min_replicas exceeds its max_replicas"));
+    }
+    if library.min_duration > library.max_duration {
+        return Err(schema_err(path, "the topology's min_video_s exceeds its max_video_s"));
+    }
+    Ok(())
+}
+
 /// Composes the effective configuration for one run stage.
 fn compose_run_config(
     spec: &ScenarioSpec,
@@ -574,6 +607,9 @@ fn compose_run_config(
                 StageKind::Adaptation => apply_adaptation(v, &mut cfg)?,
                 StageKind::Run | StageKind::Sink => unreachable!("filtered by pass"),
             }
+        }
+        if pass == [StageKind::Topology] {
+            check_composed_topology(&cfg, format!("stage.{run_name}"))?;
         }
         // The run's own body overrides its workload fragments, but is
         // applied before fault/link sampling so a run-local horizon still
@@ -907,6 +943,101 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
     #[test]
     fn zero_queue_capacity_is_a_schema_error() {
         assert_admission_rejected("queue_capacity = 0", "stage.load.admission.queue_capacity");
+    }
+
+    /// Runs the smoke scenario with `topology` as its topology stage's
+    /// body, and asserts it fails with a schema error at `key`.
+    fn assert_topology_rejected(topology: &str, key: &str) {
+        let doc = SMOKE.replace("servers = 3\nvideos = 12\n", &format!("{topology}\n"));
+        match run_str(&doc, ExecMode::Serial) {
+            Err(ScenarioError::Schema { path, .. }) => assert_eq!(path, key, "{topology}"),
+            other => panic!("{topology}: expected a schema error at {key}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_link_capacity_is_a_schema_error() {
+        assert_topology_rejected("link_capacity_bps = 0", "stage.topo.link_capacity_bps");
+    }
+
+    #[test]
+    fn non_positive_or_infinite_disk_bandwidth_is_a_schema_error() {
+        for bps in ["0", "-1", "1e400"] {
+            assert_topology_rejected(&format!("disk_bps = {bps}"), "stage.topo.disk_bps");
+        }
+    }
+
+    #[test]
+    fn non_positive_or_infinite_memory_is_a_schema_error() {
+        for bytes in ["0", "-5e8", "1e400"] {
+            assert_topology_rejected(&format!("memory_bytes = {bytes}"), "stage.topo.memory_bytes");
+        }
+    }
+
+    #[test]
+    fn zero_videos_is_a_schema_error() {
+        assert_topology_rejected("videos = 0", "stage.topo.videos");
+    }
+
+    #[test]
+    fn min_replicas_outside_the_ladder_is_a_schema_error() {
+        for n in [0, 5] {
+            assert_topology_rejected(&format!("min_replicas = {n}"), "stage.topo.min_replicas");
+        }
+        assert_topology_rejected("min_replicas = 4\nmax_replicas = 3", "stage.bench");
+    }
+
+    #[test]
+    fn max_replicas_outside_the_ladder_is_a_schema_error() {
+        for n in [0, 5] {
+            assert_topology_rejected(&format!("max_replicas = {n}"), "stage.topo.max_replicas");
+        }
+        // Below the default minimum of 3.
+        assert_topology_rejected("max_replicas = 2", "stage.bench");
+    }
+
+    /// Two topology fragments may bound the replica count and the clip
+    /// length in either order: only the composed topology must be
+    /// consistent.
+    #[test]
+    fn topology_bounds_are_checked_once_composed() {
+        // Each first fragment alone is inconsistent with the defaults.
+        let pairs = [
+            ("max_replicas = 2", "min_replicas = 1"),
+            ("min_video_s = 2000", "max_video_s = 2400"),
+        ];
+        for (first, second) in pairs {
+            let topo2 =
+                format!("[stage.topo2]\nkind = \"topology\"\nneeds = [\"topo\"]\n{second}\n");
+            let doc = SMOKE
+                .replace("videos = 12\n", &format!("videos = 12\n{first}\n{topo2}"))
+                .replace("needs = [\"topo\"]\nburst", "needs = [\"topo2\"]\nburst");
+            assert!(doc.contains("needs = [\"topo2\"]\nburst"), "{doc}");
+            assert!(run_str(&doc, ExecMode::Serial).is_ok(), "{first} then {second}");
+        }
+    }
+
+    /// Spread copies are clamped to the server count, so a count beyond
+    /// `u32` places as many copies as one equal to it (2^32 + 1 used to
+    /// become 1 copy).
+    #[test]
+    fn spread_copies_beyond_u32_saturate() {
+        let render = |copies: u64| {
+            let topology =
+                format!("servers = 3\nvideos = 12\nplacement = \"spread\"\ncopies = {copies}\n");
+            let doc = SMOKE.replace("servers = 3\nvideos = 12\n", &topology);
+            run_str(&doc, ExecMode::Serial).unwrap().render()
+        };
+        assert_eq!(render((1 << 32) + 1), render(3));
+    }
+
+    /// A server count is a `u32`: 2^32 used to become 0 servers, and
+    /// 2^32 + 3 to become 3.
+    #[test]
+    fn servers_beyond_u32_is_a_schema_error() {
+        for servers in [1u64 << 32, (1u64 << 32) + 3, i64::MAX as u64] {
+            assert_topology_rejected(&format!("servers = {servers}"), "stage.topo.servers");
+        }
     }
 
     #[test]

@@ -57,9 +57,6 @@ cargo bench -p quasaq-bench --bench overhead
 echo "==> cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
 cargo run --release -p quasaq-bench --bin bench -- --smoke
 
-echo "==> scenario gallery (every scenarios/*.toml: serial + scenario-parallel, bit-identical, golden match)"
-cargo run --release -p quasaq-bench --bin bench -- --gallery
-
 echo "==> service-shell loopback smoke (TCP shell vs in-process driver decision identity, 1/2/4 threads)"
 cargo run --release -p quasaq-bench --bin bench -- --load --quick
 
