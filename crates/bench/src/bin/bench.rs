@@ -1,24 +1,27 @@
 //! Wall-clock benchmark of the scenario-parallel experiment runner.
 //!
 //! Runs the Fig 6, Fig 7, queued-admission, and availability-under-faults
-//! harness scenario suites twice — once as a plain serial loop over
-//! [`run_throughput`], once through [`run_throughput_scenarios`] — verifies
-//! the outputs are bit-identical, and records the timings (plus the fault
-//! suite's robustness metrics) in `BENCH_throughput.json` at the repo root:
+//! harness scenario suites both as a plain serial loop over
+//! [`run_throughput`] and through [`run_throughput_scenarios`], for
+//! [`ROUNDS`] rounds that alternate which side runs first; verifies every
+//! round's outputs are bit-identical, and records each side's median
+//! timing (plus the fault suite's robustness metrics) in
+//! `BENCH_throughput.json` at the repo root:
 //!
 //! ```text
 //! cargo run --release -p quasaq-bench --bin bench [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks the horizons so the determinism check stays cheap
-//! enough for CI, and skips the JSON write so CI runs never clobber the
-//! committed full-mode artifact.
+//! `--quick` shrinks the horizons and times one round so the determinism
+//! check stays cheap enough for CI, and skips the JSON write so CI runs
+//! never clobber the committed full-mode artifact.
 //!
 //! `--scenario <file>` drives the declarative scenario DSL
 //! (`quasaq-scenario`): it executes one TOML scenario serially and on the
-//! scenario-parallel runner, asserts byte-identical reports, and prints
-//! harness-shaped JSON rows. (The committed `scenarios/*.toml` gallery and
-//! its goldens are checked by `cargo test --test scenario_gallery`.)
+//! scenario-parallel runner in the same alternating rounds, asserts
+//! byte-identical reports, and prints harness-shaped JSON rows. (The
+//! committed `scenarios/*.toml` gallery and its goldens are checked by
+//! `cargo test --test scenario_gallery`.)
 //! Speedup is bounded by the machine: on a single core the runner degrades to the
 //! serial loop (speedup ~1.0), which the artifact records via the `cores`
 //! field rather than pretending otherwise.
@@ -37,12 +40,77 @@ use quasaq_sim::{FaultPlan, LinkModel, LinkPlan, LinkSpec, ServerId, SimDuration
 use quasaq_workload::{
     run_throughput, run_throughput_scenarios, worker_count, AdaptationConfig, CostKind,
     DegradationMetrics, FaultMetrics, SystemKind, Testbed, TestbedConfig, ThroughputConfig,
-    ThroughputResult,
 };
 
 struct Suite {
     name: &'static str,
     scenarios: Vec<(SystemKind, ThroughputConfig)>,
+}
+
+/// Timed rounds of every serial-vs-parallel comparison (one under
+/// `--quick`). A single serial-then-parallel pass hands the second side a
+/// warm cache and the first side any clock drift, which is worth more
+/// than the runner's whole effect on the shorter suites.
+const ROUNDS: usize = 10;
+
+/// Per-round wall times of two deterministic runs, and their outputs.
+struct Rounds<R> {
+    a_ms: Vec<f64>,
+    b_ms: Vec<f64>,
+    /// Every round's two outputs were equal.
+    equal: bool,
+    /// The last round's outputs.
+    a: R,
+    b: R,
+}
+
+/// Times `a` and `b` over `rounds` rounds, `a` first in even rounds and
+/// second in odd ones, so warm-up and clock drift fall on both sides
+/// alike. A single shot on a shared box jitters by ~10%, which swamps the
+/// few-percent deltas the comparisons exist to measure.
+fn alternate<R: PartialEq>(
+    rounds: usize,
+    mut a: impl FnMut() -> R,
+    mut b: impl FnMut() -> R,
+) -> Rounds<R> {
+    fn timed<R>(run: &mut impl FnMut() -> R) -> (f64, R) {
+        let t = Instant::now();
+        let out = run();
+        (t.elapsed().as_secs_f64() * 1e3, out)
+    }
+    let (mut a_ms, mut b_ms, mut equal, mut last) = (Vec::new(), Vec::new(), true, None);
+    for round in 0..rounds {
+        let ((a_t, a_out), (b_t, b_out)) = if round % 2 == 0 {
+            let a_side = timed(&mut a);
+            (a_side, timed(&mut b))
+        } else {
+            let b_side = timed(&mut b);
+            (timed(&mut a), b_side)
+        };
+        equal &= a_out == b_out;
+        a_ms.push(a_t);
+        b_ms.push(b_t);
+        last = Some((a_out, b_out));
+    }
+    let (a, b) = last.expect("at least one round");
+    Rounds { a_ms, b_ms, equal, a, b }
+}
+
+fn median(ms: &[f64]) -> f64 {
+    let mut ms = ms.to_vec();
+    ms.sort_by(f64::total_cmp);
+    let mid = ms.len() / 2;
+    if ms.len() % 2 == 1 {
+        ms[mid]
+    } else {
+        (ms[mid - 1] + ms[mid]) / 2.0
+    }
+}
+
+/// The best round: each side's undisturbed cost, for the studies that
+/// compare two configurations rather than two runners.
+fn best(ms: &[f64]) -> f64 {
+    ms.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 struct Timing {
@@ -138,37 +206,6 @@ fn reps_for(servers: u32) -> usize {
     }
 }
 
-/// Interleaved best-of-`reps` timing of two deterministic runs. A
-/// single-shot timing on a shared box jitters by ~10%, which swamps the
-/// few-percent deltas the comparison rows exist to measure; alternating
-/// the sides inside one sampling loop makes clock drift hit both equally,
-/// and best-of-N converges on each side's undisturbed cost.
-#[allow(clippy::type_complexity)]
-fn timed_pair<R>(
-    reps: usize,
-    mut a: impl FnMut() -> R,
-    mut b: impl FnMut() -> R,
-) -> ((f64, R), (f64, R)) {
-    fn ms(t: Instant) -> f64 {
-        t.elapsed().as_secs_f64() * 1e3
-    }
-    let t = Instant::now();
-    let a_out = a();
-    let mut a_ms = ms(t);
-    let t = Instant::now();
-    let b_out = b();
-    let mut b_ms = ms(t);
-    for _ in 1..reps {
-        let t = Instant::now();
-        let _ = a();
-        a_ms = a_ms.min(ms(t));
-        let t = Instant::now();
-        let _ = b();
-        b_ms = b_ms.min(ms(t));
-    }
-    ((a_ms, a_out), (b_ms, b_out))
-}
-
 /// One rung of the plan-cache study: the same Zipf-skewed run with full
 /// enumeration vs the memoized plan cache. `burst > 1` turns it into the
 /// flash-crowd case, where same-instant arrivals go through the
@@ -201,7 +238,7 @@ fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedT
     };
     let cached_cfg = ThroughputConfig { plan_cache: true, ..uncached_cfg.clone() };
     let _ = Testbed::shared(uncached_cfg.testbed.clone());
-    let ((uncached_ms, uncached), (cached_ms, cached)) = timed_pair(
+    let r = alternate(
         reps_for(servers),
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &uncached_cfg),
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &cached_cfg),
@@ -210,9 +247,9 @@ fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedT
         servers,
         videos,
         burst,
-        uncached_ms,
-        cached_ms,
-        bit_identical: uncached == cached,
+        uncached_ms: best(&r.a_ms),
+        cached_ms: best(&r.b_ms),
+        bit_identical: r.equal,
     }
 }
 
@@ -272,23 +309,25 @@ fn run_stochastic(servers: u32, videos: usize, quick: bool) -> StochasticTiming 
     let _ = Testbed::shared(steady_cfg.testbed.clone());
     let reps = reps_for(servers);
     let kind = SystemKind::Quasaq(CostKind::Lrb);
-    let ((steady_ms, _steady), (degraded_ms, degraded)) = timed_pair(
+    let frozen = alternate(
         reps,
         || run_throughput(kind, &steady_cfg),
         || run_throughput(kind, &degraded_cfg),
     );
-    let ((adaptive_ms, adaptive), (_, replay)) = timed_pair(
+    let (steady_ms, degraded_ms, degraded) = (best(&frozen.a_ms), best(&frozen.b_ms), frozen.b);
+    let replay = alternate(
         reps,
         || run_throughput(kind, &adaptive_cfg),
         || run_throughput(kind, &adaptive_cfg),
     );
+    let adaptive = replay.a;
     StochasticTiming {
         servers,
         videos,
         steady_ms,
         degraded_ms,
-        adaptive_ms,
-        bit_identical: adaptive == replay,
+        adaptive_ms: best(&replay.a_ms),
+        bit_identical: replay.equal,
         degraded_violation_s: degraded.faults.as_ref().map_or(0.0, |f| f.qos_violation_secs),
         adaptive_violation_s: adaptive.faults.as_ref().map_or(0.0, |f| f.qos_violation_secs),
         degradation: adaptive.degradation.clone().unwrap_or_default(),
@@ -318,29 +357,24 @@ fn run_scale(servers: u32, videos: usize, quick: bool) -> ScaleTiming {
     ScaleTiming { servers, videos, ms }
 }
 
-fn run_suite(suite: &Suite) -> Timing {
+fn run_suite(suite: &Suite, rounds: usize) -> Timing {
     // Warm the shared-testbed cache so neither side pays library
     // generation inside its timed region.
     for (_, cfg) in &suite.scenarios {
         let _ = Testbed::shared(cfg.testbed.clone());
     }
-
-    let t0 = Instant::now();
-    let serial: Vec<ThroughputResult> =
-        suite.scenarios.iter().map(|(s, c)| run_throughput(*s, c)).collect();
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t1 = Instant::now();
-    let parallel = run_throughput_scenarios(&suite.scenarios);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
+    let t = alternate(
+        rounds,
+        || suite.scenarios.iter().map(|(s, c)| run_throughput(*s, c)).collect::<Vec<_>>(),
+        || run_throughput_scenarios(&suite.scenarios),
+    );
     let robustness =
-        serial.iter().filter_map(|r| r.faults.clone().map(|f| (r.label.clone(), f))).collect();
+        t.a.iter().filter_map(|r| r.faults.clone().map(|f| (r.label.clone(), f))).collect();
     Timing {
         name: suite.name,
-        serial_ms,
-        parallel_ms,
-        bit_identical: serial == parallel,
+        serial_ms: median(&t.a_ms),
+        parallel_ms: median(&t.b_ms),
+        bit_identical: t.equal,
         robustness,
     }
 }
@@ -350,17 +384,25 @@ fn run_suite(suite: &Suite) -> Timing {
 /// byte-identical, and print rows in the harness JSON shape (one per run
 /// stage) so scenario timings graft onto the `BENCH_throughput.json`
 /// schema.
-fn run_scenario_mode(file: &str) {
+fn run_scenario_mode(file: &str, rounds: usize) {
     use quasaq_scenario::{run_file, ExecMode};
     let path = std::path::Path::new(file);
-    let t0 = Instant::now();
-    let serial = run_file(path, ExecMode::Serial).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let parallel = run_file(path, ExecMode::Parallel).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let identical = serial.render() == parallel.render();
-    print!("{}", serial.render());
+    let run = |mode| run_file(path, mode).unwrap_or_else(|e| panic!("{file}: {e}"));
+    // Reports compare by their canonical rendering.
+    let mut report = None;
+    let t = alternate(
+        rounds,
+        || {
+            let r = run(ExecMode::Serial);
+            let text = r.render();
+            report = Some(r);
+            text
+        },
+        || run(ExecMode::Parallel).render(),
+    );
+    let (serial, serial_ms, parallel_ms, identical) =
+        (report.expect("at least one round"), median(&t.a_ms), median(&t.b_ms), t.equal);
+    print!("{}", t.a);
     println!("  \"harnesses\": [");
     let rows = serial.runs.len();
     for (i, run) in serial.runs.iter().enumerate() {
@@ -556,12 +598,13 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let rounds = if quick { 1 } else { ROUNDS };
     if args.iter().any(|a| a == "--load") {
         run_load_mode(quick);
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        run_scenario_mode(&args[i + 1]);
+        run_scenario_mode(&args[i + 1], rounds);
         return;
     }
 
@@ -606,7 +649,8 @@ fn main() {
     }
 
     println!(
-        "scenario-parallel benchmark: {cores} core(s), {} worker(s) for a 3-scenario suite{}",
+        "scenario-parallel benchmark: {cores} core(s), {} worker(s) for a 3-scenario suite, \
+         median of {rounds} alternating round(s){}",
         worker_count(3),
         if quick { ", quick mode" } else { "" }
     );
@@ -619,7 +663,7 @@ fn main() {
             suite.scenarios.len(),
             suite.scenarios[0].1.horizon.as_secs_f64()
         );
-        let t = run_suite(&suite);
+        let t = run_suite(&suite, rounds);
         println!(
             "  serial {:>9.1} ms | parallel {:>9.1} ms | speedup {:.2}x | bit-identical: {}",
             t.serial_ms,
@@ -714,6 +758,7 @@ fn main() {
     // is small and fixed.
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"cores\": {cores},\n"));
+    json.push_str(&format!("  \"rounds\": {rounds},\n"));
     json.push_str("  \"harnesses\": [\n");
     for (i, t) in timings.iter().enumerate() {
         json.push_str(&format!(

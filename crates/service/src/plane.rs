@@ -12,9 +12,9 @@
 //! The decision logic here is the former `workload::throughput` admission
 //! / failover / renegotiation code moved verbatim: the same calls in the
 //! same order against the same RNG stream, so a driver issuing the same
-//! command sequence gets bit-identical decisions to the pre-refactor
-//! in-process loop (held to it by `workload`'s differential proptests
-//! against the frozen oracle).
+//! command sequence gets bit-identical decisions. The facade's
+//! `tests/driver_fingerprints.rs` pins the decisions of the in-process
+//! driver by recorded result digests.
 
 use crate::admission::{brownout_action, AdmissionConfig, AdmissionQueue, BrownoutAction, Waiting};
 use crate::command::{

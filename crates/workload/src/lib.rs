@@ -3,8 +3,6 @@
 //! Assembles the full systems under test and drives them with the paper's
 //! workload:
 //!
-//! * [`admission`] — the queued admission front end: rejected queries
-//!   back off, walk the degradation ladder, and abandon on patience.
 //! * [`testbed`] — the three-server deployment (catalog, replication,
 //!   metadata, QoS API sizing) and cost-model selection.
 //! * [`traffic`] — the Poisson query generator ("inter-arrival time …
@@ -17,20 +15,21 @@
 //! * [`parallel`] — the deterministic scenario-parallel runner: fan
 //!   independent experiment runs across cores, collect by scenario index,
 //!   bit-identical to serial execution.
+//!
+//! The queued admission front end is a QoS decision component, so it
+//! lives in [`quasaq_service::admission`]; its settings and metrics
+//! ([`AdmissionConfig`], [`QueueMetrics`]) are re-exported here because
+//! [`ThroughputConfig`] and [`ThroughputResult`] carry them.
 
-pub mod admission;
 pub mod fig5;
 pub mod parallel;
 pub mod testbed;
 pub mod throughput;
 pub mod traffic;
 
-pub use admission::{
-    brownout_action, AdmissionConfig, AdmissionQueue, BrownoutAction, Disposition, QueueMetrics,
-    Waiting,
-};
 pub use fig5::{run_fig5, Contention, Fig5Config, Fig5System};
 pub use parallel::{parallel_map, run_throughput_scenarios, worker_count};
+pub use quasaq_service::{AdmissionConfig, QueueMetrics};
 pub use testbed::{CostKind, Testbed, TestbedConfig};
 pub use throughput::{
     arrival_stream, build_core, run_throughput, run_throughput_on, AdaptationConfig,

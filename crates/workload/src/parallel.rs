@@ -153,7 +153,7 @@ mod tests {
         let cfg = ThroughputConfig {
             horizon: SimTime::from_secs(120),
             seed: 29,
-            admission: Some(crate::admission::AdmissionConfig::default()),
+            admission: Some(crate::AdmissionConfig::default()),
             ..ThroughputConfig::fig6()
         };
         let scenarios: Vec<(SystemKind, ThroughputConfig)> = vec![

@@ -14,17 +14,16 @@
 //! comes from a [`ControlPlane`] driven through the same
 //! [`Command`]/[`Effect`] vocabulary the TCP shell speaks, so an
 //! in-process run and a served run make bit-identical decisions for the
-//! same command sequence. The differential proptests in
-//! `tests/differential.rs` hold this loop to the pre-split oracle, draw
-//! for draw.
+//! same command sequence. The facade's `tests/driver_fingerprints.rs`
+//! pins this loop by recorded result digests over a fixed table of
+//! systems, load shapes, crash plans and link processes.
 
-use crate::admission::{AdmissionConfig, QueueMetrics};
 use crate::testbed::{CostKind, Testbed, TestbedConfig};
 use crate::traffic::{generate_queries, qop_class, GeneratedQuery, QopMix, TrafficConfig};
 use quasaq_core::{PlanExecutor, PlanRequest, QopSecurity};
 use quasaq_service::{
-    AdaptPolicy, Admission, AdmitOrigin, Candidate, Command, ControlPlane, Degraded, Effect,
-    PlaneConfig, Renegotiation, SessionId, SystemCore,
+    AdaptPolicy, Admission, AdmissionConfig, AdmitOrigin, Candidate, Command, ControlPlane,
+    Degraded, Effect, PlaneConfig, QueueMetrics, Renegotiation, SessionId, SystemCore,
 };
 use quasaq_sim::link::SharePolicy;
 use quasaq_sim::{
@@ -101,7 +100,7 @@ pub struct ThroughputConfig {
     /// only). Admission decisions are bit-identical either way — the cache
     /// holds only each request's delivery options, and feasibility,
     /// ranking and reservation run live — so this is purely a
-    /// constant-factor switch; the differential proptests hold it to that.
+    /// constant-factor switch; the workload proptests hold it to that.
     pub plan_cache: bool,
     /// Ignored: every run steps its server domains in one serial pass.
     /// Kept only so existing benchmark harnesses that set or check it

@@ -48,7 +48,7 @@ cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload
 echo "==> traced benchmark run (zipf_adapt30: plan cache + bulk prefetch on; the traced plane must reproduce run_throughput_on's fingerprint)"
 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload zipf_adapt30 --seconds 3 --trace 1
 
-echo "==> determinism + timing artifact (quick mode; fig6/fig7/queued/availability suites)"
+echo "==> serial/parallel determinism (quick mode: one round of the fig6/fig7/queued/availability suites; the full run writes the timing artifact)"
 cargo run --release -p quasaq-bench --bin bench -- --quick
 
 echo "==> overhead micro-benchmarks, one smoke run (admission at 3 and 100 servers: idle, loaded, refused; every case's expects run)"
