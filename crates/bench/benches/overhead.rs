@@ -7,7 +7,8 @@
 //!
 //! Criterion micro-benchmarks measure the per-query planning pipeline
 //! (plan generation, LRB ranking, full admit), the QoS-API baseline's
-//! admission, and the SQL front-end, and
+//! admission, the fluid data plane's per-event step, and the SQL
+//! front-end, and
 //! a printed section reports the modelled DSRT overhead and the pruning
 //! ablation (plan-space sizes with and without the static rules).
 
@@ -19,7 +20,8 @@ use quasaq_core::{
 use quasaq_media::VideoId;
 use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::cpu::Dsrt;
-use quasaq_sim::Rng;
+use quasaq_sim::{Rng, ServerId, SharePolicy, SimTime};
+use quasaq_stream::FluidEngine;
 use quasaq_vdbms::{BaselineKind, BaselinePlanner};
 use quasaq_workload::{CostKind, Testbed, TestbedConfig};
 use std::hint::black_box;
@@ -155,6 +157,44 @@ fn bench_planning(c: &mut Criterion) {
             api.release(res);
         })
     });
+
+    // The fluid data plane stepped from event to event at 100 and 1,000
+    // servers, about 10 fair-share sessions per server (the
+    // `dataplane_qosapi100` occupancy), each paced at 200 KB/s for 30–90 s
+    // on a 3,200 KB/s link. Each completion is replaced by a fresh
+    // session on its server, so the load holds steady and the per-event
+    // cost is comparable across the two sizes.
+    for servers in [100u32, 1_000] {
+        c.bench_function(&format!("fluid_advance_{servers}"), |b| {
+            const RATE: u64 = 200_000;
+            let mut eng = FluidEngine::new(
+                ServerId::first_n(servers),
+                SharePolicy::FairShare,
+                TestbedConfig::default().link_capacity_bps,
+            );
+            let mut rng = Rng::new(9);
+            let mut stream = |eng: &mut FluidEngine, now: SimTime, server: ServerId| {
+                let bytes = rng.range_u64(30 * RATE, 90 * RATE);
+                eng.add_session(now, server, bytes, RATE).expect("fair share admits");
+            };
+            for server in ServerId::first_n(servers) {
+                for _ in 0..10 {
+                    stream(&mut eng, SimTime::ZERO, server);
+                }
+            }
+            b.iter(|| {
+                let t = eng.next_event().expect("every server streams");
+                eng.advance_to(t);
+                let done = eng.drain_completions();
+                let first = *done.first().expect("an event completes a session");
+                for d in &done {
+                    stream(&mut eng, t, d.server);
+                }
+                black_box(first)
+            });
+            assert_eq!(eng.active_sessions(), 10 * servers as usize, "every completion replaced");
+        });
+    }
 
     c.bench_function("sql_parse", |b| {
         let q = "SELECT * FROM videos WHERE contains('surgery') \

@@ -181,11 +181,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// The configuration this queue runs under.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// Queries currently waiting.
     pub fn len(&self) -> usize {
         self.waiting.len()

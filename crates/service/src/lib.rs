@@ -25,10 +25,7 @@ pub mod command;
 pub mod plane;
 pub mod wire;
 
-pub use admission::{
-    brownout_action, AdmissionConfig, AdmissionQueue, BrownoutAction, Disposition, QueueMetrics,
-    Waiting,
-};
+pub use admission::{AdmissionConfig, QueueMetrics};
 pub use command::{
     qop_class, Admission, AdmitOrigin, Candidate, Command, Degraded, Effect, QopClass,
     RejectReason, Renegotiation, ServiceError, StatsSnapshot,

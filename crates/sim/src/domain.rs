@@ -8,9 +8,11 @@
 //! shape once so the engines stop re-implementing it: one server's
 //! outbound link plus its transfer registry, with the fault reactions
 //! (capacity changes on degradation, the deterministic cut on a crash)
-//! implemented here instead of separately per engine. Engines step their
-//! domains in one serial pass ordered by [`ServerId`], which fixes the
-//! `(time, seq)` event order every result depends on.
+//! implemented here instead of separately per engine. At each instant an
+//! engine steps the domains with something due serially, in [`ServerId`]
+//! order, which fixes the `(time, seq)` event order every result depends
+//! on; a domain with nothing due need not be stepped at all, since its
+//! link is step-invariant (see [`crate::link`]).
 
 use crate::link::{SharePolicy, SharedLink, XferDone};
 use crate::time::SimTime;

@@ -317,13 +317,13 @@ impl SharedLink {
     /// idle flows contribute no terms. Reads the anchored state without
     /// changing it.
     pub fn backlog_bytes(&self) -> f64 {
-        self.active_by_id.iter().flat_map(|&s| self.queued(s)).sum()
+        self.active_by_id.iter().flat_map(|&s| self.queued(s, self.now)).sum()
     }
 
     /// A flow's queued bytes at `now`, front first.
-    fn queued(&self, slot: u32) -> impl Iterator<Item = f64> + '_ {
+    fn queued(&self, slot: u32, now: SimTime) -> impl Iterator<Item = f64> + '_ {
         let f = &self.slots[slot as usize];
-        let front = f.front_left(self.now);
+        let front = f.front_left(now);
         f.queue.iter().enumerate().map(move |(i, &(_, b))| if i == 0 { front } else { b })
     }
 
@@ -564,7 +564,16 @@ impl SharedLink {
     /// Bytes still queued on one flow (0 for unknown/closed flows). This is
     /// what a failover path needs to resume a displaced transfer elsewhere.
     pub fn flow_backlog_bytes(&self, flow: FlowId) -> f64 {
-        self.slot(flow).map_or(0.0, |s| self.queued(s).sum())
+        self.flow_backlog_bytes_at(flow, self.now)
+    }
+
+    /// [`flow_backlog_bytes`](Self::flow_backlog_bytes) as of `now`, for a
+    /// caller whose clock runs ahead of a link it has not stepped (an
+    /// instant before the link's own clock reads at that clock). With
+    /// nothing due by `now`, stepping the link to `now` changes no bytes,
+    /// so this has the same bits as stepping first and then reading.
+    pub fn flow_backlog_bytes_at(&self, flow: FlowId, now: SimTime) -> f64 {
+        self.slot(flow).map_or(0.0, |s| self.queued(s, now.max(self.now)).sum())
     }
 
     /// Instantaneous per-flow transmission rates for all backlogged flows,
@@ -1029,6 +1038,20 @@ mod tests {
         link.advance_to(SimTime::from_millis(500));
         assert!((link.flow_backlog_bytes(f) - 50_000.0).abs() < 1.0);
         assert_eq!(link.flow_backlog_bytes(FlowId(42)), 0.0);
+    }
+
+    #[test]
+    fn flow_backlog_at_reads_a_lagging_link_at_the_callers_clock() {
+        let mut link = SharedLink::reserved(1000 * KB);
+        let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
+        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+        let ahead = link.flow_backlog_bytes_at(f, SimTime::from_millis(500));
+        assert!((ahead - 50_000.0).abs() < 1.0, "{ahead}");
+        link.advance_to(SimTime::from_millis(500));
+        assert_eq!(link.flow_backlog_bytes(f).to_bits(), ahead.to_bits());
+        // An instant behind the link's own clock reads at that clock.
+        let behind = link.flow_backlog_bytes_at(f, SimTime::from_millis(100));
+        assert_eq!(behind.to_bits(), ahead.to_bits());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::link::XferDone;
+use quasaq_sim::link::{FlowId, XferDone};
 use quasaq_sim::{EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime, Zipf};
 
 /// Drives a scheduler until idle, returning completions.
@@ -52,7 +52,16 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
         let backlog = flows.iter().map(|&f| link.flow_backlog_bytes(f).to_bits()).collect();
         (link.drain_completions(), link.next_event(), backlog)
     };
-    let step_to = |link: &mut SharedLink, from: SimTime, to: SimTime, pick: usize| {
+    // A link with nothing due by `to` that is not stepped there (a
+    // lagging link) must read each flow's backlog at `to` with the bits
+    // the stepped link reads.
+    let step_to = |link: &mut SharedLink, flows: &[FlowId], from: SimTime, to: SimTime, pick| {
+        let lagging = link.next_event().is_none_or(|d| d > to);
+        let read_ahead: Vec<u64> = if lagging {
+            flows.iter().map(|&f| link.flow_backlog_bytes_at(f, to).to_bits()).collect()
+        } else {
+            Vec::new()
+        };
         let span = (to - from).as_micros();
         if probe && span > 0 {
             let a = (pick >> 8) as u64 % span;
@@ -61,6 +70,11 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
             link.advance_to(from + SimDuration::from_micros(a.max(b)));
         }
         link.advance_to(to);
+        if lagging {
+            let stepped: Vec<u64> =
+                flows.iter().map(|&f| link.flow_backlog_bytes(f).to_bits()).collect();
+            assert_eq!(read_ahead, stepped, "a lagging link read its backlog differently");
+        }
     };
     for &(op, arg, pick) in ops {
         let flow = (!flows.is_empty()).then(|| flows[pick % flows.len()]);
@@ -87,7 +101,7 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
             5 => link.set_capacity(now, CAPACITY / 4 * (1 + arg % 4)),
             _ => {
                 let to = now + SimDuration::from_micros(arg * 125_000 + (pick % 1_000) as u64);
-                step_to(&mut link, now, to, pick);
+                step_to(&mut link, &flows, now, to, pick);
                 now = to;
             }
         }
@@ -97,7 +111,7 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
     while let Some(t) = link.next_event() {
         guard += 1;
         assert!(guard < 100_000, "link failed to drain");
-        step_to(&mut link, now, t, guard.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        step_to(&mut link, &flows, now, t, guard.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         now = t;
     }
     log.push(view(&mut link, &flows));
@@ -434,6 +448,8 @@ proptest! {
     /// run twice on both policies — once as generated, once with extra
     /// `advance_to` calls at intermediate instants — and must show the
     /// same completions, next events and backlog bits after every op.
+    /// Before each clock move with nothing due, `flow_backlog_bytes_at`
+    /// the target must read the bits the stepped link reads there.
     #[test]
     fn link_is_step_invariant(
         reserved in proptest::bool::ANY,

@@ -15,23 +15,28 @@
 //!   but squeezed when the link oversubscribes, so "it took much longer
 //!   time to finish each job" — the plain-VDBMS signature of Fig 6.
 //!
-//! The engine keeps one [`LinkDomain`] per server. Advancing time is one
-//! pass over the domains in `ServerId` order: each domain steps its link
-//! to the target instant and its completions are merged on the spot, which
-//! fixes the `(time, seq)` event order every result depends on. A link
-//! caches its next completion and is step-invariant (see
-//! [`quasaq_sim::link`]): stepping a link with nothing due only moves its
-//! clock, and how often it is stepped never changes its bytes. So the pass
-//! costs one field read per idle server plus work on the servers whose
-//! transfers complete, [`FluidEngine::next_event`] is a minimum over the
-//! cached completions, and a session's arithmetic does not depend on what
-//! other servers are doing.
+//! The engine keeps one [`LinkDomain`] per server and indexes them by
+//! their next completion: an ordered set of `(next completion, domain)`
+//! holds every domain with a transfer due, and each domain's current key
+//! is kept beside it. [`FluidEngine::next_event`] reads the set's head,
+//! and advancing to `t` steps only the domains keyed at or before `t`
+//! (plus any whose link holds buffered completions), in `ServerId` order,
+//! merging each one's completions on the spot — which fixes the
+//! `(time, seq)` event order every result depends on. Every call that
+//! changes a link re-keys that one domain. Skipping the idle domains is
+//! exact because a link is step-invariant (see [`quasaq_sim::link`]):
+//! stepping a link with nothing due only moves its clock, and how often
+//! it is stepped never changes its bytes. So an event costs work on the
+//! servers whose transfers complete plus a logarithmic index update, not
+//! a pass over the cluster, and a session's arithmetic does not depend on
+//! what other servers are doing.
 //!
 //! The engine is passive (`next_event`/`advance_to`/`drain_completions`)
 //! so the experiment driver owns the master event loop.
 
-use quasaq_sim::link::{LinkError, SharePolicy, SharedLink, XferDone};
+use quasaq_sim::link::{LinkError, SharePolicy, XferDone};
 use quasaq_sim::{FlowId, LinkDomain, ServerId, SimDuration, SimTime};
+use std::collections::BTreeSet;
 
 /// Identifies a fluid session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,17 +122,35 @@ struct CongestionWatch {
 const NO_DOMAIN: u32 = u32::MAX;
 
 /// Byte-level session engine over per-server link domains.
+///
+/// Only the domains with a completion due are stepped, so an idle link's
+/// own clock lags the engine's: it catches up, exactly, the next time a
+/// call touches that link. Every clock-dependent read therefore goes
+/// through the engine's `now` (the last [`advance_to`](Self::advance_to)
+/// instant) rather than trusting a link's own clock.
 pub struct FluidEngine {
-    /// Sorted by `ServerId`; every advance walks this order.
+    /// Sorted by `ServerId`; an advance steps its due domains in this
+    /// order.
     domains: Vec<LinkDomain<FluidSessionId>>,
     /// Dense `ServerId.0` → index into `domains` (`NO_DOMAIN` for gaps).
     index: Vec<u32>,
+    /// `(next completion, domain index)` for every domain with a
+    /// completion pending.
+    due: BTreeSet<(SimTime, u32)>,
+    /// Parallel to `domains`: each domain's key in `due`.
+    keys: Vec<Option<SimTime>>,
+    /// Domains whose link holds buffered completions; the next advance
+    /// steps them whatever their key.
+    dirty: Vec<u32>,
+    /// The last `advance_to` instant.
+    now: SimTime,
     sessions: Vec<FluidSession>,
     /// Open (not-`done`) session count, maintained on every transition.
     active: usize,
     completions: Vec<FluidDone>,
-    /// Reused completion buffer (keeps the per-advance merge
-    /// allocation-free).
+    /// Reused buffers (keep the per-advance merge allocation-free): the
+    /// domains to step, and one domain's completions.
+    step_scratch: Vec<u32>,
     merge_scratch: Vec<XferDone>,
     /// Per-link congestion detection, off unless enabled.
     congestion: Option<CongestionWatch>,
@@ -148,11 +171,16 @@ impl FluidEngine {
             index[d.server().0 as usize] = i as u32;
         }
         FluidEngine {
+            keys: vec![None; domains.len()],
             domains,
             index,
+            due: BTreeSet::new(),
+            dirty: Vec::new(),
+            now: SimTime::ZERO,
             sessions: Vec::new(),
             active: 0,
             completions: Vec::new(),
+            step_scratch: Vec::new(),
             merge_scratch: Vec::new(),
             congestion: None,
         }
@@ -169,14 +197,24 @@ impl FluidEngine {
         &self.domains[self.domain_index(server).expect("unknown server")]
     }
 
-    fn domain_mut(&mut self, server: ServerId) -> &mut LinkDomain<FluidSessionId> {
-        let i = self.domain_index(server).expect("unknown server");
-        &mut self.domains[i]
-    }
-
-    /// Link state of a server.
-    pub fn link(&self, server: ServerId) -> &SharedLink {
-        self.domain(server).link()
+    /// Re-files domain `i` under its link's next completion, and marks it
+    /// dirty when its link holds buffered completions. Every call that
+    /// changes a link ends here.
+    fn rekey(&mut self, i: usize) {
+        let domain = &self.domains[i];
+        let next = domain.next_event();
+        if next != self.keys[i] {
+            if let Some(old) = self.keys[i] {
+                self.due.remove(&(old, i as u32));
+            }
+            if let Some(at) = next {
+                self.due.insert((at, i as u32));
+            }
+            self.keys[i] = next;
+        }
+        if domain.has_buffered() {
+            self.dirty.push(i as u32);
+        }
     }
 
     /// Starts a session streaming `bytes` at `rate_bps` from `server`.
@@ -190,10 +228,19 @@ impl FluidEngine {
         rate_bps: u64,
     ) -> Result<FluidSessionId, LinkError> {
         let id = FluidSessionId(self.sessions.len());
-        let domain = self.domain_mut(server);
-        let flow = domain.link_mut().open_flow(now, Some(rate_bps))?;
+        let i = self.domain_index(server).expect("unknown server");
+        let domain = &mut self.domains[i];
+        let flow = match domain.link_mut().open_flow(now, Some(rate_bps)) {
+            Ok(flow) => flow,
+            Err(e) => {
+                // A refused open still advanced the link to `now`.
+                self.rekey(i);
+                return Err(e);
+            }
+        };
         let xfer = domain.link_mut().send(now, flow, bytes).expect("flow just opened");
         domain.register(xfer, flow, id);
+        self.rekey(i);
         self.sessions.push(FluidSession { server, flow, done: false });
         self.active += 1;
         Ok(id)
@@ -212,7 +259,9 @@ impl FluidEngine {
         session.done = true;
         self.active -= 1;
         let (server, flow) = (session.server, session.flow);
-        self.domain_mut(server).link_mut().close_flow(now, flow);
+        let i = self.domain_index(server).expect("unknown server");
+        self.domains[i].link_mut().close_flow(now, flow);
+        self.rekey(i);
     }
 
     /// Drops a finished or cancelled session's transfer registration so
@@ -229,16 +278,31 @@ impl FluidEngine {
         }
     }
 
-    /// Earliest future completion across all links.
+    /// Earliest future completion across all links. O(1): the head of the
+    /// completion index.
     pub fn next_event(&self) -> Option<SimTime> {
-        self.domains.iter().filter_map(|d| d.next_event()).min()
+        self.due.first().map(|&(at, _)| at)
     }
 
-    /// Advances every link to `t`, one domain at a time in `ServerId`
-    /// order, collecting completions.
+    /// Advances the engine to `t`, collecting completions: steps the
+    /// domains with a completion due by `t` and those holding buffered
+    /// completions, one at a time in `ServerId` order. Every other link
+    /// has nothing due by `t`, so it is left where it is.
     pub fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "advance_to into the past");
+        self.now = t;
+        let mut stepping = std::mem::take(&mut self.step_scratch);
+        stepping.append(&mut self.dirty);
+        while let Some(&(_, i)) = self.due.first().filter(|&&(at, _)| at <= t) {
+            self.due.pop_first();
+            self.keys[i as usize] = None;
+            stepping.push(i);
+        }
+        stepping.sort_unstable();
+        stepping.dedup();
         let mut batch = std::mem::take(&mut self.merge_scratch);
-        for domain in self.domains.iter_mut() {
+        for &i in &stepping {
+            let domain = &mut self.domains[i as usize];
             batch.clear();
             domain.step_to(t, &mut batch);
             let server = domain.server();
@@ -253,9 +317,12 @@ impl FluidEngine {
                     }
                 }
             }
+            self.rekey(i as usize);
         }
         batch.clear();
         self.merge_scratch = batch;
+        stepping.clear();
+        self.step_scratch = stepping;
     }
 
     /// Removes and returns completions recorded so far.
@@ -283,6 +350,7 @@ impl FluidEngine {
         let Some(i) = self.domain_index(server) else { return Vec::new() };
         let sessions = &self.sessions;
         let displaced = self.domains[i].cut(now, |id| !sessions[id.0].done);
+        self.rekey(i);
         for &(id, _) in &displaced {
             self.sessions[id.0].done = true;
             self.active -= 1;
@@ -293,7 +361,9 @@ impl FluidEngine {
     /// Applies a fault-injection capacity change to a server's outbound
     /// link (degradation when below nominal, recovery when restored).
     pub fn set_link_capacity(&mut self, now: SimTime, server: ServerId, capacity_bps: u64) {
-        self.domain_mut(server).set_capacity(now, capacity_bps);
+        let i = self.domain_index(server).expect("unknown server");
+        self.domains[i].set_capacity(now, capacity_bps);
+        self.rekey(i);
     }
 
     /// The serving node of a session (valid for done sessions too).
@@ -301,14 +371,17 @@ impl FluidEngine {
         self.sessions[id.0].server
     }
 
-    /// Bytes a session still has queued (0 once done). This is what a
-    /// renegotiation path needs to scale the remainder to a new bitrate.
+    /// Bytes a session still has queued (0 once done), as of the last
+    /// [`advance_to`](Self::advance_to) instant (or of a later call on
+    /// the session's link). This is what a renegotiation path needs to
+    /// scale the remainder to a new bitrate.
     pub fn session_backlog(&self, id: FluidSessionId) -> f64 {
         let s = &self.sessions[id.0];
         if s.done {
             return 0.0;
         }
-        self.domain(s.server).link().flow_backlog_bytes(s.flow)
+        // The link may lag the engine; its bytes read the same at `now`.
+        self.domain(s.server).link().flow_backlog_bytes_at(s.flow, self.now)
     }
 
     /// The sessions still streaming from one server, in ascending session

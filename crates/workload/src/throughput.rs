@@ -102,7 +102,7 @@ pub struct ThroughputConfig {
     /// ranking and reservation run live — so this is purely a
     /// constant-factor switch; the workload proptests hold it to that.
     pub plan_cache: bool,
-    /// Ignored: every run steps its server domains in one serial pass.
+    /// Ignored: every run steps its server domains serially.
     /// Kept only so existing benchmark harnesses that set or check it
     /// still build; nothing in the driver reads it.
     pub domain_workers: usize,
