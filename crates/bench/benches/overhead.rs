@@ -7,8 +7,8 @@
 //!
 //! Criterion micro-benchmarks measure the per-query planning pipeline
 //! (plan generation, LRB ranking, full admit), the QoS-API baseline's
-//! admission, the fluid data plane's per-event step, and the SQL
-//! front-end, and
+//! admission, the fluid data plane's per-event step, the catalog load
+//! at 100 servers, and the SQL front-end, and
 //! a printed section reports the modelled DSRT overhead and the pruning
 //! ablation (plan-space sizes with and without the static rules).
 
@@ -195,6 +195,19 @@ fn bench_planning(c: &mut Criterion) {
             assert_eq!(eng.active_sessions(), 10 * servers as usize, "every completion replaced");
         });
     }
+
+    // The catalog load of the `admit_lrb100` deployment: one
+    // `Testbed::build` (library generation, then replication into 100
+    // stores and the metadata engine) and its drop.
+    let config = TestbedConfig::scale_short(100, 10_000);
+    let library = quasaq_media::Library::generate(config.seed, &config.library);
+    let objects: usize = library.entries().iter().map(|e| 3 * e.replicas.len()).sum();
+    c.bench_function("testbed_build_100", |b| {
+        b.iter(|| {
+            let tb = Testbed::build(config.clone());
+            assert_eq!(tb.engine.object_count(), objects, "three copies of every tier");
+        })
+    });
 
     c.bench_function("sql_parse", |b| {
         let q = "SELECT * FROM videos WHERE contains('surgery') \

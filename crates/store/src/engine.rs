@@ -7,12 +7,17 @@
 //! the Plan Generator reads "all replica records of a logical video" as
 //! one slice. The paper's cache for non-local metadata accesses is not
 //! modelled: no remote access has a cost in this reproduction.
+//!
+//! Physical OIDs resolve through one vector of `(oid, video)` pairs
+//! sorted by OID. A lookup is a binary search; registering an OID above
+//! the largest one (all that replication and migration allocate) is a
+//! push, and only an out-of-order registration or a removal shifts the
+//! tail.
 
 use crate::metadata::{ObjectRecord, QosProfile};
-use crate::object::{PhysicalObject, PhysicalOid, StoreError};
+use crate::object::{oid_slot, PhysicalObject, PhysicalOid, StoreError};
 use quasaq_media::{VideoId, VideoMeta};
 use quasaq_sim::ServerId;
-use std::collections::BTreeMap;
 
 /// One logical video's slot in the engine's table.
 #[derive(Debug, Default)]
@@ -29,8 +34,9 @@ pub struct MetadataEngine {
     /// Indexed by `VideoId`. Its length follows the largest id registered,
     /// so it is dense for a catalog's ids, which run from 0.
     videos: Vec<VideoEntry>,
-    /// Physical OID -> the video whose slice holds its record.
-    oids: BTreeMap<PhysicalOid, VideoId>,
+    /// Physical OID -> the video whose slice holds its record, sorted by
+    /// OID.
+    oids: Vec<(PhysicalOid, VideoId)>,
     /// The sites this engine spans, ascending.
     sites: Vec<ServerId>,
 }
@@ -41,7 +47,7 @@ impl MetadataEngine {
         let mut sites: Vec<ServerId> = servers.into_iter().collect();
         sites.sort_unstable();
         sites.dedup();
-        MetadataEngine { videos: Vec::new(), oids: BTreeMap::new(), sites }
+        MetadataEngine { videos: Vec::new(), oids: Vec::new(), sites }
     }
 
     fn entry_mut(&mut self, id: VideoId) -> &mut VideoEntry {
@@ -52,10 +58,20 @@ impl MetadataEngine {
         &mut self.videos[idx]
     }
 
+    fn oid_slot(&self, oid: PhysicalOid) -> Result<usize, usize> {
+        oid_slot(&self.oids, oid, |&(oid, _)| oid)
+    }
+
     /// Registers a logical video's content metadata.
     pub fn insert_video(&mut self, meta: VideoMeta) {
         let id = meta.id;
         self.entry_mut(id).meta = Some(meta);
+    }
+
+    /// Makes room for `additional` more replica records of `video`, so a
+    /// catalog load sizes each video's slice once.
+    pub(crate) fn reserve_replicas(&mut self, video: VideoId, additional: usize) {
+        self.entry_mut(video).replicas.reserve_exact(additional);
     }
 
     /// Content metadata of a video.
@@ -84,17 +100,17 @@ impl MetadataEngine {
         if self.sites.binary_search(&object.server).is_err() {
             return Err(StoreError::UnknownSite(object.server));
         }
-        if self.oids.contains_key(&object.oid) {
+        let Err(slot) = self.oid_slot(object.oid) else {
             return Err(StoreError::DuplicateOid(object.oid));
-        }
-        self.oids.insert(object.oid, object.video);
+        };
+        self.oids.insert(slot, (object.oid, object.video));
         self.entry_mut(object.video).replicas.push(ObjectRecord { object, profile });
         Ok(())
     }
 
     /// Removes a replica, keeping the order of its video's other records.
     pub fn remove_object(&mut self, oid: PhysicalOid) -> Option<ObjectRecord> {
-        let video = self.oids.remove(&oid)?;
+        let (_, video) = self.oids.remove(self.oid_slot(oid).ok()?);
         let replicas = &mut self.videos[video.0 as usize].replicas;
         let pos = replicas.iter().position(|r| r.object.oid == oid)?;
         Some(replicas.remove(pos))
@@ -110,7 +126,7 @@ impl MetadataEngine {
 
     /// Direct (location-transparent) record lookup.
     pub fn record(&self, oid: PhysicalOid) -> Option<&ObjectRecord> {
-        let &video = self.oids.get(&oid)?;
+        let (_, video) = self.oids[self.oid_slot(oid).ok()?];
         self.replicas(video).iter().find(|r| r.object.oid == oid)
     }
 
@@ -122,7 +138,7 @@ impl MetadataEngine {
     /// The largest physical OID registered anywhere (for allocating fresh
     /// OIDs after engine state was rebuilt).
     pub fn max_oid(&self) -> Option<PhysicalOid> {
-        self.oids.last_key_value().map(|(&oid, _)| oid)
+        self.oids.last().map(|&(oid, _)| oid)
     }
 
     /// Simulates the loss of a site: the engine stops spanning it and
@@ -142,10 +158,8 @@ impl MetadataEngine {
                 !here
             });
         }
-        for oid in &lost {
-            self.oids.remove(oid);
-        }
         lost.sort_unstable();
+        self.oids.retain(|(oid, _)| lost.binary_search(oid).is_err());
         lost
     }
 

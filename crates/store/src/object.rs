@@ -9,7 +9,6 @@
 
 use quasaq_media::{QualitySpec, VideoId};
 use quasaq_sim::ServerId;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one stored replica (the paper's physical OID).
@@ -59,7 +58,8 @@ pub enum StoreError {
     NotFound(PhysicalOid),
     /// The placement names a server the metadata engine does not span.
     UnknownSite(ServerId),
-    /// The physical OID is already registered with the metadata engine.
+    /// The physical OID is already registered with the metadata engine,
+    /// or already held by the store.
     DuplicateOid(PhysicalOid),
 }
 
@@ -78,21 +78,40 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// Where `oid` sits in `items`, which are sorted by `key`: `Ok` with its
+/// index if present, else `Err` with the slot that keeps them sorted. An
+/// OID above the last entry, the only kind OID allocation produces, is
+/// answered without a search.
+pub(crate) fn oid_slot<T>(
+    items: &[T],
+    oid: PhysicalOid,
+    key: impl Fn(&T) -> PhysicalOid,
+) -> Result<usize, usize> {
+    match items.last() {
+        Some(last) if key(last) >= oid => items.binary_search_by(|item| key(item).cmp(&oid)),
+        _ => Err(items.len()),
+    }
+}
+
 /// One server's object store (the Shore-like storage manager): disk-space
 /// accounting over physical objects.
+///
+/// The objects are one vector sorted by OID: lookups are a binary search,
+/// an insert above the largest OID is a push, and only an out-of-order
+/// insert or a removal shifts the tail.
 #[derive(Debug, Clone)]
 pub struct ObjectStore {
     server: ServerId,
     disk_capacity: u64,
     used: u64,
-    objects: BTreeMap<PhysicalOid, PhysicalObject>,
+    objects: Vec<PhysicalObject>,
 }
 
 impl ObjectStore {
     /// Creates an empty store with `disk_capacity` bytes.
     pub fn new(server: ServerId, disk_capacity: u64) -> Self {
         assert!(disk_capacity > 0, "disk capacity must be positive");
-        ObjectStore { server, disk_capacity, used: 0, objects: BTreeMap::new() }
+        ObjectStore { server, disk_capacity, used: 0, objects: Vec::new() }
     }
 
     /// The owning server.
@@ -120,12 +139,22 @@ impl ObjectStore {
         self.objects.len()
     }
 
-    /// Stores an object, charging its size against the disk.
+    fn slot(&self, oid: PhysicalOid) -> Result<usize, usize> {
+        oid_slot(&self.objects, oid, |o| o.oid)
+    }
+
+    /// Stores an object, charging its size against the disk. An OID the
+    /// store already holds is refused with [`StoreError::DuplicateOid`],
+    /// and an object that does not fit with [`StoreError::DiskFull`];
+    /// either way the store is left as it was.
     ///
     /// # Panics
     /// Panics if the object's `server` field disagrees with this store.
     pub fn insert(&mut self, obj: PhysicalObject) -> Result<(), StoreError> {
         assert_eq!(obj.server, self.server, "object placed on the wrong server");
+        let Err(slot) = self.slot(obj.oid) else {
+            return Err(StoreError::DuplicateOid(obj.oid));
+        };
         if obj.bytes > self.free_bytes() {
             return Err(StoreError::DiskFull {
                 server: self.server,
@@ -134,34 +163,31 @@ impl ObjectStore {
             });
         }
         self.used += obj.bytes;
-        self.objects.insert(obj.oid, obj);
+        self.objects.insert(slot, obj);
         Ok(())
     }
 
     /// Removes an object, freeing its space.
     pub fn remove(&mut self, oid: PhysicalOid) -> Result<PhysicalObject, StoreError> {
-        match self.objects.remove(&oid) {
-            Some(obj) => {
-                self.used -= obj.bytes;
-                Ok(obj)
-            }
-            None => Err(StoreError::NotFound(oid)),
-        }
+        let pos = self.slot(oid).map_err(|_| StoreError::NotFound(oid))?;
+        let obj = self.objects.remove(pos);
+        self.used -= obj.bytes;
+        Ok(obj)
     }
 
     /// Looks up an object.
     pub fn get(&self, oid: PhysicalOid) -> Option<&PhysicalObject> {
-        self.objects.get(&oid)
+        self.slot(oid).ok().map(|pos| &self.objects[pos])
     }
 
     /// All objects in OID order.
     pub fn objects(&self) -> impl Iterator<Item = &PhysicalObject> {
-        self.objects.values()
+        self.objects.iter()
     }
 
     /// All replicas of a logical video held here.
     pub fn replicas_of(&self, video: VideoId) -> impl Iterator<Item = &PhysicalObject> {
-        self.objects.values().filter(move |o| o.video == video)
+        self.objects.iter().filter(move |o| o.video == video)
     }
 }
 
@@ -230,6 +256,17 @@ mod tests {
         assert_eq!(s.replicas_of(VideoId(0)).count(), 2);
         assert_eq!(s.replicas_of(VideoId(1)).count(), 1);
         assert_eq!(s.replicas_of(VideoId(9)).count(), 0);
+    }
+
+    #[test]
+    fn duplicate_oid_is_refused_and_changes_nothing() {
+        let mut s = ObjectStore::new(ServerId(0), 1_000);
+        s.insert(obj(1, 0, 400)).unwrap();
+        let err = s.insert(obj(1, 3, 100)).unwrap_err();
+        assert_eq!(err, StoreError::DuplicateOid(PhysicalOid(1)));
+        assert_eq!(s.used_bytes(), 400);
+        assert_eq!(s.object_count(), 1);
+        assert_eq!(s.get(PhysicalOid(1)).unwrap().video, VideoId(0));
     }
 
     #[test]

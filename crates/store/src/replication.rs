@@ -78,48 +78,53 @@ impl ReplicationPlanner {
 
     /// Replicates the whole library. `stores` must cover every server the
     /// placement targets. Returns the number of physical objects created.
+    ///
+    /// One pass over the catalog: OIDs are allocated ascending, so every
+    /// store and the engine's OID index take each object with a push, and
+    /// each video's record slice is sized once, before its first copy.
     pub fn replicate(
         &mut self,
         library: &Library,
         stores: &mut BTreeMap<ServerId, ObjectStore>,
         engine: &mut MetadataEngine,
     ) -> Result<usize, StoreError> {
-        let servers: Vec<ServerId> = stores.keys().copied().collect();
-        assert!(!servers.is_empty(), "no object stores");
+        // In server order, as the placements index them.
+        let mut stores: Vec<&mut ObjectStore> = stores.values_mut().collect();
+        let n = stores.len();
+        assert!(n > 0, "no object stores");
+        let copies = match self.placement {
+            Placement::Full => n,
+            Placement::RoundRobin => 1,
+            Placement::Spread { copies } => (copies as usize).clamp(1, n),
+        };
         let mut created = 0;
         for entry in library.entries() {
+            let id = entry.meta.id;
             engine.insert_video(entry.meta.clone());
+            engine.reserve_replicas(id, entry.replicas.len() * copies);
             for (tier_idx, replica) in entry.replicas.iter().enumerate() {
-                let targets: Vec<ServerId> = match self.placement {
-                    Placement::Full => servers.clone(),
-                    Placement::RoundRobin => {
-                        let idx = (entry.meta.id.0 as usize + tier_idx) % servers.len();
-                        vec![servers[idx]]
-                    }
-                    Placement::Spread { copies } => {
-                        let n = servers.len();
-                        let base = entry.meta.id.0 as usize + tier_idx;
-                        (0..(copies as usize).clamp(1, n))
-                            .map(|c| servers[(base + c) % n])
-                            .collect()
-                    }
+                // This tier's copies go to servers `start + c (mod n)`.
+                let start = match self.placement {
+                    Placement::Full => 0,
+                    _ => id.0 as usize + tier_idx,
                 };
-                for server in targets {
+                let bytes = replica.estimated_bytes(entry.meta.duration);
+                let trace_seed = replica.trace_seed(&entry.meta);
+                let profile = self.sampler.profile(replica.rate_bps, replica.spec.frame_rate.fps());
+                for c in 0..copies {
+                    let store = &mut *stores[(start + c) % n];
                     let oid = PhysicalOid(self.next_oid);
                     self.next_oid += 1;
                     let object = PhysicalObject {
                         oid,
-                        video: entry.meta.id,
+                        video: id,
                         tier: replica.tier,
                         spec: replica.spec,
                         rate_bps: replica.rate_bps,
-                        bytes: replica.estimated_bytes(entry.meta.duration),
-                        server,
-                        trace_seed: replica.trace_seed(&entry.meta),
+                        bytes,
+                        server: store.server(),
+                        trace_seed,
                     };
-                    let profile =
-                        self.sampler.profile(replica.rate_bps, replica.spec.frame_rate.fps());
-                    let store = stores.get_mut(&server).expect("placement targets a known store");
                     store.insert(object.clone())?;
                     if let Err(err) = engine.insert_object(object, profile) {
                         // Roll back the disk charge so a malformed
@@ -380,6 +385,33 @@ mod tests {
         // The failed registration rolled back its disk charge.
         assert_eq!(stores[&ServerId(7)].used_bytes(), 0);
         assert_eq!(engine.object_count(), 0);
+    }
+
+    #[test]
+    fn replicating_twice_keeps_store_and_engine_in_agreement() {
+        let library = Library::generate(42, &LibraryConfig::default());
+        let mut stores = BTreeMap::new();
+        stores.insert(ServerId(0), ObjectStore::new(ServerId(0), 1 << 40));
+        let mut engine = MetadataEngine::new([ServerId(0)]);
+        let created = ReplicationPlanner::new(QosSampler::default(), Placement::Full)
+            .replicate(&library, &mut stores, &mut engine)
+            .unwrap();
+        let store = &stores[&ServerId(0)];
+        let (count, used) = (store.object_count(), store.used_bytes());
+        let original = store.get(PhysicalOid(0)).unwrap().clone();
+        assert_eq!(count, created);
+        // A second planner allocates the same OIDs from 0: the store
+        // refuses the first one before anything is charged or registered.
+        let err = ReplicationPlanner::new(QosSampler::default(), Placement::Full)
+            .replicate(&library, &mut stores, &mut engine)
+            .unwrap_err();
+        assert_eq!(err, StoreError::DuplicateOid(PhysicalOid(0)));
+        let store = &stores[&ServerId(0)];
+        assert_eq!(store.object_count(), count);
+        assert_eq!(store.used_bytes(), used);
+        assert_eq!(engine.object_count(), created);
+        assert_eq!(store.get(PhysicalOid(0)), Some(&original));
+        assert_eq!(engine.record(PhysicalOid(0)).unwrap().object, original);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Model check of the dense metadata engine against the layout it
-//! replaced: records partitioned by owning site, a directory of replica
-//! locations per video, and `record` by a scan over the sites.
+//! Model checks of the store crate's indexes against the layouts they
+//! replaced: the dense metadata engine against records partitioned by
+//! owning site, a directory of replica locations per video, and `record`
+//! by a scan over the sites; the OID-sorted object store against a
+//! B-tree keyed by OID.
 
 use proptest::prelude::*;
 use quasaq_media::{ColorDepth, FrameRate, QualitySpec, Resolution, VideoFormat, VideoId};
@@ -166,6 +168,101 @@ proptest! {
                 }
             }
             assert_agree(&engine, &model);
+        }
+    }
+}
+
+/// `ObjectStore` as it was first written: a B-tree keyed by OID, with
+/// duplicate OIDs refused.
+struct StoreModel {
+    capacity: u64,
+    used: u64,
+    objects: BTreeMap<PhysicalOid, PhysicalObject>,
+}
+
+impl StoreModel {
+    fn insert(&mut self, object: PhysicalObject) -> Result<(), StoreError> {
+        if self.objects.contains_key(&object.oid) {
+            return Err(StoreError::DuplicateOid(object.oid));
+        }
+        let free = self.capacity - self.used;
+        if object.bytes > free {
+            return Err(StoreError::DiskFull {
+                server: object.server,
+                requested: object.bytes,
+                free,
+            });
+        }
+        self.used += object.bytes;
+        self.objects.insert(object.oid, object);
+        Ok(())
+    }
+
+    fn remove(&mut self, oid: PhysicalOid) -> Result<PhysicalObject, StoreError> {
+        let object = self.objects.remove(&oid).ok_or(StoreError::NotFound(oid))?;
+        self.used -= object.bytes;
+        Ok(object)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random traces of ascending, out-of-order and duplicate inserts
+    /// (some refused for disk space), removals and lookups leave the
+    /// OID-sorted store indistinguishable from the B-tree model: the same
+    /// results, the same objects in the same order, and the same counts
+    /// and bytes.
+    #[test]
+    fn sorted_store_matches_the_btree_model(
+        ops in prop::collection::vec((0u8..8, 0u64..40, 0u32..4, 0u64..400), 1..120),
+    ) {
+        const CAPACITY: u64 = 2_000;
+        let mut store = ObjectStore::new(ServerId(0), CAPACITY);
+        let mut model = StoreModel { capacity: CAPACITY, used: 0, objects: BTreeMap::new() };
+        let make = |oid: u64, video: u32, bytes: u64| {
+            let (object, _) = object(oid, video, 0);
+            PhysicalObject { bytes, ..object }
+        };
+        for (op, oid, video, bytes) in ops {
+            let above = model.objects.keys().next_back().map_or(0, |o| o.0 + 1);
+            match op {
+                // Ascending: above every stored OID, as allocation runs.
+                0 | 1 => {
+                    let object = make(above + oid % 3, video, bytes);
+                    prop_assert_eq!(store.insert(object.clone()), model.insert(object));
+                }
+                // Anywhere, duplicates included.
+                2 | 3 => {
+                    let object = make(oid, video, bytes);
+                    prop_assert_eq!(store.insert(object.clone()), model.insert(object));
+                }
+                // A stored OID again, with different contents.
+                4 => {
+                    let Some(&held) = model.objects.keys().nth(oid as usize % model.objects.len().max(1))
+                    else { continue };
+                    let object = make(held.0, video, bytes % 50);
+                    prop_assert_eq!(store.insert(object.clone()), model.insert(object));
+                }
+                5 => {
+                    let oid = PhysicalOid(oid);
+                    prop_assert_eq!(store.remove(oid), model.remove(oid));
+                }
+                6 => {
+                    let oid = PhysicalOid(oid);
+                    prop_assert_eq!(store.get(oid), model.objects.get(&oid));
+                }
+                _ => {
+                    let video = VideoId(video);
+                    prop_assert!(store
+                        .replicas_of(video)
+                        .eq(model.objects.values().filter(|o| o.video == video)));
+                }
+            }
+            prop_assert!(store.objects().eq(model.objects.values()));
+            prop_assert_eq!(store.object_count(), model.objects.len());
+            prop_assert_eq!(store.used_bytes(), model.used);
+            prop_assert_eq!(store.free_bytes(), CAPACITY - model.used);
         }
     }
 }

@@ -14,7 +14,7 @@ use quasaq_core::{
 };
 use quasaq_media::{DeliveryCostModel, Library, LibraryConfig};
 use quasaq_qosapi::CompositeQosApi;
-use quasaq_sim::ServerId;
+use quasaq_sim::{ServerId, SimDuration};
 use quasaq_store::{MetadataEngine, ObjectStore, Placement, QosSampler, ReplicationPlanner};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,6 +111,22 @@ impl TestbedConfig {
             ..TestbedConfig::default()
         }
     }
+
+    /// [`TestbedConfig::scale`] with 30–120 s clips (the paper's run to
+    /// 18 min), so sessions finish inside a short horizon: the deployment
+    /// of the benchmark's 100-server workloads at `scale_short(100,
+    /// 10_000)`.
+    pub fn scale_short(servers: u32, num_videos: usize) -> Self {
+        let scale = TestbedConfig::scale(servers, num_videos);
+        TestbedConfig {
+            library: LibraryConfig {
+                min_duration: SimDuration::from_secs(30),
+                max_duration: SimDuration::from_secs(120),
+                ..scale.library
+            },
+            ..scale
+        }
+    }
 }
 
 /// Exact value-identity of a [`TestbedConfig`] for the shared-testbed
@@ -196,10 +212,11 @@ impl Testbed {
     }
 
     /// Returns the cached deployment for `config`, building it on first
-    /// use. Library generation (GOP structures + VBR traces for every
-    /// replica) dominates scenario startup, and every experiment that
-    /// sweeps N system-variants over one deployment repays the build once
-    /// instead of N times. `build` is a pure function of the config, so the
+    /// use, so every experiment that sweeps N system-variants over one
+    /// deployment pays for the build once instead of N times. Most of a
+    /// build is offline replication (library generation is under a tenth
+    /// of it at 100 servers; `crates/bench/examples/testbed_build.rs`
+    /// times the phases). `build` is a pure function of the config, so the
     /// cached instance is bit-identical to a private build; the cache is
     /// process-wide and never evicts (experiment processes use a handful of
     /// configs at most).
@@ -332,5 +349,56 @@ mod tests {
             assert!(!m.cost_model_name().is_empty());
         }
         assert_eq!(CostKind::Lrb.label(), "LRB");
+    }
+
+    /// FNV-1a over everything formatted into it.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Digest of a built catalog: every video's replica records in
+    /// registration order, the record behind every OID, and each store's
+    /// objects in OID order with its used bytes.
+    fn catalog_digest(tb: &Testbed) -> u64 {
+        use std::fmt::Write;
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for meta in tb.engine.videos() {
+            write!(h, "{:?};{:?};", meta.id, tb.engine.replicas(meta.id)).unwrap();
+        }
+        let max = tb.engine.max_oid().expect("a built catalog holds objects").0;
+        for oid in (0..=max + 1).map(quasaq_store::PhysicalOid) {
+            write!(h, "{:?};", tb.engine.record(oid)).unwrap();
+        }
+        for (server, store) in &tb.stores {
+            write!(h, "{server:?}:{};", store.used_bytes()).unwrap();
+            for object in store.objects() {
+                write!(h, "{object:?};").unwrap();
+            }
+        }
+        h.0
+    }
+
+    /// The catalog load is pinned at its source: these digests were
+    /// recorded from the B-tree-indexed engine and stores, so any change
+    /// to OID allocation, registration order or store contents shows here
+    /// before it shows in a run's decisions.
+    #[test]
+    fn built_catalogs_match_their_recorded_digests() {
+        let paper = Testbed::build(TestbedConfig::default());
+        assert_eq!(catalog_digest(&paper), 0x5b38_c652_90e4_a6c5, "TestbedConfig::default()");
+        // The `admit_lrb100` deployment.
+        let hundred = Testbed::build(TestbedConfig::scale_short(100, 10_000));
+        assert_eq!(
+            catalog_digest(&hundred),
+            0x301b_7303_85d6_54f9,
+            "100 servers, 10,000 short clips"
+        );
     }
 }

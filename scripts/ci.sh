@@ -51,7 +51,7 @@ cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload
 echo "==> serial/parallel determinism (quick mode: one round of the fig6/fig7/queued/availability suites; the full run writes the timing artifact)"
 cargo run --release -p quasaq-bench --bin bench -- --quick
 
-echo "==> overhead micro-benchmarks, one smoke run (admission at 3 and 100 servers: idle, loaded, refused; fluid per-event step at 100 and 1,000 servers; every case's expects run)"
+echo "==> overhead micro-benchmarks, one smoke run (admission at 3 and 100 servers: idle, loaded, refused; fluid per-event step at 100 and 1,000 servers; catalog load at 100 servers; every case's expects run)"
 cargo bench -p quasaq-bench --bench overhead
 
 echo "==> cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
