@@ -24,6 +24,7 @@ use quasaq_sim::{Rng, ServerId, SharePolicy, SimTime};
 use quasaq_stream::FluidEngine;
 use quasaq_vdbms::{BaselineKind, BaselinePlanner};
 use quasaq_workload::{CostKind, Testbed, TestbedConfig};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 fn bench_planning(c: &mut Criterion) {
@@ -131,20 +132,27 @@ fn bench_planning(c: &mut Criterion) {
     });
 
     // The QoS-API baseline's admission at 100 servers and 10,000 videos
-    // (the `dataplane_qosapi100` catalog): pick the full-quality replica,
-    // reserve its stream on the chosen server, release it. Videos cycle so
-    // lookups range over the whole catalog.
+    // (the `dataplane_qosapi100` catalog) as the control plane makes it:
+    // pick the full-quality replica from the top-rate table, reserve its
+    // stream on the chosen server, release it. Videos are visited with a
+    // stride coprime to the catalog size, so lookups range over the whole
+    // catalog and miss the cache as uniform keys do; consecutive videos
+    // would let the prefetcher hide those misses.
     let testbed = Testbed::build(TestbedConfig::scale(100, 10_000));
     c.bench_function("qosapi_admit_release_100", |b| {
+        const VIDEOS: u32 = 10_000;
+        const STRIDE: u32 = 7_919;
         let planner = BaselinePlanner::new(BaselineKind::WithQosApi);
         let mut api = testbed.qos_api();
         let headroom = testbed.config.cost.reservation_headroom;
         let mut rng = Rng::new(6);
+        let down = BTreeSet::new();
         let mut video = 0;
         b.iter(|| {
-            video = (video + 1) % 10_000;
-            let choice = planner.select(&testbed.engine, VideoId(video), &mut rng).expect("held");
-            let (server, profile) = (choice.server, choice.record.profile);
+            video = (video + STRIDE) % VIDEOS;
+            let pick =
+                planner.pick(&testbed.engine, VideoId(video), &mut rng, &down).expect("held");
+            let (server, profile) = (pick.server, pick.profile);
             let demand = ResourceVector::new()
                 .with(
                     ResourceKey::new(server, ResourceKind::Cpu),

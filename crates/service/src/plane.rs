@@ -728,40 +728,33 @@ impl ControlPlane {
                 // dead server, so the crash filter is explicit. With
                 // `down` empty this is the legacy `select`, RNG draw for
                 // RNG draw.
-                let choice = planner
-                    .select_avoiding(engine, q.video, &mut self.rng, &self.down)
+                let pick = planner
+                    .pick(engine, q.video, &mut self.rng, &self.down)
                     .ok_or(Rejection::NoFeasiblePlan)?;
-                let bytes = resume_bytes(choice.record.object.bytes, resume);
-                let rate = choice.record.object.rate_bps;
+                let bytes = resume_bytes(pick.bytes, resume);
                 Ok(Placement {
-                    server: choice.server,
+                    server: pick.server,
                     bytes,
-                    rate_bps: rate,
+                    rate_bps: pick.rate_bps,
                     utility: None,
-                    nominal: nominal_duration(bytes, rate),
+                    nominal: nominal_duration(bytes, pick.rate_bps),
                     reservation: None,
                     plan: None,
                 })
             }
             SystemCore::QosApi { planner, api, headroom } => {
-                let choice = planner
-                    .select(engine, q.video, &mut self.rng)
+                let pick = planner
+                    .pick(engine, q.video, &mut self.rng, &BTreeSet::new())
                     .ok_or(Rejection::NoFeasiblePlan)?;
                 // The baseline has no cost model, but admission may try
                 // each server holding the (full-quality) replica in
                 // random order.
                 let servers = &mut self.candidate_servers;
                 servers.clear();
-                servers.extend(
-                    engine
-                        .replicas(q.video)
-                        .iter()
-                        .filter(|r| r.object.rate_bps == choice.record.object.rate_bps)
-                        .map(|r| r.object.server),
-                );
+                servers.extend(engine.top_replicas(q.video).iter().map(|t| t.server));
                 servers.dedup();
                 self.rng.shuffle(servers);
-                let profile = choice.record.profile;
+                let profile = pick.profile;
                 for &server in &*servers {
                     let demand = [
                         (ResourceKind::Cpu, (profile.cpu_share * *headroom).min(1.0)),
@@ -775,14 +768,13 @@ impl ControlPlane {
                         let res = api
                             .reserve(&ResourceVector::from_distinct(&demand))
                             .expect("a reservation succeeds when `admits` passes");
-                        let bytes = resume_bytes(choice.record.object.bytes, resume);
-                        let rate = choice.record.object.rate_bps;
+                        let bytes = resume_bytes(pick.bytes, resume);
                         return Ok(Placement {
                             server,
                             bytes,
-                            rate_bps: rate,
+                            rate_bps: pick.rate_bps,
                             utility: None,
-                            nominal: nominal_duration(bytes, rate),
+                            nominal: nominal_duration(bytes, pick.rate_bps),
                             reservation: Some(res),
                             plan: None,
                         });

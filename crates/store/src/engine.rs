@@ -13,11 +13,22 @@
 //! the largest one (all that replication and migration allocate) is a
 //! push, and only an out-of-order registration or a removal shifts the
 //! tail.
+//!
+//! The baselines stream a video's highest-rate replica, so the engine
+//! also keeps a dense top-rate table: every record at its video's highest
+//! rate, copied into one flat vector ([`TopReplica`], with the record's
+//! position in its slice), one contiguous run per video in registration
+//! order, found through a per-video head. An admission reads the head and
+//! the run, not the records. A catalog load, video after video, extends
+//! the last run with a push; an insert into an earlier video's run
+//! (migration), the removal of a top-rate record and a site failure
+//! rebuild the table from the records.
 
 use crate::metadata::{ObjectRecord, QosProfile};
 use crate::object::{oid_slot, PhysicalObject, PhysicalOid, StoreError};
 use quasaq_media::{VideoId, VideoMeta};
 use quasaq_sim::ServerId;
+use std::ops::Range;
 
 /// One logical video's slot in the engine's table.
 #[derive(Debug, Default)]
@@ -28,12 +39,60 @@ struct VideoEntry {
     replicas: Vec<ObjectRecord>,
 }
 
+/// A replica record at its video's highest encoded rate, copied out of
+/// the record slice: what the baselines stream and reserve for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopReplica {
+    /// The replica's encoded rate.
+    pub rate_bps: u64,
+    /// The replica's size.
+    pub bytes: u64,
+    /// Its sampled resource-consumption profile.
+    pub profile: QosProfile,
+    /// The server holding it.
+    pub server: ServerId,
+    /// The record's index in its video's [`MetadataEngine::replicas`].
+    pub position: u32,
+}
+
+impl TopReplica {
+    /// The entry of `record`, the `position`-th of its video's records.
+    pub fn of(position: usize, record: &ObjectRecord) -> Self {
+        TopReplica {
+            rate_bps: record.object.rate_bps,
+            bytes: record.object.bytes,
+            profile: record.profile,
+            server: record.object.server,
+            position: u32::try_from(position).expect("fewer than 2^32 records per video"),
+        }
+    }
+}
+
+/// Where one video's run of top-rate entries sits in the table.
+#[derive(Debug, Clone, Copy, Default)]
+struct TopRun {
+    start: u32,
+    len: u32,
+}
+
+impl TopRun {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The distributed metadata engine.
 #[derive(Debug)]
 pub struct MetadataEngine {
     /// Indexed by `VideoId`. Its length follows the largest id registered,
     /// so it is dense for a catalog's ids, which run from 0.
     videos: Vec<VideoEntry>,
+    /// Each video's run in `top`, indexed like `videos`. An empty run's
+    /// `start` is meaningless.
+    runs: Vec<TopRun>,
+    /// Every record at its video's highest rate, in registration order,
+    /// one disjoint run per video.
+    top: Vec<TopReplica>,
     /// Physical OID -> the video whose slice holds its record, sorted by
     /// OID.
     oids: Vec<(PhysicalOid, VideoId)>,
@@ -47,13 +106,20 @@ impl MetadataEngine {
         let mut sites: Vec<ServerId> = servers.into_iter().collect();
         sites.sort_unstable();
         sites.dedup();
-        MetadataEngine { videos: Vec::new(), oids: Vec::new(), sites }
+        MetadataEngine {
+            videos: Vec::new(),
+            runs: Vec::new(),
+            top: Vec::new(),
+            oids: Vec::new(),
+            sites,
+        }
     }
 
     fn entry_mut(&mut self, id: VideoId) -> &mut VideoEntry {
         let idx = id.0 as usize;
         if idx >= self.videos.len() {
             self.videos.resize_with(idx + 1, VideoEntry::default);
+            self.runs.resize(idx + 1, TopRun::default());
         }
         &mut self.videos[idx]
     }
@@ -72,6 +138,12 @@ impl MetadataEngine {
     /// catalog load sizes each video's slice once.
     pub(crate) fn reserve_replicas(&mut self, video: VideoId, additional: usize) {
         self.entry_mut(video).replicas.reserve_exact(additional);
+    }
+
+    /// Makes room for `additional` more top-rate entries, so a catalog load
+    /// sizes the table once.
+    pub(crate) fn reserve_top(&mut self, additional: usize) {
+        self.top.reserve_exact(additional);
     }
 
     /// Content metadata of a video.
@@ -104,16 +176,71 @@ impl MetadataEngine {
             return Err(StoreError::DuplicateOid(object.oid));
         };
         self.oids.insert(slot, (object.oid, object.video));
-        self.entry_mut(object.video).replicas.push(ObjectRecord { object, profile });
+        let video = object.video;
+        let replicas = &mut self.entry_mut(video).replicas;
+        let record = ObjectRecord { object, profile };
+        let entry = TopReplica::of(replicas.len(), &record);
+        replicas.push(record);
+        self.push_top(video.0 as usize, entry);
         Ok(())
+    }
+
+    /// Adds the entry of video `idx`'s newest record to the top-rate table.
+    /// While the video's run ends the table, which every insert of a
+    /// video-major catalog load keeps true, this is a push (or, at a new
+    /// highest rate, a restart of the run); otherwise the table is rebuilt.
+    fn push_top(&mut self, idx: usize, entry: TopReplica) {
+        let run = self.runs[idx];
+        if run.len > 0 {
+            let best = self.top[run.start as usize].rate_bps;
+            if entry.rate_bps < best {
+                return;
+            }
+            if run.range().end != self.top.len() {
+                return self.rebuild_top();
+            }
+            if entry.rate_bps == best {
+                self.top.push(entry);
+                self.runs[idx].len += 1;
+                return;
+            }
+            self.top.truncate(run.start as usize);
+        }
+        self.runs[idx] = TopRun { start: table_index(self.top.len()), len: 1 };
+        self.top.push(entry);
+    }
+
+    /// Recomputes the top-rate table from the records.
+    fn rebuild_top(&mut self) {
+        self.top.clear();
+        for (entry, run) in self.videos.iter().zip(&mut self.runs) {
+            let start = self.top.len();
+            if let Some(best) = entry.replicas.iter().map(|r| r.object.rate_bps).max() {
+                let at_best = entry.replicas.iter().enumerate();
+                let at_best = at_best.filter(|(_, r)| r.object.rate_bps == best);
+                self.top.extend(at_best.map(|(i, r)| TopReplica::of(i, r)));
+            }
+            *run = TopRun { start: table_index(start), len: table_index(self.top.len() - start) };
+        }
     }
 
     /// Removes a replica, keeping the order of its video's other records.
     pub fn remove_object(&mut self, oid: PhysicalOid) -> Option<ObjectRecord> {
         let (_, video) = self.oids.remove(self.oid_slot(oid).ok()?);
-        let replicas = &mut self.videos[video.0 as usize].replicas;
+        let idx = video.0 as usize;
+        let replicas = &mut self.videos[idx].replicas;
         let pos = replicas.iter().position(|r| r.object.oid == oid)?;
-        Some(replicas.remove(pos))
+        let removed = replicas.remove(pos);
+        let run = &mut self.top[self.runs[idx].range()];
+        if run.first().is_some_and(|e| e.rate_bps == removed.object.rate_bps) {
+            self.rebuild_top();
+        } else {
+            // The records behind the removed one moved up a place.
+            for entry in run.iter_mut().filter(|e| e.position as usize > pos) {
+                entry.position -= 1;
+            }
+        }
+        Some(removed)
     }
 
     /// All replica records of a logical video, across all sites, in
@@ -122,6 +249,16 @@ impl MetadataEngine {
     /// different formats"). Empty for an unknown video.
     pub fn replicas(&self, video: VideoId) -> &[ObjectRecord] {
         self.videos.get(video.0 as usize).map_or(&[], |e| &e.replicas)
+    }
+
+    /// The records of `video` at its highest encoded rate, as
+    /// [`TopReplica`] copies in registration order: the replicas a baseline
+    /// streams. Empty for an unknown video or one without replicas.
+    pub fn top_replicas(&self, video: VideoId) -> &[TopReplica] {
+        match self.runs.get(video.0 as usize) {
+            Some(&run) if run.len > 0 => &self.top[run.range()],
+            _ => &[],
+        }
     }
 
     /// Direct (location-transparent) record lookup.
@@ -160,6 +297,7 @@ impl MetadataEngine {
         }
         lost.sort_unstable();
         self.oids.retain(|(oid, _)| lost.binary_search(oid).is_err());
+        self.rebuild_top();
         lost
     }
 
@@ -167,6 +305,11 @@ impl MetadataEngine {
     pub fn sites(&self) -> &[ServerId] {
         &self.sites
     }
+}
+
+/// A position in the top-rate table as a run stores it.
+fn table_index(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 top-rate entries")
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! * [`metadata`] — object records and static per-replica QoS profiles.
 //! * [`engine`] — the [`MetadataEngine`]: replicated content metadata
 //!   and, per logical video, its replica records (the distribution
-//!   metadata mapping logical to physical OIDs) in one slice.
+//!   metadata mapping logical to physical OIDs) in one slice, plus a dense
+//!   table of the records at each video's highest rate ([`TopReplica`]),
+//!   which the baselines admit from.
 //! * [`replication`] — offline replication ([`ReplicationPlanner`], full
 //!   or round-robin placement), the [`QosSampler`], and an online
 //!   access-driven migration planner (extension).
@@ -18,7 +20,7 @@ pub mod metadata;
 pub mod object;
 pub mod replication;
 
-pub use engine::MetadataEngine;
+pub use engine::{MetadataEngine, TopReplica};
 pub use metadata::{ObjectRecord, QosProfile};
 pub use object::{ObjectStore, PhysicalObject, PhysicalOid, StoreError};
 pub use replication::{

@@ -80,8 +80,9 @@ impl ReplicationPlanner {
     /// placement targets. Returns the number of physical objects created.
     ///
     /// One pass over the catalog: OIDs are allocated ascending, so every
-    /// store and the engine's OID index take each object with a push, and
-    /// each video's record slice is sized once, before its first copy.
+    /// store and the engine's OID index take each object with a push, each
+    /// video's record slice is sized once, before its first copy, and the
+    /// engine's top-rate table once, before the pass.
     pub fn replicate(
         &mut self,
         library: &Library,
@@ -97,6 +98,15 @@ impl ReplicationPlanner {
             Placement::RoundRobin => 1,
             Placement::Spread { copies } => (copies as usize).clamp(1, n),
         };
+        let top_rate_tiers: usize = library
+            .entries()
+            .iter()
+            .map(|entry| {
+                let best = entry.replicas.iter().map(|r| r.rate_bps).max();
+                entry.replicas.iter().filter(|r| Some(r.rate_bps) == best).count()
+            })
+            .sum();
+        engine.reserve_top(top_rate_tiers * copies);
         let mut created = 0;
         for entry in library.entries() {
             let id = entry.meta.id;

@@ -1,15 +1,16 @@
 //! Model checks of the store crate's indexes against the layouts they
 //! replaced: the dense metadata engine against records partitioned by
 //! owning site, a directory of replica locations per video, and `record`
-//! by a scan over the sites; the OID-sorted object store against a
-//! B-tree keyed by OID.
+//! by a scan over the sites; its top-rate table against a filter of each
+//! video's records; the OID-sorted object store against a B-tree keyed by
+//! OID.
 
 use proptest::prelude::*;
 use quasaq_media::{ColorDepth, FrameRate, QualitySpec, Resolution, VideoFormat, VideoId};
 use quasaq_sim::ServerId;
 use quasaq_store::{
     MetadataEngine, Migration, ObjectRecord, ObjectStore, PhysicalObject, PhysicalOid, Placement,
-    QosProfile, QosSampler, ReplicationPlanner, StoreError,
+    QosProfile, QosSampler, ReplicationPlanner, StoreError, TopReplica,
 };
 use std::collections::BTreeMap;
 
@@ -168,6 +169,88 @@ proptest! {
                 }
             }
             assert_agree(&engine, &model);
+        }
+    }
+}
+
+/// Every video's top-rate entries are its records at their highest rate,
+/// in registration order, with bit-equal copies of the fields and the
+/// record's position.
+fn assert_top_is_the_filter(engine: &MetadataEngine) {
+    let bits =
+        |p: QosProfile| [p.cpu_share, p.net_bps, p.disk_bps, p.memory_bytes].map(f64::to_bits);
+    for video in (0..8).chain([u32::MAX]).map(VideoId) {
+        let records = engine.replicas(video);
+        let best = records.iter().map(|r| r.object.rate_bps).max();
+        let want: Vec<_> = records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| Some(r.object.rate_bps) == best)
+            .map(|(i, r)| {
+                let o = &r.object;
+                (o.rate_bps, o.bytes, bits(r.profile), o.server, i as u32)
+            })
+            .collect();
+        let got: Vec<_> = engine
+            .top_replicas(video)
+            .iter()
+            .map(|t: &TopReplica| (t.rate_bps, t.bytes, bits(t.profile), t.server, t.position))
+            .collect();
+        assert_eq!(got, want, "{video:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random traces keep the top-rate table equal to a brute-force filter
+    /// of the records after every operation: inserts into the newest video
+    /// and into earlier ones (as migration makes), at tied rates and at
+    /// rates above the current top, refused inserts (duplicate OIDs and
+    /// unknown sites), removals that shift the positions of later records,
+    /// and site failures.
+    #[test]
+    fn top_rate_table_matches_a_filter_of_the_records(
+        ops in prop::collection::vec((0u8..10, 0u32..6, 0u64..4, 0u32..5, 0u64..64), 1..100),
+    ) {
+        const RATES: [u64; 4] = [48_000, 64_000, 96_000, 128_000];
+        let mut engine = MetadataEngine::new(ServerId::first_n(4));
+        let mut next_oid = 0;
+        let mut newest = 0;
+        for (op, video, rate, server, pick) in ops {
+            match op {
+                // Into the newest video, or the next one: a catalog load.
+                0..=2 => {
+                    newest += u32::from(video == 0);
+                    let (obj, profile) = object(next_oid, newest, server);
+                    next_oid += 1;
+                    let obj = PhysicalObject { rate_bps: RATES[rate as usize], ..obj };
+                    let _ = engine.insert_object(obj, profile);
+                }
+                // Into any video, earlier ones included.
+                3..=5 => {
+                    let (obj, profile) = object(next_oid, video, server);
+                    next_oid += 1;
+                    let obj = PhysicalObject { rate_bps: RATES[rate as usize], bytes: pick, ..obj };
+                    let _ = engine.insert_object(obj, profile);
+                }
+                // A registered OID again.
+                6 => {
+                    let (obj, profile) = object(pick % next_oid.max(1), video, server);
+                    let _ = engine.insert_object(obj, profile);
+                }
+                7 | 8 => {
+                    let records = engine.replicas(VideoId(video));
+                    if let Some(r) = records.get(pick as usize % records.len().max(1)) {
+                        let oid = r.object.oid;
+                        prop_assert_eq!(engine.remove_object(oid).map(|r| r.object.oid), Some(oid));
+                    }
+                }
+                _ => {
+                    engine.fail_site(ServerId(server));
+                }
+            }
+            assert_top_is_the_filter(&engine);
         }
     }
 }

@@ -12,11 +12,16 @@
 //! * **VDBMS + QuaSAQ** — the full system (in `quasaq-core`).
 //!
 //! This module implements the first two as replica-selection policies;
-//! execution is done by the `quasaq-stream` engines.
+//! execution is done by the `quasaq-stream` engines. Selection reads the
+//! metadata engine's top-rate table ([`MetadataEngine::top_replicas`]),
+//! not the replica records: only when every top-rate copy sits on an
+//! excluded (crashed) server does it scan the records for the best live
+//! rate.
 
 use quasaq_media::VideoId;
 use quasaq_sim::{Rng, ServerId};
-use quasaq_store::{MetadataEngine, ObjectRecord};
+use quasaq_store::{MetadataEngine, ObjectRecord, TopReplica};
+use std::collections::BTreeSet;
 
 /// Which baseline stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +71,7 @@ impl BaselinePlanner {
         video: VideoId,
         rng: &mut Rng,
     ) -> Option<BaselineChoice> {
-        self.select_avoiding(engine, video, rng, &std::collections::BTreeSet::new())
+        self.select_avoiding(engine, video, rng, &BTreeSet::new())
     }
 
     /// Like [`select`](Self::select), but never picks a server in
@@ -79,26 +84,62 @@ impl BaselinePlanner {
         engine: &MetadataEngine,
         video: VideoId,
         rng: &mut Rng,
-        exclude: &std::collections::BTreeSet<ServerId>,
+        exclude: &BTreeSet<ServerId>,
     ) -> Option<BaselineChoice> {
-        let replicas = engine.replicas(video);
-        let live = || replicas.iter().filter(|r| !exclude.contains(&r.object.server));
-        let best_rate = live().map(|r| r.object.rate_bps).max()?;
-        let candidates = || live().filter(|r| r.object.rate_bps == best_rate);
-        let pick = candidates().nth(rng.index(candidates().count()))?;
+        let pick = self.pick(engine, video, rng, exclude)?;
         Some(BaselineChoice {
-            record: pick.clone(),
-            server: pick.object.server,
+            record: engine.replicas(video)[pick.position as usize].clone(),
+            server: pick.server,
             reserve: self.kind == BaselineKind::WithQosApi,
         })
+    }
+
+    /// The replica [`select_avoiding`](Self::select_avoiding) chooses, as
+    /// its top-rate table entry: one `index` draw over the live copies at
+    /// the video's highest rate. Only when every one of them is excluded
+    /// does it read the records, drawing the same way over the live copies
+    /// at the best rate left (its `rate_bps` is then that rate). `None`,
+    /// with no draw, when no live replica exists.
+    pub fn pick(
+        &self,
+        engine: &MetadataEngine,
+        video: VideoId,
+        rng: &mut Rng,
+        exclude: &BTreeSet<ServerId>,
+    ) -> Option<TopReplica> {
+        let live = |server: &ServerId| !exclude.contains(server);
+        let top = engine.top_replicas(video).iter().filter(|t| live(&t.server));
+        if let Some(&pick) = draw(top, rng) {
+            return Some(pick);
+        }
+        let records = engine.replicas(video).iter().enumerate();
+        let records = records.filter(|(_, r)| live(&r.object.server));
+        let best = records.clone().map(|(_, r)| r.object.rate_bps).max()?;
+        let (position, record) = draw(records.filter(|(_, r)| r.object.rate_bps == best), rng)?;
+        Some(TopReplica::of(position, record))
+    }
+}
+
+/// A uniform choice among `candidates`: one `index` draw, or none (and
+/// `None`) when there is no candidate.
+fn draw<T>(mut candidates: impl Iterator<Item = T> + Clone, rng: &mut Rng) -> Option<T> {
+    match candidates.clone().count() {
+        0 => None,
+        n => candidates.nth(rng.index(n)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quasaq_media::{Library, LibraryConfig};
-    use quasaq_store::{ObjectStore, Placement, QosSampler, ReplicationPlanner};
+    use proptest::prelude::*;
+    use quasaq_media::{
+        ColorDepth, FrameRate, Library, LibraryConfig, QualitySpec, Resolution, VideoFormat,
+    };
+    use quasaq_store::{
+        ObjectStore, PhysicalObject, PhysicalOid, Placement, QosProfile, QosSampler,
+        ReplicationPlanner,
+    };
     use std::collections::BTreeMap;
 
     fn engine() -> MetadataEngine {
@@ -169,6 +210,96 @@ mod tests {
                 .select_avoiding(&e, VideoId(1), &mut b, &std::collections::BTreeSet::new())
                 .unwrap();
             assert_eq!(lhs, rhs);
+        }
+    }
+
+    /// The selection as it was before the top-rate table: three passes over
+    /// the video's records (best live rate, count, pick).
+    fn three_pass_scan(
+        engine: &MetadataEngine,
+        video: VideoId,
+        rng: &mut Rng,
+        exclude: &BTreeSet<ServerId>,
+    ) -> Option<ObjectRecord> {
+        let replicas = engine.replicas(video);
+        let live = || replicas.iter().filter(|r| !exclude.contains(&r.object.server));
+        let best_rate = live().map(|r| r.object.rate_bps).max()?;
+        let candidates = || live().filter(|r| r.object.rate_bps == best_rate);
+        candidates().nth(rng.index(candidates().count())).cloned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random engines (videos registered out of order, tied rates,
+        /// failed sites) and exclusion sets, `select_avoiding` makes the
+        /// three-pass scan's choice with the same RNG consumption, and `pick`
+        /// returns that choice's table entry. The sets include random ones,
+        /// every top-rate copy of the video (a lower tier is chosen), every
+        /// server, and none; the videos include unknown ones.
+        #[test]
+        fn selection_matches_the_three_pass_scan(
+            records in prop::collection::vec((0u32..5, 0usize..3, 0u32..5), 0..40),
+            failed in 0u32..8,
+            masks in prop::collection::vec(0u32..32, 1..6),
+            seed in 0u64..1_000,
+        ) {
+            const RATES: [u64; 3] = [48_000, 96_000, 128_000];
+            let mut engine = MetadataEngine::new(ServerId::first_n(5));
+            for (oid, &(video, rate, server)) in records.iter().enumerate() {
+                let object = PhysicalObject {
+                    oid: PhysicalOid(oid as u64),
+                    video: VideoId(video),
+                    tier: "full",
+                    spec: QualitySpec::new(
+                        Resolution::CIF,
+                        ColorDepth::TRUE_COLOR,
+                        FrameRate::NTSC_FILM,
+                        VideoFormat::Mpeg1,
+                    ),
+                    rate_bps: RATES[rate],
+                    bytes: 1_000 + oid as u64,
+                    server: ServerId(server),
+                    trace_seed: oid as u64,
+                };
+                let profile = QosProfile { cpu_share: oid as f64 / 64.0, ..QosProfile::ZERO };
+                engine.insert_object(object, profile).unwrap();
+            }
+            // Values 5..8 fail no site.
+            engine.fail_site(ServerId(failed));
+            let planner = BaselinePlanner::new(BaselineKind::WithQosApi);
+            let mut a = Rng::new(seed);
+            let mut b = Rng::new(seed);
+            for video in [0, 1, 2, 3, 4, 5, u32::MAX].map(VideoId) {
+                let top: BTreeSet<ServerId> =
+                    engine.top_replicas(video).iter().map(|t| t.server).collect();
+                let mut sets: Vec<BTreeSet<ServerId>> = masks
+                    .iter()
+                    .map(|m| ServerId::first_n(5).filter(|s| m >> s.0 & 1 == 1).collect())
+                    .collect();
+                sets.extend([top, ServerId::first_n(5).collect(), BTreeSet::new()]);
+                for exclude in &sets {
+                    let want = three_pass_scan(&engine, video, &mut a, exclude);
+                    let mut c = b.clone();
+                    let got = planner.select_avoiding(&engine, video, &mut b, exclude);
+                    prop_assert_eq!(got.as_ref().map(|g| &g.record), want.as_ref());
+                    if let Some(got) = &got {
+                        prop_assert_eq!(got.server, got.record.object.server);
+                        prop_assert!(got.reserve);
+                    }
+                    // The same draws, so the generators' states agree.
+                    prop_assert_eq!(&a, &b);
+                    let pick = planner.pick(&engine, video, &mut c, exclude);
+                    prop_assert_eq!(&c, &b);
+                    let position = want
+                        .as_ref()
+                        .map(|w| engine.replicas(video).iter().position(|r| r == w).unwrap());
+                    let entry = want.as_ref().zip(position).map(|(w, i)| TopReplica::of(i, w));
+                    prop_assert_eq!(pick, entry);
+                    // And the next draw after this selection is the same.
+                    prop_assert_eq!(a.next_u64(), b.next_u64());
+                }
+            }
         }
     }
 }
