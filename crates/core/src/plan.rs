@@ -52,22 +52,6 @@ impl Plan {
         self.source_server() == self.target_server
     }
 
-    /// Number of non-trivial server activities (for search-space
-    /// accounting and display).
-    pub fn activity_count(&self) -> usize {
-        let mut n = 2; // retrieval + site choice are always present
-        if self.drop != DropStrategy::None {
-            n += 1;
-        }
-        if self.transcode.as_ref().is_some_and(|t| !t.is_identity()) {
-            n += 1;
-        }
-        if self.cipher.is_encrypting() {
-            n += 1;
-        }
-        n
-    }
-
     /// Computes the plan's resource vector under `cost`, including the
     /// reservation headroom on CPU. Cross-server plans additionally charge
     /// the source site's disk and network for the inter-server transfer.
@@ -315,7 +299,6 @@ mod tests {
             resources: v,
         };
         assert!(!plan.is_local());
-        assert_eq!(plan.activity_count(), 4);
         let s = plan.to_string();
         assert!(s.contains("transfer"));
         assert!(s.contains("drop"));

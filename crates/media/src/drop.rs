@@ -75,13 +75,6 @@ impl DropStrategy {
     pub fn effective_fps(self, source_fps: f64, gop: &GopPattern) -> f64 {
         source_fps * self.frame_keep_fraction(gop)
     }
-
-    /// A relative quality penalty in `[0, 1]` (0 = no degradation), used
-    /// by gain/utility functions: temporal resolution loss weighted by how
-    /// jerky the result is.
-    pub fn quality_penalty(self, gop: &GopPattern) -> f64 {
-        1.0 - self.frame_keep_fraction(gop)
-    }
 }
 
 impl fmt::Display for DropStrategy {
@@ -200,13 +193,6 @@ mod tests {
         let g = GopPattern::mpeg1_classic();
         let fps = DropStrategy::AllB.effective_fps(23.97, &g);
         assert!((fps - 23.97 * 4.0 / 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn penalty_orders_like_aggressiveness() {
-        let g = GopPattern::mpeg1_classic();
-        assert_eq!(DropStrategy::None.quality_penalty(&g), 0.0);
-        assert!(DropStrategy::AllBP.quality_penalty(&g) > DropStrategy::AllB.quality_penalty(&g));
     }
 
     #[test]

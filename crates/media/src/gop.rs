@@ -99,11 +99,6 @@ impl GopPattern {
         self.frames[(index % self.frames.len() as u64) as usize]
     }
 
-    /// The position of frame `index` within its GOP.
-    pub fn position_in_gop(&self, index: u64) -> usize {
-        (index % self.frames.len() as u64) as usize
-    }
-
     /// The GOP number of frame `index`.
     pub fn gop_of(&self, index: u64) -> u64 {
         index / self.frames.len() as u64
@@ -130,14 +125,6 @@ impl GopPattern {
             + b as f64 * raw(FrameType::B);
         let mean = total / self.len() as f64;
         raw(ftype) / mean
-    }
-
-    /// The ideal duration of one GOP at `fps` frames/second in
-    /// milliseconds. For the Fig 5 sample video (23.97 fps, 12-frame GOP)
-    /// this is 12/23.97 = 500.6 ms; Table 2 reports inter-GOP delays near
-    /// 625 ms for a 15-frame GOP.
-    pub fn gop_millis(&self, fps: f64) -> f64 {
-        self.len() as f64 / fps * 1000.0
     }
 }
 
@@ -178,7 +165,6 @@ mod tests {
         assert_eq!(g.gop_of(0), 0);
         assert_eq!(g.gop_of(11), 0);
         assert_eq!(g.gop_of(12), 1);
-        assert_eq!(g.position_in_gop(13), 1);
     }
 
     #[test]
@@ -202,18 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn gop_duration() {
-        let g = GopPattern::mpeg1_classic();
-        assert!((g.gop_millis(23.97) - 500.6).abs() < 0.1);
-    }
-
-    #[test]
     fn n15_pattern_matches_table2_gop_duration() {
         let g = GopPattern::mpeg1_n15();
         assert_eq!(g.len(), 15);
         assert_eq!(g.type_counts(), (1, 4, 10));
         // Table 2 reports inter-GOP means of 622.8-626.2 ms.
-        assert!((g.gop_millis(23.97) - 625.78).abs() < 0.1);
+        assert!((g.len() as f64 / 23.97 * 1000.0 - 625.78).abs() < 0.1);
     }
 
     #[test]

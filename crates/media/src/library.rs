@@ -11,7 +11,6 @@
 
 use crate::gop::GopPattern;
 use crate::quality::QualitySpec;
-use crate::trace::TraceParams;
 use crate::video::{ColorDepth, FrameRate, Resolution, VideoFormat, VideoId};
 use quasaq_sim::{Rng, SimDuration};
 
@@ -120,16 +119,6 @@ impl ReplicaQuality {
         (self.rate_bps as f64 * duration.as_secs_f64()).round() as u64
     }
 
-    /// Trace parameters for simulating this replica of `meta`.
-    pub fn trace_params(&self, meta: &VideoMeta) -> TraceParams {
-        TraceParams::with_bitrate(
-            self.spec.frame_rate,
-            meta.duration,
-            meta.gop.clone(),
-            self.rate_bps as f64,
-        )
-    }
-
     /// The deterministic trace seed for this replica of `meta` (every
     /// tier gets its own stream derived from the video's seed).
     pub fn trace_seed(&self, meta: &VideoMeta) -> u64 {
@@ -215,9 +204,8 @@ fn validate(cfg: &LibraryConfig) {
 }
 
 /// Generates video `v` of the catalog seeded by `root`. Each video draws
-/// from its own forked stream, so any sub-range of the catalog is
-/// constructible independently — batched generation of a 10^4-video
-/// library concatenates to exactly the all-at-once result.
+/// from its own forked stream, so entry `v` depends only on `(root, cfg,
+/// v)`: changing the catalog size leaves every other entry as it was.
 fn generate_entry(root: &Rng, cfg: &LibraryConfig, ladder: &[QualityTier], v: usize) -> VideoEntry {
     let mut rng = root.fork(v as u64);
     let topic = *rng.choose(TOPICS);
@@ -267,34 +255,12 @@ fn generate_entry(root: &Rng, cfg: &LibraryConfig, ladder: &[QualityTier], v: us
 impl Library {
     /// Generates a deterministic catalog.
     pub fn generate(seed: u64, cfg: &LibraryConfig) -> Self {
-        Library { entries: Self::generate_batch(seed, cfg, 0..cfg.num_videos) }
-    }
-
-    /// Generates one contiguous batch of the catalog that `generate(seed,
-    /// cfg)` would produce: entry `v` depends only on `(seed, cfg, v)`, so
-    /// large catalogs can be produced piecewise (and the pieces
-    /// concatenated with [`Library::from_entries`]) without ever
-    /// materialising state for the videos outside the batch.
-    pub fn generate_batch(
-        seed: u64,
-        cfg: &LibraryConfig,
-        batch: std::ops::Range<usize>,
-    ) -> Vec<VideoEntry> {
         validate(cfg);
-        assert!(batch.end <= cfg.num_videos, "batch outside the catalog");
         let root = Rng::new(seed);
         let ladder = quality_ladder();
-        batch.map(|v| generate_entry(&root, cfg, &ladder, v)).collect()
-    }
-
-    /// Assembles a library from pre-generated entries (typically batches
-    /// from [`Library::generate_batch`]). Entries must arrive in id order
-    /// with no gaps.
-    pub fn from_entries(entries: Vec<VideoEntry>) -> Self {
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(e.meta.id, VideoId(i as u32), "entries out of order or gapped");
+        Library {
+            entries: (0..cfg.num_videos).map(|v| generate_entry(&root, cfg, &ladder, v)).collect(),
         }
-        Library { entries }
     }
 
     /// All videos.
@@ -315,14 +281,6 @@ impl Library {
     /// Looks up a video by logical id.
     pub fn get(&self, id: VideoId) -> Option<&VideoEntry> {
         self.entries.iter().find(|e| e.meta.id == id)
-    }
-
-    /// Total stored bytes across all replicas (for storage planning).
-    pub fn total_replica_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| e.replicas.iter().map(|r| r.estimated_bytes(e.meta.duration)).sum::<u64>())
-            .sum()
     }
 }
 
@@ -366,25 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_generation_concatenates_to_the_full_catalog() {
-        let cfg = LibraryConfig { num_videos: 30, ..LibraryConfig::default() };
-        let whole = Library::generate(5, &cfg);
-        let mut pieces = Library::generate_batch(5, &cfg, 0..11);
-        pieces.extend(Library::generate_batch(5, &cfg, 11..23));
-        pieces.extend(Library::generate_batch(5, &cfg, 23..30));
-        let stitched = Library::from_entries(pieces);
-        assert_eq!(whole.entries(), stitched.entries());
-    }
-
-    #[test]
-    #[should_panic(expected = "entries out of order")]
-    fn from_entries_rejects_gaps() {
-        let cfg = LibraryConfig::default();
-        let tail = Library::generate_batch(5, &cfg, 3..5);
-        let _ = Library::from_entries(tail);
-    }
-
-    #[test]
     fn feature_vectors_unit_norm() {
         let lib = Library::generate(3, &LibraryConfig::default());
         for e in lib.entries() {
@@ -410,7 +349,6 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0] > w[1]);
         }
-        assert!(lib.total_replica_bytes() > 0);
     }
 
     #[test]
@@ -423,17 +361,6 @@ mod tests {
                 assert_ne!(seeds[i], seeds[j]);
             }
         }
-    }
-
-    #[test]
-    fn trace_params_respect_replica() {
-        let lib = Library::generate(2, &LibraryConfig::default());
-        let e = &lib.entries()[0];
-        let r = &e.replicas[1];
-        let p = r.trace_params(&e.meta);
-        assert_eq!(p.frame_rate, r.spec.frame_rate);
-        assert_eq!(p.duration, e.meta.duration);
-        assert!((p.mean_frame_bytes - r.rate_bps as f64 / r.spec.frame_rate.fps()).abs() < 1e-9);
     }
 
     #[test]

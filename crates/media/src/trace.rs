@@ -157,11 +157,6 @@ impl FrameTrace {
             self.total_bytes() as f64 / d
         }
     }
-
-    /// Peak frame size in bytes.
-    pub fn peak_frame_bytes(&self) -> u32 {
-        self.frames.iter().map(|f| f.bytes).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -245,11 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_peak() {
+    fn duration_and_total_bytes() {
         let t = FrameTrace::generate(17, &params());
         let d = t.duration().as_secs_f64();
         assert!((d - 60.0).abs() < 0.1, "duration {d}");
-        assert!(t.peak_frame_bytes() > 0);
         assert!(t.total_bytes() > 0);
     }
 

@@ -191,12 +191,6 @@ impl ResourceVector {
         out
     }
 
-    /// True when every demand in `self` is `<=` the corresponding entry in
-    /// `capacity`.
-    pub fn fits_within(&self, capacity: &ResourceVector) -> bool {
-        self.iter().all(|(k, v)| v <= capacity.get(k) + 1e-9)
-    }
-
     /// Sum of all demands on one server (mixed units — only meaningful for
     /// displays and debugging).
     pub fn server_total(&self, server: ServerId) -> f64 {
@@ -288,21 +282,6 @@ mod tests {
         let doubled = a.scaled(2.0);
         assert!((doubled.get(key(0, ResourceKind::Cpu)) - 0.2).abs() < 1e-12);
         assert!(a.scaled(0.0).is_empty());
-    }
-
-    #[test]
-    fn fits_within() {
-        let cap = ResourceVector::new()
-            .with(key(0, ResourceKind::Cpu), 1.0)
-            .with(key(0, ResourceKind::NetBandwidth), 3_200_000.0);
-        let ok = ResourceVector::new()
-            .with(key(0, ResourceKind::Cpu), 0.3)
-            .with(key(0, ResourceKind::NetBandwidth), 48_000.0);
-        let too_big = ResourceVector::new().with(key(0, ResourceKind::Cpu), 1.5);
-        let wrong_server = ResourceVector::new().with(key(1, ResourceKind::Cpu), 0.1);
-        assert!(ok.fits_within(&cap));
-        assert!(!too_big.fits_within(&cap));
-        assert!(!wrong_server.fits_within(&cap));
     }
 
     #[test]

@@ -945,6 +945,26 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
         assert_admission_rejected("queue_capacity = 0", "stage.load.admission.queue_capacity");
     }
 
+    /// Runs the smoke scenario with `line` added to its workload stage,
+    /// and asserts it fails with a schema error at `key`.
+    fn assert_workload_rejected(line: &str, key: &str) {
+        let doc = SMOKE.replace("burst = 2\n", &format!("burst = 2\n{line}\n"));
+        match run_str(&doc, ExecMode::Serial) {
+            Err(ScenarioError::Schema { path, .. }) => assert_eq!(path, key),
+            other => panic!("expected a schema error at {key}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sub_microsecond_arrival_period_is_a_schema_error() {
+        assert_workload_rejected("arrival_period_s = 0.0000001", "stage.load.arrival_period_s");
+    }
+
+    #[test]
+    fn sub_microsecond_sample_step_is_a_schema_error() {
+        assert_workload_rejected("sample_step_s = 0.0000001", "stage.load.sample_step_s");
+    }
+
     /// Runs the smoke scenario with `topology` as its topology stage's
     /// body, and asserts it fails with a schema error at `key`.
     fn assert_topology_rejected(topology: &str, key: &str) {

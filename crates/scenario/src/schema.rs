@@ -11,6 +11,7 @@
 
 use crate::dag::DagError;
 use crate::toml::{self, ParseError, Table, Value};
+use quasaq_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -152,14 +153,16 @@ impl<'a> View<'a> {
         self.opt_f64(key)?.ok_or_else(|| schema_err(self.key_path(key), "missing required key"))
     }
 
-    /// A positive number of seconds.
+    /// A positive number of seconds, at least the simulator's 1 µs
+    /// resolution: a shorter span rounds to a zero `SimDuration`.
     pub fn opt_secs(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
         match self.opt_f64(key)? {
             None => Ok(None),
-            Some(s) if s > 0.0 && s.is_finite() => Ok(Some(s)),
-            Some(s) => {
-                Err(schema_err(self.key_path(key), format!("must be positive seconds, found {s}")))
-            }
+            Some(s) if s.is_finite() && !SimDuration::from_secs_f64(s).is_zero() => Ok(Some(s)),
+            Some(s) => Err(schema_err(
+                self.key_path(key),
+                format!("must be positive seconds of at least 1 µs, found {s}"),
+            )),
         }
     }
 

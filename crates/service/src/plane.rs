@@ -345,7 +345,7 @@ impl ControlPlane {
                 }
             }
         }
-        match self.admit_once(engine, &request, now, None) {
+        match self.admit_once(engine, &request, None) {
             Ok(placement) => {
                 if let Some(q) = self.queue.as_mut() {
                     q.record_admitted(now, now);
@@ -398,7 +398,7 @@ impl ControlPlane {
 
     fn handle_tick(&mut self, engine: &MetadataEngine, now: SimTime, out: &mut Vec<Effect>) {
         while let Some(w) = self.queue.as_mut().and_then(|q| q.pop_due(now)) {
-            match self.admit_once(engine, &w.query, now, None) {
+            match self.admit_once(engine, &w.query, None) {
                 Ok(placement) => {
                     let origin = match w.interrupted {
                         // A displaced session re-serviced from the queue
@@ -490,7 +490,7 @@ impl ControlPlane {
         let mut steps = 0u32;
         let mut last_err = Rejection::AdmissionFailed;
         let placed = loop {
-            match self.admit_once(engine, &request, now, Some(frac)) {
+            match self.admit_once(engine, &request, Some(frac)) {
                 Ok(placement) => break Some(placement),
                 Err(why) => {
                     last_err = why;
@@ -719,7 +719,6 @@ impl ControlPlane {
         &mut self,
         engine: &MetadataEngine,
         q: &QueuedQuery,
-        _now: SimTime,
         resume: Option<f64>,
     ) -> Result<Placement, Rejection> {
         match &mut self.core {

@@ -3,16 +3,17 @@
 //! Every engine above this crate (the fluid session engine and the
 //! frame-level stream engine in `quasaq-stream`, the throughput driver in
 //! `quasaq-workload`) is organised by server: each server owns its
-//! outbound link, its in-flight transfers, and its reaction to faults —
-//! the unit QuaSAQ reserves resources on. [`LinkDomain`] captures that
-//! shape once so the engines stop re-implementing it: one server's
-//! outbound link plus its transfer registry, with the fault reactions
-//! (capacity changes on degradation, the deterministic cut on a crash)
-//! implemented here instead of separately per engine. At each instant an
-//! engine steps the domains with something due serially, in [`ServerId`]
-//! order, which fixes the `(time, seq)` event order every result depends
-//! on; a domain with nothing due need not be stepped at all, since its
-//! link is step-invariant (see [`crate::link`]).
+//! outbound link and its in-flight transfers — the unit QuaSAQ reserves
+//! resources on. [`LinkDomain`] captures that shape once so the engines
+//! stop re-implementing it: one server's outbound link plus its transfer
+//! registry, with the deterministic cut on a crash ([`LinkDomain::cut`]).
+//! Faults are modelled in the fluid engine only: it cuts a crashed
+//! server's domain and re-rates a degraded link directly; the frame-level
+//! engine runs fault-free. At each instant an engine steps the domains
+//! with something due serially, in [`ServerId`] order, which fixes the
+//! `(time, seq)` event order every result depends on; a domain with
+//! nothing due need not be stepped at all, since its link is
+//! step-invariant (see [`crate::link`]).
 
 use crate::link::{SharePolicy, SharedLink, XferDone};
 use crate::time::SimTime;
@@ -127,12 +128,6 @@ impl<T> LinkDomain<T> {
         self.link.pending_completions() > 0
     }
 
-    /// Shared fault reaction: applies a capacity change to this server's
-    /// link (degradation below nominal, recovery when restored).
-    pub fn set_capacity(&mut self, now: SimTime, capacity_bps: u64) {
-        self.link.set_capacity(now, capacity_bps);
-    }
-
     /// Drops registry entries whose tag fails `keep` (crash cleanup for
     /// engines that close flows through other bookkeeping).
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
@@ -232,22 +227,5 @@ mod tests {
         // engine already tore that flow down through its own bookkeeping,
         // so `cut` must not close it a second time.
         assert_eq!(d.link().reserved_bps(), 100_000, "dead tag's flow left alone");
-    }
-
-    #[test]
-    fn set_capacity_stretches_transfers() {
-        let mut d: LinkDomain<u32> =
-            LinkDomain::with_policy(ServerId(0), SharePolicy::FairShare, 100_000);
-        let flow = d.link_mut().open_flow(SimTime::ZERO, Some(100_000)).unwrap();
-        let xfer = d.link_mut().send(SimTime::ZERO, flow, 100_000).unwrap();
-        d.register(xfer, flow, 0);
-        d.set_capacity(SimTime::ZERO, 50_000);
-        d.set_capacity(SimTime::from_secs(1), 100_000);
-        let t = d.next_event().expect("still draining");
-        let mut done = Vec::new();
-        d.step_to(t, &mut done);
-        assert_eq!(done.len(), 1);
-        // 50 KB in the degraded second, the rest at full rate: 1.5 s.
-        assert!((done[0].at.as_secs_f64() - 1.5).abs() < 1e-3, "{}", done[0].at);
     }
 }

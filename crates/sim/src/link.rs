@@ -487,53 +487,6 @@ impl SharedLink {
         }
     }
 
-    /// Re-rates an open flow in place (a QoP renegotiation). Under
-    /// [`SharePolicy::Reserved`] the new rate is admission-checked against
-    /// the headroom left once the flow's own reservation is returned; on
-    /// failure the flow is unchanged. Under [`SharePolicy::FairShare`] the
-    /// rate is the new pacing cap (`None` = uncapped). Queued transfers
-    /// stay queued and drain at the re-computed allocation from `now` on.
-    pub fn set_flow_rate(
-        &mut self,
-        now: SimTime,
-        flow: FlowId,
-        rate_bps: Option<u64>,
-    ) -> Result<(), LinkError> {
-        self.advance_to(now);
-        let slot = self.slot(flow).ok_or(LinkError::UnknownFlow(flow))?;
-        let old = self.slots[slot as usize].rate_bps;
-        let rate = match (self.policy, rate_bps) {
-            (SharePolicy::Reserved, Some(rate)) => {
-                let available = self.available_bps() + old;
-                if rate > available {
-                    return Err(LinkError::Saturated { requested: rate, available });
-                }
-                rate
-            }
-            (SharePolicy::FairShare, cap) => cap.unwrap_or(0),
-            (SharePolicy::Reserved, None) => return Err(LinkError::PolicyMismatch),
-        };
-        if rate == old {
-            return Ok(());
-        }
-        // The rate keys the water-filling order, so a backlogged slot must
-        // be re-filed under its new cap and the allocation recomputed.
-        let backlogged = !self.slots[slot as usize].queue.is_empty();
-        if backlogged {
-            self.unmark_backlogged(slot);
-        }
-        self.slots[slot as usize].rate_bps = rate;
-        if self.policy == SharePolicy::Reserved {
-            self.reserved_total = self.reserved_total - old + rate;
-        }
-        self.demand_bps = self.demand_bps - old + rate;
-        if backlogged {
-            self.mark_backlogged(slot);
-            self.reallocate();
-        }
-        Ok(())
-    }
-
     /// Queues `bytes` for transmission on `flow`. Fails with
     /// [`LinkError::UnknownFlow`] when the flow was never opened or has
     /// already been closed.
@@ -752,38 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn set_flow_rate_renegotiates_reservation_in_place() {
-        let mut link = SharedLink::reserved(100 * KB);
-        let f = link.open_flow(SimTime::ZERO, Some(80 * KB)).unwrap();
-        // Growing past capacity bounces and leaves the flow unchanged...
-        let err = link.set_flow_rate(SimTime::ZERO, f, Some(120 * KB)).unwrap_err();
-        assert!(matches!(err, LinkError::Saturated { .. }));
-        assert_eq!(link.reserved_bps(), 80 * KB);
-        // ...growing within own share + headroom succeeds...
-        link.set_flow_rate(SimTime::ZERO, f, Some(100 * KB)).unwrap();
-        assert_eq!(link.reserved_bps(), 100 * KB);
-        // ...and shrinking frees headroom for a newcomer.
-        link.set_flow_rate(SimTime::ZERO, f, Some(40 * KB)).unwrap();
-        assert_eq!(link.available_bps(), 60 * KB);
-        link.open_flow(SimTime::ZERO, Some(60 * KB)).unwrap();
-    }
-
-    #[test]
-    fn set_flow_rate_repaces_backlogged_transfer() {
-        let mut link = SharedLink::reserved(100 * KB);
-        let f = link.open_flow(SimTime::ZERO, Some(50 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
-        // 1 s at 50 KB/s delivers half; the rest at 25 KB/s lands at 3 s.
-        link.advance_to(SimTime::from_secs(1));
-        link.set_flow_rate(SimTime::from_secs(1), f, Some(25 * KB)).unwrap();
-        assert_eq!(link.demand_bps(), 25 * KB);
-        let done = run_until_idle(&mut link, SimTime::from_secs(10));
-        assert_eq!(done.len(), 1);
-        let at = done[0].at.as_micros();
-        assert!((2_990_000..=3_010_000).contains(&at), "{at}");
-    }
-
-    #[test]
     fn reserved_flows_do_not_interfere() {
         let mut link = SharedLink::reserved(3200 * KB);
         let a = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
@@ -981,8 +902,6 @@ mod tests {
         link.send(SimTime::ZERO, b, 200 * KB).unwrap();
         check(&link);
         link.advance_to(SimTime::from_millis(100));
-        check(&link);
-        link.set_flow_rate(SimTime::from_millis(100), a, Some(50 * KB)).unwrap();
         check(&link);
         link.set_capacity(SimTime::from_millis(150), 800 * KB);
         check(&link);

@@ -76,11 +76,6 @@ impl OnlineStats {
         }
     }
 
-    /// Adds a duration observation in milliseconds (the paper's unit).
-    pub fn push_millis(&mut self, d: SimDuration) {
-        self.push(d.as_millis_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -332,26 +327,6 @@ impl LevelTracker {
         }
         out
     }
-
-    /// Time-weighted average level over `[0, until)`.
-    pub fn time_average(&self, until: SimTime) -> f64 {
-        if until == SimTime::ZERO {
-            return 0.0;
-        }
-        let mut area = 0.0;
-        let mut prev_t = SimTime::ZERO;
-        let mut level = 0i64;
-        for &(t, new_level) in &self.changes {
-            if t >= until {
-                break;
-            }
-            area += level as f64 * (t - prev_t).as_secs_f64();
-            prev_t = t;
-            level = new_level;
-        }
-        area += level as f64 * (until - prev_t).as_secs_f64();
-        area / until.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -420,13 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn push_millis_uses_milliseconds() {
-        let mut s = OnlineStats::new();
-        s.push_millis(SimDuration::from_millis(42));
-        assert!((s.mean() - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn series_window_and_percentile() {
         let mut s = Series::new();
         for i in 0..10 {
@@ -464,15 +432,5 @@ mod tests {
         let s = lt.sample(SimDuration::from_secs(1), SimTime::from_secs(5));
         let vals: Vec<f64> = s.values().collect();
         assert_eq!(vals, vec![0.0, 1.0, 2.0, 2.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn level_tracker_time_average() {
-        let mut lt = LevelTracker::new();
-        lt.adjust(SimTime::from_secs(0), 2);
-        lt.adjust(SimTime::from_secs(5), -2);
-        // Level 2 for half of a 10-second window -> average 1.0.
-        assert!((lt.time_average(SimTime::from_secs(10)) - 1.0).abs() < 1e-12);
-        assert_eq!(LevelTracker::new().time_average(SimTime::ZERO), 0.0);
     }
 }

@@ -155,12 +155,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Checked integer division of two spans (how many times `other` fits).
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        assert!(other.0 != 0, "division by zero-length SimDuration");
-        self.0 / other.0
-    }
-
     /// Multiplies the span by a non-negative float, rounding to the nearest
     /// microsecond.
     pub fn mul_f64(self, k: f64) -> SimDuration {
@@ -323,7 +317,6 @@ mod tests {
         assert_eq!(b - a, SimDuration::ZERO);
         assert_eq!(a * 2, SimDuration::from_millis(60));
         assert_eq!(a / 3, SimDuration::from_millis(10));
-        assert_eq!(a.div_duration(b), 2);
         assert_eq!(a.mul_f64(0.5), SimDuration::from_millis(15));
     }
 
@@ -360,11 +353,5 @@ mod tests {
         assert_eq!(SimDuration::from_millis(42).to_string(), "42.000ms");
         assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500000s");
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_by_zero_duration_panics() {
-        let _ = SimDuration::from_secs(1).div_duration(SimDuration::ZERO);
     }
 }

@@ -67,11 +67,6 @@ impl CpuModel {
         }
     }
 
-    /// True when the model supports CPU reservations.
-    pub fn supports_reservation(&self) -> bool {
-        matches!(self, CpuModel::Dsrt(_))
-    }
-
     /// Reserved utilization (0 for time sharing).
     pub fn reserved_utilization(&self) -> f64 {
         match self {
@@ -153,7 +148,6 @@ mod tests {
     #[test]
     fn timesharing_rejects_reservations() {
         let mut m = CpuModel::new(CpuKind::vdbms_default());
-        assert!(!m.supports_reservation());
         assert!(m
             .reserve(SimTime::ZERO, SimDuration::from_millis(1), SimDuration::from_millis(10))
             .is_err());
@@ -163,7 +157,6 @@ mod tests {
     #[test]
     fn dsrt_accepts_reservations() {
         let mut m = CpuModel::new(CpuKind::dsrt_default());
-        assert!(m.supports_reservation());
         let j = m
             .reserve(SimTime::ZERO, SimDuration::from_millis(1), SimDuration::from_millis(10))
             .unwrap();

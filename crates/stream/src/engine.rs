@@ -123,8 +123,7 @@ enum Ev {
 struct Node {
     cpu: CpuModel,
     /// The server's outbound link plus its in-flight `(session, frame)`
-    /// transfers, with the shared fault reactions (crash cut, capacity
-    /// change) supplied by the domain layer.
+    /// transfers.
     domain: LinkDomain<(SessionId, usize)>,
     client_latency: SimDuration,
     cpu_wake: Option<(EventId, SimTime)>,
@@ -265,7 +264,7 @@ impl StreamEngine {
     }
 
     /// Number of sessions still streaming. O(1): maintained on every
-    /// open/finish/fail transition.
+    /// open/finish transition.
     pub fn active_sessions(&self) -> usize {
         self.active
     }
@@ -458,85 +457,6 @@ impl StreamEngine {
         }
     }
 
-    /// Crashes a server mid-run: every session it was streaming is cut
-    /// short — marked interrupted (not finished), its CPU job and link
-    /// flow torn down, in-flight frames dropped. Pending frame-due events
-    /// die against the closed-session guard. Returns the interrupted
-    /// sessions in id order so a caller can attempt failover for each.
-    pub fn fail_server(&mut self, server: ServerId) -> Vec<SessionId> {
-        let now = self.queue.now();
-        let Some(slot) = self.node_slot(server) else {
-            return Vec::new();
-        };
-        let hit: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|&(_, s)| s.server == server && !s.closed)
-            .map(|(i, _)| SessionId(i))
-            .collect();
-        for &id in &hit {
-            let session = &mut self.sessions[id.0];
-            session.closed = true;
-            self.active -= 1;
-            session.report.mark_interrupted(now);
-            let (flow, job) = (session.flow, session.job);
-            let node = &mut self.nodes[slot];
-            node.domain.link_mut().close_flow(now, flow);
-            node.cpu.remove_job(now, job);
-        }
-        let dead: std::collections::BTreeSet<SessionId> = hit.iter().copied().collect();
-        let node = &mut self.nodes[slot];
-        node.tasks.retain(|_, &mut (sid, _)| !dead.contains(&sid));
-        node.domain.retain(|&(sid, _)| !dead.contains(&sid));
-        self.reschedule_cpu(server);
-        self.reschedule_link(server);
-        hit
-    }
-
-    /// Applies a fault-injection capacity change to a server's outbound
-    /// link (degradation when below nominal, recovery when restored) —
-    /// the same domain-layer reaction the fluid engine uses. Transfers in
-    /// flight are re-paced from the current instant.
-    pub fn set_link_capacity(&mut self, server: ServerId, capacity_bps: u64) {
-        let now = self.queue.now();
-        self.node_mut(server).domain.set_capacity(now, capacity_bps);
-        self.reschedule_link(server);
-    }
-
-    /// Renegotiates a running session's delivery rate mid-stream (the
-    /// frame-level face of a QoP downshift or restoration): the link
-    /// reservation — or fair-share pacing cap — moves to `new_rate_bps`
-    /// and the report records the instant. The frame schedule keeps its
-    /// due times; what changes is the bandwidth serving it, so frames
-    /// start running late (or catch back up) from here on. Closed
-    /// sessions reject with an unknown-flow error rather than panicking —
-    /// the adaptation loop races session completion by construction.
-    pub fn renegotiate_session(
-        &mut self,
-        at: SimTime,
-        id: SessionId,
-        new_rate_bps: Option<u64>,
-    ) -> Result<(), SessionError> {
-        let now = self.queue.now().max(at);
-        let (server, flow, closed) = {
-            let s = &self.sessions[id.0];
-            (s.server, s.flow, s.closed)
-        };
-        if closed {
-            return Err(SessionError::Link(LinkError::UnknownFlow(flow)));
-        }
-        self.node_mut(server)
-            .domain
-            .link_mut()
-            .set_flow_rate(now, flow, new_rate_bps)
-            .map_err(SessionError::Link)?;
-        // A changed allocation moves in-flight completion times.
-        self.reschedule_link(server);
-        self.sessions[id.0].report.mark_renegotiated(now);
-        Ok(())
-    }
-
     /// Reserved CPU utilization on a server (0 for time-sharing nodes).
     pub fn cpu_utilization(&self, server: ServerId) -> f64 {
         self.node(server).cpu.reserved_utilization()
@@ -606,42 +526,6 @@ mod tests {
         );
         let stats = report.frame_delay_stats();
         assert!((stats.mean() - 41.72).abs() < 2.0, "mean {}", stats.mean());
-    }
-
-    #[test]
-    fn renegotiated_session_is_repaced_and_recorded() {
-        let mut eng = one_server(NodeConfig::qos(3_200_000));
-        let sched = schedule(30, 193_000.0, 3);
-        let id = eng
-            .add_session(
-                SimTime::ZERO,
-                SessionConfig {
-                    server: ServerId(0),
-                    schedule: sched,
-                    cpu: CpuPolicy::BestEffort,
-                    link_rate_bps: Some(250_000),
-                },
-            )
-            .unwrap();
-        eng.run_until(SimTime::from_secs(10));
-        // Starve the stream: an eighth of the source bitrate from t = 10 s.
-        eng.renegotiate_session(SimTime::from_secs(10), id, Some(25_000)).unwrap();
-        assert_eq!(eng.link_reserved_bps(ServerId(0)), 25_000);
-        assert!(eng.run_to_completion(SimTime::from_secs(600)));
-        let r = eng.report(id);
-        assert_eq!(r.renegotiations(), &[SimTime::from_secs(10)]);
-        assert!(r.is_complete());
-        // Processing is CPU-side and unaffected; it is *delivery* that the
-        // starved link stretches far past the 30 s playback window.
-        let last_delivered =
-            r.frames().iter().filter_map(|f| f.delivered).max().expect("complete session");
-        assert!(
-            last_delivered > SimTime::from_secs(60),
-            "starved tail must deliver late: {last_delivered}"
-        );
-        // A finished session has no flow left to re-rate.
-        let now = eng.now();
-        assert!(eng.renegotiate_session(now, id, Some(50_000)).is_err());
     }
 
     #[test]
@@ -891,87 +775,5 @@ mod tests {
         let fb = eng.report(b).finish().unwrap();
         assert!(fb > fa);
         assert!(fb >= SimTime::from_secs(7) - SimDuration::from_millis(200));
-    }
-
-    #[test]
-    fn fail_server_interrupts_its_sessions_and_spares_others() {
-        let mut eng = StreamEngine::new([
-            (ServerId(0), NodeConfig::vdbms(3_200_000)),
-            (ServerId(1), NodeConfig::vdbms(3_200_000)),
-        ]);
-        let doomed = eng
-            .add_session(
-                SimTime::ZERO,
-                SessionConfig {
-                    server: ServerId(0),
-                    schedule: schedule(10, 193_000.0, 21),
-                    cpu: CpuPolicy::BestEffort,
-                    link_rate_bps: Some(250_000),
-                },
-            )
-            .unwrap();
-        let survivor = eng
-            .add_session(
-                SimTime::ZERO,
-                SessionConfig {
-                    server: ServerId(1),
-                    schedule: schedule(10, 193_000.0, 22),
-                    cpu: CpuPolicy::BestEffort,
-                    link_rate_bps: Some(250_000),
-                },
-            )
-            .unwrap();
-        eng.run_until(SimTime::from_secs(3));
-        let hit = eng.fail_server(ServerId(0));
-        assert_eq!(hit, vec![doomed]);
-        // Repeated crashes of an already-empty server are a no-op.
-        assert!(eng.fail_server(ServerId(0)).is_empty());
-        assert!(eng.run_to_completion(SimTime::from_secs(60)));
-        let cut = eng.report(doomed);
-        // The engine clock sits at the last event processed before the
-        // crash, just shy of the 3 s run_until bound.
-        let at = cut.interrupted_at().expect("marked interrupted");
-        assert!(at <= SimTime::from_secs(3) && at > SimTime::from_secs(2));
-        assert!(!cut.is_complete());
-        // Frames delivered before the crash keep their measurements.
-        assert!(cut.frames().iter().any(|f| f.delivered.is_some()));
-        let ok = eng.report(survivor);
-        assert!(ok.is_complete());
-        assert_eq!(ok.interrupted_at(), None);
-        // The failed node's resources are released for later re-admission.
-        assert_eq!(eng.link_reserved_bps(ServerId(0)), 0);
-    }
-
-    #[test]
-    fn link_degradation_delays_delivery() {
-        let run = |degrade: bool| {
-            let mut eng = one_server(NodeConfig::vdbms(3_200_000));
-            let id = eng
-                .add_session(
-                    SimTime::ZERO,
-                    SessionConfig {
-                        server: ServerId(0),
-                        schedule: schedule(10, 193_000.0, 31),
-                        cpu: CpuPolicy::BestEffort,
-                        link_rate_bps: Some(250_000),
-                    },
-                )
-                .unwrap();
-            eng.run_until(SimTime::from_secs(2));
-            if degrade {
-                // Starve the link to 5 KB/s for most of the stream.
-                eng.set_link_capacity(ServerId(0), 5_000);
-                eng.run_until(SimTime::from_secs(30));
-                eng.set_link_capacity(ServerId(0), 3_200_000);
-            }
-            assert!(eng.run_to_completion(SimTime::from_secs(300)));
-            eng.report(id).finish().expect("completed")
-        };
-        let normal = run(false);
-        let degraded = run(true);
-        assert!(
-            degraded > normal + SimDuration::from_secs(5),
-            "degraded {degraded} vs normal {normal}"
-        );
     }
 }

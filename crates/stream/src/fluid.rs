@@ -362,7 +362,7 @@ impl FluidEngine {
     /// link (degradation when below nominal, recovery when restored).
     pub fn set_link_capacity(&mut self, now: SimTime, server: ServerId, capacity_bps: u64) {
         let i = self.domain_index(server).expect("unknown server");
-        self.domains[i].set_capacity(now, capacity_bps);
+        self.domains[i].link_mut().set_capacity(now, capacity_bps);
         self.rekey(i);
     }
 
@@ -404,12 +404,6 @@ impl FluidEngine {
             states: vec![CongState::Clear; self.domains.len()],
             congested: 0,
         });
-    }
-
-    /// Offered load ratio of one server's link (`demand / capacity`).
-    pub fn demand_ratio(&self, server: ServerId) -> f64 {
-        let link = self.domain(server).link();
-        link.demand_bps() as f64 / link.capacity_bps() as f64
     }
 
     /// True when the server's link is currently flagged congested (between
@@ -675,7 +669,6 @@ mod tests {
         for _ in 0..3 {
             eng.add_session(SimTime::ZERO, ServerId(0), 1 << 24, 50_000).unwrap();
         }
-        assert!(eng.demand_ratio(ServerId(0)) > 1.1);
         // Crossing alone fires nothing; the dwell must elapse.
         assert!(eng.poll_congestion(SimTime::ZERO).is_empty());
         assert!(!eng.is_congested(ServerId(0)));

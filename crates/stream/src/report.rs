@@ -33,21 +33,12 @@ pub struct SessionReport {
     start: SimTime,
     playback: SimDuration,
     finish: Option<SimTime>,
-    interrupted: Option<SimTime>,
-    renegotiations: Vec<SimTime>,
 }
 
 impl SessionReport {
     /// Creates a report for a session of `n` scheduled frames.
     pub(crate) fn new(start: SimTime, playback: SimDuration) -> Self {
-        SessionReport {
-            frames: Vec::new(),
-            start,
-            playback,
-            finish: None,
-            interrupted: None,
-            renegotiations: Vec::new(),
-        }
+        SessionReport { frames: Vec::new(), start, playback, finish: None }
     }
 
     pub(crate) fn push_frame(&mut self, display_index: u64, gop: u64, due: SimTime) -> usize {
@@ -65,14 +56,6 @@ impl SessionReport {
 
     pub(crate) fn mark_finished(&mut self, at: SimTime) {
         self.finish = Some(at);
-    }
-
-    pub(crate) fn mark_interrupted(&mut self, at: SimTime) {
-        self.interrupted = Some(at);
-    }
-
-    pub(crate) fn mark_renegotiated(&mut self, at: SimTime) {
-        self.renegotiations.push(at);
     }
 
     /// Session start time.
@@ -93,21 +76,6 @@ impl SessionReport {
     /// True when every frame has been delivered.
     pub fn is_complete(&self) -> bool {
         self.finish.is_some()
-    }
-
-    /// When the session was cut short by a server failure, `None` for
-    /// healthy sessions. An interrupted session never completes on its
-    /// original server; delivered frames up to the interruption keep their
-    /// measurements.
-    pub fn interrupted_at(&self) -> Option<SimTime> {
-        self.interrupted
-    }
-
-    /// Instants at which the session's delivery rate was renegotiated
-    /// (QoP downshifts and restorations), in order. Empty for sessions
-    /// the adaptation loop never touched.
-    pub fn renegotiations(&self) -> &[SimTime] {
-        &self.renegotiations
     }
 
     /// Per-frame records in schedule order.

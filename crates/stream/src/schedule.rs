@@ -238,11 +238,6 @@ impl FrameSchedule {
         }
     }
 
-    /// Peak single-frame CPU work (used to size DSRT slices).
-    pub fn peak_frame_cpu(&self) -> SimDuration {
-        self.frames.iter().map(|f| f.cpu).max().unwrap_or(SimDuration::ZERO)
-    }
-
     /// The absolute due time of frame `i` for a session starting at
     /// `start`.
     pub fn due_at(&self, start: SimTime, i: usize) -> SimTime {
@@ -382,7 +377,6 @@ mod tests {
         let share = s.mean_cpu_share();
         // A T1-class stream should cost a few percent of a CPU.
         assert!((0.01..0.15).contains(&share), "share {share}");
-        assert!(s.peak_frame_cpu() > SimDuration::ZERO);
     }
 
     #[test]

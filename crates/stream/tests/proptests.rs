@@ -241,7 +241,7 @@ fn replay_both(reserved: bool, n: u32, ops: &[(u8, u64, usize)]) {
             6 => {
                 let capacity = CAPACITY / 4 * (1 + arg % 4);
                 indexed.set_link_capacity(now, server, capacity);
-                reference.domain_mut(server).set_capacity(now, capacity);
+                reference.domain_mut(server).link_mut().set_capacity(now, capacity);
             }
             // Ops after a jump run ahead of the last advance.
             7 => now += SimDuration::from_micros(arg * 50_000 + (pick % 1_000) as u64),

@@ -129,57 +129,11 @@ impl TestbedConfig {
     }
 }
 
-/// Exact value-identity of a [`TestbedConfig`] for the shared-testbed
-/// cache: every field reduced to hashable bits (floats via `to_bits`), so
-/// equal keys imply configs that build bit-identical testbeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConfigKey {
-    seed: u64,
-    servers: u32,
-    link_capacity_bps: u64,
-    disk_bps: u64,
-    memory_bytes: u64,
-    num_videos: usize,
-    min_duration_us: u64,
-    max_duration_us: u64,
-    min_replicas: usize,
-    max_replicas: usize,
-    placement: (u8, u32),
-    cost_bits: [u64; 6],
-}
-
-impl ConfigKey {
-    fn of(config: &TestbedConfig) -> Self {
-        ConfigKey {
-            seed: config.seed,
-            servers: config.servers,
-            link_capacity_bps: config.link_capacity_bps,
-            disk_bps: config.disk_bps.to_bits(),
-            memory_bytes: config.memory_bytes.to_bits(),
-            num_videos: config.library.num_videos,
-            min_duration_us: config.library.min_duration.as_micros(),
-            max_duration_us: config.library.max_duration.as_micros(),
-            min_replicas: config.library.min_replicas,
-            max_replicas: config.library.max_replicas,
-            placement: match config.placement {
-                Placement::Full => (0, 0),
-                Placement::RoundRobin => (1, 0),
-                Placement::Spread { copies } => (2, copies),
-            },
-            cost_bits: [
-                config.cost.stream_cpu_us_per_byte.to_bits(),
-                config.cost.stream_cpu_us_per_frame.to_bits(),
-                config.cost.buffer_seconds.to_bits(),
-                config.cost.transcode.decode_us_per_mpx.to_bits(),
-                config.cost.transcode.encode_us_per_mpx.to_bits(),
-                config.cost.reservation_headroom.to_bits(),
-            ],
-        }
-    }
-}
-
-fn shared_cache() -> &'static Mutex<HashMap<ConfigKey, Arc<Testbed>>> {
-    static CACHE: OnceLock<Mutex<HashMap<ConfigKey, Arc<Testbed>>>> = OnceLock::new();
+/// The shared-testbed cache, keyed by each config's `Debug` rendering: it
+/// names every field, nested ones included, and prints each `f64` in a
+/// form that round-trips, so equal keys mean bit-equal configs.
+fn shared_cache() -> &'static Mutex<HashMap<String, Arc<Testbed>>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Arc<Testbed>>>> = OnceLock::new();
     CACHE.get_or_init(Default::default)
 }
 
@@ -221,7 +175,7 @@ impl Testbed {
     /// process-wide and never evicts (experiment processes use a handful of
     /// configs at most).
     pub fn shared(config: TestbedConfig) -> Arc<Testbed> {
-        let key = ConfigKey::of(&config);
+        let key = format!("{config:?}");
         if let Some(tb) = shared_cache().lock().expect("testbed cache poisoned").get(&key) {
             return Arc::clone(tb);
         }
@@ -294,11 +248,49 @@ mod tests {
 
     #[test]
     fn shared_testbed_is_cached_per_config() {
-        let a = Testbed::shared(TestbedConfig::default());
-        let b = Testbed::shared(TestbedConfig::default());
+        let base = TestbedConfig::default();
+        let a = Testbed::shared(base.clone());
+        let b = Testbed::shared(base.clone());
         assert!(Arc::ptr_eq(&a, &b), "equal configs must share one build");
-        let c = Testbed::shared(TestbedConfig { seed: 7, ..TestbedConfig::default() });
-        assert!(!Arc::ptr_eq(&a, &c), "different seeds must not alias");
+        // Every field changed once, nested ones included, must get a build
+        // of its own; `disk_bps` moves by one ulp.
+        let library = |edit: fn(&mut LibraryConfig)| {
+            let mut c = base.clone();
+            edit(&mut c.library);
+            c
+        };
+        let cost = |edit: fn(&mut DeliveryCostModel)| {
+            let mut c = base.clone();
+            edit(&mut c.cost);
+            c
+        };
+        let variants = [
+            TestbedConfig { seed: 7, ..base.clone() },
+            TestbedConfig { servers: 4, ..base.clone() },
+            TestbedConfig { link_capacity_bps: 3_000_000, ..base.clone() },
+            TestbedConfig { disk_bps: f64::from_bits(base.disk_bps.to_bits() + 1), ..base.clone() },
+            TestbedConfig { memory_bytes: 256e6, ..base.clone() },
+            library(|l| l.num_videos = 14),
+            library(|l| l.min_duration = SimDuration::from_secs(31)),
+            library(|l| l.max_duration = SimDuration::from_secs(600)),
+            library(|l| l.min_replicas = 4),
+            library(|l| l.max_replicas = 3),
+            TestbedConfig { placement: Placement::RoundRobin, ..base.clone() },
+            TestbedConfig { placement: Placement::Spread { copies: 2 }, ..base.clone() },
+            TestbedConfig { placement: Placement::Spread { copies: 3 }, ..base.clone() },
+            cost(|c| c.stream_cpu_us_per_byte = 0.2),
+            cost(|c| c.stream_cpu_us_per_frame = 300.0),
+            cost(|c| c.buffer_seconds = 1.0),
+            cost(|c| c.transcode.decode_us_per_mpx = 5_000.0),
+            cost(|c| c.transcode.encode_us_per_mpx = 10_000.0),
+            cost(|c| c.reservation_headroom = 1.2),
+        ];
+        let mut seen = vec![a.clone()];
+        for config in variants {
+            let tb = Testbed::shared(config.clone());
+            assert!(seen.iter().all(|s| !Arc::ptr_eq(s, &tb)), "{config:?} aliased");
+            seen.push(tb);
+        }
         // The cached instance matches a private build of the same config.
         let fresh = Testbed::build(TestbedConfig::default());
         assert_eq!(a.library.len(), fresh.library.len());

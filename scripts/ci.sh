@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> library line counts per crate (print only: nothing here gates; scripts/loc.sh REV counts another revision)"
+scripts/loc.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
