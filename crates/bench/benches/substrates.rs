@@ -107,7 +107,7 @@ fn bench_link(c: &mut Criterion) {
             let flows: Vec<_> =
                 (0..100).map(|_| link.open_flow(SimTime::ZERO, Some(48_000)).unwrap()).collect();
             for i in 0..1_000 {
-                link.send(SimTime::ZERO, flows[i % 100], 4_000).unwrap();
+                link.send(SimTime::ZERO, flows[i % 100], 4_000, ()).unwrap();
             }
             let mut done = 0;
             while let Some(t) = link.next_event() {
@@ -145,7 +145,7 @@ fn bench_link_churn(c: &mut Criterion) {
                 // Mixed caps so the water-fill order sees real churn.
                 let cap = if i % 3 == 0 { None } else { Some(24_000 + (i % 7) * 8_000) };
                 let f = link.open_flow(now, cap).unwrap();
-                link.send(now, f, 2_000 + (i % 5) * 1_000).unwrap();
+                link.send(now, f, 2_000 + (i % 5) * 1_000, ()).unwrap();
                 open.push(f);
                 if open.len() > 64 {
                     // Close the oldest flow, completed or not.

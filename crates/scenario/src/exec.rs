@@ -578,6 +578,30 @@ fn check_composed_topology(cfg: &ThroughputConfig, path: String) -> Result<(), S
     Ok(())
 }
 
+/// The most arrivals one run may imply (`horizon_s` ÷ `arrival_period_s`
+/// × `burst`): a thousand times the paper's 1,000 s Fig 6 stream. The
+/// driver builds the whole arrival stream before it starts, so a file
+/// beyond this would take memory without bound.
+pub const MAX_ARRIVALS: f64 = 1e6;
+
+/// The arrivals the composed workload implies, checked against
+/// [`MAX_ARRIVALS`] at the run stage's path.
+fn check_composed_workload(cfg: &ThroughputConfig, path: String) -> Result<(), ScenarioError> {
+    // No period keeps the paper's 1 s Poisson stream.
+    let period_s = cfg.arrival_period.map_or(1.0, SimDuration::as_secs_f64);
+    let arrivals = cfg.horizon.as_secs_f64() / period_s * cfg.arrival_burst.max(1) as f64;
+    if arrivals > MAX_ARRIVALS {
+        return Err(schema_err(
+            path,
+            format!(
+                "horizon_s / arrival_period_s * burst implies {arrivals:.3e} arrivals, \
+                 above the cap of {MAX_ARRIVALS:e}"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// Composes the effective configuration for one run stage.
 fn compose_run_config(
     spec: &ScenarioSpec,
@@ -617,6 +641,7 @@ fn compose_run_config(
         if pass == [StageKind::Workload] {
             let path = format!("stage.{run_name}");
             apply_workload(View::new(&spec.stages[run_name].body, &path), &mut cfg)?;
+            check_composed_workload(&cfg, path)?;
         }
     }
     Ok(cfg)
@@ -958,6 +983,28 @@ metrics = [\"stable_outstanding\", \"admitted_ratio\", \"mean_utility\"]
     #[test]
     fn sub_microsecond_arrival_period_is_a_schema_error() {
         assert_workload_rejected("arrival_period_s = 0.0000001", "stage.load.arrival_period_s");
+    }
+
+    /// A run implying more than [`MAX_ARRIVALS`] arrivals is refused
+    /// before its arrival stream is built, whichever key makes it so.
+    #[test]
+    fn unbounded_arrival_streams_are_a_schema_error() {
+        let baseline = include_str!("../../../scenarios/baseline_three_systems.toml");
+        let edits = [
+            ("horizon_s = 40", "horizon_s = 1e300"),
+            ("arrival_period_s = 0.4", "arrival_period_s = 0.000001"),
+            ("sample_step_s = 5", "sample_step_s = 5\nburst = 100000"),
+        ];
+        for (from, to) in edits {
+            assert!(baseline.contains(from), "{from}");
+            match run_str(&baseline.replace(from, to), ExecMode::Serial) {
+                Err(ScenarioError::Schema { path, message }) => {
+                    assert_eq!(path, "stage.bench", "{to}");
+                    assert!(message.contains("horizon_s / arrival_period_s * burst"), "{message}");
+                }
+                other => panic!("{to}: expected a schema error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

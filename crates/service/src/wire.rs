@@ -25,6 +25,12 @@ use std::fmt;
 /// A peer announcing more is malformed (or hostile), not buffered.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// The latest clock a request may carry, in microseconds: 2^62 µs, about
+/// 146,000 years. The plane adds retry delays to a request's clock, and
+/// `SimTime` arithmetic near `u64::MAX` overflows, so a request whose
+/// clock is beyond this bound is [`WireError::Malformed`].
+pub const MAX_WIRE_MICROS: u64 = 1 << 62;
+
 /// What a remote client can ask the serving shell to do — the wire subset
 /// of the command vocabulary. Congestion/fault commands stay shell-side
 /// (they come from the shell's own data plane, not from clients).
@@ -194,9 +200,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 2 => QopClass::Premium,
                 _ => return Err(WireError::Malformed("service class")),
             };
-            Request::Admit { query, class, now: SimTime::from_micros(c.u64()?) }
+            Request::Admit { query, class, now: c.clock()? }
         }
-        1 => Request::Tick { now: SimTime::from_micros(c.u64()?) },
+        1 => Request::Tick { now: c.clock()? },
         2 => Request::Teardown {
             session: SessionId(c.u64()?),
             abandoned: match c.u8()? {
@@ -204,14 +210,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 1 => true,
                 _ => return Err(WireError::Malformed("abandoned flag")),
             },
-            now: SimTime::from_micros(c.u64()?),
+            now: c.clock()?,
         },
         3 => Request::Renegotiate {
             session: SessionId(c.u64()?),
             backlog: c.f64()?,
-            now: SimTime::from_micros(c.u64()?),
+            now: c.clock()?,
         },
-        4 => Request::Stats { now: SimTime::from_micros(c.u64()?) },
+        4 => Request::Stats { now: c.clock()? },
         5 => Request::Finish,
         _ => return Err(WireError::Malformed("request tag")),
     };
@@ -569,6 +575,14 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A request's clock, refused beyond [`MAX_WIRE_MICROS`].
+    fn clock(&mut self) -> Result<SimTime, WireError> {
+        match self.u64()? {
+            us if us <= MAX_WIRE_MICROS => Ok(SimTime::from_micros(us)),
+            _ => Err(WireError::Malformed("clock")),
+        }
+    }
+
     fn finish(&mut self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -697,6 +711,33 @@ mod tests {
         }
         fb.extend(&bytes[bytes.len() - 1..]);
         assert!(fb.next_frame().unwrap().is_some());
+    }
+
+    #[test]
+    fn request_clocks_beyond_the_bound_are_malformed() {
+        let requests = |now| {
+            [
+                Request::Admit { query: sample_query(), class: QopClass::Economy, now },
+                Request::Tick { now },
+                Request::Teardown { session: SessionId(3), abandoned: false, now },
+                Request::Renegotiate { session: SessionId(5), backlog: 1.0, now },
+                Request::Stats { now },
+            ]
+        };
+        for us in [u64::MAX, MAX_WIRE_MICROS + 1] {
+            for req in requests(SimTime::from_micros(us)) {
+                let mut bytes = Vec::new();
+                encode_request(&req, &mut bytes);
+                assert_eq!(
+                    decode_request(&bytes[4..]),
+                    Err(WireError::Malformed("clock")),
+                    "{req:?}"
+                );
+            }
+        }
+        for req in requests(SimTime::from_micros(MAX_WIRE_MICROS)) {
+            roundtrip_request(req);
+        }
     }
 
     #[test]

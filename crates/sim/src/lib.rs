@@ -30,7 +30,6 @@
 //! in this crate spawns threads or reads wall-clock time.
 
 pub mod cpu;
-pub mod domain;
 pub mod fault;
 pub mod link;
 pub mod linkdyn;
@@ -44,9 +43,8 @@ pub use cpu::{
     Completion, CpuError, CpuScheduler, Dsrt, DsrtConfig, JobId, ReservationError, TaskId,
     TimeSharing,
 };
-pub use domain::LinkDomain;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultModel, FaultPlan, FaultSpec};
-pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone, XferId};
+pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone};
 pub use linkdyn::{LinkInjector, LinkModel, LinkModelError, LinkPlan, LinkSpec};
 pub use queue::{EventId, EventQueue};
 pub use rng::{Rng, Zipf};

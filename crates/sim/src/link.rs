@@ -13,8 +13,11 @@
 //!
 //! Like the CPU schedulers, the link is a passive incremental simulator:
 //! submit transfers, query [`SharedLink::next_event`], advance, drain
-//! completions. Disks are the same abstraction with a different capacity,
-//! so the storage layer reuses `SharedLink`.
+//! completions. Each transfer carries its sender's tag `T` (a session id
+//! for the fluid engine, a `(session, frame)` pair for the frame engine),
+//! and its [`XferDone`] hands that tag back, so a caller needs no registry
+//! of its own to learn whose transfer finished: the per-flow FIFO is the
+//! only record of who owns what is in flight.
 //!
 //! # Layout
 //!
@@ -53,17 +56,13 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
-/// Identifies a submitted transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct XferId(pub u64);
-
 /// A finished transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct XferDone {
+pub struct XferDone<T> {
     /// Flow the transfer belonged to.
     pub flow: FlowId,
-    /// The completed transfer.
-    pub xfer: XferId,
+    /// The tag the sender gave the transfer.
+    pub tag: T,
     /// Completion instant.
     pub at: SimTime,
 }
@@ -124,16 +123,16 @@ const NO_SLOT: u32 = u32::MAX;
 const NEVER: SimTime = SimTime::MAX;
 
 #[derive(Debug)]
-struct FlowSlot {
+struct FlowSlot<T> {
     /// Public id of the flow currently occupying this slot.
     id: u64,
     /// Reserved rate (Reserved policy) or pacing cap (FairShare, 0 = no
     /// cap), in bytes/second.
     rate_bps: u64,
-    /// FIFO of `(transfer, bytes)`: the front's bytes as of `anchor`, the
-    /// rest at full size. Kept allocated across slot reuse so steady-state
-    /// churn does not touch the allocator.
-    queue: VecDeque<(XferId, f64)>,
+    /// FIFO of `(tag, bytes)`: the front's bytes as of `anchor`, the rest
+    /// at full size. Kept allocated across slot reuse so steady-state churn
+    /// does not touch the allocator.
+    queue: VecDeque<(T, f64)>,
     /// Allocated rate in bytes/second (0 while idle).
     alloc: f64,
     /// When the front's bytes were last settled: its start, or the last
@@ -143,7 +142,7 @@ struct FlowSlot {
     done_at: SimTime,
 }
 
-impl FlowSlot {
+impl<T> FlowSlot<T> {
     /// Water-filling cap: 0 means unconstrained.
     fn cap(&self) -> f64 {
         if self.rate_bps == 0 {
@@ -189,14 +188,15 @@ impl FlowSlot {
     }
 }
 
-/// A fluid-flow shared bandwidth resource.
+/// A fluid-flow shared bandwidth resource whose transfers carry tags of
+/// type `T`.
 #[derive(Debug)]
-pub struct SharedLink {
+pub struct SharedLink<T> {
     capacity_bps: u64,
     policy: SharePolicy,
     now: SimTime,
     /// Flow arena; `free` lists reusable entries.
-    slots: Vec<FlowSlot>,
+    slots: Vec<FlowSlot<T>>,
     free: Vec<u32>,
     /// Dense map from public flow id to slot (`NO_SLOT` once closed).
     slot_of: Vec<u32>,
@@ -217,15 +217,14 @@ pub struct SharedLink {
     /// everything up front, but demand vs capacity says whether the
     /// water-filling allocation is squeezing flows below their caps.
     demand_bps: u64,
-    completions: Vec<XferDone>,
+    completions: Vec<XferDone<T>>,
     next_flow: u64,
-    next_xfer: u64,
     /// Earliest `done_at` over the backlogged flows, kept current by every
     /// mutation.
     next_done: Option<SimTime>,
 }
 
-impl SharedLink {
+impl<T: Copy> SharedLink<T> {
     /// Creates a fair-share (processor-sharing) link.
     pub fn fair_share(capacity_bps: u64) -> Self {
         Self::new(capacity_bps, SharePolicy::FairShare)
@@ -236,7 +235,8 @@ impl SharedLink {
         Self::new(capacity_bps, SharePolicy::Reserved)
     }
 
-    fn new(capacity_bps: u64, policy: SharePolicy) -> Self {
+    /// Creates a link under the given policy.
+    pub fn new(capacity_bps: u64, policy: SharePolicy) -> Self {
         assert!(capacity_bps > 0, "link capacity must be positive");
         SharedLink {
             capacity_bps,
@@ -252,7 +252,6 @@ impl SharedLink {
             demand_bps: 0,
             completions: Vec::new(),
             next_flow: 0,
-            next_xfer: 0,
             next_done: None,
         }
     }
@@ -487,17 +486,21 @@ impl SharedLink {
         }
     }
 
-    /// Queues `bytes` for transmission on `flow`. Fails with
-    /// [`LinkError::UnknownFlow`] when the flow was never opened or has
-    /// already been closed.
-    pub fn send(&mut self, now: SimTime, flow: FlowId, bytes: u64) -> Result<XferId, LinkError> {
+    /// Queues `bytes` for transmission on `flow`; its completion carries
+    /// `tag`. Fails with [`LinkError::UnknownFlow`] when the flow was never
+    /// opened or has already been closed.
+    pub fn send(
+        &mut self,
+        now: SimTime,
+        flow: FlowId,
+        bytes: u64,
+        tag: T,
+    ) -> Result<(), LinkError> {
         self.advance_to(now);
         let slot = self.slot(flow).ok_or(LinkError::UnknownFlow(flow))?;
-        let id = XferId(self.next_xfer);
-        self.next_xfer += 1;
         let f = &mut self.slots[slot as usize];
         let was_idle = f.queue.is_empty();
-        f.queue.push_back((id, bytes as f64));
+        f.queue.push_back((tag, bytes as f64));
         if was_idle {
             // Idle -> backlogged changes the active set; queueing behind an
             // existing transfer does not. An idle slot holds rate 0, so the
@@ -511,7 +514,7 @@ impl SharedLink {
                 self.reallocate();
             }
         }
-        Ok(id)
+        Ok(())
     }
 
     /// Bytes still queued on one flow (0 for unknown/closed flows). This is
@@ -626,8 +629,8 @@ impl SharedLink {
             let slot = self.active_by_id[i];
             let f = &mut self.slots[slot as usize];
             while f.done_at <= at {
-                let (xfer, _) = f.queue.pop_front().expect("a due flow has a front");
-                self.completions.push(XferDone { flow: FlowId(f.id), xfer, at });
+                let (tag, _) = f.queue.pop_front().expect("a due flow has a front");
+                self.completions.push(XferDone { flow: FlowId(f.id), tag, at });
                 f.anchor = at;
                 f.schedule_front();
             }
@@ -657,14 +660,14 @@ impl SharedLink {
     }
 
     /// Removes and returns completions recorded so far.
-    pub fn drain_completions(&mut self) -> Vec<XferDone> {
+    pub fn drain_completions(&mut self) -> Vec<XferDone<T>> {
         std::mem::take(&mut self.completions)
     }
 
     /// Appends completions recorded so far onto `out` without giving up the
-    /// internal buffer — the allocation-free batching path for per-domain
+    /// internal buffer — the allocation-free batching path for per-server
     /// merge loops.
-    pub fn drain_completions_into(&mut self, out: &mut Vec<XferDone>) {
+    pub fn drain_completions_into(&mut self, out: &mut Vec<XferDone<T>>) {
         out.append(&mut self.completions);
     }
 }
@@ -673,7 +676,7 @@ impl SharedLink {
 mod tests {
     use super::*;
 
-    fn run_until_idle(link: &mut SharedLink, horizon: SimTime) -> Vec<XferDone> {
+    fn run_until_idle<T: Copy>(link: &mut SharedLink<T>, horizon: SimTime) -> Vec<XferDone<T>> {
         let mut done = Vec::new();
         loop {
             match link.next_event() {
@@ -692,11 +695,14 @@ mod tests {
 
     const KB: u64 = 1_000;
 
+    /// A link whose transfers carry no tag.
+    type Link = SharedLink<()>;
+
     #[test]
     fn reserved_flow_transmits_at_its_rate() {
-        let mut link = SharedLink::reserved(3200 * KB);
+        let mut link = Link::reserved(3200 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 50 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 50 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert_eq!(done.len(), 1);
         // 50 KB at 100 KB/s = 0.5 s.
@@ -706,11 +712,11 @@ mod tests {
 
     #[test]
     fn reserved_flows_do_not_interfere() {
-        let mut link = SharedLink::reserved(3200 * KB);
+        let mut link = Link::reserved(3200 * KB);
         let a = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
         let b = link.open_flow(SimTime::ZERO, Some(200 * KB)).unwrap();
-        link.send(SimTime::ZERO, a, 100 * KB).unwrap();
-        link.send(SimTime::ZERO, b, 100 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 100 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, b, 100 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         let t_a = done.iter().find(|d| d.flow == a).unwrap().at.as_secs_f64();
         let t_b = done.iter().find(|d| d.flow == b).unwrap().at.as_secs_f64();
@@ -720,7 +726,7 @@ mod tests {
 
     #[test]
     fn demand_tracks_open_flow_rates() {
-        let mut link = SharedLink::fair_share(300 * KB);
+        let mut link = Link::fair_share(300 * KB);
         assert_eq!(link.demand_bps(), 0);
         let a = link.open_flow(SimTime::ZERO, Some(200 * KB)).unwrap();
         let b = link.open_flow(SimTime::ZERO, Some(150 * KB)).unwrap();
@@ -740,7 +746,7 @@ mod tests {
 
     #[test]
     fn reservation_admission_control() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         link.open_flow(SimTime::ZERO, Some(800 * KB)).unwrap();
         let err = link.open_flow(SimTime::ZERO, Some(300 * KB)).unwrap_err();
         assert_eq!(err, LinkError::Saturated { requested: 300 * KB, available: 200 * KB });
@@ -749,7 +755,7 @@ mod tests {
 
     #[test]
     fn closing_a_flow_releases_its_reservation() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(800 * KB)).unwrap();
         link.close_flow(SimTime::from_secs(1), f);
         assert_eq!(link.available_bps(), 1000 * KB);
@@ -758,11 +764,11 @@ mod tests {
 
     #[test]
     fn fair_share_splits_capacity() {
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         let a = link.open_flow(SimTime::ZERO, None).unwrap();
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
-        link.send(SimTime::ZERO, a, 500 * KB).unwrap();
-        link.send(SimTime::ZERO, b, 500 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 500 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, b, 500 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         // Both get 500 KB/s -> both finish at ~1 s.
         for d in &done {
@@ -772,11 +778,11 @@ mod tests {
 
     #[test]
     fn fair_share_speeds_up_when_a_flow_drains() {
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         let a = link.open_flow(SimTime::ZERO, None).unwrap();
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
-        link.send(SimTime::ZERO, a, 250 * KB).unwrap();
-        link.send(SimTime::ZERO, b, 750 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 250 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, b, 750 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         let t_a = done.iter().find(|d| d.flow == a).unwrap().at.as_secs_f64();
         let t_b = done.iter().find(|d| d.flow == b).unwrap().at.as_secs_f64();
@@ -790,11 +796,11 @@ mod tests {
     fn fair_share_oversubscription_stretches_transfers() {
         // The plain-VDBMS failure mode: 10 concurrent 100 KB/s-worth
         // streams on a link sized for 5.
-        let mut link = SharedLink::fair_share(500 * KB);
+        let mut link = Link::fair_share(500 * KB);
         let flows: Vec<FlowId> =
             (0..10).map(|_| link.open_flow(SimTime::ZERO, None).unwrap()).collect();
         for &f in &flows {
-            link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+            link.send(SimTime::ZERO, f, 100 * KB, ()).unwrap();
         }
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         // Each flow gets 50 KB/s -> 2 s instead of the nominal 1 s.
@@ -807,17 +813,17 @@ mod tests {
     fn per_flow_fifo_order() {
         let mut link = SharedLink::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        let x1 = link.send(SimTime::ZERO, f, 10 * KB).unwrap();
-        let x2 = link.send(SimTime::ZERO, f, 10 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 10 * KB, 1).unwrap();
+        link.send(SimTime::ZERO, f, 10 * KB, 2).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
-        assert_eq!(done[0].xfer, x1);
-        assert_eq!(done[1].xfer, x2);
+        assert_eq!(done[0].tag, 1);
+        assert_eq!(done[1].tag, 2);
         assert!(done[0].at < done[1].at);
     }
 
     #[test]
     fn policy_mismatch_errors() {
-        let mut res = SharedLink::reserved(KB);
+        let mut res = Link::reserved(KB);
         assert_eq!(res.open_flow(SimTime::ZERO, None).unwrap_err(), LinkError::PolicyMismatch);
     }
 
@@ -825,9 +831,9 @@ mod tests {
     fn fair_share_pacing_cap_limits_lone_flow() {
         // A paced streaming flow alone on the link transmits at its
         // bitrate, not the full capacity.
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 100 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert!((done[0].at.as_secs_f64() - 1.0).abs() < 1e-3);
     }
@@ -836,11 +842,11 @@ mod tests {
     fn water_filling_redistributes_capped_slack() {
         // Cap 100 KB/s + uncapped flow on a 1000 KB/s link: the uncapped
         // flow gets 900 KB/s, not 500.
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         let capped = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
         let free = link.open_flow(SimTime::ZERO, None).unwrap();
-        link.send(SimTime::ZERO, capped, 1000 * KB).unwrap();
-        link.send(SimTime::ZERO, free, 900 * KB).unwrap();
+        link.send(SimTime::ZERO, capped, 1000 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, free, 900 * KB, ()).unwrap();
         let rates = link.current_rates();
         let rate_of = |id| rates.iter().find(|&&(f, _)| f == id).map(|&(_, r)| r).unwrap();
         assert!((rate_of(capped) - 100_000.0).abs() < 1e-6);
@@ -850,11 +856,11 @@ mod tests {
     #[test]
     fn oversubscribed_caps_fall_back_to_equal_share() {
         // Ten 100 KB/s-capped flows on a 500 KB/s link: each gets 50 KB/s.
-        let mut link = SharedLink::fair_share(500 * KB);
+        let mut link = Link::fair_share(500 * KB);
         let flows: Vec<FlowId> =
             (0..10).map(|_| link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap()).collect();
         for &f in &flows {
-            link.send(SimTime::ZERO, f, KB).unwrap();
+            link.send(SimTime::ZERO, f, KB, ()).unwrap();
         }
         for (_, r) in link.current_rates() {
             assert!((r - 50_000.0).abs() < 1e-6, "rate {r}");
@@ -863,8 +869,8 @@ mod tests {
 
     /// A from-scratch allocation: the backlogged flows sorted by
     /// `(cap, id)` and water-filled, reported in ascending flow id.
-    fn fresh_rates(link: &SharedLink) -> Vec<(FlowId, f64)> {
-        let mut flows: Vec<&FlowSlot> =
+    fn fresh_rates<T>(link: &SharedLink<T>) -> Vec<(FlowId, f64)> {
+        let mut flows: Vec<&FlowSlot<T>> =
             link.active_by_id.iter().map(|&s| &link.slots[s as usize]).collect();
         if link.policy == SharePolicy::Reserved {
             return flows.iter().map(|f| (FlowId(f.id), f.rate_bps as f64)).collect();
@@ -890,16 +896,16 @@ mod tests {
     fn eager_rates_match_fresh_water_fill() {
         // After every mutation the eagerly maintained per-flow rates must
         // equal a from-scratch water-filling pass.
-        let mut link = SharedLink::fair_share(1000 * KB);
-        let check = |link: &SharedLink| {
+        let mut link = Link::fair_share(1000 * KB);
+        let check = |link: &SharedLink<()>| {
             assert_eq!(link.current_rates(), fresh_rates(link), "stale allocation");
         };
         let a = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
         check(&link);
-        link.send(SimTime::ZERO, a, 50 * KB).unwrap();
-        link.send(SimTime::ZERO, a, 50 * KB).unwrap(); // queued behind — same set
-        link.send(SimTime::ZERO, b, 200 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 50 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, a, 50 * KB, ()).unwrap(); // queued behind — same set
+        link.send(SimTime::ZERO, b, 200 * KB, ()).unwrap();
         check(&link);
         link.advance_to(SimTime::from_millis(100));
         check(&link);
@@ -919,7 +925,7 @@ mod tests {
 
     #[test]
     fn idle_link_reports_no_events() {
-        let mut link = SharedLink::fair_share(KB);
+        let mut link = Link::fair_share(KB);
         assert_eq!(link.next_event(), None);
         link.advance_to(SimTime::from_secs(100));
         assert_eq!(link.backlog_bytes(), 0.0);
@@ -927,9 +933,9 @@ mod tests {
 
     #[test]
     fn close_flow_discards_queue() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(10 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 1000 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 1000 * KB, ()).unwrap();
         link.close_flow(SimTime::from_millis(1), f);
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert!(done.is_empty());
@@ -938,21 +944,21 @@ mod tests {
 
     #[test]
     fn send_on_closed_flow_is_a_typed_error() {
-        let mut link = SharedLink::fair_share(KB);
+        let mut link = Link::fair_share(KB);
         let f = link.open_flow(SimTime::ZERO, None).unwrap();
         link.close_flow(SimTime::ZERO, f);
-        assert_eq!(link.send(SimTime::ZERO, f, KB).unwrap_err(), LinkError::UnknownFlow(f));
+        assert_eq!(link.send(SimTime::ZERO, f, KB, ()).unwrap_err(), LinkError::UnknownFlow(f));
         assert_eq!(
-            link.send(SimTime::ZERO, FlowId(99), KB).unwrap_err(),
+            link.send(SimTime::ZERO, FlowId(99), KB, ()).unwrap_err(),
             LinkError::UnknownFlow(FlowId(99))
         );
     }
 
     #[test]
     fn flow_backlog_tracks_remaining_bytes() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 100 * KB, ()).unwrap();
         assert_eq!(link.flow_backlog_bytes(f), 100_000.0);
         link.advance_to(SimTime::from_millis(500));
         assert!((link.flow_backlog_bytes(f) - 50_000.0).abs() < 1.0);
@@ -961,9 +967,9 @@ mod tests {
 
     #[test]
     fn flow_backlog_at_reads_a_lagging_link_at_the_callers_clock() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 100 * KB, ()).unwrap();
         let ahead = link.flow_backlog_bytes_at(f, SimTime::from_millis(500));
         assert!((ahead - 50_000.0).abs() < 1.0, "{ahead}");
         link.advance_to(SimTime::from_millis(500));
@@ -979,9 +985,9 @@ mod tests {
         // t=0.5 s, restore at t=0.75 s. First half: 50 KB at full rate.
         // Quarter second at 50 KB/s: 12.5 KB. Remaining 37.5 KB at full
         // rate: done at 0.75 + 0.375 = 1.125 s.
-        let mut link = SharedLink::fair_share(100 * KB);
+        let mut link = Link::fair_share(100 * KB);
         let f = link.open_flow(SimTime::ZERO, None).unwrap();
-        link.send(SimTime::ZERO, f, 100 * KB).unwrap();
+        link.send(SimTime::ZERO, f, 100 * KB, ()).unwrap();
         link.set_capacity(SimTime::from_millis(500), 50 * KB);
         link.set_capacity(SimTime::from_millis(750), 100 * KB);
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
@@ -993,7 +999,7 @@ mod tests {
 
     #[test]
     fn capacity_cut_below_reservations_saturates_available() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         link.open_flow(SimTime::ZERO, Some(800 * KB)).unwrap();
         link.set_capacity(SimTime::ZERO, 500 * KB);
         assert_eq!(link.available_bps(), 0);
@@ -1004,23 +1010,23 @@ mod tests {
 
     #[test]
     fn late_send_measured_from_submission() {
-        let mut link = SharedLink::reserved(1000 * KB);
+        let mut link = Link::reserved(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, Some(100 * KB)).unwrap();
-        link.send(SimTime::from_secs(5), f, 100 * KB).unwrap();
+        link.send(SimTime::from_secs(5), f, 100 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert!((done[0].at.as_secs_f64() - 6.0).abs() < 1e-3);
     }
 
     #[test]
     fn backlog_counters_track_transitions() {
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         assert_eq!(link.backlogged_flows(), 0);
         let a = link.open_flow(SimTime::ZERO, None).unwrap();
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
         assert_eq!((link.open_flows(), link.backlogged_flows()), (2, 0));
-        link.send(SimTime::ZERO, a, 100 * KB).unwrap();
-        link.send(SimTime::ZERO, a, 100 * KB).unwrap();
-        link.send(SimTime::ZERO, b, 50 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 100 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, a, 100 * KB, ()).unwrap();
+        link.send(SimTime::ZERO, b, 50 * KB, ()).unwrap();
         assert_eq!(link.backlogged_flows(), 2);
         assert_eq!(link.backlog_bytes(), 250_000.0);
         // b (500 KB/s share) drains at 0.1 s; a still has its second xfer.
@@ -1033,16 +1039,16 @@ mod tests {
 
     #[test]
     fn slot_reuse_keeps_public_ids_distinct() {
-        let mut link = SharedLink::fair_share(1000 * KB);
+        let mut link = Link::fair_share(1000 * KB);
         let a = link.open_flow(SimTime::ZERO, None).unwrap();
-        link.send(SimTime::ZERO, a, 10 * KB).unwrap();
+        link.send(SimTime::ZERO, a, 10 * KB, ()).unwrap();
         link.close_flow(SimTime::ZERO, a);
         // The new flow reuses a's arena slot but gets a fresh public id;
         // a's id stays dead.
         let b = link.open_flow(SimTime::ZERO, None).unwrap();
         assert_ne!(a, b);
-        assert_eq!(link.send(SimTime::ZERO, a, KB).unwrap_err(), LinkError::UnknownFlow(a));
-        link.send(SimTime::ZERO, b, 10 * KB).unwrap();
+        assert_eq!(link.send(SimTime::ZERO, a, KB, ()).unwrap_err(), LinkError::UnknownFlow(a));
+        link.send(SimTime::ZERO, b, 10 * KB, ()).unwrap();
         let done = run_until_idle(&mut link, SimTime::from_secs(10));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].flow, b);
@@ -1052,12 +1058,12 @@ mod tests {
     fn zero_byte_send_completes_at_next_advance() {
         let mut link = SharedLink::fair_share(1000 * KB);
         let f = link.open_flow(SimTime::ZERO, None).unwrap();
-        let x = link.send(SimTime::ZERO, f, 0).unwrap();
+        link.send(SimTime::ZERO, f, 0, 7).unwrap();
         assert_eq!(link.next_event(), Some(SimTime::ZERO));
         link.advance_to(SimTime::ZERO);
         let done = link.drain_completions();
         assert_eq!(done.len(), 1);
-        assert_eq!((done[0].xfer, done[0].at), (x, SimTime::ZERO));
+        assert_eq!((done[0].tag, done[0].at), (7, SimTime::ZERO));
         assert_eq!(link.backlogged_flows(), 0);
     }
 
@@ -1065,7 +1071,7 @@ mod tests {
     /// the cached next completion.
     type Snapshot = (Vec<(u64, SimTime, SimTime, u64)>, Option<SimTime>);
 
-    fn snapshot(link: &SharedLink) -> Snapshot {
+    fn snapshot<T>(link: &SharedLink<T>) -> Snapshot {
         let slots = link.slots.iter().map(|f| {
             let front = f.queue.front().map_or(0, |&(_, b)| b.to_bits());
             (f.alloc.to_bits(), f.anchor, f.done_at, front)
@@ -1084,11 +1090,8 @@ mod tests {
         for seed in 0..40u64 {
             let reserved = seed % 2 == 1;
             let mut rng = crate::Rng::new(seed);
-            let mut link = if reserved {
-                SharedLink::reserved(1000 * KB)
-            } else {
-                SharedLink::fair_share(1000 * KB)
-            };
+            let mut link =
+                if reserved { Link::reserved(1000 * KB) } else { Link::fair_share(1000 * KB) };
             let mut flows = Vec::new();
             let mut now = SimTime::ZERO;
             for _ in 0..300 {
@@ -1113,7 +1116,7 @@ mod tests {
                                 squeezed += 1;
                             }
                         }
-                        link.send(now, flow, rng.range_u64(1, 200) * KB).unwrap();
+                        link.send(now, flow, rng.range_u64(1, 200) * KB, ()).unwrap();
                     }
                     _ => {
                         now += SimDuration::from_millis(rng.below(500));

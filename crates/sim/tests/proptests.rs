@@ -26,9 +26,10 @@ fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::
     }
 }
 
-/// What a link shows after one op of a trace: the completions drained,
-/// the next event, and the bits of every flow's backlog.
-type LinkView = (Vec<XferDone>, Option<SimTime>, Vec<u64>);
+/// What a link shows after one op of a trace: the completions drained
+/// (each tagged with the index of the op that sent it), the next event,
+/// and the bits of every flow's backlog.
+type LinkView = (Vec<XferDone<usize>>, Option<SimTime>, Vec<u64>);
 
 /// Replays a random link trace of `(op, arg, pick)` triples, recording a
 /// [`LinkView`] after every op and once more after draining to idle. With
@@ -48,14 +49,14 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
     let mut now = SimTime::ZERO;
     let mut flows = Vec::new();
     let mut log = Vec::new();
-    let view = |link: &mut SharedLink, flows: &[_]| -> LinkView {
+    let view = |link: &mut SharedLink<usize>, flows: &[_]| -> LinkView {
         let backlog = flows.iter().map(|&f| link.flow_backlog_bytes(f).to_bits()).collect();
         (link.drain_completions(), link.next_event(), backlog)
     };
     // A link with nothing due by `to` that is not stepped there (a
     // lagging link) must read each flow's backlog at `to` with the bits
     // the stepped link reads.
-    let step_to = |link: &mut SharedLink, flows: &[FlowId], from: SimTime, to: SimTime, pick| {
+    let step_to = |link: &mut SharedLink<usize>, flows: &[FlowId], from: SimTime, to, pick| {
         let lagging = link.next_event().is_none_or(|d| d > to);
         let read_ahead: Vec<u64> = if lagging {
             flows.iter().map(|&f| link.flow_backlog_bytes_at(f, to).to_bits()).collect()
@@ -76,7 +77,7 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
             assert_eq!(read_ahead, stepped, "a lagging link read its backlog differently");
         }
     };
-    for &(op, arg, pick) in ops {
+    for (step, &(op, arg, pick)) in ops.iter().enumerate() {
         let flow = (!flows.is_empty()).then(|| flows[pick % flows.len()]);
         match op {
             0 | 1 => {
@@ -90,7 +91,7 @@ fn replay_link(reserved: bool, ops: &[(u8, u64, usize)], probe: bool) -> Vec<Lin
             3 => {
                 if let Some(f) = flow {
                     let bytes = if arg == 0 { 0 } else { arg * 40_000 + (pick % 997) as u64 };
-                    let _ = link.send(now, f, bytes);
+                    let _ = link.send(now, f, bytes, step);
                 }
             }
             4 => link.set_capacity(now, CAPACITY / 4 * (1 + arg % 4)),
@@ -271,7 +272,7 @@ proptest! {
         let flows: Vec<_> =
             (0..nflows).map(|_| link.open_flow(SimTime::ZERO, None).unwrap()).collect();
         for (i, &s) in sizes.iter().enumerate() {
-            link.send(SimTime::ZERO, flows[i % nflows], s).unwrap();
+            link.send(SimTime::ZERO, flows[i % nflows], s, i).unwrap();
         }
         let mut done = Vec::new();
         let mut guard = 0;
@@ -310,7 +311,7 @@ proptest! {
         // Flow A alone.
         let mut solo = SharedLink::reserved(3_200_000);
         let fa = solo.open_flow(SimTime::ZERO, Some(rate_a)).unwrap();
-        solo.send(send_at, fa, bytes).unwrap();
+        solo.send(send_at, fa, bytes, ()).unwrap();
         let t_solo = solo.next_event().unwrap();
         let closed_form = send_at
             + SimDuration::from_micros((bytes as f64 / rate_a as f64 * 1e6).ceil() as u64);
@@ -319,8 +320,8 @@ proptest! {
         let mut both = SharedLink::reserved(3_200_000);
         let fa2 = both.open_flow(SimTime::ZERO, Some(rate_a)).unwrap();
         let fb = both.open_flow(SimTime::ZERO, Some(rate_b)).unwrap();
-        both.send(SimTime::ZERO, fb, bytes).unwrap();
-        both.send(send_at, fa2, bytes).unwrap();
+        both.send(SimTime::ZERO, fb, bytes, ()).unwrap();
+        both.send(send_at, fa2, bytes, ()).unwrap();
         both.advance_to(t_solo);
         let done = both.drain_completions();
         prop_assert!(

@@ -16,7 +16,7 @@ use crate::schedule::FrameSchedule;
 use quasaq_sim::cpu::{CpuError, CpuScheduler, JobId, ReservationError, TaskId};
 use quasaq_sim::link::{LinkError, SharePolicy};
 use quasaq_sim::queue::{EventId, EventQueue};
-use quasaq_sim::{FlowId, LinkDomain, ServerId, SimDuration, SimTime};
+use quasaq_sim::{FlowId, ServerId, SharedLink, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Per-server hardware/OS configuration.
@@ -122,9 +122,9 @@ enum Ev {
 
 struct Node {
     cpu: CpuModel,
-    /// The server's outbound link plus its in-flight `(session, frame)`
-    /// transfers.
-    domain: LinkDomain<(SessionId, usize)>,
+    /// The server's outbound link; each transfer is tagged with its
+    /// `(session, frame)`.
+    link: SharedLink<(SessionId, usize)>,
     client_latency: SimDuration,
     cpu_wake: Option<(EventId, SimTime)>,
     link_wake: Option<(EventId, SimTime)>,
@@ -170,7 +170,7 @@ impl StreamEngine {
             node_index[slot] = arena.len() as u32;
             arena.push(Node {
                 cpu: CpuModel::new(cfg.cpu),
-                domain: LinkDomain::with_policy(id, cfg.link_policy, cfg.link_capacity_bps),
+                link: SharedLink::new(cfg.link_capacity_bps, cfg.link_policy),
                 client_latency: cfg.client_latency,
                 cpu_wake: None,
                 link_wake: None,
@@ -224,7 +224,7 @@ impl StreamEngine {
                 node.cpu.reserve(now, slice, period).map_err(SessionError::Cpu)?
             }
         };
-        let flow = match node.domain.link_mut().open_flow(now, cfg.link_rate_bps) {
+        let flow = match node.link.open_flow(now, cfg.link_rate_bps) {
             Ok(f) => f,
             Err(e) => {
                 node.cpu.remove_job(now, job);
@@ -346,10 +346,7 @@ impl StreamEngine {
                 continue;
             }
             let bytes = session.schedule.frames()[idx].bytes;
-            let flow = session.flow;
-            let xfer =
-                node.domain.link_mut().send(now, flow, bytes as u64).expect("open session flow");
-            node.domain.register(xfer, flow, (sid, idx));
+            node.link.send(now, session.flow, bytes as u64, (sid, idx)).expect("open session flow");
         }
         self.reschedule_cpu(server);
         self.reschedule_link(server);
@@ -359,11 +356,10 @@ impl StreamEngine {
         let slot = self.node_slot(server).expect("wake for known node");
         let node = &mut self.nodes[slot];
         node.link_wake = None;
-        let mut completions = Vec::new();
-        node.domain.step_to(now, &mut completions);
+        node.link.advance_to(now);
         let mut finished: Vec<(SessionId, SimTime)> = Vec::new();
-        for c in completions {
-            let Some((sid, idx)) = node.domain.resolve(c.xfer) else { continue };
+        for c in node.link.drain_completions() {
+            let (sid, idx) = c.tag;
             let session = &mut self.sessions[sid.0];
             let arrived = c.at + node.client_latency;
             session.report.mark_delivered(idx, arrived);
@@ -394,7 +390,7 @@ impl StreamEngine {
         let job = session.job;
         let now = self.queue.now();
         let node = self.node_mut(server);
-        node.domain.link_mut().close_flow(now, flow);
+        node.link.close_flow(now, flow);
         node.cpu.remove_job(now, job);
         self.reschedule_cpu(server);
         self.reschedule_link(server);
@@ -435,10 +431,10 @@ impl StreamEngine {
         // Undrained completions (buffered by internal advances inside
         // send/close_flow) require an immediate wake even when the fluid
         // model reports idle.
-        let want = if node.domain.has_buffered() {
+        let want = if node.link.pending_completions() > 0 {
             Some(now)
         } else {
-            node.domain.next_event().map(|t| t.max(now))
+            node.link.next_event().map(|t| t.max(now))
         };
         match (node.link_wake, want) {
             (Some((_, at)), Some(w)) if at == w => {}
@@ -464,7 +460,7 @@ impl StreamEngine {
 
     /// Reserved link bandwidth on a server.
     pub fn link_reserved_bps(&self, server: ServerId) -> u64 {
-        self.node(server).domain.link().reserved_bps()
+        self.node(server).link.reserved_bps()
     }
 }
 

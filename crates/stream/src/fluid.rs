@@ -15,27 +15,36 @@
 //!   but squeezed when the link oversubscribes, so "it took much longer
 //!   time to finish each job" — the plain-VDBMS signature of Fig 6.
 //!
-//! The engine keeps one [`LinkDomain`] per server and indexes them by
-//! their next completion: an ordered set of `(next completion, domain)`
-//! holds every domain with a transfer due, and each domain's current key
-//! is kept beside it. [`FluidEngine::next_event`] reads the set's head,
-//! and advancing to `t` steps only the domains keyed at or before `t`
-//! (plus any whose link holds buffered completions), in `ServerId` order,
-//! merging each one's completions on the spot — which fixes the
-//! `(time, seq)` event order every result depends on. Every call that
-//! changes a link re-keys that one domain. Skipping the idle domains is
-//! exact because a link is step-invariant (see [`quasaq_sim::link`]):
-//! stepping a link with nothing due only moves its clock, and how often
-//! it is stepped never changes its bytes. So an event costs work on the
-//! servers whose transfers complete plus a logarithmic index update, not
-//! a pass over the cluster, and a session's arithmetic does not depend on
-//! what other servers are doing.
+//! The engine holds one [`SharedLink`] per server, each transfer tagged
+//! with its session's id, and indexes the links by their next completion:
+//! an ordered set of `(next completion, link)` holds every link with a
+//! transfer due, and each link's current key is kept beside it.
+//! [`FluidEngine::next_event`] reads the set's head, and advancing to `t`
+//! steps only the links keyed at or before `t` (plus any holding buffered
+//! completions), in `ServerId` order, merging each one's completions on
+//! the spot — which fixes the `(time, seq)` event order every result
+//! depends on. Every call that changes a link re-keys that one link.
+//! Skipping the idle links is exact because a link is step-invariant (see
+//! [`quasaq_sim::link`]): stepping a link with nothing due only moves its
+//! clock, and how often it is stepped never changes its bytes. So an event
+//! costs work on the servers whose transfers complete plus a logarithmic
+//! index update, not a pass over the cluster, and a session's arithmetic
+//! does not depend on what other servers are doing.
+//!
+//! Each server also keeps the list of sessions *registered* on it, in no
+//! particular order; each session stores its position there, so adding,
+//! completing and forgetting one is O(1) (a push or a swap-remove). A
+//! session is registered from [`FluidEngine::add_session`] until its
+//! completion is merged, it is forgotten, or its server crashes — so a
+//! cancelled session stays registered until
+//! [`FluidEngine::forget_session`] or a crash. The per-server reads
+//! (`active_on`, `sessions_on`, `fail_server`) walk that one list.
 //!
 //! The engine is passive (`next_event`/`advance_to`/`drain_completions`)
 //! so the experiment driver owns the master event loop.
 
 use quasaq_sim::link::{LinkError, SharePolicy, XferDone};
-use quasaq_sim::{FlowId, LinkDomain, ServerId, SimDuration, SimTime};
+use quasaq_sim::{FlowId, ServerId, SharedLink, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
 /// Identifies a fluid session.
@@ -57,6 +66,24 @@ struct FluidSession {
     server: ServerId,
     flow: FlowId,
     done: bool,
+    /// Index in its server's registration list (`UNREGISTERED` once out).
+    pos: u32,
+}
+
+/// `FluidSession::pos` of a session no longer registered on its server.
+const UNREGISTERED: u32 = u32::MAX;
+
+/// Drops `id` from its server's registration list `list` if it is still
+/// there: a swap-remove, re-pointing the session moved into its place.
+fn unregister(sessions: &mut [FluidSession], list: &mut Vec<FluidSessionId>, id: FluidSessionId) {
+    let pos = std::mem::replace(&mut sessions[id.0].pos, UNREGISTERED);
+    if pos == UNREGISTERED {
+        return;
+    }
+    list.swap_remove(pos as usize);
+    if let Some(&moved) = list.get(pos as usize) {
+        sessions[moved.0].pos = pos;
+    }
 }
 
 /// Watermarks for per-link congestion detection, applied to the offered
@@ -112,35 +139,39 @@ enum CongState {
 
 struct CongestionWatch {
     cfg: CongestionConfig,
-    /// Parallel to `FluidEngine::domains`.
+    /// Parallel to `FluidEngine::links`.
     states: Vec<CongState>,
     /// Servers currently flagged congested (`Congested` or `RampDown`).
     congested: usize,
 }
 
 /// Sentinel in the dense server index for servers this engine doesn't own.
-const NO_DOMAIN: u32 = u32::MAX;
+const NO_LINK: u32 = u32::MAX;
 
-/// Byte-level session engine over per-server link domains.
+/// Byte-level session engine over per-server outbound links.
 ///
-/// Only the domains with a completion due are stepped, so an idle link's
+/// Only the links with a completion due are stepped, so an idle link's
 /// own clock lags the engine's: it catches up, exactly, the next time a
 /// call touches that link. Every clock-dependent read therefore goes
 /// through the engine's `now` (the last [`advance_to`](Self::advance_to)
 /// instant) rather than trusting a link's own clock.
 pub struct FluidEngine {
-    /// Sorted by `ServerId`; an advance steps its due domains in this
-    /// order.
-    domains: Vec<LinkDomain<FluidSessionId>>,
-    /// Dense `ServerId.0` → index into `domains` (`NO_DOMAIN` for gaps).
+    /// Sorted ascending; an advance steps its due links in this order.
+    servers: Vec<ServerId>,
+    /// Parallel to `servers`: each server's outbound link, every transfer
+    /// tagged with its session.
+    links: Vec<SharedLink<FluidSessionId>>,
+    /// Parallel to `servers`: the sessions registered on each server.
+    registered: Vec<Vec<FluidSessionId>>,
+    /// Dense `ServerId.0` → index into `servers` (`NO_LINK` for gaps).
     index: Vec<u32>,
-    /// `(next completion, domain index)` for every domain with a
-    /// completion pending.
+    /// `(next completion, link index)` for every link with a completion
+    /// pending.
     due: BTreeSet<(SimTime, u32)>,
-    /// Parallel to `domains`: each domain's key in `due`.
+    /// Parallel to `servers`: each link's key in `due`.
     keys: Vec<Option<SimTime>>,
-    /// Domains whose link holds buffered completions; the next advance
-    /// steps them whatever their key.
+    /// Links holding buffered completions; the next advance steps them
+    /// whatever their key.
     dirty: Vec<u32>,
     /// The last `advance_to` instant.
     now: SimTime,
@@ -149,32 +180,36 @@ pub struct FluidEngine {
     active: usize,
     completions: Vec<FluidDone>,
     /// Reused buffers (keep the per-advance merge allocation-free): the
-    /// domains to step, and one domain's completions.
+    /// links to step, and one link's completions.
     step_scratch: Vec<u32>,
-    merge_scratch: Vec<XferDone>,
+    merge_scratch: Vec<XferDone<FluidSessionId>>,
     /// Per-link congestion detection, off unless enabled.
     congestion: Option<CongestionWatch>,
 }
 
 impl FluidEngine {
-    /// Builds an engine with one link domain per server under the given
+    /// Builds an engine with one outbound link per server under the given
     /// policy.
     pub fn new(
         servers: impl IntoIterator<Item = ServerId>,
         policy: SharePolicy,
         capacity_bps: u64,
     ) -> Self {
-        let domains = LinkDomain::cluster(servers, policy, capacity_bps);
-        let max_id = domains.iter().map(|d| d.server().0 as usize).max().map_or(0, |m| m + 1);
-        let mut index = vec![NO_DOMAIN; max_id];
-        for (i, d) in domains.iter().enumerate() {
-            index[d.server().0 as usize] = i as u32;
+        let mut servers: Vec<ServerId> = servers.into_iter().collect();
+        servers.sort_unstable();
+        let max_id = servers.last().map_or(0, |s| s.0 as usize + 1);
+        let mut index = vec![NO_LINK; max_id];
+        for (i, s) in servers.iter().enumerate() {
+            index[s.0 as usize] = i as u32;
         }
+        let n = servers.len();
         FluidEngine {
-            keys: vec![None; domains.len()],
-            domains,
+            servers,
+            links: (0..n).map(|_| SharedLink::new(capacity_bps, policy)).collect(),
+            registered: vec![Vec::new(); n],
             index,
             due: BTreeSet::new(),
+            keys: vec![None; n],
             dirty: Vec::new(),
             now: SimTime::ZERO,
             sessions: Vec::new(),
@@ -186,23 +221,19 @@ impl FluidEngine {
         }
     }
 
-    fn domain_index(&self, server: ServerId) -> Option<usize> {
+    fn link_index(&self, server: ServerId) -> Option<usize> {
         match self.index.get(server.0 as usize) {
-            Some(&i) if i != NO_DOMAIN => Some(i as usize),
+            Some(&i) if i != NO_LINK => Some(i as usize),
             _ => None,
         }
     }
 
-    fn domain(&self, server: ServerId) -> &LinkDomain<FluidSessionId> {
-        &self.domains[self.domain_index(server).expect("unknown server")]
-    }
-
-    /// Re-files domain `i` under its link's next completion, and marks it
-    /// dirty when its link holds buffered completions. Every call that
-    /// changes a link ends here.
+    /// Re-files link `i` under its next completion, and marks it dirty
+    /// when it holds buffered completions. Every call that changes a link
+    /// ends here.
     fn rekey(&mut self, i: usize) {
-        let domain = &self.domains[i];
-        let next = domain.next_event();
+        let link = &self.links[i];
+        let next = link.next_event();
         if next != self.keys[i] {
             if let Some(old) = self.keys[i] {
                 self.due.remove(&(old, i as u32));
@@ -212,7 +243,7 @@ impl FluidEngine {
             }
             self.keys[i] = next;
         }
-        if domain.has_buffered() {
+        if link.pending_completions() > 0 {
             self.dirty.push(i as u32);
         }
     }
@@ -228,9 +259,9 @@ impl FluidEngine {
         rate_bps: u64,
     ) -> Result<FluidSessionId, LinkError> {
         let id = FluidSessionId(self.sessions.len());
-        let i = self.domain_index(server).expect("unknown server");
-        let domain = &mut self.domains[i];
-        let flow = match domain.link_mut().open_flow(now, Some(rate_bps)) {
+        let i = self.link_index(server).expect("unknown server");
+        let link = &mut self.links[i];
+        let flow = match link.open_flow(now, Some(rate_bps)) {
             Ok(flow) => flow,
             Err(e) => {
                 // A refused open still advanced the link to `now`.
@@ -238,19 +269,20 @@ impl FluidEngine {
                 return Err(e);
             }
         };
-        let xfer = domain.link_mut().send(now, flow, bytes).expect("flow just opened");
-        domain.register(xfer, flow, id);
+        link.send(now, flow, bytes, id).expect("flow just opened");
         self.rekey(i);
-        self.sessions.push(FluidSession { server, flow, done: false });
+        let pos = self.registered[i].len() as u32;
+        self.registered[i].push(id);
+        self.sessions.push(FluidSession { server, flow, done: false, pos });
         self.active += 1;
         Ok(id)
     }
 
-    /// Aborts a session, freeing its bandwidth. The session's transfer
-    /// registration is left in place (it resolves to a dead session and is
-    /// discarded), so `active_on` counts it until the link would have
-    /// finished it — matching the historical accounting the availability
-    /// experiments were calibrated against.
+    /// Aborts a session, freeing its bandwidth. The session stays
+    /// registered on its server, so `active_on` keeps counting it until
+    /// [`forget_session`](FluidEngine::forget_session) or a crash of that
+    /// server, however long that is — matching the historical accounting
+    /// the availability experiments were calibrated against.
     pub fn cancel_session(&mut self, now: SimTime, id: FluidSessionId) {
         let session = &mut self.sessions[id.0];
         if session.done {
@@ -259,13 +291,15 @@ impl FluidEngine {
         session.done = true;
         self.active -= 1;
         let (server, flow) = (session.server, session.flow);
-        let i = self.domain_index(server).expect("unknown server");
-        self.domains[i].link_mut().close_flow(now, flow);
+        let i = self.link_index(server).expect("unknown server");
+        self.links[i].close_flow(now, flow);
         self.rekey(i);
     }
 
-    /// Drops a finished or cancelled session's transfer registration so
-    /// `active_on` stops counting it.
+    /// Drops a cancelled or finished session's registration so `active_on`
+    /// stops counting it. It applies to those sessions only: a session
+    /// still streaming must be cancelled first, since the engine takes an
+    /// unregistered session for one that is done.
     /// [`cancel_session`](FluidEngine::cancel_session) deliberately leaves
     /// the registration for the historical availability accounting; the
     /// renegotiation path must *not* inherit that — it replaces the
@@ -273,8 +307,8 @@ impl FluidEngine {
     /// the server a ghost stream forever.
     pub fn forget_session(&mut self, id: FluidSessionId) {
         let server = self.sessions[id.0].server;
-        if let Some(i) = self.domain_index(server) {
-            self.domains[i].retain(|&tag| tag != id);
+        if let Some(i) = self.link_index(server) {
+            unregister(&mut self.sessions, &mut self.registered[i], id);
         }
     }
 
@@ -284,8 +318,8 @@ impl FluidEngine {
         self.due.first().map(|&(at, _)| at)
     }
 
-    /// Advances the engine to `t`, collecting completions: steps the
-    /// domains with a completion due by `t` and those holding buffered
+    /// Advances the engine to `t`, collecting completions: steps the links
+    /// with a completion due by `t` and those holding buffered
     /// completions, one at a time in `ServerId` order. Every other link
     /// has nothing due by `t`, so it is left where it is.
     pub fn advance_to(&mut self, t: SimTime) {
@@ -302,22 +336,25 @@ impl FluidEngine {
         stepping.dedup();
         let mut batch = std::mem::take(&mut self.merge_scratch);
         for &i in &stepping {
-            let domain = &mut self.domains[i as usize];
+            let i = i as usize;
+            let link = &mut self.links[i];
             batch.clear();
-            domain.step_to(t, &mut batch);
-            let server = domain.server();
+            link.advance_to(t);
+            link.drain_completions_into(&mut batch);
             for done in &batch {
-                if let Some(id) = domain.resolve(done.xfer) {
-                    let session = &mut self.sessions[id.0];
-                    if !session.done {
-                        session.done = true;
-                        self.active -= 1;
-                        domain.link_mut().close_flow(done.at.max(t), session.flow);
-                        self.completions.push(FluidDone { id, server, at: done.at });
-                    }
+                let id = done.tag;
+                unregister(&mut self.sessions, &mut self.registered[i], id);
+                // A cancelled or crashed session's completion was buffered
+                // before its flow closed; it is already done.
+                let session = &mut self.sessions[id.0];
+                if !session.done {
+                    session.done = true;
+                    self.active -= 1;
+                    link.close_flow(done.at.max(t), session.flow);
+                    self.completions.push(FluidDone { id, server: self.servers[i], at: done.at });
                 }
             }
-            self.rekey(i as usize);
+            self.rekey(i);
         }
         batch.clear();
         self.merge_scratch = batch;
@@ -336,33 +373,53 @@ impl FluidEngine {
         self.active
     }
 
-    /// Number of sessions still streaming from one server (O(1), not
-    /// O(all sessions)).
+    /// Number of sessions registered on one server: those still streaming
+    /// from it, plus those cancelled but not yet forgotten (see
+    /// [`cancel_session`](Self::cancel_session)). O(1).
     pub fn active_on(&self, server: ServerId) -> usize {
-        self.domain_index(server).map(|i| self.domains[i].in_flight()).unwrap_or(0)
+        self.link_index(server).map_or(0, |i| self.registered[i].len())
     }
 
     /// Crashes a server: every session streaming from it is killed and
     /// returned as `(session, bytes still undelivered)` — what a failover
     /// path needs to resume the remainder elsewhere. The returned list is
-    /// ordered by session id, so reacting to it is deterministic.
+    /// ordered by session id, so reacting to it is deterministic. The
+    /// server's registrations are cleared. O(sessions registered there).
     pub fn fail_server(&mut self, now: SimTime, server: ServerId) -> Vec<(FluidSessionId, f64)> {
-        let Some(i) = self.domain_index(server) else { return Vec::new() };
-        let sessions = &self.sessions;
-        let displaced = self.domains[i].cut(now, |id| !sessions[id.0].done);
-        self.rekey(i);
-        for &(id, _) in &displaced {
-            self.sessions[id.0].done = true;
-            self.active -= 1;
+        let Some(i) = self.link_index(server) else { return Vec::new() };
+        let link = &mut self.links[i];
+        link.advance_to(now);
+        let mut displaced = Vec::new();
+        for id in self.registered[i].drain(..) {
+            let session = &mut self.sessions[id.0];
+            session.pos = UNREGISTERED;
+            if !session.done {
+                displaced.push(id);
+            }
         }
+        displaced.sort_unstable();
+        let displaced: Vec<(FluidSessionId, f64)> = displaced
+            .into_iter()
+            .map(|id| {
+                let session = &mut self.sessions[id.0];
+                session.done = true;
+                // Read the backlog before closing: the close tears the
+                // flow's queue down.
+                let left = link.flow_backlog_bytes(session.flow);
+                link.close_flow(now, session.flow);
+                (id, left)
+            })
+            .collect();
+        self.active -= displaced.len();
+        self.rekey(i);
         displaced
     }
 
     /// Applies a fault-injection capacity change to a server's outbound
     /// link (degradation when below nominal, recovery when restored).
     pub fn set_link_capacity(&mut self, now: SimTime, server: ServerId, capacity_bps: u64) {
-        let i = self.domain_index(server).expect("unknown server");
-        self.domains[i].link_mut().set_capacity(now, capacity_bps);
+        let i = self.link_index(server).expect("unknown server");
+        self.links[i].set_capacity(now, capacity_bps);
         self.rekey(i);
     }
 
@@ -381,16 +438,17 @@ impl FluidEngine {
             return 0.0;
         }
         // The link may lag the engine; its bytes read the same at `now`.
-        self.domain(s.server).link().flow_backlog_bytes_at(s.flow, self.now)
+        let i = self.link_index(s.server).expect("unknown server");
+        self.links[i].flow_backlog_bytes_at(s.flow, self.now)
     }
 
     /// The sessions still streaming from one server, in ascending session
     /// id — the deterministic iteration order for an adaptation loop
-    /// picking downshift victims.
+    /// picking downshift victims. O(sessions registered there).
     pub fn sessions_on(&self, server: ServerId) -> Vec<FluidSessionId> {
-        let Some(i) = self.domain_index(server) else { return Vec::new() };
+        let Some(i) = self.link_index(server) else { return Vec::new() };
         let mut ids: Vec<FluidSessionId> =
-            self.domains[i].tags().copied().filter(|id| !self.sessions[id.0].done).collect();
+            self.registered[i].iter().copied().filter(|id| !self.sessions[id.0].done).collect();
         ids.sort_unstable();
         ids
     }
@@ -401,7 +459,7 @@ impl FluidEngine {
         assert!(cfg.low_ratio < cfg.high_ratio, "hysteresis band must be non-empty");
         self.congestion = Some(CongestionWatch {
             cfg,
-            states: vec![CongState::Clear; self.domains.len()],
+            states: vec![CongState::Clear; self.links.len()],
             congested: 0,
         });
     }
@@ -410,7 +468,7 @@ impl FluidEngine {
     /// an `Onset` and the matching `Cleared`).
     pub fn is_congested(&self, server: ServerId) -> bool {
         let Some(watch) = &self.congestion else { return false };
-        let Some(i) = self.domain_index(server) else { return false };
+        let Some(i) = self.link_index(server) else { return false };
         matches!(watch.states[i], CongState::Congested | CongState::RampDown { .. })
     }
 
@@ -446,8 +504,7 @@ impl FluidEngine {
         let Some(watch) = &mut self.congestion else { return Vec::new() };
         let cfg = watch.cfg;
         let mut events = Vec::new();
-        for (i, domain) in self.domains.iter().enumerate() {
-            let link = domain.link();
+        for (i, link) in self.links.iter().enumerate() {
             let ratio = link.demand_bps() as f64 / link.capacity_bps() as f64;
             // Iterate to a fixpoint so chained transitions (level crossing
             // followed by an already-elapsed dwell, e.g. dwell zero) settle
@@ -464,7 +521,7 @@ impl FluidEngine {
                     CongState::RampUp { since } if now >= since + cfg.dwell => {
                         watch.congested += 1;
                         events.push(CongestionEvent {
-                            server: domain.server(),
+                            server: self.servers[i],
                             edge: CongestionEdge::Onset,
                             at: now,
                         });
@@ -479,7 +536,7 @@ impl FluidEngine {
                     CongState::RampDown { since } if now >= since + cfg.dwell => {
                         watch.congested -= 1;
                         events.push(CongestionEvent {
-                            server: domain.server(),
+                            server: self.servers[i],
                             edge: CongestionEdge::Cleared,
                             at: now,
                         });
@@ -591,6 +648,32 @@ mod tests {
         eng.forget_session(a);
         assert_eq!(eng.active_on(ServerId(0)), 1);
         assert_eq!(eng.sessions_on(ServerId(0)), vec![b]);
+    }
+
+    #[test]
+    fn cancelled_session_counts_until_forgotten_or_crashed() {
+        let mut eng = FluidEngine::new([ServerId(0)], SharePolicy::FairShare, 100_000);
+        let a = eng.add_session(SimTime::ZERO, ServerId(0), 1_000, 100_000).unwrap();
+        eng.cancel_session(SimTime::ZERO, a);
+        // Long after the link would have finished it, it still counts.
+        eng.advance_to(SimTime::from_secs(100));
+        assert_eq!(eng.active_on(ServerId(0)), 1);
+        assert!(eng.sessions_on(ServerId(0)).is_empty());
+        // A crash clears it without displacing it or closing its flow again.
+        assert!(eng.fail_server(SimTime::from_secs(100), ServerId(0)).is_empty());
+        assert_eq!(eng.active_on(ServerId(0)), 0);
+    }
+
+    #[test]
+    fn completions_merge_in_server_order() {
+        // Servers given out of order, completing at the same instant.
+        let mut eng = FluidEngine::new([ServerId(2), ServerId(0)], SharePolicy::Reserved, 100_000);
+        let late = eng.add_session(SimTime::ZERO, ServerId(2), 50_000, 100_000).unwrap();
+        let early = eng.add_session(SimTime::ZERO, ServerId(0), 50_000, 100_000).unwrap();
+        let done = drain_all(&mut eng, SimTime::from_secs(1));
+        let order: Vec<_> = done.iter().map(|d| (d.server, d.id)).collect();
+        assert_eq!(order, vec![(ServerId(0), early), (ServerId(2), late)]);
+        assert_eq!((eng.active_on(ServerId(0)), eng.active_on(ServerId(2))), (0, 0));
     }
 
     #[test]

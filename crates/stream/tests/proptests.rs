@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use quasaq_media::{
     CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, FrameTrace, GopPattern, TraceParams,
 };
-use quasaq_sim::{FlowId, LinkDomain, LinkError, ServerId, SharePolicy, SimDuration, SimTime};
+use quasaq_sim::{FlowId, LinkError, ServerId, SharePolicy, SharedLink, SimDuration, SimTime};
 use quasaq_stream::{
     CpuPolicy, DispatchConfig, FluidDone, FluidEngine, FluidSessionId, FrameSchedule, NodeConfig,
     SessionConfig, StreamEngine, Transforms,
@@ -66,28 +66,42 @@ fn watch_server0(
     (done_at, bits)
 }
 
-/// The fluid engine without its completion index: every advance steps
-/// every domain in `ServerId` order, `next_event` is a minimum over all
-/// of them, and every link's clock is the engine's. Sessions are
-/// `(server, flow, done)`.
-struct StepEveryDomain {
-    domains: Vec<LinkDomain<FluidSessionId>>,
-    sessions: Vec<(ServerId, FlowId, bool)>,
+/// A reference session: `(server, flow, done, registered)`.
+struct RefSession {
+    server: ServerId,
+    flow: FlowId,
+    done: bool,
+    /// Counted by `active_on`: set on add, cleared when its completion is
+    /// merged, when it is forgotten, and when its server crashes.
+    registered: bool,
+}
+
+/// The fluid engine without its completion index or its per-server
+/// registration lists: every advance steps every link in `ServerId`
+/// order, `next_event` is a minimum over all of them, every link's clock
+/// is the engine's, and the per-server reads scan every session ever
+/// added.
+struct StepEveryLink {
+    /// Sorted by server.
+    links: Vec<(ServerId, SharedLink<FluidSessionId>)>,
+    sessions: Vec<RefSession>,
     completions: Vec<FluidDone>,
 }
 
-impl StepEveryDomain {
+impl StepEveryLink {
     fn new(servers: &[ServerId], policy: SharePolicy, capacity_bps: u64) -> Self {
-        let domains = LinkDomain::cluster(servers.iter().copied(), policy, capacity_bps);
-        StepEveryDomain { domains, sessions: Vec::new(), completions: Vec::new() }
+        let mut links: Vec<_> =
+            servers.iter().map(|&s| (s, SharedLink::new(capacity_bps, policy))).collect();
+        links.sort_by_key(|&(s, _)| s);
+        StepEveryLink { links, sessions: Vec::new(), completions: Vec::new() }
     }
 
-    fn domain(&self, server: ServerId) -> &LinkDomain<FluidSessionId> {
-        self.domains.iter().find(|d| d.server() == server).expect("known server")
+    fn link(&self, server: ServerId) -> &SharedLink<FluidSessionId> {
+        &self.links.iter().find(|l| l.0 == server).expect("known server").1
     }
 
-    fn domain_mut(&mut self, server: ServerId) -> &mut LinkDomain<FluidSessionId> {
-        self.domains.iter_mut().find(|d| d.server() == server).expect("known server")
+    fn link_mut(&mut self, server: ServerId) -> &mut SharedLink<FluidSessionId> {
+        &mut self.links.iter_mut().find(|l| l.0 == server).expect("known server").1
     }
 
     fn add_session(
@@ -98,73 +112,80 @@ impl StepEveryDomain {
         rate_bps: u64,
     ) -> Result<FluidSessionId, LinkError> {
         let id = FluidSessionId(self.sessions.len());
-        let domain = self.domain_mut(server);
-        let flow = domain.link_mut().open_flow(now, Some(rate_bps))?;
-        let xfer = domain.link_mut().send(now, flow, bytes).expect("flow just opened");
-        domain.register(xfer, flow, id);
-        self.sessions.push((server, flow, false));
+        let link = self.link_mut(server);
+        let flow = link.open_flow(now, Some(rate_bps))?;
+        link.send(now, flow, bytes, id).expect("flow just opened");
+        self.sessions.push(RefSession { server, flow, done: false, registered: true });
         Ok(id)
     }
 
     fn cancel_session(&mut self, now: SimTime, id: FluidSessionId) {
-        let (server, flow, done) = self.sessions[id.0];
-        if !done {
-            self.sessions[id.0].2 = true;
-            self.domain_mut(server).link_mut().close_flow(now, flow);
+        let s = &mut self.sessions[id.0];
+        if !s.done {
+            s.done = true;
+            let (server, flow) = (s.server, s.flow);
+            self.link_mut(server).close_flow(now, flow);
         }
     }
 
     fn forget_session(&mut self, id: FluidSessionId) {
-        let server = self.sessions[id.0].0;
-        self.domain_mut(server).retain(|&tag| tag != id);
+        self.sessions[id.0].registered = false;
     }
 
     fn fail_server(&mut self, now: SimTime, server: ServerId) -> Vec<(FluidSessionId, f64)> {
-        let sessions = &self.sessions;
-        let domain = self.domains.iter_mut().find(|d| d.server() == server).expect("known server");
-        let displaced = domain.cut(now, |id| !sessions[id.0].2);
-        for &(id, _) in &displaced {
-            self.sessions[id.0].2 = true;
+        let link = &mut self.links.iter_mut().find(|l| l.0 == server).expect("known server").1;
+        link.advance_to(now);
+        let mut displaced = Vec::new();
+        for (i, s) in self.sessions.iter_mut().enumerate() {
+            if s.server == server && s.registered {
+                s.registered = false;
+                if !s.done {
+                    s.done = true;
+                    displaced.push((FluidSessionId(i), link.flow_backlog_bytes(s.flow)));
+                    link.close_flow(now, s.flow);
+                }
+            }
         }
         displaced
     }
 
     fn next_event(&self) -> Option<SimTime> {
-        self.domains.iter().filter_map(|d| d.next_event()).min()
+        self.links.iter().filter_map(|l| l.1.next_event()).min()
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        let mut batch = Vec::new();
-        for domain in self.domains.iter_mut() {
-            batch.clear();
-            domain.step_to(t, &mut batch);
-            for done in &batch {
-                if let Some(id) = domain.resolve(done.xfer) {
-                    let session = &mut self.sessions[id.0];
-                    if !session.2 {
-                        session.2 = true;
-                        domain.link_mut().close_flow(done.at.max(t), session.1);
-                        let server = domain.server();
-                        self.completions.push(FluidDone { id, server, at: done.at });
-                    }
+        for (server, link) in self.links.iter_mut() {
+            link.advance_to(t);
+            for done in link.drain_completions() {
+                let s = &mut self.sessions[done.tag.0];
+                if !s.registered {
+                    continue;
+                }
+                s.registered = false;
+                if !s.done {
+                    s.done = true;
+                    link.close_flow(done.at.max(t), s.flow);
+                    self.completions.push(FluidDone { id: done.tag, server: *server, at: done.at });
                 }
             }
         }
     }
 
+    fn active_on(&self, server: ServerId) -> usize {
+        self.sessions.iter().filter(|s| s.server == server && s.registered).count()
+    }
+
     fn sessions_on(&self, server: ServerId) -> Vec<FluidSessionId> {
-        let domain = self.domain(server);
-        let mut ids: Vec<_> = domain.tags().copied().filter(|id| !self.sessions[id.0].2).collect();
-        ids.sort_unstable();
-        ids
+        let on = |s: &RefSession| s.server == server && s.registered && !s.done;
+        (0..self.sessions.len()).filter(|&i| on(&self.sessions[i])).map(FluidSessionId).collect()
     }
 
     fn session_backlog(&self, id: FluidSessionId) -> f64 {
-        let (server, flow, done) = self.sessions[id.0];
-        if done {
+        let s = &self.sessions[id.0];
+        if s.done {
             return 0.0;
         }
-        self.domain(server).link().flow_backlog_bytes(flow)
+        self.link(s.server).flow_backlog_bytes(s.flow)
     }
 }
 
@@ -180,19 +201,15 @@ fn view_indexed(eng: &mut FluidEngine, servers: &[ServerId], n_sessions: usize) 
     (eng.drain_completions(), eng.next_event(), on, backlog)
 }
 
-fn view_reference(
-    eng: &mut StepEveryDomain,
-    servers: &[ServerId],
-    n_sessions: usize,
-) -> EngineView {
-    let on = servers.iter().map(|&s| (eng.domain(s).in_flight(), eng.sessions_on(s))).collect();
+fn view_reference(eng: &mut StepEveryLink, servers: &[ServerId], n_sessions: usize) -> EngineView {
+    let on = servers.iter().map(|&s| (eng.active_on(s), eng.sessions_on(s))).collect();
     let backlog =
         (0..n_sessions).map(|i| eng.session_backlog(FluidSessionId(i)).to_bits()).collect();
     (std::mem::take(&mut eng.completions), eng.next_event(), on, backlog)
 }
 
 /// Replays one `(op, arg, pick)` trace on the indexed engine and on the
-/// step-every-domain reference, comparing the two views after every op
+/// step-every-link reference, comparing the two views after every op
 /// and once more after draining to idle. Servers get ids with gaps, and
 /// ops may run ahead of the last advance (a jump), so a touched link's
 /// clock passes the engine's and an internal advance can buffer
@@ -202,7 +219,7 @@ fn replay_both(reserved: bool, n: u32, ops: &[(u8, u64, usize)]) {
     let policy = if reserved { SharePolicy::Reserved } else { SharePolicy::FairShare };
     let servers: Vec<ServerId> = (0..n).rev().map(|k| ServerId(3 * k + 1)).collect();
     let mut indexed = FluidEngine::new(servers.iter().copied(), policy, CAPACITY);
-    let mut reference = StepEveryDomain::new(&servers, policy, CAPACITY);
+    let mut reference = StepEveryLink::new(&servers, policy, CAPACITY);
     // A small rate menu makes Reserved links saturate and FairShare caps
     // collide.
     let rate = |arg: u64| (arg % 8).max(1) * CAPACITY / 8;
@@ -224,9 +241,12 @@ fn replay_both(reserved: bool, n: u32, ops: &[(u8, u64, usize)]) {
                     reference.cancel_session(now, id);
                 }
             }
+            // `forget_session` applies to a cancelled or finished session.
             4 => {
                 if let Some(id) = session {
+                    indexed.cancel_session(now, id);
                     indexed.forget_session(id);
+                    reference.cancel_session(now, id);
                     reference.forget_session(id);
                 }
             }
@@ -241,7 +261,7 @@ fn replay_both(reserved: bool, n: u32, ops: &[(u8, u64, usize)]) {
             6 => {
                 let capacity = CAPACITY / 4 * (1 + arg % 4);
                 indexed.set_link_capacity(now, server, capacity);
-                reference.domain_mut(server).link_mut().set_capacity(now, capacity);
+                reference.link_mut(server).set_capacity(now, capacity);
             }
             // Ops after a jump run ahead of the last advance.
             7 => now += SimDuration::from_micros(arg * 50_000 + (pick % 1_000) as u64),
@@ -285,9 +305,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The completion index is exact: an engine that steps only the
-    /// domains due shows, after every op, the same completions, next
+    /// links due shows, after every op, the same completions, next
     /// event, per-server counts and session backlog bits as one that
-    /// steps every domain on every advance.
+    /// steps every link on every advance.
     #[test]
     fn indexed_engine_matches_stepping_every_domain(
         reserved in proptest::bool::ANY,

@@ -71,22 +71,7 @@ impl BaselinePlanner {
         video: VideoId,
         rng: &mut Rng,
     ) -> Option<BaselineChoice> {
-        self.select_avoiding(engine, video, rng, &BTreeSet::new())
-    }
-
-    /// Like [`select`](Self::select), but never picks a server in
-    /// `exclude` (crashed sites). With an empty exclusion set this is
-    /// `select` exactly, including its RNG consumption — one `index` draw
-    /// over the same candidate list — so fault-free runs stay
-    /// bit-identical.
-    pub fn select_avoiding(
-        &self,
-        engine: &MetadataEngine,
-        video: VideoId,
-        rng: &mut Rng,
-        exclude: &BTreeSet<ServerId>,
-    ) -> Option<BaselineChoice> {
-        let pick = self.pick(engine, video, rng, exclude)?;
+        let pick = self.pick(engine, video, rng, &BTreeSet::new())?;
         Some(BaselineChoice {
             record: engine.replicas(video)[pick.position as usize].clone(),
             server: pick.server,
@@ -94,12 +79,14 @@ impl BaselinePlanner {
         })
     }
 
-    /// The replica [`select_avoiding`](Self::select_avoiding) chooses, as
-    /// its top-rate table entry: one `index` draw over the live copies at
-    /// the video's highest rate. Only when every one of them is excluded
-    /// does it read the records, drawing the same way over the live copies
-    /// at the best rate left (its `rate_bps` is then that rate). `None`,
-    /// with no draw, when no live replica exists.
+    /// The replica to stream for `video` on a server outside `exclude`
+    /// (crashed sites), as its top-rate table entry: one `index` draw over
+    /// the live copies at the video's highest rate. Only when every one of
+    /// them is excluded does it read the records, drawing the same way over
+    /// the live copies at the best rate left (its `rate_bps` is then that
+    /// rate). `None`, with no draw, when no live replica exists. With an
+    /// empty `exclude` this is [`select`](Self::select)'s choice, draw for
+    /// draw.
     pub fn pick(
         &self,
         engine: &MetadataEngine,
@@ -189,28 +176,28 @@ mod tests {
     }
 
     #[test]
-    fn select_avoiding_skips_crashed_servers() {
+    fn pick_skips_crashed_servers() {
         let e = engine();
         let planner = BaselinePlanner::new(BaselineKind::Plain);
-        let down: std::collections::BTreeSet<ServerId> = [ServerId(0)].into();
+        let down: BTreeSet<ServerId> = [ServerId(0)].into();
         let mut rng = Rng::new(4);
         for _ in 0..50 {
-            let c = planner.select_avoiding(&e, VideoId(1), &mut rng, &down).unwrap();
-            assert_ne!(c.server, ServerId(0));
+            let p = planner.pick(&e, VideoId(1), &mut rng, &down).unwrap();
+            assert_ne!(p.server, ServerId(0));
         }
         // Every replica down: nothing to stream.
-        let all: std::collections::BTreeSet<ServerId> = ServerId::first_n(3).collect();
-        assert!(planner.select_avoiding(&e, VideoId(1), &mut rng, &all).is_none());
+        let all: BTreeSet<ServerId> = ServerId::first_n(3).collect();
+        assert!(planner.pick(&e, VideoId(1), &mut rng, &all).is_none());
         // Empty exclusion is `select` exactly, draw for draw.
         let mut a = Rng::new(5);
         let mut b = Rng::new(5);
         for _ in 0..20 {
             let lhs = planner.select(&e, VideoId(1), &mut a).unwrap();
-            let rhs = planner
-                .select_avoiding(&e, VideoId(1), &mut b, &std::collections::BTreeSet::new())
-                .unwrap();
-            assert_eq!(lhs, rhs);
+            let rhs = planner.pick(&e, VideoId(1), &mut b, &BTreeSet::new()).unwrap();
+            assert_eq!(lhs.server, rhs.server);
+            assert_eq!(lhs.record, e.replicas(VideoId(1))[rhs.position as usize]);
         }
+        assert_eq!(a, b);
     }
 
     /// The selection as it was before the top-rate table: three passes over
@@ -232,9 +219,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Over random engines (videos registered out of order, tied rates,
-        /// failed sites) and exclusion sets, `select_avoiding` makes the
-        /// three-pass scan's choice with the same RNG consumption, and `pick`
-        /// returns that choice's table entry. The sets include random ones,
+        /// failed sites) and exclusion sets, `pick` returns the table entry
+        /// of the three-pass scan's choice with the same RNG consumption.
+        /// The sets include random ones,
         /// every top-rate copy of the video (a lower tier is chosen), every
         /// server, and none; the videos include unknown ones.
         #[test]
@@ -280,17 +267,9 @@ mod tests {
                 sets.extend([top, ServerId::first_n(5).collect(), BTreeSet::new()]);
                 for exclude in &sets {
                     let want = three_pass_scan(&engine, video, &mut a, exclude);
-                    let mut c = b.clone();
-                    let got = planner.select_avoiding(&engine, video, &mut b, exclude);
-                    prop_assert_eq!(got.as_ref().map(|g| &g.record), want.as_ref());
-                    if let Some(got) = &got {
-                        prop_assert_eq!(got.server, got.record.object.server);
-                        prop_assert!(got.reserve);
-                    }
+                    let pick = planner.pick(&engine, video, &mut b, exclude);
                     // The same draws, so the generators' states agree.
                     prop_assert_eq!(&a, &b);
-                    let pick = planner.pick(&engine, video, &mut c, exclude);
-                    prop_assert_eq!(&c, &b);
                     let position = want
                         .as_ref()
                         .map(|w| engine.replicas(video).iter().position(|r| r == w).unwrap());

@@ -36,7 +36,8 @@ cargo test --workspace -q
 # count, not only the runner's.
 if command -v taskset >/dev/null; then
     echo "==> determinism-sensitive tests pinned to one core"
-    time taskset -c 0 cargo test -q -p quasaq -p quasaq-workload -p quasaq-scenario -p quasaq-core -p quasaq-qosapi -p quasaq-store -p quasaq-vdbms
+    time taskset -c 0 cargo test -q -p quasaq -p quasaq-workload -p quasaq-scenario -p quasaq-core \
+        -p quasaq-qosapi -p quasaq-store -p quasaq-vdbms -p quasaq-sim -p quasaq-stream -p quasaq-service
 fi
 
 echo "==> perfbench unit tests (the benchmark must keep building against the crate APIs)"
